@@ -40,7 +40,7 @@ def main():
     ap.add_argument("--episodes", type=int, default=2000)
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--epochs", type=int, default=60)
-    ap.add_argument("--gamma", type=float, default=0.8, choices=(1.0, 0.8))
+    ap.add_argument("--gamma", type=float, default=0.8)
     args = ap.parse_args()
 
     t0 = time.time()

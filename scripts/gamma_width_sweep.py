@@ -1,4 +1,4 @@
-"""Sweep the confidence-interval multiplier and the mask fan-out count on one
+"""Sweep the confidence-interval multiplier and the window source on one
 trained model, reporting mean window width and the grounded-QA metrics.
 
 Usage: python3 scripts/gamma_width_sweep.py [--episodes 800] [--seed 7]
@@ -34,23 +34,21 @@ def main():
     print(f"trained in {time.time() - t0:.0f}s; sweeping on {len(val_eps)} val episodes\n")
 
     labels = episodes_to_labels(val_eps)
-    print(f"{'gamma':>5} {'k':>2} {'source':>6} {'width_s':>8}  "
+    print(f"{'gamma':>5} {'source':>6} {'width_s':>8}  "
           f"{'Acc@GQA':>7} {'mIoP':>5} {'mIoU':>5}")
     for gamma in (1.0, 0.8):
-        for k_masks in (1, 3, 5):
-            for source in ("gauss", "attn", "fused"):
-                preds = []
-                widths = []
-                for ep in val_eps:
-                    p = predict_episode(best, ep, gamma=gamma, k_masks=k_masks,
-                                        window_source=source)
-                    widths.append(p.window.length)
-                    preds.append(Prediction(question_id=ep.question_id,
-                                            answer_index=p.answer_index,
-                                            window=p.window))
-                row = report_row(evaluate(preds, labels))
-                print(f"{gamma:5.1f} {k_masks:2d} {source:>6} {np.mean(widths):8.2f}  "
-                      f"{row['Acc@GQA']:7.1f} {row['mIoP']:5.1f} {row['mIoU']:5.1f}")
+        for source in ("gauss", "attn", "fused"):
+            preds = []
+            widths = []
+            for ep in val_eps:
+                p = predict_episode(best, ep, gamma=gamma, window_source=source)
+                widths.append(p.window.length)
+                preds.append(Prediction(question_id=ep.question_id,
+                                        answer_index=p.answer_index,
+                                        window=p.window))
+            row = report_row(evaluate(preds, labels))
+            print(f"{gamma:5.1f} {source:>6} {np.mean(widths):8.2f}  "
+                  f"{row['Acc@GQA']:7.1f} {row['mIoP']:5.1f} {row['mIoU']:5.1f}")
     print(f"\ntotal {time.time() - t0:.0f}s")
 
 

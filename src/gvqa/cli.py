@@ -204,13 +204,16 @@ def cmd_train_synth(args: argparse.Namespace) -> int:
     save_checkpoint(out / "checkpoint.npz", best)
     write_history_csv(out / "history.csv", history)
 
-    preds = []
-    for ep in val_eps:
-        p = predict_episode(best, ep, gamma=train_cfg.gamma, k_masks=args.k_masks,
-                            smooth_w=DEFAULT_SMOOTH_W, dist_cap_s=DEFAULT_DIST_CAP_S)
-        preds.append(metrics.Prediction(
-            question_id=ep.question_id, answer_index=p.answer_index, window=p.window,
-        ))
+    val_preds = [
+        predict_episode(best, ep, gamma=train_cfg.gamma,
+                        smooth_w=DEFAULT_SMOOTH_W, dist_cap_s=DEFAULT_DIST_CAP_S)
+        for ep in val_eps
+    ]
+    preds = [
+        metrics.Prediction(question_id=ep.question_id, answer_index=p.answer_index,
+                           window=p.window)
+        for ep, p in zip(val_eps, val_preds)
+    ]
     metrics.save_predictions(out / "predictions.json", preds)
     labels = episodes_to_labels(val_eps)
     annotations.save_labels(out / "labels.csv", labels)
@@ -221,8 +224,7 @@ def cmd_train_synth(args: argparse.Namespace) -> int:
 
     tl_dir = out / "timelines"
     tl_dir.mkdir(exist_ok=True)
-    for ep in val_eps[: extra["timelines"]]:
-        p = predict_episode(best, ep, gamma=train_cfg.gamma, k_masks=args.k_masks)
+    for ep, p in zip(val_eps[: extra["timelines"]], val_preds):
         bands = [
             ("moment", ep.gt_moment.start, ep.gt_moment.end),
             ("window", p.window.start, p.window.end),
@@ -265,9 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--seed", type=int)
     p_train.add_argument("--epochs", type=int)
     p_train.add_argument("--alpha", type=float)
-    p_train.add_argument("--gamma", type=float, choices=(1.0, 0.8))
+    p_train.add_argument("--gamma", type=float)
     p_train.add_argument("--frames", type=int)
-    p_train.add_argument("--k-masks", type=int, default=1)
     p_train.add_argument("-o", "--out", default="gvqa_out")
     p_train.set_defaults(func=cmd_train_synth)
     return parser

@@ -22,11 +22,7 @@ SIGMA_MIN = 0.01
 
 
 class ShapeMismatch(ValueError):
-    """Attention operands disagree on sequence length or head dimension."""
-
-
-class EmptyMaskList(ValueError):
-    """multi_mask_weights called with zero masks."""
+    """Arrays disagree on shape with each other or with the model parameters."""
 
 
 @dataclass(frozen=True)
@@ -71,24 +67,6 @@ def frame_times(grid: FrameGrid) -> np.ndarray:
     return frame_positions(grid.n_frames) * grid.extent.duration
 
 
-def squash_mask_params(z_mu: float, z_sigma: float) -> GaussianMask:
-    """Map unconstrained head outputs into the mask's box.
-
-    mu = logistic(z_mu); sigma = SIGMA_MIN + (1 - SIGMA_MIN) * logistic(z_sigma).
-    The floor keeps sigma^-3 gradient terms bounded.
-    """
-    mu = _logistic(z_mu)
-    sigma = SIGMA_MIN + (1.0 - SIGMA_MIN) * _logistic(z_sigma)
-    return GaussianMask(mu, sigma)
-
-
-def _logistic(z: float) -> float:
-    if z >= 0:
-        return 1.0 / (1.0 + math.exp(-z))
-    ez = math.exp(z)
-    return ez / (1.0 + ez)
-
-
 def mask_weights(mask: GaussianMask, grid: FrameGrid) -> np.ndarray:
     """Per-frame weights G_i = exp(-0.5 ((x_i - mu)/sigma)^2), in (0, 1].
 
@@ -127,45 +105,3 @@ def confidence_interval(mask: GaussianMask, extent: VideoExtent, gamma: float) -
     # mu in [0,1] and gamma*sigma > 0 put mu*d strictly inside the raw
     # interval, so the clamp always keeps positive length
     return clamp_to_video(lo, hi, extent)
-
-
-def gaussian_weighted_attention(
-    q: np.ndarray, k: np.ndarray, v: np.ndarray, weights: np.ndarray
-) -> np.ndarray:
-    """Self-attention with post-softmax per-key Gaussian scaling.
-
-    S = softmax(q k^T / sqrt(d_k)) row-wise, then S'_ij = S_ij * G_j, output
-    S' v. Rows are deliberately not re-normalized after masking, so a narrow
-    mask shrinks the magnitude of rows that attend outside it.
-    """
-    q = np.asarray(q, dtype=float)
-    k = np.asarray(k, dtype=float)
-    v = np.asarray(v, dtype=float)
-    g = np.asarray(weights, dtype=float)
-    if q.ndim != 2 or k.shape != q.shape or v.shape[0] != q.shape[0]:
-        raise ShapeMismatch(
-            f"q {q.shape}, k {k.shape}, v {v.shape} must share sequence length; q/k share dims"
-        )
-    if g.shape != (q.shape[0],):
-        raise ShapeMismatch(f"weights shape {g.shape} != ({q.shape[0]},)")
-    scores = q @ k.T / math.sqrt(q.shape[1])
-    scores -= scores.max(axis=1, keepdims=True)
-    attn = np.exp(scores)
-    attn /= attn.sum(axis=1, keepdims=True)
-    return (attn * g[None, :]) @ v
-
-
-def multi_mask_weights(masks: Sequence[GaussianMask], grid: FrameGrid) -> np.ndarray:
-    """Elementwise max over per-mask weight vectors."""
-    if not masks:
-        raise EmptyMaskList("need at least one mask")
-    stacked = np.stack([mask_weights(m, grid) for m in masks])
-    return stacked.max(axis=0)
-
-
-def primary_mask(masks: Sequence[GaussianMask], grid: FrameGrid) -> GaussianMask:
-    """The mask carrying the largest total weight; it supplies the window."""
-    if not masks:
-        raise EmptyMaskList("need at least one mask")
-    sums = [float(mask_weights(m, grid).sum()) for m in masks]
-    return masks[int(np.argmax(sums))]

@@ -28,20 +28,16 @@ from .gaussian import (
     SIGMA_MIN,
     FrameGrid,
     GaussianMask,
+    ShapeMismatch,
     confidence_interval,
     frame_positions,
+    mask_gradients,
     mask_weights,
-    multi_mask_weights,
-    primary_mask,
 )
 from .posthoc import extract_window_raw
 from .temporal import TemporalSegment, VideoExtent
 
 CHECKPOINT_VERSION = 1
-
-
-class ShapeMismatch(ValueError):
-    """Episode tensors disagree with each other or with the parameters."""
 
 
 class NegativeCountMismatch(ValueError):
@@ -218,6 +214,12 @@ def load_checkpoint(path: str | Path) -> ModelParams:
 
 
 # --- forward ------------------------------------------------------------------
+#
+# One encoder, in stages: _encode_frames (projection and frame self-attention),
+# _ground (grounding head -> mask parameters), _pool (mask-scaled attention and
+# attention pooling) and _cosine_scores. _forward composes all of them for the
+# losses, backprop and prediction; encode_video and predict_gaussian are the
+# partial compositions.
 
 def _softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
     e = np.exp(z - z.max(axis=axis, keepdims=True))
@@ -231,130 +233,98 @@ def _sigmoid(z: float) -> float:
     return ez / (1.0 + ez)
 
 
-def _forward(params: ModelParams, episode: Episode, use_mask: bool = True) -> dict:
-    """Full forward pass; returns every intermediate needed for backprop."""
+def _encode_frames(params: ModelParams, episode: Episode) -> dict:
+    """Projected frames X, their query/key/value maps and the row-softmax
+    self-attention weights S."""
     P = params.arrays
     F = episode.frames
     if F.shape[1] != params.config.d_v:
         raise ShapeMismatch(f"frames dim {F.shape[1]} != d_v {params.config.d_v}")
-    if episode.question.shape[0] != params.config.d_t:
-        raise ShapeMismatch(f"question dim {episode.question.shape[0]} != d_t {params.config.d_t}")
-    n = episode.n_frames
-    w = params.config.width
-
     X = F @ P["W_v"] + P["b_v"]
     Qm = X @ P["W_q"]
     Km = X @ P["W_k"]
     Vm = X @ P["W_val"]
-    Z = Qm @ Km.T / math.sqrt(w)
-    S = _softmax(Z, axis=1)
-    H0 = S @ Vm
+    S = _softmax(Qm @ Km.T / math.sqrt(params.config.width), axis=1)
+    return {"X": X, "Qm": Qm, "Km": Km, "Vm": Vm, "S": S}
 
+
+def _ground(params: ModelParams, enc: dict, episode: Episode) -> dict:
+    """Grounding head: question-conditioned attention over the unmasked tokens,
+    read out through squashed projections into mu in [0, 1] and
+    sigma in [SIGMA_MIN, 1]."""
+    P = params.arrays
+    if episode.question.shape[0] != params.config.d_t:
+        raise ShapeMismatch(f"question dim {episode.question.shape[0]} != d_t {params.config.d_t}")
+    H0 = enc["S"] @ enc["Vm"]
     qv = episode.question @ P["W_t"] + P["b_t"]
-
-    # grounding head: question-conditioned attention over unmasked tokens
     Kg = H0 @ P["W_g"]
-    e = Kg @ qv
-    alpha = _softmax(e)
+    alpha = _softmax(Kg @ qv)
     c = alpha @ H0
-    x = frame_positions(n)
+    x = frame_positions(episode.n_frames)
     m1 = float(alpha @ x)
     m2 = float(alpha @ (x - m1) ** 2)
-    z_mu = float(P["w_mu"] @ c + P["a_mu"] * m1 + P["b_mu"])
-    z_sg = float(P["w_sg"] @ c + P["a_sg"] * m2 + P["b_sg"])
-    mu = _sigmoid(z_mu)
-    sg_inner = _sigmoid(z_sg)
+    mu = _sigmoid(float(P["w_mu"] @ c + P["a_mu"] * m1 + P["b_mu"]))
+    sg_inner = _sigmoid(float(P["w_sg"] @ c + P["a_sg"] * m2 + P["b_sg"]))
     sigma = SIGMA_MIN + (1.0 - SIGMA_MIN) * sg_inner
+    return {"H0": H0, "qv": qv, "Kg": Kg, "alpha": alpha, "c": c, "x": x,
+            "m1": m1, "m2": m2, "mu": mu, "sg_inner": sg_inner, "sigma": sigma}
 
-    if use_mask:
-        G = np.exp(-0.5 * ((x - mu) / sigma) ** 2)
+
+def _pool(params: ModelParams, enc: dict, G: np.ndarray) -> dict:
+    """Attention with post-softmax per-key weights G (rows are not
+    re-normalized), pooled by a learned query. The pooling softmax `trace`
+    sums to 1 and serves as the post-hoc localization signal."""
+    M = enc["S"] * G[None, :]
+    H1 = M @ enc["Vm"]
+    trace = _softmax(H1 @ params.arrays["u"])
+    return {"G": G, "M": M, "H1": H1, "trace": trace, "v_t": trace @ H1}
+
+
+def _cosine_scores(rows: np.ndarray, vec: np.ndarray, temperature: float) -> dict:
+    """score_j = cos(rows_j, vec) / T, with the norms the backward pass needs."""
+    row_norms = np.linalg.norm(rows, axis=1)
+    vec_norm = float(np.linalg.norm(vec))
+    cos = (rows @ vec) / (row_norms * vec_norm)
+    return {"row_norms": row_norms, "vec_norm": vec_norm, "cos": cos,
+            "scores": cos / temperature}
+
+
+def _forward(params: ModelParams, episode: Episode) -> dict:
+    """Full forward pass; returns every intermediate needed for backprop.
+
+    "mask" is None when the head's output is NaN (non-finite parameters):
+    the frame weights are then NaN too, so the failure reaches the loss,
+    where the trainer reports it, instead of raising in GaussianMask.
+    """
+    P = params.arrays
+    enc = _encode_frames(params, episode)
+    head = _ground(params, enc, episode)
+    mask = None
+    if math.isfinite(head["mu"]) and math.isfinite(head["sigma"]):
+        mask = GaussianMask(head["mu"], head["sigma"])
+        G = mask_weights(mask, episode.grid)
     else:
-        G = np.ones(n)
-    M = S * G[None, :]
-    H1 = M @ Vm
-
-    p = H1 @ P["u"]
-    trace = _softmax(p)
-    v_t = trace @ H1
-
-    f = v_t + qv
-
+        G = np.full(episode.n_frames, np.nan)
+    pool = _pool(params, enc, G)
+    f = pool["v_t"] + head["qv"]
     B = episode.answers @ P["W_a"] + P["b_a"]
-    f_norm = float(np.linalg.norm(f))
-    B_norms = np.linalg.norm(B, axis=1)
-    cos = (B @ f) / (B_norms * f_norm)
-    scores = cos / params.temperature
-
-    return {
-        "F": F, "X": X, "Qm": Qm, "Km": Km, "Vm": Vm, "Z": Z, "S": S, "H0": H0,
-        "qv": qv, "Kg": Kg, "e": e, "alpha": alpha, "c": c, "x": x,
-        "m1": m1, "m2": m2, "z_mu": z_mu, "z_sg": z_sg, "mu": mu,
-        "sg_inner": sg_inner, "sigma": sigma, "G": G, "M": M, "H1": H1,
-        "p": p, "trace": trace, "v_t": v_t, "f": f, "B": B,
-        "f_norm": f_norm, "B_norms": B_norms, "cos": cos, "scores": scores,
-        "use_mask": use_mask, "n": n, "w": w,
-    }
+    return {**enc, **head, **pool, "mask": mask, "f": f, "B": B,
+            "answer": _cosine_scores(B, f, params.temperature)}
 
 
 def encode_video(
     params: ModelParams, episode: Episode, mask: GaussianMask | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Pooled video vector and pooling attention trace under an optional mask.
-
-    The trace is the attention-pooling softmax, so it sums to 1 and serves as
-    the post-hoc localization signal.
-    """
-    P = params.arrays
-    X = episode.frames @ P["W_v"] + P["b_v"]
-    S = _softmax((X @ P["W_q"]) @ (X @ P["W_k"]).T / math.sqrt(params.config.width), axis=1)
-    Vm = X @ P["W_val"]
-    if mask is not None:
-        G = mask_weights(mask, episode.grid)
-        H = (S * G[None, :]) @ Vm
-    else:
-        H = S @ Vm
-    trace = _softmax(H @ P["u"])
-    return trace @ H, trace
+    """Pooled video vector and pooling attention trace under an optional mask."""
+    G = np.ones(episode.n_frames) if mask is None else mask_weights(mask, episode.grid)
+    pool = _pool(params, _encode_frames(params, episode), G)
+    return pool["v_t"], pool["trace"]
 
 
 def predict_gaussian(params: ModelParams, episode: Episode) -> GaussianMask:
     """The grounding head's mask for this episode (deterministic)."""
-    cache = _forward(params, episode, use_mask=True)
-    return GaussianMask(cache["mu"], cache["sigma"])
-
-
-def predict_gaussian_set(params: ModelParams, episode: Episode, k: int = 1) -> list[GaussianMask]:
-    """K-mask variant: the head's mask plus (k-1) sigma-scaled satellites.
-
-    A single head output is deterministically fanned out by shifting mu by
-    multiples of sigma, mimicking a bank of hypotheses around the main one.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    base = predict_gaussian(params, episode)
-    masks = [base]
-    for j in range(1, k):
-        side = 1 if j % 2 else -1
-        step = (j + 1) // 2
-        mu = min(1.0, max(0.0, base.mu + side * step * base.sigma))
-        masks.append(GaussianMask(mu, base.sigma))
-    return masks
-
-
-def score_answers(
-    params: ModelParams, episode: Episode, mask: GaussianMask | None = None
-) -> np.ndarray:
-    """Cosine/temperature scores for each answer candidate.
-
-    mask=None scores against the unmasked video encoding; passing the
-    predicted mask reproduces the grounded QA pathway.
-    """
-    v_t, _ = encode_video(params, episode, mask)
-    qv = episode.question @ params.arrays["W_t"] + params.arrays["b_t"]
-    f = v_t + qv
-    B = episode.answers @ params.arrays["W_a"] + params.arrays["b_a"]
-    cos = (B @ f) / (np.linalg.norm(B, axis=1) * np.linalg.norm(f))
-    return cos / params.temperature
+    head = _ground(params, _encode_frames(params, episode), episode)
+    return GaussianMask(head["mu"], head["sigma"])
 
 
 def fuse_windows(gauss_win: TemporalSegment, attn_win: TemporalSegment) -> TemporalSegment:
@@ -394,20 +364,18 @@ def _candidate_questions(
     return np.stack([pos] + [np.asarray(v, dtype=float) for v in negs])
 
 
-def _grounding_scores(params: ModelParams, v_t: np.ndarray, Q_cand: np.ndarray) -> dict:
-    P = params.arrays
-    R = Q_cand @ P["W_t"] + P["b_t"]
-    R_norms = np.linalg.norm(R, axis=1)
-    v_norm = float(np.linalg.norm(v_t))
-    cos = (R @ v_t) / (R_norms * v_norm)
-    return {"R": R, "R_norms": R_norms, "v_norm": v_norm, "cos": cos,
-            "scores": cos / params.temperature}
+def _grounding_scores(
+    params: ModelParams, v_t: np.ndarray, Q_cand: np.ndarray
+) -> tuple[np.ndarray, dict]:
+    """Projected candidate questions R and their cosine scores against v_t."""
+    R = Q_cand @ params.arrays["W_t"] + params.arrays["b_t"]
+    return R, _cosine_scores(R, v_t, params.temperature)
 
 
 def ng_loss(params: ModelParams, episode: Episode) -> float:
     """Answer cross-entropy under the predicted Gaussian mask."""
-    cache = _forward(params, episode, use_mask=True)
-    loss, _ = _ce_from_scores(cache["scores"], episode.correct)
+    cache = _forward(params, episode)
+    loss, _ = _ce_from_scores(cache["answer"]["scores"], episode.correct)
     return loss
 
 
@@ -418,9 +386,9 @@ def grounding_loss(
     neg_questions: Sequence[np.ndarray] | None = None,
 ) -> float:
     """Question-classification cross-entropy against the masked video vector."""
-    cache = _forward(params, episode, use_mask=True)
+    cache = _forward(params, episode)
     Q_cand = _candidate_questions(episode, pos_question, neg_questions)
-    g = _grounding_scores(params, cache["v_t"], Q_cand)
+    _, g = _grounding_scores(params, cache["v_t"], Q_cand)
     loss, _ = _ce_from_scores(g["scores"], 0)
     return loss
 
@@ -433,11 +401,11 @@ def ngplus_loss(
     neg_questions: Sequence[np.ndarray] | None = None,
 ) -> float:
     """ng_loss + alpha * grounding_loss (alpha=0 collapses to ng_loss)."""
-    cache = _forward(params, episode, use_mask=True)
-    loss, _ = _ce_from_scores(cache["scores"], episode.correct)
+    cache = _forward(params, episode)
+    loss, _ = _ce_from_scores(cache["answer"]["scores"], episode.correct)
     if alpha != 0.0:
         Q_cand = _candidate_questions(episode, pos_question, neg_questions)
-        g = _grounding_scores(params, cache["v_t"], Q_cand)
+        _, g = _grounding_scores(params, cache["v_t"], Q_cand)
         g_loss, _ = _ce_from_scores(g["scores"], 0)
         loss += alpha * g_loss
     return loss
@@ -454,16 +422,16 @@ def _softmax_backward(y: np.ndarray, dy: np.ndarray) -> np.ndarray:
 
 
 def _cosine_backward(
-    dscore: np.ndarray, f: np.ndarray, f_norm: float, B: np.ndarray,
-    B_norms: np.ndarray, cos: np.ndarray, temperature: float,
+    dscore: np.ndarray, rows: np.ndarray, vec: np.ndarray, fwd: dict, temperature: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Backward through score_j = cos(f, B_j)/T: returns (df, dB)."""
-    uf = f / f_norm
-    uB = B / B_norms[:, None]
+    """Backward through fwd = _cosine_scores(rows, vec): returns (dvec, drows)."""
+    vec_norm, row_norms, cos = fwd["vec_norm"], fwd["row_norms"], fwd["cos"]
+    u_vec = vec / vec_norm
+    u_rows = rows / row_norms[:, None]
     coef = dscore / temperature
-    df = (coef[:, None] * (uB - cos[:, None] * uf[None, :])).sum(axis=0) / f_norm
-    dB = coef[:, None] * (uf[None, :] - cos[:, None] * uB) / B_norms[:, None]
-    return df, dB
+    dvec = (coef[:, None] * (u_rows - cos[:, None] * u_vec[None, :])).sum(axis=0) / vec_norm
+    drows = coef[:, None] * (u_vec[None, :] - cos[:, None] * u_rows) / row_norms[:, None]
+    return dvec, drows
 
 
 def loss_and_gradients(
@@ -482,8 +450,11 @@ def loss_and_gradients(
     if objective not in ("ng", "ground", "ng+"):
         raise ValueError(f"unknown objective {objective!r}")
     P = params.arrays
-    cache = _forward(params, episode, use_mask=True)
-    n, w = cache["n"], cache["w"]
+    cache = _forward(params, episode)
+    if cache["mask"] is None:
+        # NaN head output: the loss and every gradient are NaN
+        return math.nan, {name: np.full_like(arr, np.nan) for name, arr in P.items()}
+    w = params.config.width
     x = cache["x"]
     S, G, Vm = cache["S"], cache["G"], cache["Vm"]
     H0, H1, M = cache["H0"], cache["H1"], cache["M"]
@@ -497,11 +468,10 @@ def loss_and_gradients(
 
     # answer term
     if objective in ("ng", "ng+"):
-        loss_a, dscore = _ce_from_scores(cache["scores"], episode.correct)
+        loss_a, dscore = _ce_from_scores(cache["answer"]["scores"], episode.correct)
         total += loss_a
         df, dB = _cosine_backward(
-            dscore, cache["f"], cache["f_norm"], cache["B"],
-            cache["B_norms"], cache["cos"], params.temperature,
+            dscore, cache["B"], cache["f"], cache["answer"], params.temperature
         )
         grads["W_a"] += episode.answers.T @ dB
         grads["b_a"] += dB.sum(axis=0)
@@ -513,14 +483,11 @@ def loss_and_gradients(
         scale = 1.0 if objective == "ground" else alpha
         if scale != 0.0:
             Q_cand = _candidate_questions(episode, pos_question, neg_questions)
-            g = _grounding_scores(params, cache["v_t"], Q_cand)
+            R, g = _grounding_scores(params, cache["v_t"], Q_cand)
             loss_g, dgscore = _ce_from_scores(g["scores"], 0)
             total += scale * loss_g
             dgscore = dgscore * scale
-            dv, dR = _cosine_backward(
-                dgscore, cache["v_t"], g["v_norm"], g["R"],
-                g["R_norms"], g["cos"], params.temperature,
-            )
+            dv, dR = _cosine_backward(dgscore, R, cache["v_t"], g, params.temperature)
             d_vt += dv
             grads["W_t"] += Q_cand.T @ dR
             grads["b_t"] += dR.sum(axis=0)
@@ -539,10 +506,8 @@ def loss_and_gradients(
     dG = (dM * S).sum(axis=0)
 
     # Gaussian weights -> (mu, sigma) -> (z_mu, z_sg)
-    mu, sigma = cache["mu"], cache["sigma"]
-    diff = x - mu
-    d_mu = float(np.sum(dG * G * diff / sigma**2))
-    d_sigma = float(np.sum(dG * G * diff**2 / sigma**3))
+    d_mu, d_sigma = mask_gradients(cache["mask"], episode.grid, dG)
+    mu = cache["mu"]
     dz_mu = d_mu * mu * (1.0 - mu)
     dz_sg = d_sigma * (1.0 - SIGMA_MIN) * cache["sg_inner"] * (1.0 - cache["sg_inner"])
 
@@ -579,7 +544,7 @@ def loss_and_gradients(
     dS += dH0 @ Vm.T
     dVm += S.T @ dH0
 
-    # S = softmax(Z, rows), Z = Qm Km^T / sqrt(w)
+    # S = softmax(Qm Km^T / sqrt(w), rows)
     dZ = _softmax_backward(S, dS)
     scale_w = 1.0 / math.sqrt(w)
     dQm = dZ @ cache["Km"] * scale_w
@@ -620,12 +585,11 @@ def predict_episode(
     params: ModelParams,
     episode: Episode,
     gamma: float = 1.0,
-    k_masks: int = 1,
     window_source: str = "gauss",
     smooth_w: int = 3,
     dist_cap_s: float = 10.0,
 ) -> EpisodePrediction:
-    """Answer choice plus grounded window for one episode.
+    """Answer choice plus grounded window for one episode, from one forward pass.
 
     window_source picks the emitted window: "gauss" (confidence interval),
     "attn" (post-hoc extraction from the pooling trace), or "fused"
@@ -633,27 +597,14 @@ def predict_episode(
     """
     if window_source not in ("gauss", "attn", "fused"):
         raise ValueError(f"unknown window_source {window_source!r}")
-    masks = predict_gaussian_set(params, episode, k=k_masks)
-    grid = episode.grid
-    if k_masks == 1:
-        mask = masks[0]
-        v_t, trace = encode_video(params, episode, mask)
-    else:
-        mask = primary_mask(masks, grid)
-        # K-mask pathway: elementwise-max weights drive the encoder
-        P = params.arrays
-        X = episode.frames @ P["W_v"] + P["b_v"]
-        S = _softmax((X @ P["W_q"]) @ (X @ P["W_k"]).T / math.sqrt(params.config.width), axis=1)
-        H = (S * multi_mask_weights(masks, grid)[None, :]) @ (X @ P["W_val"])
-        trace = _softmax(H @ P["u"])
-        v_t = trace @ H
-    qv = episode.question @ params.arrays["W_t"] + params.arrays["b_t"]
-    f = v_t + qv
-    B = episode.answers @ params.arrays["W_a"] + params.arrays["b_a"]
-    scores = (B @ f) / (np.linalg.norm(B, axis=1) * np.linalg.norm(f)) / params.temperature
-
+    cache = _forward(params, episode)
+    # built from (mu, sigma) rather than cache["mask"] so that a NaN head
+    # output raises GaussianMask's ValueError here
+    mask = GaussianMask(cache["mu"], cache["sigma"])
+    trace = cache["trace"]
+    scores = cache["answer"]["scores"]
     gauss_win = confidence_interval(mask, episode.extent, gamma)
-    attn_win = extract_window_raw(trace, grid, smooth_w=smooth_w, dist_cap_s=dist_cap_s)
+    attn_win = extract_window_raw(trace, episode.grid, smooth_w=smooth_w, dist_cap_s=dist_cap_s)
     if window_source == "gauss":
         window = gauss_win
     elif window_source == "attn":

@@ -31,7 +31,7 @@ SIBLINGS_PER_VIDEO = 4
 
 
 class ConfigError(ValueError):
-    """Generator configuration violates its preconditions."""
+    """A generator or training configuration violates its preconditions."""
 
 
 class NotSynthetic(ValueError):

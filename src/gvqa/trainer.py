@@ -17,14 +17,9 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .metrics import GQA_IOP_THRESHOLD
+from .metrics import GroundingLabel, Prediction, evaluate
 from .model import Episode, ModelParams, loss_and_gradients, predict_episode
-from .synth import split_by_video
-from .temporal import iop, iou
-
-
-class ConfigError(ValueError):
-    """Training configuration violates its preconditions."""
+from .synth import ConfigError, episodes_to_labels, split_by_video
 
 
 class NonFiniteLoss(RuntimeError):
@@ -168,30 +163,21 @@ def sample_negatives(
 
 # --- training loop -------------------------------------------------------------
 
-def _validate(params: ModelParams, episodes: Sequence[Episode], gamma: float) -> dict:
-    """Grounded-QA metrics against the episodes' own moments, as fractions."""
-    n = len(episodes)
-    correct = 0
-    gqa = 0
-    iop_sum = 0.0
-    iou_sum = 0.0
-    n_moments = 0
+def _validate(
+    params: ModelParams,
+    episodes: Sequence[Episode],
+    labels: Mapping[str, GroundingLabel],
+    gamma: float,
+) -> dict:
+    """Grounded-QA metrics of the episodes' predictions, as fractions."""
+    preds = []
     for ep in episodes:
-        pred = predict_episode(params, ep, gamma=gamma)
-        is_right = pred.answer_index == ep.correct
-        correct += is_right
-        if ep.gt_moment is not None:
-            n_moments += 1
-            p_iop = iop(pred.window, ep.gt_moment)
-            iop_sum += p_iop
-            iou_sum += iou(pred.window, ep.gt_moment)
-            gqa += is_right and p_iop >= GQA_IOP_THRESHOLD
-    return {
-        "acc_qa": correct / n,
-        "acc_gqa": gqa / n if n_moments else 0.0,
-        "m_iop": iop_sum / n_moments if n_moments else 0.0,
-        "m_iou": iou_sum / n_moments if n_moments else 0.0,
-    }
+        p = predict_episode(params, ep, gamma=gamma)
+        preds.append(Prediction(ep.question_id, p.answer_index, p.window))
+    report = evaluate(preds, labels)
+    # percent -> fraction; n * (100 / n) can round one ulp above 100
+    return {k: min(getattr(report, k) / 100.0, 1.0)
+            for k in ("acc_qa", "acc_gqa", "m_iop", "m_iou")}
 
 
 def _stage_plan(config: TrainConfig) -> list[tuple[str, int]]:
@@ -230,6 +216,10 @@ def train(
         if not episodes:
             raise ConfigError("validation split swallowed all episodes")
 
+    # raises NotSynthetic for a validation episode without a moment
+    val_labels = episodes_to_labels(val_episodes)
+    if len(val_labels) != len(val_episodes):
+        raise ConfigError("validation episodes need distinct question ids")
     rng = np.random.default_rng(config.seed)
     adam = Adam(params.trainable(), lr=config.lr)
     pool = NegativePool(episodes) if config.objective == "ng+" else None
@@ -271,7 +261,7 @@ def train(
                 scale = 1.0 / len(batch)
                 adam.step({k: g * scale for k, g in acc_grads.items()})
                 loss_sum += batch_loss
-            val = _validate(params, val_episodes, config.gamma)
+            val = _validate(params, val_episodes, val_labels, config.gamma)
             row = {"epoch": epoch, "stage": objective,
                    "loss": loss_sum / len(episodes), **val}
             history.append(row)

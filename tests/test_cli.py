@@ -174,6 +174,15 @@ def test_gamma_narrows_windows(tmp_path):
     assert mean_width(narrow) < mean_width(wide)
 
 
+def test_gamma_zero_exit_2(tmp_path, capsys):
+    # --gamma takes any float; TrainConfig rejects a non-positive one
+    cfg = tmp_path / "run.cfg"
+    _write_cfg(cfg)
+    rc = main(TRAIN_ARGS + ["--config", str(cfg), "--gamma", "0", "-o", str(tmp_path / "o")])
+    assert rc == 2
+    assert "gamma must be positive" in capsys.readouterr().err
+
+
 def test_unknown_config_key_exit_2(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("not_a_key = 3\n")

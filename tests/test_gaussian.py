@@ -6,24 +6,34 @@ from hypothesis import given, settings, strategies as st
 
 from gvqa.gaussian import (
     SIGMA_MIN,
-    EmptyMaskList,
     FrameGrid,
     GaussianMask,
     ShapeMismatch,
     confidence_interval,
     frame_times,
-    gaussian_weighted_attention,
     mask_gradients,
     mask_weights,
-    multi_mask_weights,
-    primary_mask,
-    squash_mask_params,
 )
+from gvqa.model import Episode, ModelConfig, encode_video, init_params, predict_gaussian
 from gvqa.temporal import VideoExtent
 
 
 def grid(n, d):
     return FrameGrid(n_frames=n, extent=VideoExtent(d))
+
+
+MODEL = ModelConfig(d_v=5, d_t=6, width=8)
+
+
+def model_case(seed, n=6):
+    """Untrained model, one random episode, and the model's q, k, v maps."""
+    rng = np.random.default_rng(seed)
+    params = init_params(MODEL, seed=seed)
+    ep = Episode(frames=rng.normal(size=(n, MODEL.d_v)), question=rng.normal(size=MODEL.d_t),
+                 answers=rng.normal(size=(3, MODEL.d_t)), correct=0, extent=VideoExtent(30.0))
+    P = params.arrays
+    X = ep.frames @ P["W_v"] + P["b_v"]
+    return params, ep, X @ P["W_q"], X @ P["W_k"], X @ P["W_val"]
 
 
 class TestFrameTimes:
@@ -58,13 +68,20 @@ class TestMaskParams:
             GaussianMask(0.5, 1.5)
 
     def test_squash_always_in_box(self):
-        for z_mu, z_sigma in [(-50, -50), (0, 0), (50, 50), (3.2, -7.1)]:
-            m = squash_mask_params(z_mu, z_sigma)
+        # the model's grounding head squashes its outputs into the box
+        params, ep, *_ = model_case(5)
+        for b_mu, b_sg in [(-50, -50), (0, 0), (50, 50), (3.2, -7.1)]:
+            params.arrays["b_mu"][...] = b_mu
+            params.arrays["b_sg"][...] = b_sg
+            m = predict_gaussian(params, ep)
             assert 0.0 <= m.mu <= 1.0
             assert SIGMA_MIN <= m.sigma <= 1.0
 
     def test_squash_midpoint(self):
-        m = squash_mask_params(0.0, 0.0)
+        params, ep, *_ = model_case(6)
+        for name in ("w_mu", "a_mu", "b_mu", "w_sg", "a_sg", "b_sg"):
+            params.arrays[name][...] = 0.0
+        m = predict_gaussian(params, ep)
         assert m.mu == pytest.approx(0.5)
         assert m.sigma == pytest.approx(SIGMA_MIN + (1 - SIGMA_MIN) * 0.5)
 
@@ -191,37 +208,44 @@ class TestConfidenceInterval:
         assert seg.length == pytest.approx(2 * 1.0 * 0.05 * 60.0)
 
 
+def softmax_rows(scores):
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def plain_attention(q, k, v):
-    scores = q @ k.T / math.sqrt(q.shape[1])
-    e = np.exp(scores - scores.max(axis=1, keepdims=True))
-    return (e / e.sum(axis=1, keepdims=True)) @ v
+    return softmax_rows(q @ k.T / math.sqrt(q.shape[1])) @ v
+
+
+def pooled(params, h):
+    """The model's attention pooling of the token outputs h."""
+    return softmax_rows(h @ params.arrays["u"]) @ h
 
 
 class TestGaussianAttention:
+    """The model's attention scales post-softmax weights per key by the mask
+    weights; checked through encode_video's pooled output."""
+
     def test_all_ones_mask_is_plain_attention(self):
-        rng = np.random.default_rng(0)
-        q, k, v = (rng.normal(size=(6, 8)) for _ in range(3))
-        out = gaussian_weighted_attention(q, k, v, np.ones(6))
-        assert np.allclose(out, plain_attention(q, k, v), atol=1e-12)
+        params, ep, q, k, v = model_case(0)
+        out, _ = encode_video(params, ep)  # no mask: all weights 1
+        assert np.allclose(out, pooled(params, plain_attention(q, k, v)), atol=1e-12)
 
     def test_one_hot_mask_selects_one_value_row(self):
-        rng = np.random.default_rng(1)
-        q, k, v = (rng.normal(size=(5, 4)) for _ in range(3))
-        g = np.zeros(5)
-        g[2] = 1.0
-        out = gaussian_weighted_attention(q, k, v, g)
-        scores = q @ k.T / 2.0
-        e = np.exp(scores - scores.max(axis=1, keepdims=True))
-        attn = e / e.sum(axis=1, keepdims=True)
+        # sigma at the floor on frame 2's center: the other weights are
+        # below 1e-30, so only value row 2 gets through
+        params, ep, q, k, v = model_case(1, n=8)
+        out, _ = encode_video(params, ep, GaussianMask(2.5 / 8, SIGMA_MIN))
+        attn = softmax_rows(q @ k.T / math.sqrt(q.shape[1]))
         expected = np.outer(attn[:, 2], v[2])
-        assert np.allclose(out, expected, atol=1e-12)
+        assert np.allclose(out, pooled(params, expected), atol=1e-12)
 
     def test_matches_dense_oracle(self):
         # independent reimplementation: explicit loops, no broadcasting
-        rng = np.random.default_rng(2)
-        q, k, v = (rng.normal(size=(4, 3)) for _ in range(3))
-        g = rng.uniform(0.1, 1.0, size=4)
-        out = gaussian_weighted_attention(q, k, v, g)
+        params, ep, q, k, v = model_case(2, n=4)
+        mask = GaussianMask(0.4, 0.3)
+        g = mask_weights(mask, ep.grid)
+        out, _ = encode_video(params, ep, mask)
         n, dk = q.shape
         oracle = np.zeros((n, v.shape[1]))
         for i in range(n):
@@ -233,55 +257,25 @@ class TestGaussianAttention:
                 w = (ex[j] / z) * g[j]
                 for c in range(v.shape[1]):
                     oracle[i, c] += w * v[j, c]
-        assert np.allclose(out, oracle, atol=1e-10)
+        assert np.allclose(out, pooled(params, oracle), atol=1e-10)
 
     def test_rows_not_renormalized(self):
-        # with a uniform 0.5 mask, output is exactly half the plain output
-        rng = np.random.default_rng(3)
-        q, k, v = (rng.normal(size=(4, 4)) for _ in range(3))
-        out = gaussian_weighted_attention(q, k, v, np.full(4, 0.5))
-        assert np.allclose(out, 0.5 * plain_attention(q, k, v), atol=1e-12)
+        # masked rows keep their reduced mass: re-normalizing them would
+        # give a different pooled vector
+        params, ep, q, k, v = model_case(3)
+        mask = GaussianMask(0.2, 0.1)
+        g = mask_weights(mask, ep.grid)
+        out, _ = encode_video(params, ep, mask)
+        scaled = softmax_rows(q @ k.T / math.sqrt(q.shape[1])) * g[None, :]
+        assert np.allclose(out, pooled(params, scaled @ v), atol=1e-12)
+        renormed = (scaled / scaled.sum(axis=1, keepdims=True)) @ v
+        assert not np.allclose(out, pooled(params, renormed), atol=1e-6)
 
     def test_shape_mismatch(self):
-        rng = np.random.default_rng(4)
-        q = rng.normal(size=(4, 3))
+        params, ep, *_ = model_case(4)
+        wide = Episode(frames=np.ones((4, MODEL.d_v + 1)), question=ep.question,
+                       answers=ep.answers, correct=0, extent=ep.extent)
         with pytest.raises(ShapeMismatch):
-            gaussian_weighted_attention(q, rng.normal(size=(5, 3)), rng.normal(size=(4, 2)), np.ones(4))
+            encode_video(params, wide)
         with pytest.raises(ShapeMismatch):
-            gaussian_weighted_attention(q, q, q, np.ones(7))
-
-
-class TestMultiMask:
-    def test_single_mask_degenerate(self):
-        g = grid(16, 30.0)
-        m = GaussianMask(0.4, 0.2)
-        assert np.allclose(multi_mask_weights([m], g), mask_weights(m, g))
-
-    def test_identical_masks_idempotent(self):
-        g = grid(16, 30.0)
-        m = GaussianMask(0.4, 0.2)
-        assert np.allclose(multi_mask_weights([m, m], g), mask_weights(m, g))
-
-    def test_bimodal_two_peaks(self):
-        g = grid(40, 30.0)
-        # mus sit exactly on grid centers (i=7 and i=31 of x=(i+0.5)/40)
-        mu1, mu2 = 7.5 / 40, 31.5 / 40
-        out = multi_mask_weights([GaussianMask(mu1, 0.05), GaussianMask(mu2, 0.05)], g)
-        i1, i2 = 7, 31
-        assert out[i1] == pytest.approx(1.0)
-        assert out[i2] == pytest.approx(1.0)
-        assert out[(i1 + i2) // 2] < 0.01
-        # max dominates each component
-        assert np.all(out >= mask_weights(GaussianMask(mu1, 0.05), g) - 1e-15)
-
-    def test_empty_list(self):
-        with pytest.raises(EmptyMaskList):
-            multi_mask_weights([], grid(8, 10.0))
-        with pytest.raises(EmptyMaskList):
-            primary_mask([], grid(8, 10.0))
-
-    def test_primary_mask_largest_mass(self):
-        g = grid(32, 30.0)
-        wide = GaussianMask(0.5, 0.5)
-        narrow = GaussianMask(0.2, SIGMA_MIN)
-        assert primary_mask([narrow, wide], g) is wide
+            mask_gradients(GaussianMask(0.5, 0.3), ep.grid, np.ones(7))

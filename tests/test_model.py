@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from gvqa.gaussian import SIGMA_MIN, GaussianMask
+from gvqa import gaussian
+from gvqa.gaussian import SIGMA_MIN, GaussianMask, frame_positions, mask_weights
 from gvqa.model import (
     ANSWER_ONLY_PARAMS,
     Episode,
@@ -20,9 +21,7 @@ from gvqa.model import (
     ngplus_loss,
     predict_episode,
     predict_gaussian,
-    predict_gaussian_set,
     save_checkpoint,
-    score_answers,
 )
 from gvqa.temporal import TemporalSegment, VideoExtent
 
@@ -81,6 +80,9 @@ class TestEpisode:
                 gt_moment=TemporalSegment(5.0, 12.0),
             )
 
+    def test_shape_mismatch_is_the_gaussian_class(self):
+        assert ShapeMismatch is gaussian.ShapeMismatch
+
 
 class TestEncodeVideo:
     def test_identical_frames_uniform_trace(self):
@@ -119,6 +121,8 @@ class TestEncodeVideo:
 
 
 class TestScoreAnswers:
+    """Answer scores as predict_episode reports them."""
+
     def test_exact_copy_wins(self):
         # with W_a = identity (d_t == width) the answer rows pass through, so
         # an answer equal to the fused vector has cosine 1 and must win
@@ -132,15 +136,15 @@ class TestScoreAnswers:
         placeholder = rng.normal(size=(3, 8))
         ep = Episode(frames=frames, question=question, answers=placeholder,
                      correct=1, extent=VideoExtent(10.0))
-        mask = GaussianMask(0.5, 0.3)
-        v_t, _ = encode_video(params, ep, mask)
+        # the mask does not depend on the answers
+        v_t, _ = encode_video(params, ep, predict_gaussian(params, ep))
         f = v_t + question @ params.arrays["W_t"] + params.arrays["b_t"]
         # distractors orthogonal to f
         basis = np.linalg.qr(np.column_stack([f, rng.normal(size=(8, 2))]))[0]
         answers = np.stack([basis[:, 1] * 3.0, f, basis[:, 2] * 0.5])
         ep2 = Episode(frames=frames, question=question, answers=answers,
                       correct=1, extent=VideoExtent(10.0))
-        scores = score_answers(params, ep2, mask)
+        scores = predict_episode(params, ep2).scores
         assert int(np.argmax(scores)) == 1
         assert scores[1] == pytest.approx(1.0 / params.temperature, abs=1e-9)
 
@@ -153,15 +157,15 @@ class TestScoreAnswers:
             frames=ep.frames, question=ep.question, answers=ep.answers[perm],
             correct=0, extent=ep.extent,
         )
-        s = score_answers(params, ep, GaussianMask(0.4, 0.2))
-        s_perm = score_answers(params, ep_perm, GaussianMask(0.4, 0.2))
+        s = predict_episode(params, ep).scores
+        s_perm = predict_episode(params, ep_perm).scores
         assert np.allclose(s_perm, s[perm], atol=1e-12)
 
     def test_softmax_of_scores_normalizes(self):
         rng = np.random.default_rng(6)
         params = init_params(SMALL, seed=4)
         ep = make_episode(rng, A=5)
-        s = score_answers(params, ep)
+        s = predict_episode(params, ep).scores
         p = np.exp(s - s.max())
         p /= p.sum()
         assert p.sum() == pytest.approx(1.0, abs=1e-9)
@@ -183,18 +187,6 @@ class TestPredictGaussian:
         m1 = predict_gaussian(params, ep)
         m2 = predict_gaussian(params, ep)
         assert (m1.mu, m1.sigma) == (m2.mu, m2.sigma)
-
-    def test_mask_set(self):
-        rng = np.random.default_rng(9)
-        params = init_params(SMALL, seed=7)
-        ep = make_episode(rng)
-        assert len(predict_gaussian_set(params, ep, k=1)) == 1
-        masks = predict_gaussian_set(params, ep, k=5)
-        assert len(masks) == 5
-        for m in masks:
-            assert 0.0 <= m.mu <= 1.0
-        with pytest.raises(ValueError):
-            predict_gaussian_set(params, ep, k=0)
 
 
 class TestLosses:
@@ -296,6 +288,15 @@ def assert_grads_match(analytic, numeric, rel=1e-4, abs_tol=1e-8):
         )
 
 
+def objective_loss(params, ep, objective, alpha):
+    """The public loss that loss_and_gradients(objective, alpha) differentiates."""
+    if objective == "ng":
+        return ng_loss(params, ep)
+    if objective == "ground":
+        return grounding_loss(params, ep)
+    return ngplus_loss(params, ep, alpha=alpha)
+
+
 class TestGradients:
     @pytest.mark.parametrize("objective,alpha", [("ng", 0.0), ("ground", 0.0), ("ng+", 0.7)])
     def test_matches_finite_differences(self, objective, alpha):
@@ -304,11 +305,7 @@ class TestGradients:
         ep = make_episode(rng)
 
         def loss_fn():
-            if objective == "ng":
-                return ng_loss(params, ep)
-            if objective == "ground":
-                return grounding_loss(params, ep)
-            return ngplus_loss(params, ep, alpha=alpha)
+            return objective_loss(params, ep, objective, alpha)
 
         loss, analytic = loss_and_gradients(params, ep, objective=objective, alpha=alpha)
         assert loss == pytest.approx(loss_fn(), rel=1e-12)
@@ -339,6 +336,39 @@ class TestGradients:
                                          pos_question=variant)
         numeric = numeric_gradient(loss_fn, params)
         assert_grads_match(analytic, numeric)
+
+    @pytest.mark.parametrize("objective,alpha", [("ng", 0.0), ("ground", 0.0), ("ng+", 0.7)])
+    def test_floor_sigma_far_mu_matches_finite_differences(self, objective, alpha):
+        # sigma pinned at SIGMA_MIN and mu past the last frame center: every
+        # frame weight is below 1e-30 and the far ones sit at mask_weights'
+        # floor, yet the loss stays finite and the gradients exact
+        rng = np.random.default_rng(27)
+        params = init_params(SMALL, seed=25)
+        params.arrays["b_mu"][...] = 60.0
+        params.arrays["b_sg"][...] = -60.0
+        ep = make_episode(rng)
+        mask = predict_gaussian(params, ep)
+        assert mask.sigma == SIGMA_MIN
+        assert np.min(np.abs(frame_positions(ep.n_frames) - mask.mu)) >= 12 * SIGMA_MIN
+        assert mask_weights(mask, ep.grid).min() == np.finfo(float).tiny
+
+        def loss_fn():
+            return objective_loss(params, ep, objective, alpha)
+
+        loss, analytic = loss_and_gradients(params, ep, objective=objective, alpha=alpha)
+        assert math.isfinite(loss)
+        assert loss == pytest.approx(loss_fn(), rel=1e-12)
+        assert_grads_match(analytic, numeric_gradient(loss_fn, params))
+
+    def test_nan_head_gives_nan_loss_and_gradients(self):
+        # non-finite parameters reach the caller as NaN, for the trainer's
+        # NonFiniteLoss check, not as GaussianMask's ValueError
+        rng = np.random.default_rng(28)
+        params = init_params(SMALL, seed=26)
+        params.arrays["b_mu"][...] = np.nan
+        loss, grads = loss_and_gradients(params, make_episode(rng), objective="ng+", alpha=0.7)
+        assert math.isnan(loss)
+        assert all(np.all(np.isnan(g)) for g in grads.values())
 
     def test_unknown_objective(self):
         rng = np.random.default_rng(20)
@@ -431,10 +461,20 @@ class TestPredictEpisode:
                 widths[g] += predict_episode(params, ep, gamma=g).gauss_window.length
         assert widths[0.8] < widths[1.0]
 
-    def test_k_masks_pathway(self):
+    def test_one_forward_matches_the_stages(self):
+        # the single forward pass gives bit-for-bit what the public stages
+        # give: predict_gaussian's mask, encode_video under it, cosine scoring
         rng = np.random.default_rng(26)
         params = init_params(SMALL, seed=24)
         ep = make_episode(rng, n=16, duration=40.0)
-        out = predict_episode(params, ep, k_masks=3)
-        assert out.trace.sum() == pytest.approx(1.0, abs=1e-9)
-        assert 0 <= out.answer_index < ep.n_answers
+        pred = predict_episode(params, ep)
+        mask = predict_gaussian(params, ep)
+        v_t, trace = encode_video(params, ep, mask)
+        P = params.arrays
+        f = v_t + ep.question @ P["W_t"] + P["b_t"]
+        B = ep.answers @ P["W_a"] + P["b_a"]
+        scores = (B @ f) / (np.linalg.norm(B, axis=1) * np.linalg.norm(f)) / params.temperature
+        assert pred.mask == mask
+        assert np.array_equal(pred.trace, trace)
+        assert np.array_equal(pred.scores, scores)
+        assert pred.answer_index == int(np.argmax(scores))

@@ -1,12 +1,15 @@
 """Optimizer, negative sampling and training-loop behavior."""
 
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
 
-from gvqa.model import ModelConfig, init_params
-from gvqa.synth import SynthConfig, generate, split_by_video
+from gvqa import synth
+from gvqa.metrics import Prediction, evaluate
+from gvqa.model import ModelConfig, init_params, predict_episode
+from gvqa.synth import NotSynthetic, SynthConfig, episodes_to_labels, generate, split_by_video
 from gvqa.trainer import (
     HISTORY_COLUMNS,
     Adam,
@@ -54,6 +57,10 @@ def test_config_validation():
     ):
         with pytest.raises(ConfigError):
             TrainConfig(**kwargs)
+
+
+def test_config_error_is_the_synth_class():
+    assert ConfigError is synth.ConfigError
 
 
 # --- Adam ------------------------------------------------------------------------
@@ -246,6 +253,43 @@ def test_non_finite_loss_aborts(world):
     cfg = TrainConfig(objective="ng", epochs=1, seed=0)
     with pytest.raises(NonFiniteLoss):
         train(params, train_eps, cfg, val_episodes=val_eps)
+
+
+def test_validation_is_metrics_evaluate(world):
+    # lr 0 keeps the initial parameters, so the epoch's row must be the
+    # evaluate report of their predictions, as fractions
+    _, train_eps, val_eps = world
+    params = fresh_params()
+    cfg = TrainConfig(objective="ng", epochs=1, lr=0.0, seed=0, gamma=0.8)
+    _, hist = train(params, train_eps, cfg, val_episodes=val_eps)
+    preds = []
+    for ep in val_eps:
+        p = predict_episode(params, ep, gamma=0.8)
+        preds.append(Prediction(ep.question_id, p.answer_index, p.window))
+    report = evaluate(preds, episodes_to_labels(val_eps))
+    for key in ("acc_qa", "acc_gqa", "m_iop", "m_iou"):
+        assert hist[0][key] == pytest.approx(getattr(report, key) / 100.0, abs=1e-12)
+
+
+def test_val_episode_without_moment_rejected(world):
+    # validation cannot score an episode without a moment: fail before training
+    _, train_eps, val_eps = world
+    bare = dataclasses.replace(val_eps[0], gt_moment=None)
+    rows = []
+    with pytest.raises(NotSynthetic):
+        train(fresh_params(), train_eps, TrainConfig(objective="ng", epochs=1, seed=0),
+              val_episodes=[bare] + list(val_eps[1:]), on_epoch=rows.append)
+    assert rows == []
+
+
+def test_val_question_ids_must_be_distinct(world):
+    _, train_eps, val_eps = world
+    twin = dataclasses.replace(val_eps[1], question_id=val_eps[0].question_id)
+    rows = []
+    with pytest.raises(ConfigError):
+        train(fresh_params(), train_eps, TrainConfig(objective="ng", epochs=1, seed=0),
+              val_episodes=[val_eps[0], twin], on_epoch=rows.append)
+    assert rows == []
 
 
 def test_history_csv_roundtrip(tmp_path, world):
