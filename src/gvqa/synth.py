@@ -315,9 +315,9 @@ class QuestionOnlyScorer:
         onehot = np.zeros((len(episodes), A.shape[1]))
         onehot[np.arange(len(episodes)), y] = 1.0
         for _ in range(epochs):
-            scores = np.einsum("ed,df,eaf->ea", Q, self.W, A)
+            scores = np.einsum("ef,eaf->ea", Q @ self.W, A)
             p = _softmax_rows(scores)
-            grad = np.einsum("ed,ea,eaf->df", Q, p - onehot, A) / len(episodes)
+            grad = Q.T @ np.einsum("ea,eaf->ef", p - onehot, A) / len(episodes)
             self.W -= lr * grad
 
     def scores(self, episode: Episode) -> np.ndarray:
@@ -379,11 +379,12 @@ class FramesQuestionScorer:
         onehot = np.zeros((len(episodes), A.shape[1]))
         onehot[np.arange(len(episodes)), y] = 1.0
         for _ in range(epochs):
-            scores = np.einsum("ed,df,eaf->ea", V, self.U, A)
-            scores += np.einsum("ed,df,eaf->ea", Q, self.W, A)
+            scores = np.einsum("ef,eaf->ea", V @ self.U + Q @ self.W, A)
             delta = _softmax_rows(scores) - onehot
-            self.U -= lr * np.einsum("ed,ea,eaf->df", V, delta, A) / len(episodes)
-            self.W -= lr * np.einsum("ed,ea,eaf->df", Q, delta, A) / len(episodes)
+            # the answer-weighted error, shared by both updates
+            delta_A = np.einsum("ea,eaf->ef", delta, A)
+            self.U -= lr * (V.T @ delta_A) / len(episodes)
+            self.W -= lr * (Q.T @ delta_A) / len(episodes)
 
     def scores(self, episode: Episode, frame_subset: str | None = None) -> np.ndarray:
         if self.U is None or self.W is None:

@@ -8,6 +8,7 @@ Acc@GQA; the returned parameters are the best-validation snapshot.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 import warnings
@@ -100,17 +101,24 @@ class NegativePool:
     """Question vectors grouped by video for hard-negative draws.
 
     descriptive_ids lists question ids to exclude from all pools (questions
-    whose style makes them useless as grounding negatives).
+    whose style makes them useless as grounding negatives). Besides the
+    entries themselves the pool keeps, for each video and for each question
+    id, the ascending positions of its entries, so a draw can skip them
+    without scanning the pool.
     """
 
     def __init__(self, episodes: Sequence[Episode],
                  descriptive_ids: frozenset[str] = frozenset()) -> None:
         self.by_video: dict[str, list[tuple[str, np.ndarray]]] = {}
         self.entries: list[tuple[str, str, np.ndarray]] = []
+        self.video_positions: dict[str, list[int]] = {}
+        self.id_positions: dict[str, list[int]] = {}
         for ep in episodes:
             if ep.question_id in descriptive_ids:
                 continue
             self.by_video.setdefault(ep.video_id, []).append((ep.question_id, ep.question))
+            self.video_positions.setdefault(ep.video_id, []).append(len(self.entries))
+            self.id_positions.setdefault(ep.question_id, []).append(len(self.entries))
             self.entries.append((ep.question_id, ep.video_id, ep.question))
         if not self.entries:
             raise ConfigError("negative pool is empty")
@@ -129,15 +137,26 @@ def sample_negatives(
     p_same_video, otherwise from other videos. When the chosen sub-pool has
     no unused entries left the draw falls back to the other one (same-video
     exhaustion additionally warns, since it silently changes hardness).
+
+    The draws and the generator stream match the list-scan definition: per
+    slot, the candidates are the same-video entries other than the episode's
+    question, or the other videos' entries, in pool order and minus every
+    entry whose question id is already picked, and the slot takes candidate
+    `rng.integers(len(candidates))`. Cross-video candidates are not listed;
+    the index is mapped onto the pool by stepping past the ascending
+    positions excluded from it. A call costs O(count * (siblings + count)),
+    whatever the pool size.
     """
     picked: set[str] = set()
     out: list[np.ndarray] = []
     same_all = pool.by_video.get(episode.video_id, [])
+    # ascending positions no cross-video draw may take: the episode's own
+    # video, then every entry of a picked question id
+    excluded = list(pool.video_positions.get(episode.video_id, ()))
     warned = False
     for _ in range(count):
         same = [e for e in same_all if e[0] != episode.question_id and e[0] not in picked]
-        cross = [e for e in pool.entries
-                 if e[1] != episode.video_id and e[0] not in picked]
+        n_cross = len(pool.entries) - len(excluded)
         want_same = rng.random() < p_same_video
         if want_same and not same and not warned:
             # constant text so the default warning filter prints it once, not
@@ -150,13 +169,23 @@ def sample_negatives(
             warned = True
         if want_same and same:
             qid, q = same[int(rng.integers(len(same)))]
-        elif cross:
-            qid, _, q = cross[int(rng.integers(len(cross)))]
+        elif n_cross:
+            # the k-th position that is not excluded
+            pos = int(rng.integers(n_cross))
+            for e in excluded:
+                if e > pos:
+                    break
+                pos += 1
+            qid, _, q = pool.entries[pos]
         elif same:
             qid, q = same[int(rng.integers(len(same)))]
         else:
             raise ConfigError("negative pools exhausted; need more episodes")
         picked.add(qid)
+        for p in pool.id_positions[qid]:
+            i = bisect.bisect_left(excluded, p)
+            if i == len(excluded) or excluded[i] != p:
+                excluded.insert(i, p)
         out.append(q)
     return out
 
@@ -222,8 +251,19 @@ def train(
         raise ConfigError("validation episodes need distinct question ids")
     rng = np.random.default_rng(config.seed)
     adam = Adam(params.trainable(), lr=config.lr)
-    pool = NegativePool(episodes) if config.objective == "ng+" else None
+    pool = None
     need = episodes[0].n_answers - 1
+    if config.objective == "ng+":
+        # each draw asks for `need` negatives; an episode with another answer
+        # count would only fail inside its loss, epochs later
+        for ep in episodes:
+            if ep.n_answers != need + 1:
+                raise ConfigError(
+                    f"training episode {ep.question_id} has {ep.n_answers} answers, "
+                    f"{episodes[0].question_id} has {need + 1}; negative sampling "
+                    "needs one answer count"
+                )
+        pool = NegativePool(episodes)
 
     history: list[dict] = []
     best = {"acc_gqa": -1.0, "params": params.copy(), "epoch": -1}

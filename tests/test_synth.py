@@ -307,3 +307,54 @@ def test_frames_probe_subset_stored_at_fit():
     ep = eps[0]
     assert np.array_equal(probe.scores(ep), probe.scores(ep, "moment"))
     assert not np.array_equal(probe.scores(ep), probe.scores(ep, "outside"))
+
+
+def _einsum_fit_blind(episodes, epochs=150, lr=0.5):
+    """QuestionOnlyScorer.fit written with three-operand einsums."""
+    Q = np.stack([ep.question for ep in episodes])
+    A = np.stack([ep.answers for ep in episodes])
+    onehot = np.eye(A.shape[1])[[ep.correct for ep in episodes]]
+    W = np.zeros((Q.shape[1], Q.shape[1]))
+    for _ in range(epochs):
+        z = np.einsum("ed,df,eaf->ea", Q, W, A)
+        p = np.exp(z - z.max(axis=1, keepdims=True))
+        p /= p.sum(axis=1, keepdims=True)
+        W -= lr * np.einsum("ed,ea,eaf->df", Q, p - onehot, A) / len(episodes)
+    return W
+
+
+def _einsum_fit_frames(episodes, frame_subset, epochs=150, lr=0.5):
+    """FramesQuestionScorer.fit written with three-operand einsums."""
+    V = np.stack([FramesQuestionScorer._pool(ep, frame_subset) for ep in episodes])
+    Q = np.stack([ep.question for ep in episodes])
+    A = np.stack([ep.answers for ep in episodes])
+    onehot = np.eye(A.shape[1])[[ep.correct for ep in episodes]]
+    U = np.zeros((V.shape[1], A.shape[2]))
+    W = np.zeros((Q.shape[1], A.shape[2]))
+    for _ in range(epochs):
+        z = np.einsum("ed,df,eaf->ea", V, U, A) + np.einsum("ed,df,eaf->ea", Q, W, A)
+        p = np.exp(z - z.max(axis=1, keepdims=True))
+        p /= p.sum(axis=1, keepdims=True)
+        delta = p - onehot
+        U -= lr * np.einsum("ed,ea,eaf->df", V, delta, A) / len(episodes)
+        W -= lr * np.einsum("ed,ea,eaf->df", Q, delta, A) / len(episodes)
+    return U, W
+
+
+def test_probe_fits_match_three_operand_einsums():
+    train, val = split_by_video(generate(SynthConfig(n_episodes=160, seed=21)), 0.15, seed=0)
+    blind, pos, neg = fit_diagnostics(train)
+
+    ref_blind = QuestionOnlyScorer(W=_einsum_fit_blind(train))
+    ref_probes = []
+    for probe, subset in ((pos, "moment"), (neg, "outside")):
+        U, W = _einsum_fit_frames(train, subset)
+        ref_probes.append(FramesQuestionScorer(U=U, W=W, subset=subset))
+    pairs = [(blind.W, ref_blind.W)]
+    for probe, ref in zip((pos, neg), ref_probes):
+        pairs += [(probe.U, ref.U), (probe.W, ref.W)]
+    for got, want in pairs:
+        assert np.abs(want).max() > 0.1
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    assert split_diagnostic(val, blind, pos, neg) == split_diagnostic(val, ref_blind, *ref_probes)

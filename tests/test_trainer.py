@@ -2,6 +2,8 @@
 
 import csv
 import dataclasses
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -160,6 +162,84 @@ def test_descriptive_ids_excluded(world):
             assert q.tobytes() in kept_bytes
 
 
+def _scan_sample_negatives(pool, episode, count, p_same_video, rng):
+    """The list-scan definition of the sampler: for every slot both candidate
+    lists are rebuilt from the whole pool, in pool order."""
+    picked = set()
+    out = []
+    same_all = pool.by_video.get(episode.video_id, [])
+    warned = False
+    for _ in range(count):
+        same = [e for e in same_all if e[0] != episode.question_id and e[0] not in picked]
+        cross = [e for e in pool.entries
+                 if e[1] != episode.video_id and e[0] not in picked]
+        want_same = rng.random() < p_same_video
+        if want_same and not same and not warned:
+            warnings.warn("same-video negatives exhausted; drawing cross-video",
+                          InsufficientPool)
+            warned = True
+        if want_same and same:
+            qid, q = same[int(rng.integers(len(same)))]
+        elif cross:
+            qid, _, q = cross[int(rng.integers(len(cross)))]
+        elif same:
+            qid, q = same[int(rng.integers(len(same)))]
+        else:
+            raise ConfigError("negative pools exhausted; need more episodes")
+        picked.add(qid)
+        out.append(q)
+    return out
+
+
+def _sampler_case(world, case):
+    """(pool, episodes to draw for) for one pool layout."""
+    eps, train_eps, val_eps = world
+    if case == "plain":
+        return NegativePool(train_eps), list(train_eps) + list(val_eps[:4])
+    if case == "shuffled":
+        # a video's entries are not contiguous in the pool
+        order = np.random.default_rng(5).permutation(len(train_eps))
+        shuffled = [train_eps[i] for i in order]
+        return NegativePool(shuffled), shuffled
+    if case == "descriptive":
+        # drops whole and partial sibling groups, and episodes still drawn for
+        drop = frozenset(ep.question_id for ep in train_eps[::3])
+        return NegativePool(train_eps, descriptive_ids=drop), list(train_eps)
+    if case == "duplicate_ids":
+        # one id shared across two videos, another shared within a video
+        first = train_eps[0]
+        other = next(ep for ep in train_eps if ep.video_id != first.video_id)
+        sibling = next(ep for ep in train_eps[1:] if ep.video_id == first.video_id)
+        twins = [dataclasses.replace(other, question_id=first.question_id),
+                 dataclasses.replace(sibling, question_id=train_eps[5].question_id)]
+        pool_eps = list(train_eps) + twins
+        return NegativePool(pool_eps), pool_eps
+    raise AssertionError(case)
+
+
+@pytest.mark.parametrize("case", ["plain", "shuffled", "descriptive", "duplicate_ids"])
+@pytest.mark.parametrize("p_same", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("count", [2, 5])
+def test_sampler_matches_list_scan_stream(world, case, p_same, count):
+    """Same draws, same warnings and the same generator state afterwards as
+    the list-scan definition; count 5 exhausts the 3 siblings of a video."""
+    pool, draw_for = _sampler_case(world, case)
+    fast_rng = np.random.default_rng(11)
+    scan_rng = np.random.default_rng(11)
+    for ep in draw_for:
+        with warnings.catch_warnings(record=True) as fast_w:
+            warnings.simplefilter("always")
+            fast = sample_negatives(pool, ep, count, p_same, fast_rng)
+        with warnings.catch_warnings(record=True) as scan_w:
+            warnings.simplefilter("always")
+            scan = _scan_sample_negatives(pool, ep, count, p_same, scan_rng)
+        assert np.array_equal(np.stack(fast), np.stack(scan))
+        assert [w.category for w in fast_w] == [w.category for w in scan_w]
+        if count == 5 and p_same == 1.0:
+            assert [w.category for w in fast_w] == [InsufficientPool]
+    assert fast_rng.bit_generator.state == scan_rng.bit_generator.state
+
+
 # --- training loop ---------------------------------------------------------------
 
 def test_lr_zero_keeps_params(world):
@@ -306,3 +386,30 @@ def test_history_csv_roundtrip(tmp_path, world):
         assert int(got[0]) == row["epoch"]
         assert float(got[1]) == pytest.approx(row["loss"], abs=1e-6)
         assert float(got[2]) == pytest.approx(row["acc_qa"], abs=1e-6)
+
+
+# --- answer counts ---------------------------------------------------------------
+
+def _with_two_answers(ep):
+    return dataclasses.replace(ep, answers=ep.answers[:2], correct=min(ep.correct, 1),
+                               neg_questions=ep.neg_questions[:1])
+
+
+def test_ngplus_answer_count_mismatch_rejected_before_training(world):
+    _, train_eps, val_eps = world
+    odd = _with_two_answers(train_eps[3])
+    mixed = list(train_eps[:3]) + [odd] + list(train_eps[4:])
+    rows = []
+    with pytest.raises(ConfigError, match=re.escape(odd.question_id)):
+        train(fresh_params(), mixed, TrainConfig(objective="ng+", epochs=1, seed=0),
+              val_episodes=val_eps, on_epoch=rows.append)
+    assert rows == []
+
+
+def test_ng_accepts_mixed_answer_counts(world):
+    # the answer-only objective draws no negatives, so any count is fine
+    _, train_eps, val_eps = world
+    mixed = [_with_two_answers(ep) if i % 2 else ep for i, ep in enumerate(train_eps)]
+    _, hist = train(fresh_params(), mixed, TrainConfig(objective="ng", epochs=1, seed=0),
+                    val_episodes=val_eps)
+    assert len(hist) == 1
