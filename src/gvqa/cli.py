@@ -23,7 +23,6 @@ from .model import (
     predict_episode,
     save_checkpoint,
 )
-from .posthoc import DEFAULT_DIST_CAP_S, DEFAULT_SMOOTH_W
 from .synth import SynthConfig, episodes_to_labels, generate, split_by_video
 from .trainer import NonFiniteLoss, TrainConfig, train, write_history_csv
 
@@ -204,11 +203,7 @@ def cmd_train_synth(args: argparse.Namespace) -> int:
     save_checkpoint(out / "checkpoint.npz", best)
     write_history_csv(out / "history.csv", history)
 
-    val_preds = [
-        predict_episode(best, ep, gamma=train_cfg.gamma,
-                        smooth_w=DEFAULT_SMOOTH_W, dist_cap_s=DEFAULT_DIST_CAP_S)
-        for ep in val_eps
-    ]
+    val_preds = [predict_episode(best, ep, gamma=train_cfg.gamma) for ep in val_eps]
     preds = [
         metrics.Prediction(question_id=ep.question_id, answer_index=p.answer_index,
                            window=p.window)

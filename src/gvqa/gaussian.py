@@ -79,20 +79,19 @@ def mask_weights(mask: GaussianMask, grid: FrameGrid) -> np.ndarray:
 
 
 def mask_gradients(
-    mask: GaussianMask, grid: FrameGrid, upstream: Sequence[float] | np.ndarray
+    mask: GaussianMask, weights: np.ndarray, upstream: Sequence[float] | np.ndarray
 ) -> tuple[float, float]:
     """Chain dL/dG_i through the mask: returns (dL/dmu, dL/dsigma).
 
+    weights are the forward pass's mask_weights(mask, grid), one per frame.
     dG_i/dmu = G_i (x_i - mu) / sigma^2, dG_i/dsigma = G_i (x_i - mu)^2 / sigma^3.
     """
     up = np.asarray(upstream, dtype=float)
-    if up.shape != (grid.n_frames,):
-        raise ShapeMismatch(f"upstream shape {up.shape} != ({grid.n_frames},)")
-    x = frame_positions(grid.n_frames)
-    g = np.exp(-0.5 * ((x - mask.mu) / mask.sigma) ** 2)
-    diff = x - mask.mu
-    d_mu = float(np.sum(up * g * diff / mask.sigma**2))
-    d_sigma = float(np.sum(up * g * diff**2 / mask.sigma**3))
+    if up.shape != weights.shape:
+        raise ShapeMismatch(f"upstream shape {up.shape} != weights shape {weights.shape}")
+    diff = frame_positions(len(weights)) - mask.mu
+    d_mu = float(np.sum(up * weights * diff / mask.sigma**2))
+    d_sigma = float(np.sum(up * weights * diff**2 / mask.sigma**3))
     return d_mu, d_sigma
 
 

@@ -202,12 +202,30 @@ def save_checkpoint(path: str | Path, params: ModelParams) -> None:
 
 
 def load_checkpoint(path: str | Path) -> ModelParams:
+    """Parameters saved by save_checkpoint, checked against their config.
+
+    The arrays must be exactly PARAM_NAMES (ValueError otherwise), each with
+    the shape that init_params gives for the stored config (ShapeMismatch
+    otherwise), and finite.
+    """
     with np.load(path) as blob:
         meta = json.loads(bytes(blob["__meta__"]).decode("utf-8"))
         if meta.get("version") != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {meta.get('version')}")
         config = ModelConfig(**meta["config"])
-        arrays = {name: np.array(blob[name]) for name in meta["names"]}
+        stored = set(blob.files) - {"__meta__"}
+        if stored != set(PARAM_NAMES):
+            raise ValueError(
+                f"checkpoint {path}: missing {sorted(set(PARAM_NAMES) - stored)}, "
+                f"unknown {sorted(stored - set(PARAM_NAMES))}"
+            )
+        arrays = {name: np.array(blob[name]) for name in PARAM_NAMES}
+    for name, ref in init_params(config, 0).arrays.items():
+        if arrays[name].shape != ref.shape:
+            raise ShapeMismatch(
+                f"checkpoint {path}: {name} has shape {arrays[name].shape}, "
+                f"config needs {ref.shape}"
+            )
     params = ModelParams(arrays=arrays, config=config)
     params.validate()
     return params
@@ -506,7 +524,7 @@ def loss_and_gradients(
     dG = (dM * S).sum(axis=0)
 
     # Gaussian weights -> (mu, sigma) -> (z_mu, z_sg)
-    d_mu, d_sigma = mask_gradients(cache["mask"], episode.grid, dG)
+    d_mu, d_sigma = mask_gradients(cache["mask"], G, dG)
     mu = cache["mu"]
     dz_mu = d_mu * mu * (1.0 - mu)
     dz_sg = d_sigma * (1.0 - SIGMA_MIN) * cache["sg_inner"] * (1.0 - cache["sg_inner"])
@@ -574,8 +592,6 @@ def loss_and_gradients(
 class EpisodePrediction:
     answer_index: int
     window: TemporalSegment
-    gauss_window: TemporalSegment
-    attn_window: TemporalSegment
     mask: GaussianMask
     trace: np.ndarray
     scores: np.ndarray
@@ -586,14 +602,14 @@ def predict_episode(
     episode: Episode,
     gamma: float = 1.0,
     window_source: str = "gauss",
-    smooth_w: int = 3,
-    dist_cap_s: float = 10.0,
 ) -> EpisodePrediction:
     """Answer choice plus grounded window for one episode, from one forward pass.
 
-    window_source picks the emitted window: "gauss" (confidence interval),
-    "attn" (post-hoc extraction from the pooling trace), or "fused"
-    (intersection, falling back to the attention window).
+    window_source names the one window that is built and returned:
+      "gauss"  the mask's confidence interval (mu +- gamma*sigma) * duration;
+      "attn"   post-hoc extraction from the pooling trace (gamma is not read);
+      "fused"  the intersection of the two, or the attention window when
+               they are disjoint.
     """
     if window_source not in ("gauss", "attn", "fused"):
         raise ValueError(f"unknown window_source {window_source!r}")
@@ -603,19 +619,16 @@ def predict_episode(
     mask = GaussianMask(cache["mu"], cache["sigma"])
     trace = cache["trace"]
     scores = cache["answer"]["scores"]
-    gauss_win = confidence_interval(mask, episode.extent, gamma)
-    attn_win = extract_window_raw(trace, episode.grid, smooth_w=smooth_w, dist_cap_s=dist_cap_s)
     if window_source == "gauss":
-        window = gauss_win
+        window = confidence_interval(mask, episode.extent, gamma)
     elif window_source == "attn":
-        window = attn_win
+        window = extract_window_raw(trace, episode.grid)
     else:
-        window = fuse_windows(gauss_win, attn_win)
+        window = fuse_windows(confidence_interval(mask, episode.extent, gamma),
+                              extract_window_raw(trace, episode.grid))
     return EpisodePrediction(
         answer_index=int(np.argmax(scores)),
         window=window,
-        gauss_window=gauss_win,
-        attn_window=attn_win,
         mask=mask,
         trace=trace,
         scores=scores,

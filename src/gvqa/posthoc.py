@@ -10,7 +10,6 @@ edges, so even a lone pivot yields a segment of one bin.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,26 +22,6 @@ DEFAULT_DIST_CAP_S = 10.0
 
 class DegenerateTraceWarning(UserWarning):
     """All scores equal after smoothing; extraction falls back to one bin."""
-
-
-@dataclass(frozen=True)
-class AttentionTrace:
-    """Per-frame attention distribution over a frame grid."""
-
-    scores: np.ndarray
-    grid: FrameGrid
-
-    def __post_init__(self) -> None:
-        scores = np.asarray(self.scores, dtype=float)
-        if scores.shape != (self.grid.n_frames,):
-            raise ValueError(f"scores shape {scores.shape} != ({self.grid.n_frames},)")
-        if np.any(scores < 0) or not np.all(np.isfinite(scores)):
-            raise ValueError("scores must be finite and non-negative")
-        total = float(scores.sum())
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"scores sum to {total}, expected 1")
-        scores.setflags(write=False)
-        object.__setattr__(self, "scores", scores)
 
 
 def smooth_scores(scores: np.ndarray, smooth_w: int) -> np.ndarray:
@@ -67,42 +46,20 @@ def _minmax(scores: np.ndarray) -> np.ndarray | None:
     return (scores - lo) / (hi - lo)
 
 
-def dynamic_threshold(trace: AttentionTrace, smooth_w: int = 1) -> float:
-    """Mean of the min-max-normalized scores, 0 for a flat trace.
-
-    smooth_w defaults to 1 (no smoothing) so the threshold reflects the raw
-    attention distribution; pass an odd width to match extraction's view.
-    """
-    s = smooth_scores(trace.scores, smooth_w)
-    norm = _minmax(s)
-    if norm is None:
-        return 0.0
-    return float(norm.mean())
-
-
-def extract_window(
-    trace: AttentionTrace,
-    smooth_w: int = DEFAULT_SMOOTH_W,
-    dist_cap_s: float = DEFAULT_DIST_CAP_S,
-) -> TemporalSegment:
-    """Window around the attention peak; see extract_window_raw."""
-    return extract_window_raw(trace.scores, trace.grid, smooth_w, dist_cap_s)
-
-
 def extract_window_raw(
     scores: np.ndarray,
     grid: FrameGrid,
     smooth_w: int = DEFAULT_SMOOTH_W,
     dist_cap_s: float = DEFAULT_DIST_CAP_S,
 ) -> TemporalSegment:
-    """Extraction for raw (not necessarily normalized) score arrays.
+    """Window around the attention peak of per-frame scores.
 
     Smooth, min-max normalize, pivot at the argmax (lowest index on ties),
     then include contiguous frames on each side whose normalized score is at
     least the mean normalized score and whose center lies within dist_cap_s
     seconds of the pivot center. The window spans the included frames' bins.
-    Positive affine rescaling of scores cannot change the result because the
-    min-max step cancels it.
+    The scores need not sum to 1: positive affine rescaling cannot change the
+    result because the min-max step cancels it.
     """
     scores = np.asarray(scores, dtype=float)
     if scores.shape != (grid.n_frames,):
@@ -119,7 +76,6 @@ def extract_window_raw(
             DegenerateTraceWarning,
             stacklevel=2,
         )
-        pivot = 0
         return TemporalSegment(0.0, bin_w)
     # tolerance keeps tie-breaking stable: affine-shifted inputs can perturb
     # exactly tied smoothed values by an ulp, which must not move the pivot

@@ -15,14 +15,13 @@ restricted to moment-only or outside-moment frames.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from .gaussian import frame_positions
 from .metrics import GroundingLabel
 from .model import Episode
 from .temporal import TemporalSegment, VideoExtent
@@ -82,6 +81,17 @@ def _unit_rows(m: np.ndarray) -> np.ndarray:
     return m / np.linalg.norm(m, axis=1, keepdims=True)
 
 
+def _frames_inside(centers: np.ndarray, moment: TemporalSegment) -> np.ndarray:
+    """Boolean per-frame mask of the frame centers (seconds) inside a moment.
+
+    Tiny moments can slip between frame centers; they snap to the nearest one.
+    """
+    inside = (centers >= moment.start) & (centers <= moment.end)
+    if not inside.any():
+        inside[int(np.argmin(np.abs(centers - (moment.start + moment.end) / 2)))] = True
+    return inside
+
+
 def generate(config: SynthConfig) -> list[Episode]:
     """Deterministic episode set for a config; same config, same bytes.
 
@@ -107,7 +117,7 @@ def generate(config: SynthConfig) -> list[Episode]:
         background = config.noise_std * _unit_rows(
             rng.normal(size=(config.n_frames, config.d_v))
         )
-        centers = (np.arange(config.n_frames) + 0.5) / config.n_frames * duration
+        centers = frame_positions(config.n_frames) * duration
 
         group: list[Episode] = []
         n_here = min(SIBLINGS_PER_VIDEO, config.n_episodes - len(episodes))
@@ -122,10 +132,7 @@ def generate(config: SynthConfig) -> list[Episode]:
             m_len = config.moment_ratio * duration
             m_start = float(rng.uniform(0.0, duration - m_len))
             moment = TemporalSegment(m_start, m_start + m_len)
-            inside = (centers >= moment.start) & (centers <= moment.end)
-            if not inside.any():
-                # tiny ratios can slip between frame centers; snap to nearest
-                inside[int(np.argmin(np.abs(centers - (m_start + m_len / 2))))] = True
+            inside = _frames_inside(centers, moment)
 
             signal = config.signal_gain * _unit(question @ M_q + answers[correct] @ M_a)
             wrong = int(rng.choice([a for a in range(config.n_answers) if a != correct]))
@@ -218,67 +225,6 @@ def split_by_video(
     return train, val
 
 
-# --- archive -----------------------------------------------------------------
-
-ARCHIVE_VERSION = 1
-
-
-def save_episodes(path: str | Path, episodes: Sequence[Episode]) -> None:
-    """Pack an episode list into a single npz archive."""
-    if not episodes:
-        raise ValueError("no episodes to save")
-    n_neg = len(episodes[0].neg_questions)
-    n_var = len(episodes[0].pos_variants)
-    for ep in episodes:
-        if len(ep.neg_questions) != n_neg or len(ep.pos_variants) != n_var:
-            raise ValueError("episodes must share negative/variant counts to archive")
-        if ep.gt_moment is None:
-            raise NotSynthetic("archives require planted moments")
-    meta = {"version": ARCHIVE_VERSION, "n_neg": n_neg, "n_var": n_var}
-    np.savez_compressed(
-        path,
-        __meta__=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
-        frames=np.stack([ep.frames for ep in episodes]),
-        questions=np.stack([ep.question for ep in episodes]),
-        answers=np.stack([ep.answers for ep in episodes]),
-        correct=np.array([ep.correct for ep in episodes], dtype=np.int64),
-        moments=np.array(
-            [[ep.gt_moment.start, ep.gt_moment.end] for ep in episodes], dtype=float
-        ),
-        durations=np.array([ep.extent.duration for ep in episodes], dtype=float),
-        question_ids=np.array([ep.question_id for ep in episodes]),
-        video_ids=np.array([ep.video_id for ep in episodes]),
-        negatives=np.stack([np.stack(ep.neg_questions) for ep in episodes])
-        if n_neg else np.zeros((len(episodes), 0, episodes[0].question.shape[0])),
-        variants=np.stack([np.stack(ep.pos_variants) for ep in episodes])
-        if n_var else np.zeros((len(episodes), 0, episodes[0].question.shape[0])),
-    )
-
-
-def load_episodes(path: str | Path) -> list[Episode]:
-    with np.load(path) as blob:
-        meta = json.loads(bytes(blob["__meta__"]).decode("utf-8"))
-        if meta.get("version") != ARCHIVE_VERSION:
-            raise ValueError(f"unsupported archive version {meta.get('version')}")
-        episodes = []
-        for i in range(blob["frames"].shape[0]):
-            episodes.append(
-                Episode(
-                    frames=blob["frames"][i],
-                    question=blob["questions"][i],
-                    answers=blob["answers"][i],
-                    correct=int(blob["correct"][i]),
-                    extent=VideoExtent(float(blob["durations"][i])),
-                    neg_questions=list(blob["negatives"][i]),
-                    pos_variants=list(blob["variants"][i]),
-                    gt_moment=TemporalSegment(*blob["moments"][i]),
-                    question_id=str(blob["question_ids"][i]),
-                    video_id=str(blob["video_ids"][i]),
-                )
-            )
-    return episodes
-
-
 # --- diagnostic scorers ----------------------------------------------------------
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
@@ -287,17 +233,9 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
 
 
 def moment_frame_mask(episode: Episode) -> np.ndarray:
-    """Boolean per-frame mask of centers inside the planted moment.
-
-    Mirrors the generator, including its snap-to-nearest fallback for moments
-    shorter than the frame spacing.
-    """
-    moment = oracle_grounding(episode)
-    centers = (np.arange(episode.n_frames) + 0.5) / episode.n_frames * episode.extent.duration
-    mask = (centers >= moment.start) & (centers <= moment.end)
-    if not mask.any():
-        mask[int(np.argmin(np.abs(centers - (moment.start + moment.end) / 2)))] = True
-    return mask
+    """Boolean per-frame mask of the frames the generator planted the signal on."""
+    centers = frame_positions(episode.n_frames) * episode.extent.duration
+    return _frames_inside(centers, oracle_grounding(episode))
 
 
 @dataclass

@@ -126,19 +126,22 @@ class TestMaskWeights:
 
 class TestMaskGradients:
     def test_zero_upstream(self):
-        d_mu, d_sigma = mask_gradients(GaussianMask(0.3, 0.2), grid(8, 20.0), np.zeros(8))
+        mask = GaussianMask(0.3, 0.2)
+        d_mu, d_sigma = mask_gradients(mask, mask_weights(mask, grid(8, 20.0)), np.zeros(8))
         assert d_mu == 0.0 and d_sigma == 0.0
 
     def test_symmetric_upstream_zero_mu_grad(self):
         # mu on the grid's axis of symmetry, even upstream -> odd integrand
         g = grid(8, 20.0)
         up = np.array([1.0, 2.0, 3.0, 4.0, 4.0, 3.0, 2.0, 1.0])
-        d_mu, _ = mask_gradients(GaussianMask(0.5, 0.3), g, up)
+        mask = GaussianMask(0.5, 0.3)
+        d_mu, _ = mask_gradients(mask, mask_weights(mask, g), up)
         assert d_mu == pytest.approx(0.0, abs=1e-12)
 
     def test_upstream_length_checked(self):
+        mask = GaussianMask(0.5, 0.3)
         with pytest.raises(ShapeMismatch):
-            mask_gradients(GaussianMask(0.5, 0.3), grid(8, 20.0), np.zeros(5))
+            mask_gradients(mask, mask_weights(mask, grid(8, 20.0)), np.zeros(5))
 
     def test_matches_finite_differences(self):
         # central differences on L = sum(up * G) over 100 random draws
@@ -153,7 +156,8 @@ class TestMaskGradients:
             def loss(m, s):
                 return float(np.sum(up * mask_weights(GaussianMask(m, s), g)))
 
-            d_mu, d_sigma = mask_gradients(GaussianMask(mu, sigma), g, up)
+            mask = GaussianMask(mu, sigma)
+            d_mu, d_sigma = mask_gradients(mask, mask_weights(mask, g), up)
             fd_mu = (loss(mu + eps, sigma) - loss(mu - eps, sigma)) / (2 * eps)
             fd_sigma = (loss(mu, sigma + eps) - loss(mu, sigma - eps)) / (2 * eps)
             assert d_mu == pytest.approx(fd_mu, rel=1e-4, abs=1e-8)
@@ -277,5 +281,6 @@ class TestGaussianAttention:
                        answers=ep.answers, correct=0, extent=ep.extent)
         with pytest.raises(ShapeMismatch):
             encode_video(params, wide)
+        mask = GaussianMask(0.5, 0.3)
         with pytest.raises(ShapeMismatch):
-            mask_gradients(GaussianMask(0.5, 0.3), ep.grid, np.ones(7))
+            mask_gradients(mask, mask_weights(mask, ep.grid), np.ones(7))

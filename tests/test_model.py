@@ -3,8 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from gvqa import gaussian
-from gvqa.gaussian import SIGMA_MIN, GaussianMask, frame_positions, mask_weights
+from gvqa import gaussian, model
+from gvqa.gaussian import (
+    SIGMA_MIN,
+    GaussianMask,
+    confidence_interval,
+    frame_positions,
+    mask_weights,
+)
 from gvqa.model import (
     ANSWER_ONLY_PARAMS,
     Episode,
@@ -23,6 +29,7 @@ from gvqa.model import (
     predict_gaussian,
     save_checkpoint,
 )
+from gvqa.posthoc import extract_window_raw
 from gvqa.temporal import TemporalSegment, VideoExtent
 
 
@@ -416,6 +423,31 @@ class TestCheckpoint:
         for name, arr in params.arrays.items():
             assert np.array_equal(back.arrays[name], arr)
 
+    @staticmethod
+    def _tampered(tmp_path, edit):
+        p = tmp_path / "model.npz"
+        save_checkpoint(p, init_params(SMALL, seed=19))
+        with np.load(p) as blob:
+            arrays = dict(blob)
+        edit(arrays)
+        np.savez(p, **arrays)
+        return p
+
+    def test_missing_parameter_rejected(self, tmp_path):
+        p = self._tampered(tmp_path, lambda a: a.pop("W_g"))
+        with pytest.raises(ValueError, match="W_g"):
+            load_checkpoint(p)
+
+    def test_extra_parameter_rejected(self, tmp_path):
+        p = self._tampered(tmp_path, lambda a: a.update(W_extra=np.zeros(3)))
+        with pytest.raises(ValueError, match="W_extra"):
+            load_checkpoint(p)
+
+    def test_shape_off_config_rejected(self, tmp_path):
+        p = self._tampered(tmp_path, lambda a: a.update(W_k=np.zeros((8, 9))))
+        with pytest.raises(ShapeMismatch, match="W_k"):
+            load_checkpoint(p)
+
     def test_loaded_params_usable(self, tmp_path):
         rng = np.random.default_rng(22)
         params = init_params(SMALL, seed=20)
@@ -444,10 +476,13 @@ class TestPredictEpisode:
         g = predict_episode(params, ep, window_source="gauss")
         t = predict_episode(params, ep, window_source="attn")
         f = predict_episode(params, ep, window_source="fused")
-        assert g.window == g.gauss_window
-        assert t.window == t.attn_window
-        assert f.window.start >= f.attn_window.start - 1e-12
-        assert f.window.end <= f.attn_window.end + 1e-12
+        gauss_win = confidence_interval(g.mask, ep.extent, 1.0)
+        attn_win = extract_window_raw(t.trace, ep.grid)
+        assert g.window == gauss_win
+        assert t.window == attn_win
+        assert f.window == fuse_windows(gauss_win, attn_win)
+        assert f.window.start >= attn_win.start - 1e-12
+        assert f.window.end <= attn_win.end + 1e-12
         with pytest.raises(ValueError):
             predict_episode(params, ep, window_source="nope")
 
@@ -458,8 +493,28 @@ class TestPredictEpisode:
         for _ in range(10):
             ep = make_episode(rng, n=16, duration=40.0)
             for g in widths:
-                widths[g] += predict_episode(params, ep, gamma=g).gauss_window.length
+                pred = predict_episode(params, ep, gamma=g)
+                assert pred.window == confidence_interval(pred.mask, ep.extent, g)
+                widths[g] += pred.window.length
         assert widths[0.8] < widths[1.0]
+
+    def test_builds_only_the_named_window(self, monkeypatch):
+        rng = np.random.default_rng(27)
+        params = init_params(SMALL, seed=25)
+        ep = make_episode(rng, n=16, duration=40.0)
+
+        def not_called(*args, **kwargs):
+            raise AssertionError("built a window that is not returned")
+
+        with monkeypatch.context() as m:
+            m.setattr(model, "extract_window_raw", not_called)
+            predict_episode(params, ep, window_source="gauss")
+        with monkeypatch.context() as m:
+            m.setattr(model, "confidence_interval", not_called)
+            # the attention window never reads gamma
+            predict_episode(params, ep, gamma=0.0, window_source="attn")
+        with pytest.raises(ValueError, match="gamma"):
+            predict_episode(params, ep, gamma=0.0, window_source="fused")
 
     def test_one_forward_matches_the_stages(self):
         # the single forward pass gives bit-for-bit what the public stages

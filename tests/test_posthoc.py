@@ -3,14 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gvqa.gaussian import FrameGrid, frame_times
-from gvqa.posthoc import (
-    AttentionTrace,
-    DegenerateTraceWarning,
-    dynamic_threshold,
-    extract_window,
-    extract_window_raw,
-    smooth_scores,
-)
+from gvqa.posthoc import DegenerateTraceWarning, extract_window_raw, smooth_scores
 from gvqa.temporal import VideoExtent
 
 
@@ -18,30 +11,9 @@ def grid(n, d):
     return FrameGrid(n_frames=n, extent=VideoExtent(d))
 
 
-def trace(values, d=None):
+def normalized(values):
     values = np.asarray(values, dtype=float)
-    if d is None:
-        d = float(len(values))
-    return AttentionTrace(scores=values / values.sum(), grid=grid(len(values), d))
-
-
-class TestAttentionTrace:
-    def test_must_sum_to_one(self):
-        with pytest.raises(ValueError, match="sum"):
-            AttentionTrace(scores=np.array([0.5, 0.2]), grid=grid(2, 10.0))
-
-    def test_no_negatives(self):
-        with pytest.raises(ValueError):
-            AttentionTrace(scores=np.array([1.2, -0.2]), grid=grid(2, 10.0))
-
-    def test_length_checked(self):
-        with pytest.raises(ValueError, match="shape"):
-            AttentionTrace(scores=np.full(3, 1 / 3), grid=grid(4, 10.0))
-
-    def test_scores_read_only(self):
-        t = trace([1, 2, 3, 4])
-        with pytest.raises(ValueError):
-            t.scores[0] = 9.0
+    return values / values.sum()
 
 
 class TestSmoothing:
@@ -66,38 +38,17 @@ class TestSmoothing:
         assert np.allclose(out, 0.25)
 
 
-class TestDynamicThreshold:
-    def test_one_hot_quarter(self):
-        assert dynamic_threshold(trace([1, 0, 0, 0])) == pytest.approx(0.25)
-
-    def test_uniform_is_zero(self):
-        assert dynamic_threshold(trace([1, 1, 1, 1])) == 0.0
-
-    def test_in_unit_interval(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            v = rng.uniform(0.01, 1.0, size=12)
-            th = dynamic_threshold(trace(v))
-            assert 0.0 <= th <= 1.0
-
-    def test_smoothed_variant(self):
-        # smoothing the one-hot spreads mass; threshold moves off 0.25
-        th = dynamic_threshold(trace([1, 0, 0, 0]), smooth_w=3)
-        assert th == pytest.approx((1.0 + 2 / 3) / 4)
-
-
 class TestExtractWindow:
     def test_one_hot_yields_single_bin(self):
         # 8 frames over 40s: bins of 5s; peak at frame 3 -> [15, 20]
-        t = trace([0, 0, 0, 1, 0, 0, 0, 0], d=40.0)
-        # smoothing spreads the spike to frames 2..4, all >= mean
-        seg = extract_window(t, smooth_w=1)
+        # smoothing would spread the spike to frames 2..4, all >= mean
+        seg = extract_window_raw(normalized([0, 0, 0, 1, 0, 0, 0, 0]), grid(8, 40.0),
+                                 smooth_w=1)
         assert (seg.start, seg.end) == (15.0, 20.0)
 
     def test_uniform_trace_degenerate(self):
-        t = trace([1, 1, 1, 1], d=20.0)
         with pytest.warns(DegenerateTraceWarning):
-            seg = extract_window(t)
+            seg = extract_window_raw(normalized([1, 1, 1, 1]), grid(4, 20.0))
         assert (seg.start, seg.end) == (0.0, 5.0)
 
     def test_plateau_spans_plateau_bins(self):

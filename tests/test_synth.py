@@ -15,10 +15,8 @@ from gvqa.synth import (
     episodes_to_labels,
     fit_diagnostics,
     generate,
-    load_episodes,
     moment_frame_mask,
     oracle_grounding,
-    save_episodes,
     split_by_video,
     split_diagnostic,
 )
@@ -204,54 +202,6 @@ def test_split_fraction_bounds(eps):
         split_by_video(eps, 0.0)
     with pytest.raises(ConfigError):
         split_by_video(eps, 1.0)
-
-
-def test_archive_roundtrip(tmp_path, eps):
-    path = tmp_path / "episodes.npz"
-    save_episodes(path, eps[:12])
-    back = load_episodes(path)
-    assert len(back) == 12
-    assert all(_episodes_equal(a, b) for a, b in zip(eps[:12], back))
-
-
-def test_archive_rejects_empty_and_ragged(tmp_path, eps):
-    with pytest.raises(ValueError):
-        save_episodes(tmp_path / "x.npz", [])
-    ragged = [eps[0], eps[1]]
-    ragged[1] = Episode(
-        frames=eps[1].frames, question=eps[1].question, answers=eps[1].answers,
-        correct=eps[1].correct, extent=eps[1].extent,
-        neg_questions=eps[1].neg_questions[:-1], pos_variants=eps[1].pos_variants,
-        gt_moment=eps[1].gt_moment, question_id="a", video_id="b",
-    )
-    with pytest.raises(ValueError):
-        save_episodes(tmp_path / "y.npz", ragged)
-
-
-def test_archive_requires_moments(tmp_path, eps):
-    ep = eps[0]
-    bare = Episode(
-        frames=ep.frames, question=ep.question, answers=ep.answers,
-        correct=ep.correct, extent=ep.extent, neg_questions=ep.neg_questions,
-        pos_variants=ep.pos_variants, question_id="q", video_id="v",
-    )
-    with pytest.raises(NotSynthetic):
-        save_episodes(tmp_path / "z.npz", [bare])
-
-
-def test_archive_version_gate(tmp_path, eps):
-    import json
-
-    path = tmp_path / "episodes.npz"
-    save_episodes(path, eps[:4])
-    with np.load(path) as blob:
-        arrays = dict(blob)
-    arrays["__meta__"] = np.frombuffer(
-        json.dumps({"version": 99, "n_neg": 4, "n_var": 3}).encode(), dtype=np.uint8
-    )
-    np.savez(path, **arrays)
-    with pytest.raises(ValueError, match="version"):
-        load_episodes(path)
 
 
 # --- diagnostic probes ----------------------------------------------------------
