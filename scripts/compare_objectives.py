@@ -9,7 +9,7 @@ import argparse
 import time
 
 from gvqa.metrics import Prediction, evaluate, random_baseline, report_row
-from gvqa.model import ModelConfig, init_params, predict_episode
+from gvqa.model import ModelConfig, init_params, predict_episodes
 from gvqa.synth import (
     SynthConfig,
     episodes_to_labels,
@@ -24,8 +24,7 @@ from gvqa.trainer import TrainConfig, train
 def predictions(params, episodes, gamma):
     return [
         Prediction(question_id=ep.question_id, answer_index=p.answer_index, window=p.window)
-        for ep in episodes
-        for p in [predict_episode(params, ep, gamma=gamma)]
+        for ep, p in zip(episodes, predict_episodes(params, episodes, gamma=gamma))
     ]
 
 

@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from gvqa.metrics import Prediction, evaluate, report_row
-from gvqa.model import ModelConfig, init_params, predict_episode
+from gvqa.model import ModelConfig, init_params, predict_episodes
 from gvqa.synth import SynthConfig, episodes_to_labels, generate, split_by_video
 from gvqa.trainer import TrainConfig, train
 
@@ -38,14 +38,11 @@ def main():
           f"{'Acc@GQA':>7} {'mIoP':>5} {'mIoU':>5}")
     for gamma in (1.0, 0.8):
         for source in ("gauss", "attn", "fused"):
-            preds = []
-            widths = []
-            for ep in val_eps:
-                p = predict_episode(best, ep, gamma=gamma, window_source=source)
-                widths.append(p.window.length)
-                preds.append(Prediction(question_id=ep.question_id,
-                                        answer_index=p.answer_index,
-                                        window=p.window))
+            found = predict_episodes(best, val_eps, gamma=gamma, window_source=source)
+            widths = [p.window.length for p in found]
+            preds = [Prediction(question_id=ep.question_id, answer_index=p.answer_index,
+                                window=p.window)
+                     for ep, p in zip(val_eps, found)]
             row = report_row(evaluate(preds, labels))
             print(f"{gamma:5.1f} {source:>6} {np.mean(widths):8.2f}  "
                   f"{row['Acc@GQA']:7.1f} {row['mIoP']:5.1f} {row['mIoU']:5.1f}")

@@ -20,7 +20,7 @@ from . import annotations, metrics, svgplot
 from .model import (
     ModelConfig,
     init_params,
-    predict_episode,
+    predict_episodes,
     save_checkpoint,
 )
 from .synth import SynthConfig, episodes_to_labels, generate, split_by_video
@@ -203,7 +203,7 @@ def cmd_train_synth(args: argparse.Namespace) -> int:
     save_checkpoint(out / "checkpoint.npz", best)
     write_history_csv(out / "history.csv", history)
 
-    val_preds = [predict_episode(best, ep, gamma=train_cfg.gamma) for ep in val_eps]
+    val_preds = predict_episodes(best, val_eps, gamma=train_cfg.gamma)
     preds = [
         metrics.Prediction(question_id=ep.question_id, answer_index=p.answer_index,
                            window=p.window)

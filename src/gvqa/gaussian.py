@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .temporal import TemporalSegment, VideoExtent, clamp_to_video
 
 SIGMA_MIN = 0.01
+# floor of the frame weights: the smallest positive normal float
+_TINY = np.finfo(float).tiny
 
 
 class ShapeMismatch(ValueError):
@@ -67,32 +68,33 @@ def frame_times(grid: FrameGrid) -> np.ndarray:
     return frame_positions(grid.n_frames) * grid.extent.duration
 
 
-def mask_weights(mask: GaussianMask, grid: FrameGrid) -> np.ndarray:
-    """Per-frame weights G_i = exp(-0.5 ((x_i - mu)/sigma)^2), in (0, 1].
-
-    Floored at the smallest positive normal float so extreme decays stay
-    strictly positive instead of underflowing to 0.
-    """
-    x = frame_positions(grid.n_frames)
-    g = np.exp(-0.5 * ((x - mask.mu) / mask.sigma) ** 2)
-    return np.maximum(g, np.finfo(float).tiny)
+def gaussian_weights(x: np.ndarray, mu, sigma) -> np.ndarray:
+    """exp(-0.5 ((x - mu)/sigma)^2), floored at the smallest positive normal
+    float so extreme decays stay strictly positive instead of underflowing
+    to 0. Broadcasts: mu and sigma of shape (b, 1) against x of shape (n,)
+    give one row of weights per mask."""
+    g = np.exp(-0.5 * ((x - mu) / sigma) ** 2)
+    return np.maximum(g, _TINY, out=g)
 
 
-def mask_gradients(
-    mask: GaussianMask, weights: np.ndarray, upstream: Sequence[float] | np.ndarray
-) -> tuple[float, float]:
-    """Chain dL/dG_i through the mask: returns (dL/dmu, dL/dsigma).
+def gaussian_gradients(
+    x: np.ndarray, mu, sigma, weights: np.ndarray, upstream: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Chain dL/dG through the forward's weights = gaussian_weights(x, mu,
+    sigma), summed over the last (frame) axis: returns (dL/dmu, dL/dsigma).
 
-    weights are the forward pass's mask_weights(mask, grid), one per frame.
     dG_i/dmu = G_i (x_i - mu) / sigma^2, dG_i/dsigma = G_i (x_i - mu)^2 / sigma^3.
     """
-    up = np.asarray(upstream, dtype=float)
-    if up.shape != weights.shape:
-        raise ShapeMismatch(f"upstream shape {up.shape} != weights shape {weights.shape}")
-    diff = frame_positions(len(weights)) - mask.mu
-    d_mu = float(np.sum(up * weights * diff / mask.sigma**2))
-    d_sigma = float(np.sum(up * weights * diff**2 / mask.sigma**3))
-    return d_mu, d_sigma
+    if upstream.shape != weights.shape:
+        raise ShapeMismatch(f"upstream shape {upstream.shape} != weights shape {weights.shape}")
+    diff = x - mu
+    gw = upstream * weights * diff
+    return np.sum(gw / sigma**2, axis=-1), np.sum(gw * diff / sigma**3, axis=-1)
+
+
+def mask_weights(mask: GaussianMask, grid: FrameGrid) -> np.ndarray:
+    """Per-frame weights G_i = exp(-0.5 ((x_i - mu)/sigma)^2), in (0, 1]."""
+    return gaussian_weights(frame_positions(grid.n_frames), mask.mu, mask.sigma)
 
 
 def confidence_interval(mask: GaussianMask, extent: VideoExtent, gamma: float) -> TemporalSegment:

@@ -16,11 +16,12 @@ Losses:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -31,7 +32,8 @@ from .gaussian import (
     ShapeMismatch,
     confidence_interval,
     frame_positions,
-    mask_gradients,
+    gaussian_gradients,
+    gaussian_weights,
     mask_weights,
 )
 from .posthoc import extract_window_raw
@@ -121,12 +123,31 @@ PARAM_NAMES = (
 ANSWER_ONLY_PARAMS = ("W_a", "b_a")
 
 
+QKV_NAMES = ("W_q", "W_k", "W_val")
+
+
 @dataclass
 class ModelParams:
-    """Named parameter arrays plus the fixed softmax temperature."""
+    """Named parameter arrays plus the fixed softmax temperature.
+
+    W_q, W_k and W_val are kept as column views of one (width, 3 width)
+    buffer, so the engine reads [W_q | W_k | W_val] without a copy; in-place
+    updates of the views (Adam, tests) update the buffer too.
+    """
 
     arrays: dict[str, np.ndarray]
     config: ModelConfig
+    # (buffer, its three views) while arrays still holds those views
+    _qkv: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        w = self.config.width
+        parts = [self.arrays.get(name) for name in QKV_NAMES]
+        if all(p is not None and p.shape == (w, w) for p in parts):
+            fused = np.concatenate(parts, axis=1)
+            views = tuple(fused[:, j * w:(j + 1) * w] for j in range(3))
+            self.arrays.update(zip(QKV_NAMES, views))
+            self._qkv = (fused, views)
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.arrays[name]
@@ -231,118 +252,443 @@ def load_checkpoint(path: str | Path) -> ModelParams:
     return params
 
 
-# --- forward ------------------------------------------------------------------
+# --- the engine -----------------------------------------------------------------
 #
-# One encoder, in stages: _encode_frames (projection and frame self-attention),
-# _ground (grounding head -> mask parameters), _pool (mask-scaled attention and
-# attention pooling) and _cosine_scores. _forward composes all of them for the
-# losses, backprop and prediction; encode_video and predict_gaussian are the
-# partial compositions.
+# Every entry point runs one engine over packed episodes: frames (b, n, d_v),
+# questions (b, d_t), answers and candidate questions (b, A, d_t). _chunks
+# buckets the caller's episodes by (n_frames, n_answers), in order of first
+# appearance, and cuts each bucket into chunks of at most CHUNK_FRAMES frames
+# (at least one episode). A chunk runs the stages
+# _encode_frames (projection and frame self-attention), _ground (grounding
+# head -> mask parameters), _pool (mask-scaled attention and attention
+# pooling) and _cosine_scores; _backward reverses them. A lone episode is a
+# chunk of one, packed as views of its own arrays.
 
-def _softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
-    e = np.exp(z - z.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
-
-
-def _sigmoid(z: float) -> float:
-    if z >= 0:
-        return 1.0 / (1.0 + math.exp(-z))
-    ez = math.exp(z)
-    return ez / (1.0 + ez)
+# frames per chunk: 8 episodes at 32 frames, 2 at 128. Larger chunks fall
+# out of cache and raise peak memory (sweep in CHANGES.md).
+CHUNK_FRAMES = 256
 
 
-def _encode_frames(params: ModelParams, episode: Episode) -> dict:
-    """Projected frames X, their query/key/value maps and the row-softmax
-    self-attention weights S."""
+class ZeroNorm(ValueError):
+    """A cosine operand has zero norm, so its score is undefined."""
+
+
+@dataclass
+class _Chunk:
+    """Packed episodes of one (n_frames, n_answers) bucket."""
+
+    index: list[int]          # positions in the caller's sequence
+    episodes: list[Episode]
+    F: np.ndarray             # (b, n, d_v)
+    q: np.ndarray             # (b, d_t)
+    answers: np.ndarray       # (b, A, d_t)
+
+    def where(self, j: int) -> str:
+        return (f"episode {self.episodes[j].question_id!r} "
+                f"(position {self.index[j]} of the batch)")
+
+
+def _chunks(params: ModelParams, episodes: Sequence[Episode]) -> Iterator[_Chunk]:
+    """The episodes' chunks, each packed only when it is reached."""
+    d_v, d_t = params.config.d_v, params.config.d_t
+    for ep in episodes:
+        if ep.frames.shape[1] != d_v or ep.question.shape[0] != d_t:
+            raise ShapeMismatch(
+                f"episode {ep.question_id!r} has frames dim {ep.frames.shape[1]} and "
+                f"question dim {ep.question.shape[0]}, the model needs {d_v} and {d_t}"
+            )
+    if len(episodes) == 1:
+        # a lone episode is packed as views of its own arrays
+        ep = episodes[0]
+        yield _Chunk([0], [ep], ep.frames[None], ep.question[None], ep.answers[None])
+        return
+    buckets: dict[tuple[int, int], list[int]] = {}
+    for i, ep in enumerate(episodes):
+        buckets.setdefault((ep.n_frames, ep.n_answers), []).append(i)
+    for (n, _), index in buckets.items():
+        size = max(1, CHUNK_FRAMES // n)
+        for lo in range(0, len(index), size):
+            part = index[lo:lo + size]
+            eps = [episodes[i] for i in part]
+            yield _Chunk(part, eps, np.stack([ep.frames for ep in eps]),
+                         np.stack([ep.question for ep in eps]),
+                         np.stack([ep.answers for ep in eps]))
+
+
+def _qkv_weight(params: ModelParams) -> np.ndarray:
+    """[W_q | W_k | W_val]: the query, key and value maps as one GEMM. The
+    params' own buffer while the arrays are still its views, else a copy."""
     P = params.arrays
-    F = episode.frames
-    if F.shape[1] != params.config.d_v:
-        raise ShapeMismatch(f"frames dim {F.shape[1]} != d_v {params.config.d_v}")
-    X = F @ P["W_v"] + P["b_v"]
-    Qm = X @ P["W_q"]
-    Km = X @ P["W_k"]
-    Vm = X @ P["W_val"]
-    S = _softmax(Qm @ Km.T / math.sqrt(params.config.width), axis=1)
+    if params._qkv is not None:
+        fused, (q, k, v) = params._qkv
+        if (P["W_q"] is q and P["W_k"] is k and P["W_val"] is v
+                and q.base is fused and k.base is fused and v.base is fused):
+            return fused
+    return np.concatenate([P[name] for name in QKV_NAMES], axis=1)
+
+
+def _softmax(z: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, computed in z's own buffer (callers pass a
+    temporary): the (b, n, n) attention stays one allocation."""
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
+
+
+@functools.lru_cache(maxsize=64)
+def _positions(n_frames: int) -> np.ndarray:
+    """frame_positions(n_frames), computed once per frame count (read-only)."""
+    x = frame_positions(n_frames)
+    x.flags.writeable = False
+    return x
+
+
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    # the tanh form neither overflows nor warns at any z
+    return 0.5 * np.tanh(0.5 * z) + 0.5
+
+
+def _encode_frames(params: ModelParams, F: np.ndarray, W_qkv: np.ndarray) -> dict:
+    """Projected frames X (flat), their query/key/value maps and the
+    row-softmax self-attention weights S."""
+    P = params.arrays
+    b, n, d_v = F.shape
+    w = params.config.width
+    X = F.reshape(b * n, d_v) @ P["W_v"]
+    X += P["b_v"]
+    QKV = (X @ W_qkv).reshape(b, n, 3 * w)
+    Qm, Km, Vm = QKV[..., :w], QKV[..., w:2 * w], QKV[..., 2 * w:]
+    Z = Qm @ Km.transpose(0, 2, 1)
+    Z /= math.sqrt(w)
+    S = _softmax(Z)
     return {"X": X, "Qm": Qm, "Km": Km, "Vm": Vm, "S": S}
 
 
-def _ground(params: ModelParams, enc: dict, episode: Episode) -> dict:
+def _ground(params: ModelParams, enc: dict, q: np.ndarray) -> dict:
     """Grounding head: question-conditioned attention over the unmasked tokens,
     read out through squashed projections into mu in [0, 1] and
     sigma in [SIGMA_MIN, 1]."""
     P = params.arrays
-    if episode.question.shape[0] != params.config.d_t:
-        raise ShapeMismatch(f"question dim {episode.question.shape[0]} != d_t {params.config.d_t}")
+    n = enc["Vm"].shape[1]
     H0 = enc["S"] @ enc["Vm"]
-    qv = episode.question @ P["W_t"] + P["b_t"]
-    Kg = H0 @ P["W_g"]
-    alpha = _softmax(Kg @ qv)
-    c = alpha @ H0
-    x = frame_positions(episode.n_frames)
-    m1 = float(alpha @ x)
-    m2 = float(alpha @ (x - m1) ** 2)
-    mu = _sigmoid(float(P["w_mu"] @ c + P["a_mu"] * m1 + P["b_mu"]))
-    sg_inner = _sigmoid(float(P["w_sg"] @ c + P["a_sg"] * m2 + P["b_sg"]))
+    qv = q @ P["W_t"] + P["b_t"]
+    # logits (H0 W_g) qv, contracted as H0 (W_g qv): no (n, w) key map
+    g = qv @ P["W_g"].T
+    alpha = _softmax((H0 @ g[:, :, None])[..., 0])
+    c = (alpha[:, None, :] @ H0)[:, 0]
+    x = _positions(n)
+    m1 = alpha @ x
+    dx = x - m1[:, None]
+    m2 = (alpha * dx**2).sum(axis=1)
+    mu = _sigmoid(c @ P["w_mu"] + P["a_mu"] * m1 + P["b_mu"])
+    sg_inner = _sigmoid(c @ P["w_sg"] + P["a_sg"] * m2 + P["b_sg"])
     sigma = SIGMA_MIN + (1.0 - SIGMA_MIN) * sg_inner
-    return {"H0": H0, "qv": qv, "Kg": Kg, "alpha": alpha, "c": c, "x": x,
+    return {"H0": H0, "qv": qv, "g": g, "alpha": alpha, "c": c, "x": x, "dx": dx,
             "m1": m1, "m2": m2, "mu": mu, "sg_inner": sg_inner, "sigma": sigma}
 
 
 def _pool(params: ModelParams, enc: dict, G: np.ndarray) -> dict:
     """Attention with post-softmax per-key weights G (rows are not
     re-normalized), pooled by a learned query. The pooling softmax `trace`
-    sums to 1 and serves as the post-hoc localization signal."""
-    M = enc["S"] * G[None, :]
-    H1 = M @ enc["Vm"]
+    sums to 1 and serves as the post-hoc localization signal.
+
+    (S * G) @ Vm is computed as S @ (G * Vm): the mask scales n x width
+    values instead of n x n attention weights."""
+    GV = G[:, :, None] * enc["Vm"]
+    H1 = enc["S"] @ GV
     trace = _softmax(H1 @ params.arrays["u"])
-    return {"G": G, "M": M, "H1": H1, "trace": trace, "v_t": trace @ H1}
+    return {"G": G, "GV": GV, "H1": H1, "trace": trace,
+            "v_t": (trace[:, None, :] @ H1)[:, 0]}
 
 
-def _cosine_scores(rows: np.ndarray, vec: np.ndarray, temperature: float) -> dict:
-    """score_j = cos(rows_j, vec) / T, with the norms the backward pass needs."""
-    row_norms = np.linalg.norm(rows, axis=1)
-    vec_norm = float(np.linalg.norm(vec))
-    cos = (rows @ vec) / (row_norms * vec_norm)
+def _cosine_scores(rows: np.ndarray, vec: np.ndarray, temperature: float,
+                   chunk: _Chunk, rows_name: str, vec_name: str) -> dict:
+    """score_jk = cos(rows_jk, vec_j) / T, with the norms the backward pass
+    needs. A zero-norm operand raises ZeroNorm naming it and its episode."""
+    row_norms = np.sqrt((rows * rows).sum(axis=-1))
+    vec_norm = np.sqrt((vec[:, None, :] @ vec[:, :, None])[:, 0, 0])
+    denom = row_norms * vec_norm[:, None]
+    if np.count_nonzero(denom) < denom.size:
+        j, k = np.argwhere(denom == 0)[0]
+        what = f"{vec_name}" if vec_norm[j] == 0 else f"{rows_name} {k}"
+        raise ZeroNorm(f"zero-norm {what} in {chunk.where(int(j))}")
+    cos = (rows @ vec[:, :, None])[..., 0] / denom
     return {"row_norms": row_norms, "vec_norm": vec_norm, "cos": cos,
             "scores": cos / temperature}
 
 
-def _forward(params: ModelParams, episode: Episode) -> dict:
-    """Full forward pass; returns every intermediate needed for backprop.
+def _forward(params: ModelParams, chunk: _Chunk, W_qkv: np.ndarray) -> dict:
+    """Full forward pass of a chunk; returns every intermediate of backprop.
 
-    "mask" is None when the head's output is NaN (non-finite parameters):
-    the frame weights are then NaN too, so the failure reaches the loss,
-    where the trainer reports it, instead of raising in GaussianMask.
+    A NaN head output (non-finite parameters) gives NaN frame weights, so
+    the failure reaches the loss, where the trainer reports it, instead of
+    raising in GaussianMask.
     """
     P = params.arrays
-    enc = _encode_frames(params, episode)
-    head = _ground(params, enc, episode)
-    mask = None
-    if math.isfinite(head["mu"]) and math.isfinite(head["sigma"]):
-        mask = GaussianMask(head["mu"], head["sigma"])
-        G = mask_weights(mask, episode.grid)
-    else:
-        G = np.full(episode.n_frames, np.nan)
-    pool = _pool(params, enc, G)
-    f = pool["v_t"] + head["qv"]
-    B = episode.answers @ P["W_a"] + P["b_a"]
-    return {**enc, **head, **pool, "mask": mask, "f": f, "B": B,
-            "answer": _cosine_scores(B, f, params.temperature)}
+    cache = _encode_frames(params, chunk.F, W_qkv)
+    cache.update(_ground(params, cache, chunk.q))
+    G = gaussian_weights(cache["x"], cache["mu"][:, None], cache["sigma"][:, None])
+    cache.update(_pool(params, cache, G))
+    f = cache["v_t"] + cache["qv"]
+    b, A, d_t = chunk.answers.shape
+    B = (chunk.answers.reshape(b * A, d_t) @ P["W_a"] + P["b_a"]).reshape(b, A, -1)
+    cache.update(f=f, B=B, answer=_cosine_scores(B, f, params.temperature, chunk,
+                                                 "answer row", "fused vector"))
+    return cache
 
+
+def _ce_from_scores(scores: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row cross-entropy and its gradient wrt the scores."""
+    p = _softmax(scores.copy())
+    rows = np.arange(len(target))
+    # clip only inside the log; the gradient stays exact
+    loss = -np.log(np.maximum(p[rows, target], 1e-300))
+    p[rows, target] -= 1.0
+    return loss, p
+
+
+def _candidate_questions(
+    chunk: _Chunk,
+    pos_question: Sequence[np.ndarray | None],
+    neg_questions: Sequence[Sequence[np.ndarray] | None],
+) -> np.ndarray:
+    """(b, A, d_t): per episode, the positive question (its own or the given
+    variant) followed by its A - 1 negatives."""
+    b, A, d_t = chunk.answers.shape
+    Qc = np.empty((b, A, d_t))
+    for j, (i, ep) in enumerate(zip(chunk.index, chunk.episodes)):
+        negs = ep.neg_questions if neg_questions[i] is None else neg_questions[i]
+        if len(negs) != A - 1:
+            raise NegativeCountMismatch(
+                f"need {A - 1} negative questions, got {len(negs)} for {chunk.where(j)}"
+            )
+        pos = ep.question if pos_question[i] is None else np.asarray(pos_question[i], dtype=float)
+        if pos.shape != ep.question.shape:
+            raise ShapeMismatch(f"positive question dim mismatch for {chunk.where(j)}")
+        Qc[j, 0] = pos
+        Qc[j, 1:] = negs
+    return Qc
+
+
+def _outer2(a1: np.ndarray, a2: np.ndarray, b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
+    """a1 (x) b1 + a2 (x) b2 per batch row: (b, n) and (b, w) -> (b, n, w)."""
+    return np.stack((a1, a2), axis=2) @ np.stack((b1, b2), axis=1)
+
+
+def _softmax_backward(y: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Jacobian-vector product for y = softmax(z) over the last axis: dz from dy."""
+    return y * (dy - (dy * y).sum(axis=-1, keepdims=True))
+
+
+def _cosine_backward(
+    dscore: np.ndarray, rows: np.ndarray, vec: np.ndarray, fwd: dict, temperature: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Backward through fwd = _cosine_scores(rows, vec): returns (dvec, drows)."""
+    vec_norm, row_norms, cos = fwd["vec_norm"], fwd["row_norms"], fwd["cos"]
+    u_vec = vec / vec_norm[:, None]
+    u_rows = rows / row_norms[..., None]
+    coef = dscore / temperature
+    dvec = ((coef[:, None, :] @ u_rows)[:, 0]
+            - (coef * cos).sum(axis=1)[:, None] * u_vec) / vec_norm[:, None]
+    drows = coef[..., None] * (u_vec[:, None, :] - cos[..., None] * u_rows) / row_norms[..., None]
+    return dvec, drows
+
+
+def _backward(params: ModelParams, chunk: _Chunk, cache: dict, W_qkv: np.ndarray,
+              d_vt: np.ndarray, d_qv: np.ndarray, grads: dict[str, np.ndarray]) -> None:
+    """Adds the chunk's gradients below the pooled vector v_t and the projected
+    question qv into grads; grads["W_qkv"] collects [W_q | W_k | W_val]'s.
+
+    dQ, dK and dV are written into one (b, n, 3 width) buffer, and the large
+    temporaries are dropped after their last use, so the chunk's peak memory
+    stays near its forward cache."""
+    P = params.arrays
+    S, G, Vm = cache["S"], cache["G"], cache["Vm"]
+    H0, H1 = cache["H0"], cache["H1"]
+    alpha, trace = cache["alpha"], cache["trace"]
+    b, n, w = Vm.shape
+
+    # pooling: v_t = trace @ H1, trace = softmax(H1 @ u)
+    dp = _softmax_backward(trace, (H1 @ d_vt[:, :, None])[..., 0])
+    # the two outer products trace (x) d_vt + dp (x) u as one product over a
+    # length-2 axis, which is faster than two broadcasts
+    dH1 = _outer2(trace, dp, d_vt, np.broadcast_to(P["u"], d_vt.shape))
+    grads["u"] += H1.reshape(b * n, w).T @ dp.reshape(b * n)
+
+    # H1 = S @ GV, GV = G * Vm
+    dS = dH1 @ cache["GV"].transpose(0, 2, 1)
+    dQKV = np.empty((b, n, 3 * w))
+    dVm = dQKV[..., 2 * w:]
+    np.matmul(S.transpose(0, 2, 1), dH1, out=dVm)  # dGV until scaled by G
+    del dH1
+    dG = (dVm * Vm).sum(axis=2)
+    dVm *= G[:, :, None]
+
+    # Gaussian weights -> (mu, sigma) -> (z_mu, z_sg)
+    mu, sg_inner = cache["mu"], cache["sg_inner"]
+    d_mu, d_sigma = gaussian_gradients(cache["x"], mu[:, None], cache["sigma"][:, None], G, dG)
+    dz_mu = d_mu * mu * (1.0 - mu)
+    dz_sg = d_sigma * (1.0 - SIGMA_MIN) * sg_inner * (1.0 - sg_inner)
+
+    # z_mu = w_mu.c + a_mu m1 + b_mu ; z_sg = w_sg.c + a_sg m2 + b_sg
+    c, m1, m2 = cache["c"], cache["m1"], cache["m2"]
+    grads["w_mu"] += dz_mu @ c
+    grads["a_mu"] += dz_mu @ m1
+    grads["b_mu"] += dz_mu.sum()
+    grads["w_sg"] += dz_sg @ c
+    grads["a_sg"] += dz_sg @ m2
+    grads["b_sg"] += dz_sg.sum()
+    dc = dz_mu[:, None] * P["w_mu"] + dz_sg[:, None] * P["w_sg"]
+    dm1 = dz_mu * P["a_mu"]
+    dm2 = dz_sg * P["a_sg"]
+
+    # m2 = sum alpha (x - m1)^2 ; m1 = alpha . x
+    dx = cache["dx"]
+    d_alpha = dm2[:, None] * dx**2
+    dm1 = dm1 + dm2 * (-2.0 * (alpha * dx).sum(axis=1))  # analytically 0; kept exact
+    d_alpha += dm1[:, None] * cache["x"]
+
+    # c = alpha @ H0; alpha = softmax(e), e = H0 @ g, g = W_g qv
+    d_alpha += (H0 @ dc[:, :, None])[..., 0]
+    de = _softmax_backward(alpha, d_alpha)
+    dH0 = _outer2(alpha, de, dc, cache["g"])
+    dg = (de[:, None, :] @ H0)[:, 0]
+    grads["W_g"] += dg.T @ cache["qv"]
+    d_qv += dg @ P["W_g"]
+
+    # H0 = S @ Vm
+    dS += dH0 @ Vm.transpose(0, 2, 1)
+    dVm += S.transpose(0, 2, 1) @ dH0
+    del dH0
+
+    # S = softmax(Qm Km^T / sqrt(w), rows)
+    dS -= (dS * S).sum(axis=-1, keepdims=True)
+    dZ = dS
+    dZ *= S
+    np.matmul(dZ, cache["Km"], out=dQKV[..., :w])
+    np.matmul(dZ.transpose(0, 2, 1), cache["Qm"], out=dQKV[..., w:2 * w])
+    del dZ, dS
+    dQKV[..., :2 * w] *= 1.0 / math.sqrt(w)
+    dQKV = dQKV.reshape(b * n, 3 * w)
+
+    # QKV = X [W_q | W_k | W_val], X = F W_v + b_v. dX = dQKV [..]^T is never
+    # formed: F^T dX = (F^T dQKV) [..]^T is the cheaper order
+    grads["W_qkv"] += cache["X"].T @ dQKV
+    grads["W_v"] += (chunk.F.reshape(b * n, -1).T @ dQKV) @ W_qkv.T
+    grads["b_v"] += dQKV.sum(axis=0) @ W_qkv.T
+
+    # qv = question W_t + b_t (d_qv accumulated from fusion + grounding head)
+    grads["W_t"] += chunk.q.T @ d_qv
+    grads["b_t"] += d_qv.sum(axis=0)
+
+
+def _chunk_objective(
+    params: ModelParams,
+    chunk: _Chunk,
+    W_qkv: np.ndarray,
+    answer_term: bool,
+    scale: float,
+    pos_question: Sequence[np.ndarray | None],
+    neg_questions: Sequence[Sequence[np.ndarray] | None],
+    grads: dict[str, np.ndarray] | None,
+) -> float | None:
+    """The chunk's summed loss: the answer term if answer_term, plus scale
+    times the grounding term. Adds the gradients into grads unless it is
+    None. Returns None for a non-finite head output."""
+    P = params.arrays
+    T = params.temperature
+    cache = _forward(params, chunk, W_qkv)
+    if not math.isfinite(cache["mu"].sum() + cache["sigma"].sum()):
+        return None
+    b, A, d_t = chunk.answers.shape
+    w = params.config.width
+    loss = 0.0
+    if answer_term:
+        correct = np.array([ep.correct for ep in chunk.episodes])
+        loss_a, dscore = _ce_from_scores(cache["answer"]["scores"], correct)
+        loss = loss_a
+    if scale != 0.0:
+        Qc = _candidate_questions(chunk, pos_question, neg_questions)
+        R = (Qc.reshape(b * A, d_t) @ P["W_t"] + P["b_t"]).reshape(b, A, w)
+        g = _cosine_scores(R, cache["v_t"], T, chunk, "candidate question", "pooled vector")
+        loss_g, dgscore = _ce_from_scores(g["scores"], np.zeros(b, dtype=int))
+        loss = loss + scale * loss_g
+    if grads is None:
+        return float(np.sum(loss))
+
+    d_vt = np.zeros((b, w))
+    d_qv = np.zeros((b, w))
+    if answer_term:
+        df, dB = _cosine_backward(dscore, cache["B"], cache["f"], cache["answer"], T)
+        grads["W_a"] += chunk.answers.reshape(b * A, d_t).T @ dB.reshape(b * A, w)
+        grads["b_a"] += dB.sum(axis=(0, 1))
+        d_vt += df
+        d_qv += df
+    if scale != 0.0:
+        dv, dR = _cosine_backward(dgscore * scale, R, cache["v_t"], g, T)
+        d_vt += dv
+        grads["W_t"] += Qc.reshape(b * A, d_t).T @ dR.reshape(b * A, w)
+        grads["b_t"] += dR.sum(axis=(0, 1))
+    _backward(params, chunk, cache, W_qkv, d_vt, d_qv, grads)
+    return float(np.sum(loss))
+
+
+def _objective(
+    params: ModelParams,
+    episodes: Sequence[Episode],
+    objective: str,
+    alpha: float,
+    pos_question: Sequence[np.ndarray | None],
+    neg_questions: Sequence[Sequence[np.ndarray] | None],
+    backward: bool,
+) -> tuple[float, dict[str, np.ndarray] | None]:
+    """Summed loss over the episodes and, when backward, summed gradients."""
+    if objective not in ("ng", "ground", "ng+"):
+        raise ValueError(f"unknown objective {objective!r}")
+    P = params.arrays
+    w = params.config.width
+    answer_term = objective in ("ng", "ng+")
+    scale = {"ng": 0.0, "ground": 1.0, "ng+": alpha}[objective]
+    W_qkv = _qkv_weight(params)
+    grads = None
+    if backward:
+        grads = {name: np.zeros_like(arr) for name, arr in P.items()}
+        grads["W_qkv"] = np.zeros_like(W_qkv)
+    total = 0.0
+    for chunk in _chunks(params, episodes):
+        loss = _chunk_objective(params, chunk, W_qkv, answer_term, scale,
+                                pos_question, neg_questions, grads)
+        if loss is None:
+            # NaN head output: the loss and every gradient are NaN
+            return math.nan, ({name: np.full_like(arr, np.nan) for name, arr in P.items()}
+                              if backward else None)
+        total += loss
+    if backward:
+        g_qkv = grads.pop("W_qkv")
+        grads["W_q"] = g_qkv[:, :w].copy()
+        grads["W_k"] = g_qkv[:, w:2 * w].copy()
+        grads["W_val"] = g_qkv[:, 2 * w:].copy()
+    return total, grads
+
+
+# --- public entry points: each is one engine call -------------------------------
 
 def encode_video(
     params: ModelParams, episode: Episode, mask: GaussianMask | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pooled video vector and pooling attention trace under an optional mask."""
-    G = np.ones(episode.n_frames) if mask is None else mask_weights(mask, episode.grid)
-    pool = _pool(params, _encode_frames(params, episode), G)
-    return pool["v_t"], pool["trace"]
+    (chunk,) = _chunks(params, [episode])
+    G = np.ones((1, episode.n_frames)) if mask is None else mask_weights(mask, episode.grid)[None]
+    pool = _pool(params, _encode_frames(params, chunk.F, _qkv_weight(params)), G)
+    return pool["v_t"][0], pool["trace"][0]
 
 
 def predict_gaussian(params: ModelParams, episode: Episode) -> GaussianMask:
     """The grounding head's mask for this episode (deterministic)."""
-    head = _ground(params, _encode_frames(params, episode), episode)
-    return GaussianMask(head["mu"], head["sigma"])
+    (chunk,) = _chunks(params, [episode])
+    head = _ground(params, _encode_frames(params, chunk.F, _qkv_weight(params)), chunk.q)
+    return GaussianMask(head["mu"][0], head["sigma"][0])
 
 
 def fuse_windows(gauss_win: TemporalSegment, attn_win: TemporalSegment) -> TemporalSegment:
@@ -354,47 +700,9 @@ def fuse_windows(gauss_win: TemporalSegment, attn_win: TemporalSegment) -> Tempo
     return attn_win
 
 
-# --- losses ---------------------------------------------------------------------
-
-def _ce_from_scores(scores: np.ndarray, target: int) -> tuple[float, np.ndarray]:
-    """Cross-entropy and its gradient wrt the scores."""
-    p = _softmax(scores)
-    # clip only inside the log; the gradient stays exact
-    loss = -math.log(max(float(p[target]), 1e-300))
-    grad = p.copy()
-    grad[target] -= 1.0
-    return loss, grad
-
-
-def _candidate_questions(
-    episode: Episode,
-    pos_question: np.ndarray | None,
-    neg_questions: Sequence[np.ndarray] | None,
-) -> np.ndarray:
-    negs = list(neg_questions) if neg_questions is not None else list(episode.neg_questions)
-    if len(negs) != episode.n_answers - 1:
-        raise NegativeCountMismatch(
-            f"need {episode.n_answers - 1} negative questions, got {len(negs)}"
-        )
-    pos = episode.question if pos_question is None else np.asarray(pos_question, dtype=float)
-    if pos.shape != episode.question.shape:
-        raise ShapeMismatch("positive question dim mismatch")
-    return np.stack([pos] + [np.asarray(v, dtype=float) for v in negs])
-
-
-def _grounding_scores(
-    params: ModelParams, v_t: np.ndarray, Q_cand: np.ndarray
-) -> tuple[np.ndarray, dict]:
-    """Projected candidate questions R and their cosine scores against v_t."""
-    R = Q_cand @ params.arrays["W_t"] + params.arrays["b_t"]
-    return R, _cosine_scores(R, v_t, params.temperature)
-
-
 def ng_loss(params: ModelParams, episode: Episode) -> float:
     """Answer cross-entropy under the predicted Gaussian mask."""
-    cache = _forward(params, episode)
-    loss, _ = _ce_from_scores(cache["answer"]["scores"], episode.correct)
-    return loss
+    return _objective(params, [episode], "ng", 0.0, [None], [None], backward=False)[0]
 
 
 def grounding_loss(
@@ -404,11 +712,8 @@ def grounding_loss(
     neg_questions: Sequence[np.ndarray] | None = None,
 ) -> float:
     """Question-classification cross-entropy against the masked video vector."""
-    cache = _forward(params, episode)
-    Q_cand = _candidate_questions(episode, pos_question, neg_questions)
-    _, g = _grounding_scores(params, cache["v_t"], Q_cand)
-    loss, _ = _ce_from_scores(g["scores"], 0)
-    return loss
+    return _objective(params, [episode], "ground", 1.0, [pos_question], [neg_questions],
+                      backward=False)[0]
 
 
 def ngplus_loss(
@@ -419,171 +724,41 @@ def ngplus_loss(
     neg_questions: Sequence[np.ndarray] | None = None,
 ) -> float:
     """ng_loss + alpha * grounding_loss (alpha=0 collapses to ng_loss)."""
-    cache = _forward(params, episode)
-    loss, _ = _ce_from_scores(cache["answer"]["scores"], episode.correct)
-    if alpha != 0.0:
-        Q_cand = _candidate_questions(episode, pos_question, neg_questions)
-        _, g = _grounding_scores(params, cache["v_t"], Q_cand)
-        g_loss, _ = _ce_from_scores(g["scores"], 0)
-        loss += alpha * g_loss
-    return loss
-
-
-# --- backward -------------------------------------------------------------------
-
-def _softmax_backward(y: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """Jacobian-vector product for y = softmax(z): dz from dy."""
-    if y.ndim == 1:
-        return y * (dy - float(dy @ y))
-    dot = (dy * y).sum(axis=1, keepdims=True)
-    return y * (dy - dot)
-
-
-def _cosine_backward(
-    dscore: np.ndarray, rows: np.ndarray, vec: np.ndarray, fwd: dict, temperature: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Backward through fwd = _cosine_scores(rows, vec): returns (dvec, drows)."""
-    vec_norm, row_norms, cos = fwd["vec_norm"], fwd["row_norms"], fwd["cos"]
-    u_vec = vec / vec_norm
-    u_rows = rows / row_norms[:, None]
-    coef = dscore / temperature
-    dvec = (coef[:, None] * (u_rows - cos[:, None] * u_vec[None, :])).sum(axis=0) / vec_norm
-    drows = coef[:, None] * (u_vec[None, :] - cos[:, None] * u_rows) / row_norms[:, None]
-    return dvec, drows
+    return _objective(params, [episode], "ng+", alpha, [pos_question], [neg_questions],
+                      backward=False)[0]
 
 
 def loss_and_gradients(
     params: ModelParams,
-    episode: Episode,
+    episodes: Episode | Sequence[Episode],
     objective: str = "ng",
     alpha: float = 1.0,
-    pos_question: np.ndarray | None = None,
-    neg_questions: Sequence[np.ndarray] | None = None,
+    pos_question: np.ndarray | Sequence[np.ndarray | None] | None = None,
+    neg_questions: Sequence[np.ndarray] | Sequence[Sequence[np.ndarray] | None] | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Loss and full parameter gradients for one episode.
+    """Loss and full parameter gradients, for one episode or summed over many.
 
     objective: "ng" (answer CE), "ground" (grounding CE only, the stage-1
     pretraining term), or "ng+" (answer CE + alpha * grounding CE).
+
+    With one Episode, pos_question is its positive question variant and
+    neg_questions its list of negatives (None: the episode's own). With a
+    sequence of episodes both are per-episode sequences of those, or None
+    for every episode's own.
     """
-    if objective not in ("ng", "ground", "ng+"):
-        raise ValueError(f"unknown objective {objective!r}")
-    P = params.arrays
-    cache = _forward(params, episode)
-    if cache["mask"] is None:
-        # NaN head output: the loss and every gradient are NaN
-        return math.nan, {name: np.full_like(arr, np.nan) for name, arr in P.items()}
-    w = params.config.width
-    x = cache["x"]
-    S, G, Vm = cache["S"], cache["G"], cache["Vm"]
-    H0, H1, M = cache["H0"], cache["H1"], cache["M"]
-    alpha_att = cache["alpha"]
-    trace = cache["trace"]
-
-    grads = {name: np.zeros_like(arr) for name, arr in P.items()}
-    d_vt = np.zeros(w)
-    d_qv = np.zeros(w)
-    total = 0.0
-
-    # answer term
-    if objective in ("ng", "ng+"):
-        loss_a, dscore = _ce_from_scores(cache["answer"]["scores"], episode.correct)
-        total += loss_a
-        df, dB = _cosine_backward(
-            dscore, cache["B"], cache["f"], cache["answer"], params.temperature
-        )
-        grads["W_a"] += episode.answers.T @ dB
-        grads["b_a"] += dB.sum(axis=0)
-        d_vt += df
-        d_qv += df
-
-    # grounding term
-    if objective in ("ground", "ng+"):
-        scale = 1.0 if objective == "ground" else alpha
-        if scale != 0.0:
-            Q_cand = _candidate_questions(episode, pos_question, neg_questions)
-            R, g = _grounding_scores(params, cache["v_t"], Q_cand)
-            loss_g, dgscore = _ce_from_scores(g["scores"], 0)
-            total += scale * loss_g
-            dgscore = dgscore * scale
-            dv, dR = _cosine_backward(dgscore, R, cache["v_t"], g, params.temperature)
-            d_vt += dv
-            grads["W_t"] += Q_cand.T @ dR
-            grads["b_t"] += dR.sum(axis=0)
-
-    # pooling: v_t = trace @ H1, trace = softmax(H1 @ u)
-    d_trace = H1 @ d_vt
-    dH1 = np.outer(trace, d_vt)
-    dp = _softmax_backward(trace, d_trace)
-    dH1 += np.outer(dp, P["u"])
-    grads["u"] += H1.T @ dp
-
-    # H1 = (S * G) @ Vm
-    dM = dH1 @ Vm.T
-    dVm = M.T @ dH1
-    dS = dM * G[None, :]
-    dG = (dM * S).sum(axis=0)
-
-    # Gaussian weights -> (mu, sigma) -> (z_mu, z_sg)
-    d_mu, d_sigma = mask_gradients(cache["mask"], G, dG)
-    mu = cache["mu"]
-    dz_mu = d_mu * mu * (1.0 - mu)
-    dz_sg = d_sigma * (1.0 - SIGMA_MIN) * cache["sg_inner"] * (1.0 - cache["sg_inner"])
-
-    # z_mu = w_mu.c + a_mu m1 + b_mu ; z_sg = w_sg.c + a_sg m2 + b_sg
-    c = cache["c"]
-    m1, m2 = cache["m1"], cache["m2"]
-    grads["w_mu"] += dz_mu * c
-    grads["a_mu"] += dz_mu * m1
-    grads["b_mu"] += dz_mu
-    grads["w_sg"] += dz_sg * c
-    grads["a_sg"] += dz_sg * m2
-    grads["b_sg"] += dz_sg
-    dc = dz_mu * P["w_mu"] + dz_sg * P["w_sg"]
-    dm1 = dz_mu * float(P["a_mu"])
-    dm2 = dz_sg * float(P["a_sg"])
-
-    # m2 = sum alpha (x - m1)^2 ; m1 = alpha . x
-    d_alpha = dm2 * (x - m1) ** 2
-    dm1 += dm2 * float(-2.0 * (alpha_att @ (x - m1)))  # analytically 0; kept exact
-    d_alpha += dm1 * x
-
-    # c = alpha @ H0
-    d_alpha += H0 @ dc
-    dH0 = np.outer(alpha_att, dc)
-
-    # alpha = softmax(e), e = (H0 W_g) @ qv
-    de = _softmax_backward(alpha_att, d_alpha)
-    dKg = np.outer(de, cache["qv"])
-    d_qv += cache["Kg"].T @ de
-    dH0 += dKg @ P["W_g"].T
-    grads["W_g"] += H0.T @ dKg
-
-    # H0 = S @ Vm
-    dS += dH0 @ Vm.T
-    dVm += S.T @ dH0
-
-    # S = softmax(Qm Km^T / sqrt(w), rows)
-    dZ = _softmax_backward(S, dS)
-    scale_w = 1.0 / math.sqrt(w)
-    dQm = dZ @ cache["Km"] * scale_w
-    dKm = dZ.T @ cache["Qm"] * scale_w
-
-    # projections from X
-    X = cache["X"]
-    dX = dQm @ P["W_q"].T + dKm @ P["W_k"].T + dVm @ P["W_val"].T
-    grads["W_q"] += X.T @ dQm
-    grads["W_k"] += X.T @ dKm
-    grads["W_val"] += X.T @ dVm
-
-    # X = F W_v + b_v
-    grads["W_v"] += episode.frames.T @ dX
-    grads["b_v"] += dX.sum(axis=0)
-
-    # qv = question W_t + b_t (d_qv accumulated from fusion + grounding head)
-    grads["W_t"] += np.outer(episode.question, d_qv)
-    grads["b_t"] += d_qv
-
-    return total, grads
+    if isinstance(episodes, Episode):
+        episodes, pos_question, neg_questions = [episodes], [pos_question], [neg_questions]
+    else:
+        episodes = list(episodes)
+        pos_question = [None] * len(episodes) if pos_question is None else list(pos_question)
+        neg_questions = [None] * len(episodes) if neg_questions is None else list(neg_questions)
+        if not len(pos_question) == len(neg_questions) == len(episodes):
+            raise ValueError(
+                f"{len(episodes)} episodes, {len(pos_question)} positive questions, "
+                f"{len(neg_questions)} negative lists"
+            )
+    return _objective(params, episodes, objective, alpha, pos_question, neg_questions,
+                      backward=True)
 
 
 # --- inference -------------------------------------------------------------------
@@ -597,13 +772,13 @@ class EpisodePrediction:
     scores: np.ndarray
 
 
-def predict_episode(
+def predict_episodes(
     params: ModelParams,
-    episode: Episode,
+    episodes: Sequence[Episode],
     gamma: float = 1.0,
     window_source: str = "gauss",
-) -> EpisodePrediction:
-    """Answer choice plus grounded window for one episode, from one forward pass.
+) -> list[EpisodePrediction]:
+    """Answer choice plus grounded window for each episode, in input order.
 
     window_source names the one window that is built and returned:
       "gauss"  the mask's confidence interval (mu +- gamma*sigma) * duration;
@@ -613,23 +788,38 @@ def predict_episode(
     """
     if window_source not in ("gauss", "attn", "fused"):
         raise ValueError(f"unknown window_source {window_source!r}")
-    cache = _forward(params, episode)
-    # built from (mu, sigma) rather than cache["mask"] so that a NaN head
-    # output raises GaussianMask's ValueError here
-    mask = GaussianMask(cache["mu"], cache["sigma"])
-    trace = cache["trace"]
-    scores = cache["answer"]["scores"]
-    if window_source == "gauss":
-        window = confidence_interval(mask, episode.extent, gamma)
-    elif window_source == "attn":
-        window = extract_window_raw(trace, episode.grid)
-    else:
-        window = fuse_windows(confidence_interval(mask, episode.extent, gamma),
-                              extract_window_raw(trace, episode.grid))
-    return EpisodePrediction(
-        answer_index=int(np.argmax(scores)),
-        window=window,
-        mask=mask,
-        trace=trace,
-        scores=scores,
-    )
+    W_qkv = _qkv_weight(params)
+    out: list[EpisodePrediction | None] = [None] * len(episodes)
+    for chunk in _chunks(params, episodes):
+        cache = _forward(params, chunk, W_qkv)
+        scores_all = cache["answer"]["scores"]
+        for j, (i, ep) in enumerate(zip(chunk.index, chunk.episodes)):
+            # a NaN head output raises GaussianMask's ValueError here
+            mask = GaussianMask(cache["mu"][j], cache["sigma"][j])
+            trace, scores = cache["trace"][j], scores_all[j]
+            if window_source == "gauss":
+                window = confidence_interval(mask, ep.extent, gamma)
+            elif window_source == "attn":
+                window = extract_window_raw(trace, ep.grid)
+            else:
+                window = fuse_windows(confidence_interval(mask, ep.extent, gamma),
+                                      extract_window_raw(trace, ep.grid))
+            out[i] = EpisodePrediction(
+                answer_index=int(np.argmax(scores)),
+                window=window,
+                mask=mask,
+                trace=trace,
+                scores=scores,
+            )
+        del cache  # before the next chunk's forward
+    return out
+
+
+def predict_episode(
+    params: ModelParams,
+    episode: Episode,
+    gamma: float = 1.0,
+    window_source: str = "gauss",
+) -> EpisodePrediction:
+    """predict_episodes for one episode."""
+    return predict_episodes(params, [episode], gamma, window_source)[0]

@@ -25,18 +25,24 @@ class DegenerateTraceWarning(UserWarning):
 
 
 def smooth_scores(scores: np.ndarray, smooth_w: int) -> np.ndarray:
-    """Edge-truncated moving average; windows shrink at the boundaries."""
+    """Edge-truncated moving average; windows shrink at the boundaries.
+
+    One cumulative sum gives every window's sum. It runs on the scores minus
+    their first value, so a constant input stays exactly constant and the
+    rounding follows the spread of the scores rather than their size.
+    """
     if smooth_w < 1 or smooth_w % 2 == 0:
         raise ValueError(f"smooth_w must be odd and >= 1, got {smooth_w}")
-    if smooth_w == 1:
-        return np.asarray(scores, dtype=float).copy()
-    h = smooth_w // 2
+    scores = np.asarray(scores, dtype=float)
     n = len(scores)
-    out = np.empty(n)
-    for i in range(n):
-        lo, hi = max(0, i - h), min(n, i + h + 1)
-        out[i] = float(np.mean(scores[lo:hi]))
-    return out
+    if smooth_w == 1 or n == 0:
+        return scores.copy()
+    h = smooth_w // 2
+    ref = scores[0]
+    csum = np.concatenate(([0.0], np.cumsum(scores - ref)))
+    i = np.arange(n)
+    lo, hi = np.maximum(i - h, 0), np.minimum(i + h + 1, n)
+    return ref + (csum[hi] - csum[lo]) / (hi - lo)
 
 
 def _minmax(scores: np.ndarray) -> np.ndarray | None:

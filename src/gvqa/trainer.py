@@ -19,12 +19,13 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .metrics import GroundingLabel, Prediction, evaluate
-from .model import Episode, ModelParams, loss_and_gradients, predict_episode
+from .model import PARAM_NAMES, Episode, ModelParams, loss_and_gradients, predict_episodes
 from .synth import ConfigError, episodes_to_labels, split_by_video
 
 
 class NonFiniteLoss(RuntimeError):
-    """A batch produced NaN or infinity; training aborted."""
+    """A batch's loss or gradients were NaN or infinite; training aborted
+    before the update."""
 
 
 class InsufficientPool(UserWarning):
@@ -199,10 +200,8 @@ def _validate(
     gamma: float,
 ) -> dict:
     """Grounded-QA metrics of the episodes' predictions, as fractions."""
-    preds = []
-    for ep in episodes:
-        p = predict_episode(params, ep, gamma=gamma)
-        preds.append(Prediction(ep.question_id, p.answer_index, p.window))
+    preds = [Prediction(ep.question_id, p.answer_index, p.window)
+             for ep, p in zip(episodes, predict_episodes(params, episodes, gamma=gamma))]
     report = evaluate(preds, labels)
     # percent -> fraction; n * (100 / n) can round one ulp above 100
     return {k: min(getattr(report, k) / 100.0, 1.0)
@@ -277,29 +276,30 @@ def train(
             loss_sum = 0.0
             for lo in range(0, len(order), config.batch):
                 batch = [episodes[i] for i in order[lo:lo + config.batch]]
-                acc_grads = {k: np.zeros_like(v) for k, v in params.arrays.items()}
-                batch_loss = 0.0
-                for ep in batch:
-                    negs = None
-                    pos = None
-                    if objective in ("ground", "ng+"):
-                        negs = sample_negatives(pool, ep, need, config.p_same_video, rng)
+                # every draw comes before the engine call, in the per-episode
+                # order (negatives, then the positive swap), so the generator
+                # stream does not depend on how the engine batches
+                negs = pos = None
+                if objective in ("ground", "ng+"):
+                    negs, pos = [], []
+                    for ep in batch:
+                        negs.append(sample_negatives(pool, ep, need, config.p_same_video, rng))
+                        swap = None
                         if ep.pos_variants and rng.random() < config.p_pos_swap:
-                            pos = ep.pos_variants[int(rng.integers(len(ep.pos_variants)))]
-                    loss, grads = loss_and_gradients(
-                        params, ep, objective=objective, alpha=config.alpha,
-                        pos_question=pos, neg_questions=negs,
-                    )
-                    batch_loss += loss
-                    for k, g in grads.items():
-                        acc_grads[k] += g
+                            swap = ep.pos_variants[int(rng.integers(len(ep.pos_variants)))]
+                        pos.append(swap)
+                batch_loss, grads = loss_and_gradients(
+                    params, batch, objective=objective, alpha=config.alpha,
+                    pos_question=pos, neg_questions=negs,
+                )
+                where = f"epoch {epoch}, batch starting {lo}, stage {objective}"
                 if not math.isfinite(batch_loss):
-                    raise NonFiniteLoss(
-                        f"non-finite loss at epoch {epoch}, batch starting {lo} "
-                        f"(objective {objective})"
-                    )
+                    raise NonFiniteLoss(f"non-finite loss at {where}")
+                for name in PARAM_NAMES:
+                    if not np.all(np.isfinite(grads[name])):
+                        raise NonFiniteLoss(f"non-finite gradient {name} at {where}")
                 scale = 1.0 / len(batch)
-                adam.step({k: g * scale for k, g in acc_grads.items()})
+                adam.step({k: g * scale for k, g in grads.items()})
                 loss_sum += batch_loss
             val = _validate(params, val_episodes, val_labels, config.gamma)
             row = {"epoch": epoch, "stage": objective,

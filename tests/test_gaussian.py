@@ -10,8 +10,9 @@ from gvqa.gaussian import (
     GaussianMask,
     ShapeMismatch,
     confidence_interval,
+    frame_positions,
     frame_times,
-    mask_gradients,
+    gaussian_gradients,
     mask_weights,
 )
 from gvqa.model import Episode, ModelConfig, encode_video, init_params, predict_gaussian
@@ -124,6 +125,12 @@ class TestMaskWeights:
         assert np.all(np.diff(right) <= 1e-12)
 
 
+def mask_gradients(mask, weights, upstream):
+    """gaussian_gradients for one mask on its frame grid."""
+    return gaussian_gradients(frame_positions(len(weights)), mask.mu, mask.sigma,
+                              weights, np.asarray(upstream, dtype=float))
+
+
 class TestMaskGradients:
     def test_zero_upstream(self):
         mask = GaussianMask(0.3, 0.2)
@@ -162,6 +169,18 @@ class TestMaskGradients:
             fd_sigma = (loss(mu, sigma + eps) - loss(mu, sigma - eps)) / (2 * eps)
             assert d_mu == pytest.approx(fd_mu, rel=1e-4, abs=1e-8)
             assert d_sigma == pytest.approx(fd_sigma, rel=1e-4, abs=1e-8)
+
+    def test_batched_rows_match_one_mask_at_a_time(self):
+        # the engine's form: one (mu, sigma) per row against one grid
+        rng = np.random.default_rng(43)
+        x = frame_positions(12)
+        mu, sigma = rng.uniform(0.1, 0.9, size=(5, 1)), rng.uniform(0.05, 0.5, size=(5, 1))
+        weights = np.exp(-0.5 * ((x - mu) / sigma) ** 2)
+        up = rng.normal(size=(5, 12))
+        d_mu, d_sigma = gaussian_gradients(x, mu, sigma, weights, up)
+        for i in range(5):
+            one = mask_gradients(GaussianMask(mu[i, 0], sigma[i, 0]), weights[i], up[i])
+            assert (d_mu[i], d_sigma[i]) == pytest.approx(one, rel=1e-12)
 
 
 class TestConfidenceInterval:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -533,3 +534,187 @@ class TestPredictEpisode:
         assert np.array_equal(pred.trace, trace)
         assert np.array_equal(pred.scores, scores)
         assert pred.answer_index == int(np.argmax(scores))
+
+
+# --- the batched engine -----------------------------------------------------------
+
+def mixed_batch(rng, frames=(4, 6, 4, 4, 6, 4, 4), answers=(3, 3, 4, 3, 3, 4, 3)):
+    """Episodes of mixed frame and answer counts, with distinct question ids."""
+    return [dataclasses.replace(make_episode(rng, n=n, A=A), question_id=f"q{i}")
+            for i, (n, A) in enumerate(zip(frames, answers))]
+
+
+def summed_singles(params, episodes, objective, alpha, pos=None, negs=None):
+    """Loss and gradients summed over one-episode loss_and_gradients calls."""
+    total, grads = 0.0, {k: np.zeros_like(v) for k, v in params.arrays.items()}
+    for i, ep in enumerate(episodes):
+        loss, g = loss_and_gradients(
+            params, ep, objective=objective, alpha=alpha,
+            pos_question=None if pos is None else pos[i],
+            neg_questions=None if negs is None else negs[i],
+        )
+        total += loss
+        for k in grads:
+            grads[k] += g[k]
+    return total, grads
+
+
+def assert_same_sums(batched, singles):
+    (loss_b, grads_b), (loss_s, grads_s) = batched, singles
+    assert loss_b == pytest.approx(loss_s, rel=1e-12)
+    assert list(grads_b) == list(grads_s)
+    for name in grads_s:
+        scale = max(np.max(np.abs(grads_s[name])), 1e-300)
+        assert np.max(np.abs(grads_b[name] - grads_s[name])) <= 1e-12 * scale, name
+
+
+OBJECTIVES = [("ng", 0.0), ("ground", 0.0), ("ng+", 0.5)]
+
+
+class TestEngine:
+    @pytest.mark.parametrize("objective,alpha", OBJECTIVES)
+    def test_batched_matches_one_at_a_time(self, monkeypatch, objective, alpha):
+        # 7 episodes in three (frames, answers) buckets; 8 frames per chunk
+        # puts two 4-frame episodes in a chunk, so buckets span chunks
+        rng = np.random.default_rng(40)
+        params = init_params(SMALL, seed=40)
+        eps = mixed_batch(rng)
+        pos = [None, eps[1].question + 0.2 * rng.normal(size=6)] + [None] * 5
+        negs = [None] * 6 + [[rng.normal(size=6) for _ in range(2)]]
+        singles = summed_singles(params, eps, objective, alpha, pos, negs)
+        assert_same_sums(loss_and_gradients(params, eps, objective=objective, alpha=alpha,
+                                            pos_question=pos, neg_questions=negs), singles)
+        monkeypatch.setattr(model, "CHUNK_FRAMES", 8)
+        assert_same_sums(loss_and_gradients(params, eps, objective=objective, alpha=alpha,
+                                            pos_question=pos, neg_questions=negs), singles)
+
+    def test_chunks_bucket_by_shape_in_first_appearance_order(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        params = init_params(SMALL, seed=41)
+        monkeypatch.setattr(model, "CHUNK_FRAMES", 8)
+        chunks = list(model._chunks(params, mixed_batch(rng)))
+        assert [c.index for c in chunks] == [[0, 3], [6], [1], [4], [2, 5]]
+        assert [c.F.shape for c in chunks] == [(2, 4, 5), (1, 4, 5), (1, 6, 5), (1, 6, 5),
+                                              (2, 4, 5)]
+        assert [c.answers.shape[1] for c in chunks] == [3, 3, 3, 3, 4]
+
+    def test_lone_episode_is_packed_as_views(self):
+        rng = np.random.default_rng(42)
+        ep = make_episode(rng)
+        (chunk,) = model._chunks(init_params(SMALL, seed=42), [ep])
+        assert chunk.F.base is ep.frames and chunk.answers.base is ep.answers
+
+    @pytest.mark.parametrize("objective,alpha", OBJECTIVES)
+    def test_batched_gradients_match_finite_differences(self, objective, alpha):
+        # five-point central differences of the summed public losses, with
+        # criterion 4's bound, against one batched call with B = 3 and mixed
+        # frame and answer counts
+        rng = np.random.default_rng(43)
+        params = init_params(SMALL, seed=43)
+        for arr in params.arrays.values():
+            arr += 0.05 * rng.normal(size=arr.shape)
+        eps = mixed_batch(rng, frames=(4, 6, 4), answers=(3, 3, 4))
+        _, grads = loss_and_gradients(params, eps, objective=objective, alpha=alpha)
+        h = 1e-3
+        for name, arr in params.arrays.items():
+            for idx in np.ndindex(arr.shape):
+                orig = arr[idx]
+
+                def at(step):
+                    arr[idx] = orig + step
+                    return sum(objective_loss(params, ep, objective, alpha) for ep in eps)
+
+                fd = (8 * (at(h) - at(-h)) - (at(2 * h) - at(-2 * h))) / (12 * h)
+                arr[idx] = orig
+                a = grads[name][idx]
+                assert abs(a - fd) / max(abs(a), abs(fd), 1e-6) < 1e-4, (name, idx)
+
+    @pytest.mark.parametrize("source", ["gauss", "attn", "fused"])
+    def test_predict_episodes_equals_predict_episode(self, monkeypatch, source):
+        rng = np.random.default_rng(44)
+        params = init_params(SMALL, seed=44)
+        eps = mixed_batch(rng, frames=(16, 12, 16, 16, 12), answers=(3, 3, 4, 3, 3))
+        monkeypatch.setattr(model, "CHUNK_FRAMES", 32)
+        batched = model.predict_episodes(params, eps, gamma=0.8, window_source=source)
+        assert len(batched) == len(eps)
+        for ep, got in zip(eps, batched):
+            one = predict_episode(params, ep, gamma=0.8, window_source=source)
+            assert got.answer_index == one.answer_index
+            assert got.window.start == pytest.approx(one.window.start, abs=1e-9)
+            assert got.window.end == pytest.approx(one.window.end, abs=1e-9)
+            assert got.mask.mu == pytest.approx(one.mask.mu, abs=1e-12)
+            assert got.mask.sigma == pytest.approx(one.mask.sigma, abs=1e-12)
+            assert np.allclose(got.trace, one.trace, rtol=0, atol=1e-12)
+            assert np.allclose(got.scores, one.scores, rtol=0, atol=1e-12)
+
+    def test_nan_head_in_one_episode_gives_nan_sums(self):
+        # a non-finite frame in one episode of five: the summed loss and every
+        # gradient are NaN, for the trainer to report; no GaussianMask error
+        rng = np.random.default_rng(45)
+        params = init_params(SMALL, seed=45)
+        eps = mixed_batch(rng, frames=(4,) * 5, answers=(3,) * 5)
+        eps[3].frames[1, 2] = np.nan
+        loss, grads = loss_and_gradients(params, eps, objective="ng+", alpha=0.5)
+        assert math.isnan(loss)
+        assert all(np.all(np.isnan(g)) for g in grads.values())
+
+    def test_per_episode_overrides_must_match_the_batch(self):
+        rng = np.random.default_rng(46)
+        params = init_params(SMALL, seed=46)
+        eps = mixed_batch(rng, frames=(4, 4), answers=(3, 3))
+        with pytest.raises(ValueError, match="2 episodes"):
+            loss_and_gradients(params, eps, objective="ng+", neg_questions=[None])
+
+
+class TestZeroNorm:
+    def test_is_a_value_error(self):
+        assert issubclass(model.ZeroNorm, ValueError)
+
+    def test_zero_answer_row_in_prediction(self):
+        # b_a starts at zero, so a zero answer row projects to a zero row
+        rng = np.random.default_rng(47)
+        params = init_params(SMALL, seed=47)
+        ep = dataclasses.replace(make_episode(rng, A=4), question_id="vid3_q1")
+        ep.answers[2] = 0.0
+        with pytest.raises(model.ZeroNorm, match=r"answer row 2 in episode 'vid3_q1' \(position 0"):
+            predict_episode(params, ep)
+
+    def test_zero_answer_row_in_third_episode_of_a_minibatch(self):
+        rng = np.random.default_rng(48)
+        params = init_params(SMALL, seed=48)
+        eps = mixed_batch(rng, frames=(4,) * 5, answers=(3,) * 5)
+        eps[2].answers[0] = 0.0
+        with pytest.raises(model.ZeroNorm, match=r"answer row 0 in episode 'q2' \(position 2 "):
+            loss_and_gradients(params, eps, objective="ng")
+        # the episodes around it are fine on their own
+        for i in (0, 1, 3, 4):
+            loss_and_gradients(params, eps[i], objective="ng")
+
+    def test_zero_candidate_question(self):
+        rng = np.random.default_rng(49)
+        params = init_params(SMALL, seed=49)
+        eps = mixed_batch(rng, frames=(4,) * 3, answers=(3,) * 3)
+        negs = [None, [np.zeros(6), rng.normal(size=6)], None]
+        with pytest.raises(model.ZeroNorm, match=r"candidate question 1 in episode 'q1' "):
+            loss_and_gradients(params, eps, objective="ground", neg_questions=negs)
+
+
+class TestQKVBuffer:
+    def test_in_place_updates_reach_the_fused_weight(self):
+        params = init_params(SMALL, seed=50)
+        params.arrays["W_k"][2, 3] += 1.0
+        fused = model._qkv_weight(params)
+        w = SMALL.width
+        assert np.array_equal(fused, np.concatenate(
+            [params.arrays[n] for n in ("W_q", "W_k", "W_val")], axis=1))
+        assert fused[2, w + 3] == params.arrays["W_k"][2, 3]
+
+    def test_replaced_or_copied_arrays_are_concatenated(self):
+        import copy
+        params = init_params(SMALL, seed=51)
+        params.arrays["W_val"] = params.arrays["W_val"] * 2.0
+        expected = np.concatenate([params.arrays[n] for n in ("W_q", "W_k", "W_val")], axis=1)
+        assert np.array_equal(model._qkv_weight(params), expected)
+        clone = copy.deepcopy(init_params(SMALL, seed=51))
+        clone.arrays["W_q"][0, 0] = 5.0
+        assert model._qkv_weight(clone)[0, 0] == 5.0

@@ -37,6 +37,37 @@ class TestSmoothing:
         out = smooth_scores(np.full(6, 0.25), 3)
         assert np.allclose(out, 0.25)
 
+    def test_constant_stays_exactly_flat(self):
+        # the cumulative sum runs on the scores minus the first one, so any
+        # constant comes back exact and extraction sees a flat trace
+        for value in (0.25, 7.3, 1e6):
+            out = smooth_scores(np.full(40, value), 5)
+            assert np.all(out == value)
+
+
+def loop_smooth(scores, smooth_w):
+    """The per-frame loop that smooth_scores replaced, kept as an oracle."""
+    h = smooth_w // 2
+    n = len(scores)
+    out = np.empty(n)
+    for i in range(n):
+        lo, hi = max(0, i - h), min(n, i + h + 1)
+        out[i] = float(np.mean(scores[lo:hi]))
+    return out
+
+
+@given(
+    st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=1, max_size=130),
+    st.sampled_from([1, 3, 5, 7, 9]),
+)
+@settings(max_examples=200, deadline=None)
+def test_smoothing_matches_loop_oracle(values, smooth_w):
+    v = np.array(values)
+    got = smooth_scores(v, smooth_w)
+    expected = loop_smooth(v, smooth_w)
+    assert got.shape == expected.shape
+    assert np.max(np.abs(got - expected)) <= 1e-12 * max(1.0, np.max(np.abs(v)))
+
 
 class TestExtractWindow:
     def test_one_hot_yields_single_bin(self):

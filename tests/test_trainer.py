@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from gvqa import synth
+from gvqa import trainer as trainer_module
 from gvqa.metrics import Prediction, evaluate
 from gvqa.model import ModelConfig, init_params, predict_episode
 from gvqa.synth import NotSynthetic, SynthConfig, episodes_to_labels, generate, split_by_video
@@ -285,6 +286,16 @@ def test_seed_reproducibility(world):
     assert hist3 != hist1
 
 
+def test_seed_reproducibility_ng(world):
+    _, train_eps, val_eps = world
+    cfg = TrainConfig(objective="ng", epochs=3, lr=1e-3, patience=10, seed=9)
+    best1, hist1 = train(fresh_params(), train_eps, cfg, val_episodes=val_eps)
+    best2, hist2 = train(fresh_params(), train_eps, cfg, val_episodes=val_eps)
+    assert hist1 == hist2
+    for k in best1.arrays:
+        assert np.array_equal(best1.arrays[k], best2.arrays[k])
+
+
 def test_two_stage_plan_and_answer_freeze(world):
     """Stage one trains only the grounding term: the answer projection must
     stay at its initial value until the joint stage begins."""
@@ -333,6 +344,105 @@ def test_non_finite_loss_aborts(world):
     cfg = TrainConfig(objective="ng", epochs=1, seed=0)
     with pytest.raises(NonFiniteLoss):
         train(params, train_eps, cfg, val_episodes=val_eps)
+
+
+def test_non_finite_gradient_aborts_before_the_step(world, monkeypatch):
+    # a finite loss with an infinite W_g gradient must not reach Adam
+    _, train_eps, val_eps = world
+    params = fresh_params()
+    before = {k: v.copy() for k, v in params.arrays.items()}
+
+    def inf_in_w_g(params, batch, **kwargs):
+        grads = {k: np.zeros_like(v) for k, v in params.arrays.items()}
+        grads["W_g"][0, 1] = np.inf
+        grads["u"][0] = np.nan  # later in PARAM_NAMES order than W_g
+        return 1.0, grads
+
+    monkeypatch.setattr(trainer_module, "loss_and_gradients", inf_in_w_g)
+    with pytest.raises(NonFiniteLoss, match=r"gradient W_g at epoch 0, batch starting 0, "
+                                            r"stage ng"):
+        train(params, train_eps, TrainConfig(objective="ng", epochs=1, seed=0),
+              val_episodes=val_eps)
+    for k, v in before.items():
+        assert np.array_equal(params.arrays[k], v), k
+
+
+def test_nan_head_in_a_minibatch_of_five_aborts(world):
+    # one episode's non-finite frame makes its head output NaN: the batch
+    # ends in NonFiniteLoss, not in GaussianMask's ValueError
+    _, train_eps, val_eps = world
+    five = [dataclasses.replace(ep, frames=ep.frames.copy()) for ep in train_eps[:5]]
+    five[2].frames[3, 0] = np.nan
+    cfg = TrainConfig(objective="ng+", epochs=1, batch=5, seed=0)
+    with pytest.raises(NonFiniteLoss, match="loss at epoch 0, batch starting 0"):
+        train(fresh_params(), five, cfg, val_episodes=val_eps)
+
+
+def test_one_engine_call_per_minibatch(world, monkeypatch):
+    _, train_eps, val_eps = world
+    sizes = []
+    real = trainer_module.loss_and_gradients
+
+    def counting(params, batch, **kwargs):
+        sizes.append(len(batch))
+        return real(params, batch, **kwargs)
+
+    monkeypatch.setattr(trainer_module, "loss_and_gradients", counting)
+    train(fresh_params(), train_eps, TrainConfig(objective="ng", epochs=1, batch=16, seed=0),
+          val_episodes=val_eps)
+    n = len(train_eps)
+    assert sizes == [16] * (n // 16) + ([n % 16] if n % 16 else [])
+
+
+def test_ngplus_draw_order_matches_per_episode_loop(world, monkeypatch):
+    """The negatives and positive swaps of one ng+ epoch, recorded at the
+    engine call, equal a replay of the per-episode loop: for each episode of
+    each minibatch, its negatives, then its swap draw."""
+    _, train_eps, val_eps = world
+    cfg = TrainConfig(objective="ng+", epochs=1, batch=8, seed=4, p_pos_swap=0.5)
+    calls = []
+    sampled = []
+    real_loss, real_sample = trainer_module.loss_and_gradients, trainer_module.sample_negatives
+
+    def recording_loss(params, batch, **kwargs):
+        calls.append(([ep.question_id for ep in batch], kwargs["pos_question"],
+                      kwargs["neg_questions"]))
+        return real_loss(params, batch, **kwargs)
+
+    def recording_sample(pool, ep, *args):
+        sampled.append(ep.question_id)
+        return real_sample(pool, ep, *args)
+
+    monkeypatch.setattr(trainer_module, "loss_and_gradients", recording_loss)
+    monkeypatch.setattr(trainer_module, "sample_negatives", recording_sample)
+    train(fresh_params(), train_eps, cfg, val_episodes=val_eps)
+
+    rng = np.random.default_rng(cfg.seed)
+    pool = NegativePool(train_eps)
+    need = train_eps[0].n_answers - 1
+    order = rng.permutation(len(train_eps))
+    expected = []
+    for lo in range(0, len(order), cfg.batch):
+        batch = [train_eps[i] for i in order[lo:lo + cfg.batch]]
+        negs, pos = [], []
+        for ep in batch:
+            negs.append(real_sample(pool, ep, need, cfg.p_same_video, rng))
+            swap = None
+            if ep.pos_variants and rng.random() < cfg.p_pos_swap:
+                swap = ep.pos_variants[int(rng.integers(len(ep.pos_variants)))]
+            pos.append(swap)
+        expected.append(([ep.question_id for ep in batch], pos, negs))
+
+    assert sampled == [qid for ids, _, _ in expected for qid in ids]
+    assert len(calls) == len(expected)
+    assert any(p is not None for _, pos, _ in expected for p in pos)
+    for (ids, pos, negs), (e_ids, e_pos, e_negs) in zip(calls, expected):
+        assert ids == e_ids
+        assert [p is None for p in pos] == [p is None for p in e_pos]
+        for p, e in zip(pos, e_pos):
+            assert p is None or np.array_equal(p, e)
+        for n, e in zip(negs, e_negs):
+            assert np.array_equal(np.stack(n), np.stack(e))
 
 
 def test_validation_is_metrics_evaluate(world):
