@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -263,14 +264,61 @@ def load_checkpoint(path: str | Path) -> ModelParams:
 # head -> mask parameters), _pool (mask-scaled attention and attention
 # pooling) and _cosine_scores; _backward reverses them. A lone episode is a
 # chunk of one, packed as views of its own arrays.
+#
+# Every chunk-sized array lives in a _Workspace: buffers preallocated per
+# chunk shape that the stages write with out= or in place, reused across the
+# chunks of a call and kept across calls. Arrays of this size sit at the
+# allocator's mmap and trim thresholds, so allocating them per chunk would
+# page-fault them in again every time. Only the buffers differ from plain
+# expressions, so the arithmetic is bit for bit the same. A chunk's arrays are
+# valid until the next chunk of its shape is packed, and nothing an entry
+# point returns is a view of them.
 
-# frames per chunk: 8 episodes at 32 frames, 2 at 128. Larger chunks fall
-# out of cache and raise peak memory (sweep in CHANGES.md).
+# frames per chunk: 8 episodes at 32 frames, 2 at 128. Smaller chunks pay
+# more per-call overhead; with the workspace, larger ones train no faster and
+# hold more memory (the CHUNK_FRAMES sweep on the workspace engine, in
+# CHANGES.md). Another size also reorders the gradient sums.
 CHUNK_FRAMES = 256
 
 
 class ZeroNorm(ValueError):
     """A cosine operand has zero norm, so its score is undefined."""
+
+
+class _Workspace:
+    """The chunk-sized buffers of one chunk shape (b episodes, n frames, A
+    answers) of a model with the given dimensions."""
+
+    def __init__(self, b: int, n: int, A: int, d_v: int, d_t: int, w: int) -> None:
+        # packed inputs (chunks of more than one episode)
+        self.F = np.empty((b, n, d_v))
+        self.q = np.empty((b, d_t))
+        self.answers = np.empty((b, A, d_t))
+        # forward cache
+        self.X = np.empty((b * n, w))
+        self.QKV = np.empty((b, n, 3 * w))
+        self.S = np.empty((b, n, n))
+        self.H0 = np.empty((b, n, w))
+        self.GV = np.empty((b, n, w))
+        self.H1 = np.empty((b, n, w))
+        # backward: dH1 and later dH0, their _outer2 operands, the attention
+        # and value gradients, and one scratch product of each size
+        self.dH = np.empty((b, n, w))
+        self.outer_a = np.empty((b, n, 2))
+        self.outer_b = np.empty((b, 2, w))
+        self.dS = np.empty((b, n, n))
+        self.dQKV = np.empty((b, n, 3 * w))
+        self.nw = np.empty((b, n, w))
+        self.nn = np.empty((b, n, n))
+
+
+@functools.lru_cache(maxsize=4)
+def _workspace(thread: int, b: int, n: int, A: int, d_v: int, d_t: int, w: int) -> _Workspace:
+    """The calling thread's workspace for a chunk shape. Keyed by thread too,
+    so concurrent calls never share buffers. Four shapes cover a training run:
+    full and tail chunks of the minibatches and of validation, and lone
+    episodes. A miss allocates the chunk's arrays afresh."""
+    return _Workspace(b, n, A, d_v, d_t, w)
 
 
 @dataclass
@@ -282,6 +330,7 @@ class _Chunk:
     F: np.ndarray             # (b, n, d_v)
     q: np.ndarray             # (b, d_t)
     answers: np.ndarray       # (b, A, d_t)
+    ws: _Workspace
 
     def where(self, j: int) -> str:
         return (f"episode {self.episodes[j].question_id!r} "
@@ -289,30 +338,35 @@ class _Chunk:
 
 
 def _chunks(params: ModelParams, episodes: Sequence[Episode]) -> Iterator[_Chunk]:
-    """The episodes' chunks, each packed only when it is reached."""
-    d_v, d_t = params.config.d_v, params.config.d_t
+    """The episodes' chunks, each packed only when it is reached, into its
+    shape's workspace."""
+    c = params.config
+    d_v, d_t = c.d_v, c.d_t
     for ep in episodes:
         if ep.frames.shape[1] != d_v or ep.question.shape[0] != d_t:
             raise ShapeMismatch(
                 f"episode {ep.question_id!r} has frames dim {ep.frames.shape[1]} and "
                 f"question dim {ep.question.shape[0]}, the model needs {d_v} and {d_t}"
             )
+    thread = threading.get_ident()
     if len(episodes) == 1:
         # a lone episode is packed as views of its own arrays
         ep = episodes[0]
-        yield _Chunk([0], [ep], ep.frames[None], ep.question[None], ep.answers[None])
+        ws = _workspace(thread, 1, ep.n_frames, ep.n_answers, d_v, d_t, c.width)
+        yield _Chunk([0], [ep], ep.frames[None], ep.question[None], ep.answers[None], ws)
         return
     buckets: dict[tuple[int, int], list[int]] = {}
     for i, ep in enumerate(episodes):
         buckets.setdefault((ep.n_frames, ep.n_answers), []).append(i)
-    for (n, _), index in buckets.items():
+    for (n, A), index in buckets.items():
         size = max(1, CHUNK_FRAMES // n)
         for lo in range(0, len(index), size):
             part = index[lo:lo + size]
             eps = [episodes[i] for i in part]
-            yield _Chunk(part, eps, np.stack([ep.frames for ep in eps]),
-                         np.stack([ep.question for ep in eps]),
-                         np.stack([ep.answers for ep in eps]))
+            ws = _workspace(thread, len(part), n, A, d_v, d_t, c.width)
+            yield _Chunk(part, eps, np.stack([ep.frames for ep in eps], out=ws.F),
+                         np.stack([ep.question for ep in eps], out=ws.q),
+                         np.stack([ep.answers for ep in eps], out=ws.answers), ws)
 
 
 def _qkv_weight(params: ModelParams) -> np.ndarray:
@@ -349,29 +403,31 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 0.5 * np.tanh(0.5 * z) + 0.5
 
 
-def _encode_frames(params: ModelParams, F: np.ndarray, W_qkv: np.ndarray) -> dict:
+def _encode_frames(params: ModelParams, F: np.ndarray, W_qkv: np.ndarray,
+                   ws: _Workspace) -> dict:
     """Projected frames X (flat), their query/key/value maps and the
     row-softmax self-attention weights S."""
     P = params.arrays
     b, n, d_v = F.shape
     w = params.config.width
-    X = F.reshape(b * n, d_v) @ P["W_v"]
+    X = np.matmul(F.reshape(b * n, d_v), P["W_v"], out=ws.X)
     X += P["b_v"]
-    QKV = (X @ W_qkv).reshape(b, n, 3 * w)
+    QKV = ws.QKV
+    np.matmul(X, W_qkv, out=QKV.reshape(b * n, 3 * w))
     Qm, Km, Vm = QKV[..., :w], QKV[..., w:2 * w], QKV[..., 2 * w:]
-    Z = Qm @ Km.transpose(0, 2, 1)
+    Z = np.matmul(Qm, Km.transpose(0, 2, 1), out=ws.S)
     Z /= math.sqrt(w)
     S = _softmax(Z)
     return {"X": X, "Qm": Qm, "Km": Km, "Vm": Vm, "S": S}
 
 
-def _ground(params: ModelParams, enc: dict, q: np.ndarray) -> dict:
+def _ground(params: ModelParams, enc: dict, q: np.ndarray, ws: _Workspace) -> dict:
     """Grounding head: question-conditioned attention over the unmasked tokens,
     read out through squashed projections into mu in [0, 1] and
     sigma in [SIGMA_MIN, 1]."""
     P = params.arrays
     n = enc["Vm"].shape[1]
-    H0 = enc["S"] @ enc["Vm"]
+    H0 = np.matmul(enc["S"], enc["Vm"], out=ws.H0)
     qv = q @ P["W_t"] + P["b_t"]
     # logits (H0 W_g) qv, contracted as H0 (W_g qv): no (n, w) key map
     g = qv @ P["W_g"].T
@@ -380,23 +436,24 @@ def _ground(params: ModelParams, enc: dict, q: np.ndarray) -> dict:
     x = _positions(n)
     m1 = alpha @ x
     dx = x - m1[:, None]
-    m2 = (alpha * dx**2).sum(axis=1)
+    dx2 = dx**2  # the backward pass reads it too
+    m2 = (alpha * dx2).sum(axis=1)
     mu = _sigmoid(c @ P["w_mu"] + P["a_mu"] * m1 + P["b_mu"])
     sg_inner = _sigmoid(c @ P["w_sg"] + P["a_sg"] * m2 + P["b_sg"])
     sigma = SIGMA_MIN + (1.0 - SIGMA_MIN) * sg_inner
     return {"H0": H0, "qv": qv, "g": g, "alpha": alpha, "c": c, "x": x, "dx": dx,
-            "m1": m1, "m2": m2, "mu": mu, "sg_inner": sg_inner, "sigma": sigma}
+            "dx2": dx2, "m1": m1, "m2": m2, "mu": mu, "sg_inner": sg_inner, "sigma": sigma}
 
 
-def _pool(params: ModelParams, enc: dict, G: np.ndarray) -> dict:
+def _pool(params: ModelParams, enc: dict, G: np.ndarray, ws: _Workspace) -> dict:
     """Attention with post-softmax per-key weights G (rows are not
     re-normalized), pooled by a learned query. The pooling softmax `trace`
     sums to 1 and serves as the post-hoc localization signal.
 
     (S * G) @ Vm is computed as S @ (G * Vm): the mask scales n x width
     values instead of n x n attention weights."""
-    GV = G[:, :, None] * enc["Vm"]
-    H1 = enc["S"] @ GV
+    GV = np.multiply(G[:, :, None], enc["Vm"], out=ws.GV)
+    H1 = np.matmul(enc["S"], GV, out=ws.H1)
     trace = _softmax(H1 @ params.arrays["u"])
     return {"G": G, "GV": GV, "H1": H1, "trace": trace,
             "v_t": (trace[:, None, :] @ H1)[:, 0]}
@@ -426,10 +483,10 @@ def _forward(params: ModelParams, chunk: _Chunk, W_qkv: np.ndarray) -> dict:
     raising in GaussianMask.
     """
     P = params.arrays
-    cache = _encode_frames(params, chunk.F, W_qkv)
-    cache.update(_ground(params, cache, chunk.q))
+    cache = _encode_frames(params, chunk.F, W_qkv, chunk.ws)
+    cache.update(_ground(params, cache, chunk.q, chunk.ws))
     G = gaussian_weights(cache["x"], cache["mu"][:, None], cache["sigma"][:, None])
-    cache.update(_pool(params, cache, G))
+    cache.update(_pool(params, cache, G, chunk.ws))
     f = cache["v_t"] + cache["qv"]
     b, A, d_t = chunk.answers.shape
     B = (chunk.answers.reshape(b * A, d_t) @ P["W_a"] + P["b_a"]).reshape(b, A, -1)
@@ -471,9 +528,12 @@ def _candidate_questions(
     return Qc
 
 
-def _outer2(a1: np.ndarray, a2: np.ndarray, b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
-    """a1 (x) b1 + a2 (x) b2 per batch row: (b, n) and (b, w) -> (b, n, w)."""
-    return np.stack((a1, a2), axis=2) @ np.stack((b1, b2), axis=1)
+def _outer2(a1: np.ndarray, a2: np.ndarray, b1: np.ndarray, b2: np.ndarray,
+            ws: _Workspace) -> np.ndarray:
+    """a1 (x) b1 + a2 (x) b2 per batch row: (b, n) and (b, w) -> (b, n, w),
+    written into ws.dH."""
+    return np.matmul(np.stack((a1, a2), axis=2, out=ws.outer_a),
+                     np.stack((b1, b2), axis=1, out=ws.outer_b), out=ws.dH)
 
 
 def _softmax_backward(y: np.ndarray, dy: np.ndarray) -> np.ndarray:
@@ -500,10 +560,10 @@ def _backward(params: ModelParams, chunk: _Chunk, cache: dict, W_qkv: np.ndarray
     """Adds the chunk's gradients below the pooled vector v_t and the projected
     question qv into grads; grads["W_qkv"] collects [W_q | W_k | W_val]'s.
 
-    dQ, dK and dV are written into one (b, n, 3 width) buffer, and the large
-    temporaries are dropped after their last use, so the chunk's peak memory
-    stays near its forward cache."""
+    dQ, dK and dV are written into one (b, n, 3 width) buffer; dH1 and dH0
+    share one buffer, as do the scratch products of each size."""
     P = params.arrays
+    ws = chunk.ws
     S, G, Vm = cache["S"], cache["G"], cache["Vm"]
     H0, H1 = cache["H0"], cache["H1"]
     alpha, trace = cache["alpha"], cache["trace"]
@@ -513,16 +573,15 @@ def _backward(params: ModelParams, chunk: _Chunk, cache: dict, W_qkv: np.ndarray
     dp = _softmax_backward(trace, (H1 @ d_vt[:, :, None])[..., 0])
     # the two outer products trace (x) d_vt + dp (x) u as one product over a
     # length-2 axis, which is faster than two broadcasts
-    dH1 = _outer2(trace, dp, d_vt, np.broadcast_to(P["u"], d_vt.shape))
+    dH1 = _outer2(trace, dp, d_vt, np.broadcast_to(P["u"], d_vt.shape), ws)
     grads["u"] += H1.reshape(b * n, w).T @ dp.reshape(b * n)
 
     # H1 = S @ GV, GV = G * Vm
-    dS = dH1 @ cache["GV"].transpose(0, 2, 1)
-    dQKV = np.empty((b, n, 3 * w))
+    dS = np.matmul(dH1, cache["GV"].transpose(0, 2, 1), out=ws.dS)
+    dQKV = ws.dQKV
     dVm = dQKV[..., 2 * w:]
     np.matmul(S.transpose(0, 2, 1), dH1, out=dVm)  # dGV until scaled by G
-    del dH1
-    dG = (dVm * Vm).sum(axis=2)
+    dG = np.multiply(dVm, Vm, out=ws.nw).sum(axis=2)
     dVm *= G[:, :, None]
 
     # Gaussian weights -> (mu, sigma) -> (z_mu, z_sg)
@@ -544,31 +603,28 @@ def _backward(params: ModelParams, chunk: _Chunk, cache: dict, W_qkv: np.ndarray
     dm2 = dz_sg * P["a_sg"]
 
     # m2 = sum alpha (x - m1)^2 ; m1 = alpha . x
-    dx = cache["dx"]
-    d_alpha = dm2[:, None] * dx**2
-    dm1 = dm1 + dm2 * (-2.0 * (alpha * dx).sum(axis=1))  # analytically 0; kept exact
+    d_alpha = dm2[:, None] * cache["dx2"]
+    dm1 = dm1 + dm2 * (-2.0 * (alpha * cache["dx"]).sum(axis=1))  # analytically 0; kept exact
     d_alpha += dm1[:, None] * cache["x"]
 
     # c = alpha @ H0; alpha = softmax(e), e = H0 @ g, g = W_g qv
     d_alpha += (H0 @ dc[:, :, None])[..., 0]
     de = _softmax_backward(alpha, d_alpha)
-    dH0 = _outer2(alpha, de, dc, cache["g"])
+    dH0 = _outer2(alpha, de, dc, cache["g"], ws)
     dg = (de[:, None, :] @ H0)[:, 0]
     grads["W_g"] += dg.T @ cache["qv"]
     d_qv += dg @ P["W_g"]
 
     # H0 = S @ Vm
-    dS += dH0 @ Vm.transpose(0, 2, 1)
-    dVm += S.transpose(0, 2, 1) @ dH0
-    del dH0
+    dS += np.matmul(dH0, Vm.transpose(0, 2, 1), out=ws.nn)
+    dVm += np.matmul(S.transpose(0, 2, 1), dH0, out=ws.nw)
 
     # S = softmax(Qm Km^T / sqrt(w), rows)
-    dS -= (dS * S).sum(axis=-1, keepdims=True)
+    dS -= np.multiply(dS, S, out=ws.nn).sum(axis=-1, keepdims=True)
     dZ = dS
     dZ *= S
     np.matmul(dZ, cache["Km"], out=dQKV[..., :w])
     np.matmul(dZ.transpose(0, 2, 1), cache["Qm"], out=dQKV[..., w:2 * w])
-    del dZ, dS
     dQKV[..., :2 * w] *= 1.0 / math.sqrt(w)
     dQKV = dQKV.reshape(b * n, 3 * w)
 
@@ -680,14 +736,16 @@ def encode_video(
     """Pooled video vector and pooling attention trace under an optional mask."""
     (chunk,) = _chunks(params, [episode])
     G = np.ones((1, episode.n_frames)) if mask is None else mask_weights(mask, episode.grid)[None]
-    pool = _pool(params, _encode_frames(params, chunk.F, _qkv_weight(params)), G)
+    pool = _pool(params, _encode_frames(params, chunk.F, _qkv_weight(params), chunk.ws), G,
+                 chunk.ws)
     return pool["v_t"][0], pool["trace"][0]
 
 
 def predict_gaussian(params: ModelParams, episode: Episode) -> GaussianMask:
     """The grounding head's mask for this episode (deterministic)."""
     (chunk,) = _chunks(params, [episode])
-    head = _ground(params, _encode_frames(params, chunk.F, _qkv_weight(params)), chunk.q)
+    head = _ground(params, _encode_frames(params, chunk.F, _qkv_weight(params), chunk.ws),
+                   chunk.q, chunk.ws)
     return GaussianMask(head["mu"][0], head["sigma"][0])
 
 
@@ -793,25 +851,22 @@ def predict_episodes(
     for chunk in _chunks(params, episodes):
         cache = _forward(params, chunk, W_qkv)
         scores_all = cache["answer"]["scores"]
+        # one read per chunk: the per-episode tail works on Python scalars
+        mus, sigmas = cache["mu"].tolist(), cache["sigma"].tolist()
+        answers = scores_all.argmax(axis=1).tolist()
+        traces = cache["trace"]
         for j, (i, ep) in enumerate(zip(chunk.index, chunk.episodes)):
             # a NaN head output raises GaussianMask's ValueError here
-            mask = GaussianMask(cache["mu"][j], cache["sigma"][j])
-            trace, scores = cache["trace"][j], scores_all[j]
+            mask = GaussianMask(mus[j], sigmas[j])
             if window_source == "gauss":
                 window = confidence_interval(mask, ep.extent, gamma)
             elif window_source == "attn":
-                window = extract_window_raw(trace, ep.grid)
+                window = extract_window_raw(traces[j], ep.grid)
             else:
                 window = fuse_windows(confidence_interval(mask, ep.extent, gamma),
-                                      extract_window_raw(trace, ep.grid))
-            out[i] = EpisodePrediction(
-                answer_index=int(np.argmax(scores)),
-                window=window,
-                mask=mask,
-                trace=trace,
-                scores=scores,
-            )
-        del cache  # before the next chunk's forward
+                                      extract_window_raw(traces[j], ep.grid))
+            out[i] = EpisodePrediction(answer_index=answers[j], window=window, mask=mask,
+                                       trace=traces[j].copy(), scores=scores_all[j].copy())
     return out
 
 

@@ -318,13 +318,15 @@ def train(
     return best["params"], history
 
 
-HISTORY_COLUMNS = ("epoch", "loss", "acc_qa", "m_iop", "m_iou")
+HISTORY_COLUMNS = ("epoch", "stage", "loss", "acc_qa", "acc_gqa", "m_iop", "m_iou")
 
 
 def write_history_csv(path: str | Path, history: Sequence[dict]) -> None:
-    """Per-epoch curve file (metrics as fractions, loss in nats)."""
+    """Per-epoch curve file (metrics as fractions, loss in nats). acc_gqa is
+    the column early stopping selects on; stage names the epoch's objective."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(HISTORY_COLUMNS)
         for row in history:
-            writer.writerow([row["epoch"]] + [f"{row[k]:.6f}" for k in HISTORY_COLUMNS[1:]])
+            writer.writerow([row["epoch"], row["stage"]]
+                            + [f"{row[k]:.6f}" for k in HISTORY_COLUMNS[2:]])

@@ -122,7 +122,7 @@ def test_train_synth_end_to_end(tmp_path, capsys):
     assert len(svgs) == 2
     # history has one row per epoch plus header
     lines = (out / "history.csv").read_text().strip().splitlines()
-    assert lines[0] == "epoch,loss,acc_qa,m_iop,m_iou"
+    assert lines[0] == "epoch,stage,loss,acc_qa,acc_gqa,m_iop,m_iou"
     assert len(lines) == 3
 
     # the emitted predictions are evaluable by the eval command

@@ -1,8 +1,12 @@
+import copy
 import dataclasses
 import math
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gvqa import gaussian, model
 from gvqa.gaussian import (
@@ -664,6 +668,117 @@ class TestEngine:
         eps = mixed_batch(rng, frames=(4, 4), answers=(3, 3))
         with pytest.raises(ValueError, match="2 episodes"):
             loss_and_gradients(params, eps, objective="ng+", neg_questions=[None])
+
+
+def engine_outputs(params, eps, objective, alpha):
+    """Loss, gradients and fused-window predictions: one engine call each."""
+    loss, grads = loss_and_gradients(params, eps, objective=objective, alpha=alpha)
+    return loss, grads, model.predict_episodes(params, eps, gamma=0.8, window_source="fused")
+
+
+def cold_outputs(params, eps, objective, alpha):
+    """engine_outputs with every workspace freshly allocated."""
+    model._workspace.cache_clear()
+    return engine_outputs(params, eps, objective, alpha)
+
+
+def assert_identical(got, want):
+    (loss_g, grads_g, preds_g), (loss_w, grads_w, preds_w) = got, want
+    assert np.array_equal(loss_g, loss_w)
+    assert list(grads_g) == list(grads_w)
+    for name in grads_w:
+        assert np.array_equal(grads_g[name], grads_w[name]), name
+    assert len(preds_g) == len(preds_w)
+    for p, q in zip(preds_g, preds_w):
+        assert (p.answer_index, p.window, p.mask) == (q.answer_index, q.window, q.mask)
+        assert np.array_equal(p.trace, q.trace) and np.array_equal(p.scores, q.scores)
+
+
+# 2-frame videos smooth to flat traces, whose documented fallback warns
+@pytest.mark.filterwarnings("ignore::gvqa.posthoc.DegenerateTraceWarning")
+class TestWorkspace:
+    @pytest.mark.parametrize("objective,alpha", OBJECTIVES)
+    def test_warm_calls_equal_cold_calls(self, monkeypatch, objective, alpha):
+        # 8 frames per chunk: mixed_batch has a short tail chunk, and the
+        # 2-frame batch a full chunk of 4 and a tail of 1; the first shapes
+        # come back with other data after a lone episode
+        rng = np.random.default_rng(60)
+        params = init_params(SMALL, seed=60)
+        monkeypatch.setattr(model, "CHUNK_FRAMES", 8)
+        batches = [
+            mixed_batch(rng),
+            [make_episode(rng, n=6)],
+            mixed_batch(rng, frames=(2,) * 5, answers=(3,) * 5),
+            mixed_batch(rng),
+            [make_episode(rng, n=2)],
+        ]
+        warm = [engine_outputs(params, eps, objective, alpha) for eps in batches]
+        for eps, got in zip(batches, warm):
+            assert_identical(got, cold_outputs(params, eps, objective, alpha))
+
+    @settings(max_examples=30, deadline=None)
+    @given(shapes=st.lists(st.tuples(st.integers(2, 40), st.integers(2, 5)),
+                           min_size=1, max_size=6),
+           objective=st.sampled_from(OBJECTIVES), seed=st.integers(0, 2**16))
+    def test_warm_equals_cold_over_shapes(self, shapes, objective, seed):
+        # the buffers first hold another batch of the same shapes; 48 frames
+        # per chunk splits buckets of long videos into full and tail chunks
+        rng = np.random.default_rng(seed)
+        params = init_params(SMALL, seed=61)
+        frames, answers = zip(*shapes)
+        with mock.patch.object(model, "CHUNK_FRAMES", 48):
+            engine_outputs(params, mixed_batch(rng, frames, answers), *objective)
+            eps = mixed_batch(rng, frames, answers)
+            assert_identical(engine_outputs(params, eps, *objective),
+                             cold_outputs(params, eps, *objective))
+
+    def test_returned_arrays_survive_later_calls(self):
+        rng = np.random.default_rng(62)
+        params = init_params(SMALL, seed=62)
+        eps = mixed_batch(rng)
+        _, grads = loss_and_gradients(params, eps, objective="ng+", alpha=0.5)
+        preds = model.predict_episodes(params, eps) + [predict_episode(params, eps[0])]
+        kept = copy.deepcopy((grads, preds))
+        for batch in (mixed_batch(rng), mixed_batch(rng, frames=(2,) * 3, answers=(3,) * 3),
+                      [make_episode(rng)], eps[::-1]):
+            loss_and_gradients(params, batch, objective="ng+", alpha=0.5)
+            model.predict_episodes(params, batch)
+        for name in grads:
+            assert np.array_equal(grads[name], kept[0][name]), name
+        for p, q in zip(preds, kept[1]):
+            assert p.trace.flags.owndata and p.scores.flags.owndata
+            assert np.array_equal(p.trace, q.trace) and np.array_equal(p.scores, q.scores)
+
+    def test_nan_head_then_a_call_equal_to_a_cold_one(self):
+        # the early return leaves NaNs in the forward buffers
+        rng = np.random.default_rng(63)
+        params = init_params(SMALL, seed=63)
+        eps = mixed_batch(rng, frames=(4,) * 5, answers=(3,) * 5)
+        bad = copy.deepcopy(eps)
+        bad[3].frames[1, 2] = np.nan
+        assert math.isnan(loss_and_gradients(params, bad, objective="ng+", alpha=0.5)[0])
+        assert_identical(engine_outputs(params, eps, "ng+", 0.5),
+                         cold_outputs(params, eps, "ng+", 0.5))
+
+    def test_cache_stays_at_its_bound(self):
+        rng = np.random.default_rng(64)
+        params = init_params(SMALL, seed=64)
+        bound = model._workspace.cache_info().maxsize
+        for n in range(2, 2 + bound + 3):
+            loss_and_gradients(params, make_episode(rng, n=n))
+        assert model._workspace.cache_info().currsize == bound
+
+    def test_threads_do_not_share_a_workspace(self):
+        rng = np.random.default_rng(65)
+        params = init_params(SMALL, seed=65)
+        ep = make_episode(rng)
+        (mine,) = model._chunks(params, [ep])
+        theirs = []
+        worker = threading.Thread(target=lambda: theirs.extend(model._chunks(params, [ep])))
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert theirs[0].ws is not mine.ws
 
 
 class TestZeroNorm:

@@ -494,8 +494,11 @@ def test_history_csv_roundtrip(tmp_path, world):
     assert len(rows) == 1 + len(hist)
     for got, row in zip(rows[1:], hist):
         assert int(got[0]) == row["epoch"]
-        assert float(got[1]) == pytest.approx(row["loss"], abs=1e-6)
-        assert float(got[2]) == pytest.approx(row["acc_qa"], abs=1e-6)
+        assert got[1] == row["stage"] == "ng"
+        assert float(got[2]) == pytest.approx(row["loss"], abs=1e-6)
+        assert float(got[3]) == pytest.approx(row["acc_qa"], abs=1e-6)
+        # the column early stopping selects on
+        assert float(got[4]) == pytest.approx(row["acc_gqa"], abs=1e-6)
 
 
 # --- answer counts ---------------------------------------------------------------
