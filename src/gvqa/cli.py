@@ -80,19 +80,14 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 # --- train-synth ------------------------------------------------------------
 
-# known-good schedule for the default synthetic scale; TrainConfig itself
-# keeps more conservative values
+# known-good schedule for the default synthetic scale, where it differs from
+# TrainConfig's more conservative values
 TRAIN_DEFAULTS = {
     "objective": "ng+",
     "stages": 2,
     "epochs": 60,
     "lr": 2e-3,
-    "batch": 64,
-    "alpha": 1.0,
-    "p_same_video": 0.3,
-    "p_pos_swap": 0.3,
     "patience": 10,
-    "val_fraction": 0.15,
 }
 EXTRA_KEYS = {"width": int, "timelines": int}
 
@@ -139,7 +134,7 @@ def _split_config(file_values: dict[str, str], args: argparse.Namespace
                   ) -> tuple[dict, dict, dict]:
     """Merge config file and flags into synth/train/extra keyword dicts."""
     synth: dict = {}
-    train_kw: dict = dict(TRAIN_DEFAULTS)
+    train_kw: dict = {}
     extra: dict = {"width": 64, "timelines": 8}
     for key, value in file_values.items():
         scope, _, name = key.partition(".")
@@ -162,8 +157,6 @@ def _split_config(file_values: dict[str, str], args: argparse.Namespace
         synth["seed"] = train_kw["seed"] = args.seed
     if args.objective is not None:
         train_kw["objective"] = args.objective
-        if args.objective == "ng":
-            train_kw["stages"] = 1
     if args.alpha is not None:
         train_kw["alpha"] = args.alpha
     if args.gamma is not None:
@@ -172,7 +165,12 @@ def _split_config(file_values: dict[str, str], args: argparse.Namespace
         synth["n_frames"] = args.frames
     if args.epochs is not None:
         train_kw["epochs"] = args.epochs
-    return synth, train_kw, extra
+    defaults = dict(TRAIN_DEFAULTS)
+    # ng has no grounding pretrain stage: from the file or the flag, it runs
+    # one stage unless stages is set explicitly
+    if train_kw.get("objective") == "ng":
+        defaults["stages"] = 1
+    return synth, {**defaults, **train_kw}, extra
 
 
 def cmd_train_synth(args: argparse.Namespace) -> int:
@@ -235,7 +233,7 @@ def cmd_train_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-# --- wiring ---------------------------------------------------------------------
+# --- parser ---------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(

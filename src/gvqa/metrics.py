@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .temporal import TemporalSegment, VideoExtent, iop, iou
 
@@ -116,14 +116,12 @@ def best_overlap(pred: TemporalSegment, label: GroundingLabel, kind: str = "iop"
 def evaluate(
     preds: Iterable[Prediction],
     labels: Mapping[str, GroundingLabel],
-    extra_thresholds: Sequence[float] = (),
 ) -> MetricReport:
     """Score predictions against a keyed label set.
 
     Labeled questions with no prediction count as wrong with zero overlap and
     are recorded in the report warnings. Unknown or duplicate question ids are
-    errors. extra_thresholds extends the threshold maps beyond the protocol's
-    fixed {0.3, 0.5} pair.
+    errors.
     """
     by_qid: dict[str, Prediction] = {}
     for pred in preds:
@@ -133,7 +131,6 @@ def evaluate(
             raise DuplicatePrediction(pred.question_id)
         by_qid[pred.question_id] = pred
 
-    thresholds = tuple(PROTOCOL_THRESHOLDS) + tuple(extra_thresholds)
     n = len(labels)
     if n == 0:
         raise ValueError("empty label set")
@@ -142,8 +139,8 @@ def evaluate(
     n_gqa = 0
     iop_sum = 0.0
     iou_sum = 0.0
-    iop_hits = {t: 0 for t in thresholds}
-    iou_hits = {t: 0 for t in thresholds}
+    iop_hits = {t: 0 for t in PROTOCOL_THRESHOLDS}
+    iou_hits = {t: 0 for t in PROTOCOL_THRESHOLDS}
     missing: list[str] = []
 
     for qid in labels:
@@ -159,7 +156,7 @@ def evaluate(
         n_gqa += correct and p_iop >= GQA_IOP_THRESHOLD
         iop_sum += p_iop
         iou_sum += p_iou
-        for t in thresholds:
+        for t in PROTOCOL_THRESHOLDS:
             iop_hits[t] += p_iop >= t
             iou_hits[t] += p_iou >= t
 
@@ -174,9 +171,9 @@ def evaluate(
         acc_qa=n_correct * pct,
         acc_gqa=n_gqa * pct,
         m_iop=iop_sum * pct,
-        iop_at={t: iop_hits[t] * pct for t in thresholds},
+        iop_at={t: iop_hits[t] * pct for t in PROTOCOL_THRESHOLDS},
         m_iou=iou_sum * pct,
-        iou_at={t: iou_hits[t] * pct for t in thresholds},
+        iou_at={t: iou_hits[t] * pct for t in PROTOCOL_THRESHOLDS},
         n_questions=n,
         warnings=warnings,
     )
@@ -266,16 +263,8 @@ def report_row(report: MetricReport) -> dict[str, float]:
 
 def write_report_csv(path: str | Path, report: MetricReport) -> None:
     """One-row CSV in the standard leaderboard column order."""
-    r = report.rounded()
-    extra = sorted(t for t in r.iop_at if t not in PROTOCOL_THRESHOLDS)
-    columns = list(REPORT_COLUMNS) + [f"IoP@{t:g}" for t in extra] + [f"IoU@{t:g}" for t in extra]
-    row = [
-        r.acc_qa, r.acc_gqa,
-        r.m_iop, r.iop_at[0.3], r.iop_at[0.5],
-        r.m_iou, r.iou_at[0.3], r.iou_at[0.5],
-    ]
-    row += [r.iop_at[t] for t in extra] + [r.iou_at[t] for t in extra]
+    row = report_row(report)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(columns + ["n"])
-        writer.writerow([f"{v:.1f}" for v in row] + [r.n_questions])
+        writer.writerow(list(REPORT_COLUMNS) + ["n"])
+        writer.writerow([f"{row[c]:.1f}" for c in REPORT_COLUMNS] + [report.n_questions])

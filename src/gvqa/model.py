@@ -150,15 +150,9 @@ class ModelParams:
             self.arrays.update(zip(QKV_NAMES, views))
             self._qkv = (fused, views)
 
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self.arrays[name]
-
     @property
     def temperature(self) -> float:
         return self.config.temperature
-
-    def trainable(self) -> dict[str, np.ndarray]:
-        return self.arrays
 
     def copy(self) -> "ModelParams":
         return ModelParams(

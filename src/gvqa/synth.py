@@ -6,11 +6,12 @@ question/answer signal on the frames inside its ground-truth moment and a
 wrong-answer distractor signal outside it, so only a learner that looks at
 the right frames can answer reliably. A configurable fraction of questions
 leak the answer through the question vector itself (language shortcut),
-mirroring the confound that blind QA models exploit.
+mirroring the confound that blind QA models exploit. Episodes carry no
+negative questions; the trainer samples those, siblings included.
 
 Also provides the diagnostic scorers used to carve evaluation subsets:
-a question-only bilinear scorer and a frames+question scorer that can be
-restricted to moment-only or outside-moment frames.
+a question-only bilinear scorer and a frames+question scorer over either
+the moment-only or the outside-moment frames.
 """
 
 from __future__ import annotations
@@ -96,12 +97,13 @@ def generate(config: SynthConfig) -> list[Episode]:
     """Deterministic episode set for a config; same config, same bytes.
 
     Episodes come in sibling groups of four sharing one background and video
-    id. neg_questions is prefilled with exactly n_answers - 1 entries:
-    sibling questions first, then questions from other videos.
+    id. neg_questions stays empty: the trainer's sampler draws the hard
+    negatives for every batch.
     """
     n_videos = math.ceil(config.n_episodes / SIBLINGS_PER_VIDEO)
     ss = np.random.SeedSequence(config.seed)
-    world_seed, wiring_seed, *video_seeds = ss.spawn(2 + n_videos)
+    # the second child is unused; spawning it keeps every video's seed in place
+    world_seed, _, *video_seeds = ss.spawn(2 + n_videos)
 
     world_rng = np.random.default_rng(world_seed)
     # world maps carry text-space vectors into video feature space
@@ -119,7 +121,6 @@ def generate(config: SynthConfig) -> list[Episode]:
         )
         centers = frame_positions(config.n_frames) * duration
 
-        group: list[Episode] = []
         n_here = min(SIBLINGS_PER_VIDEO, config.n_episodes - len(episodes))
         for j in range(n_here):
             question = _unit(rng.normal(size=config.d_t))
@@ -146,45 +147,19 @@ def generate(config: SynthConfig) -> list[Episode]:
                 _unit(question + config.variant_noise * rng.normal(size=config.d_t))
                 for _ in range(config.n_pos_variants)
             ]
-            group.append(
+            episodes.append(
                 Episode(
                     frames=frames,
                     question=question,
                     answers=answers,
                     correct=correct,
                     extent=extent,
-                    neg_questions=[],
                     pos_variants=variants,
                     gt_moment=moment,
                     question_id=f"{vid}_q{j}",
                     video_id=vid,
                 )
             )
-        # sibling questions become each other's first hard negatives
-        for j, ep in enumerate(group):
-            ep.neg_questions = [sib.question for i, sib in enumerate(group) if i != j]
-        episodes.extend(group)
-
-    # top up negative lists from other videos so every episode has A - 1
-    wiring_rng = np.random.default_rng(wiring_seed)
-    need = config.n_answers - 1
-    multi_video = len({ep.video_id for ep in episodes}) > 1
-    for ep in episodes:
-        ep.neg_questions = ep.neg_questions[:need]
-        seen: set[int] = set()
-        attempts = 0
-        while len(ep.neg_questions) < need:
-            if not multi_video or attempts > 100 * need:
-                raise ConfigError(
-                    f"cannot assemble {need} negatives for {ep.question_id}; "
-                    "generate more episodes or fewer answers"
-                )
-            attempts += 1
-            k = int(wiring_rng.integers(len(episodes)))
-            if episodes[k].video_id == ep.video_id or k in seen:
-                continue
-            seen.add(k)
-            ep.neg_questions.append(episodes[k].question)
     return episodes
 
 
@@ -266,36 +241,28 @@ class QuestionOnlyScorer:
     def predict(self, episode: Episode) -> int:
         return int(np.argmax(self.scores(episode)))
 
-    def accuracy(self, episodes: Sequence[Episode]) -> float:
-        hits = sum(self.predict(ep) == ep.correct for ep in episodes)
-        return hits / len(episodes)
-
 
 @dataclass
 class FramesQuestionScorer:
     """Linear scorer over mean-pooled frames plus a bilinear question term.
 
-    The frame pool is chosen at fit time ("all", "moment", "outside") and
-    becomes the default for prediction; training on moment-only or
-    outside-only frames is how the per-subset diagnostic models are built.
+    Every call names its frame pool, "moment" or "outside": fitting on
+    moment-only or outside-only frames is how the per-subset diagnostic
+    models are built, and they predict from the same pool.
     """
 
     U: np.ndarray | None = None
     W: np.ndarray | None = None
-    subset: str = "all"
 
     @staticmethod
     def _pool(episode: Episode, frame_subset: str) -> np.ndarray:
-        if frame_subset == "all":
-            rows = episode.frames
+        mask = moment_frame_mask(episode)
+        if frame_subset == "moment":
+            rows = episode.frames[mask]
+        elif frame_subset == "outside":
+            rows = episode.frames[~mask]
         else:
-            mask = moment_frame_mask(episode)
-            if frame_subset == "moment":
-                rows = episode.frames[mask]
-            elif frame_subset == "outside":
-                rows = episode.frames[~mask]
-            else:
-                raise ValueError(f"unknown frame_subset {frame_subset!r}")
+            raise ValueError(f"unknown frame_subset {frame_subset!r}")
         if rows.shape[0] == 0:
             return np.zeros(episode.frames.shape[1])
         return rows.mean(axis=0)
@@ -303,11 +270,10 @@ class FramesQuestionScorer:
     def fit(
         self,
         episodes: Sequence[Episode],
-        frame_subset: str = "all",
+        frame_subset: str,
         epochs: int = 150,
         lr: float = 0.5,
     ) -> None:
-        self.subset = frame_subset
         V = np.stack([self._pool(ep, frame_subset) for ep in episodes])
         Q = np.stack([ep.question for ep in episodes])
         A = np.stack([ep.answers for ep in episodes])
@@ -324,18 +290,14 @@ class FramesQuestionScorer:
             self.U -= lr * (V.T @ delta_A) / len(episodes)
             self.W -= lr * (Q.T @ delta_A) / len(episodes)
 
-    def scores(self, episode: Episode, frame_subset: str | None = None) -> np.ndarray:
+    def scores(self, episode: Episode, frame_subset: str) -> np.ndarray:
         if self.U is None or self.W is None:
             raise ValueError("scorer not fitted")
-        v = self._pool(episode, frame_subset or self.subset)
+        v = self._pool(episode, frame_subset)
         return (v @ self.U + episode.question @ self.W) @ episode.answers.T
 
-    def predict(self, episode: Episode, frame_subset: str | None = None) -> int:
+    def predict(self, episode: Episode, frame_subset: str) -> int:
         return int(np.argmax(self.scores(episode, frame_subset)))
-
-    def accuracy(self, episodes: Sequence[Episode], frame_subset: str | None = None) -> float:
-        hits = sum(self.predict(ep, frame_subset) == ep.correct for ep in episodes)
-        return hits / len(episodes)
 
 
 @dataclass(frozen=True)

@@ -104,20 +104,18 @@ class NegativePool:
     descriptive_ids lists question ids to exclude from all pools (questions
     whose style makes them useless as grounding negatives). Besides the
     entries themselves the pool keeps, for each video and for each question
-    id, the ascending positions of its entries, so a draw can skip them
-    without scanning the pool.
+    id, the ascending positions of its entries, so a draw can find or skip
+    them without scanning the pool.
     """
 
     def __init__(self, episodes: Sequence[Episode],
                  descriptive_ids: frozenset[str] = frozenset()) -> None:
-        self.by_video: dict[str, list[tuple[str, np.ndarray]]] = {}
         self.entries: list[tuple[str, str, np.ndarray]] = []
         self.video_positions: dict[str, list[int]] = {}
         self.id_positions: dict[str, list[int]] = {}
         for ep in episodes:
             if ep.question_id in descriptive_ids:
                 continue
-            self.by_video.setdefault(ep.video_id, []).append((ep.question_id, ep.question))
             self.video_positions.setdefault(ep.video_id, []).append(len(self.entries))
             self.id_positions.setdefault(ep.question_id, []).append(len(self.entries))
             self.entries.append((ep.question_id, ep.video_id, ep.question))
@@ -150,10 +148,10 @@ def sample_negatives(
     """
     picked: set[str] = set()
     out: list[np.ndarray] = []
-    same_all = pool.by_video.get(episode.video_id, [])
     # ascending positions no cross-video draw may take: the episode's own
     # video, then every entry of a picked question id
     excluded = list(pool.video_positions.get(episode.video_id, ()))
+    same_all = [pool.entries[p] for p in excluded]
     warned = False
     for _ in range(count):
         same = [e for e in same_all if e[0] != episode.question_id and e[0] not in picked]
@@ -169,7 +167,7 @@ def sample_negatives(
             )
             warned = True
         if want_same and same:
-            qid, q = same[int(rng.integers(len(same)))]
+            qid, _, q = same[int(rng.integers(len(same)))]
         elif n_cross:
             # the k-th position that is not excluded
             pos = int(rng.integers(n_cross))
@@ -179,7 +177,7 @@ def sample_negatives(
                 pos += 1
             qid, _, q = pool.entries[pos]
         elif same:
-            qid, q = same[int(rng.integers(len(same)))]
+            qid, _, q = same[int(rng.integers(len(same)))]
         else:
             raise ConfigError("negative pools exhausted; need more episodes")
         picked.add(qid)
@@ -249,7 +247,7 @@ def train(
     if len(val_labels) != len(val_episodes):
         raise ConfigError("validation episodes need distinct question ids")
     rng = np.random.default_rng(config.seed)
-    adam = Adam(params.trainable(), lr=config.lr)
+    adam = Adam(params.arrays, lr=config.lr)
     pool = None
     need = episodes[0].n_answers - 1
     if config.objective == "ng+":

@@ -160,6 +160,29 @@ def test_train_synth_flag_overrides_config_seed(tmp_path):
     assert (flag / "labels.csv").read_bytes() == (plain / "labels.csv").read_bytes()
 
 
+@pytest.mark.parametrize("route", ["file", "flag"])
+def test_ng_objective_runs_one_stage(tmp_path, capsys, route):
+    # the default schedule has a grounding pretrain stage, which ng lacks
+    cfg = tmp_path / "run.cfg"
+    _write_cfg(cfg, "train.objective = ng\n" if route == "file" else "")
+    flags = ["--objective", "ng"] if route == "flag" else []
+    rc = main(["train-synth", "--config", str(cfg), "--epochs", "1", *flags,
+               "-o", str(tmp_path / "o")])
+    assert rc == 0
+    assert "objective ng (1 stage)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("route", ["file", "flag"])
+def test_ng_objective_with_explicit_two_stages_exit_2(tmp_path, capsys, route):
+    cfg = tmp_path / "run.cfg"
+    _write_cfg(cfg, "train.stages = 2\n" + ("train.objective = ng\n" if route == "file" else ""))
+    flags = ["--objective", "ng"] if route == "flag" else []
+    rc = main(["train-synth", "--config", str(cfg), "--epochs", "1", *flags,
+               "-o", str(tmp_path / "o")])
+    assert rc == 2
+    assert "no grounding pretrain stage" in capsys.readouterr().err
+
+
 def test_gamma_narrows_windows(tmp_path):
     cfg = tmp_path / "run.cfg"
     _write_cfg(cfg)

@@ -135,13 +135,6 @@ def test_label_needs_segments():
         GroundingLabel("q", "v", VideoExtent(5.0), (), 0)
 
 
-def test_extra_thresholds(fixture_labels, fixture_preds):
-    r = evaluate(fixture_preds, fixture_labels, extra_thresholds=(0.7,))
-    # IoP >= 0.7: q3 (1.0) and q4 (0.75) -> 50.0
-    assert r.iop_at[0.7] == pytest.approx(50.0)
-    assert set(r.iop_at) == {0.3, 0.5, 0.7}
-
-
 # --- whole-video grounding: IoP and IoU coincide ----------------------------
 
 def test_random_baseline_iop_equals_iou(fixture_labels):

@@ -1,0 +1,38 @@
+"""The analysis scripts run end to end on a tiny world and print their tables."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TINY = ["--episodes", "120", "--epochs", "1"]
+
+
+def _run(script):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *TINY],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_compare_objectives_prints_every_row():
+    lines = _run("compare_objectives.py")
+    names = [line.split()[0] for line in lines if "(n=" in line]
+    assert names == ["random", "ng;all", "ng+;all", "ng;VQA", "ng+;VQA", "ng;GDQA", "ng+;GDQA"]
+    for line in lines:
+        if "(n=" in line:
+            # eight metric cells, then the question count
+            assert len(line.split()) == 10
+
+
+def test_gamma_width_sweep_prints_every_row():
+    lines = _run("gamma_width_sweep.py")
+    rows = [line.split() for line in lines
+            if line.split()[:1] in (["1.0"], ["0.8"])]
+    assert [(r[0], r[1]) for r in rows] == [
+        (g, s) for g in ("1.0", "0.8") for s in ("gauss", "attn", "fused")
+    ]
+    assert all(len(r) == 6 for r in rows)

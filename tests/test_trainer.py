@@ -113,8 +113,8 @@ def test_same_video_rate_monte_carlo(world):
     pool = NegativePool(train_eps)
     rng = np.random.default_rng(42)
     ep = train_eps[0]
-    sib_bytes = {q.tobytes() for qid, q in pool.by_video[ep.video_id]
-                 if qid != ep.question_id}
+    sib_bytes = {q.tobytes() for qid, vid, q in pool.entries
+                 if vid == ep.video_id and qid != ep.question_id}
     same = 0
     total = 0
     for _ in range(5000):
@@ -168,7 +168,7 @@ def _scan_sample_negatives(pool, episode, count, p_same_video, rng):
     lists are rebuilt from the whole pool, in pool order."""
     picked = set()
     out = []
-    same_all = pool.by_video.get(episode.video_id, [])
+    same_all = [(qid, q) for qid, vid, q in pool.entries if vid == episode.video_id]
     warned = False
     for _ in range(count):
         same = [e for e in same_all if e[0] != episode.question_id and e[0] not in picked]
