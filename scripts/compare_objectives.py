@@ -8,7 +8,7 @@ Takes about two minutes at the default scale on one core.
 import argparse
 import time
 
-from gvqa.metrics import Prediction, evaluate, random_baseline, report_row
+from gvqa.metrics import REPORT_COLUMNS, Prediction, evaluate, random_baseline, report_row
 from gvqa.model import ModelConfig, init_params, predict_episodes
 from gvqa.synth import (
     SynthConfig,
@@ -32,6 +32,12 @@ def row_str(name, report):
     row = report_row(report)
     cells = "  ".join(f"{v:5.1f}" for v in row.values())
     return f"{name:<14} {cells}  (n={report.n_questions})"
+
+
+def empty_row_str(name):
+    """Row of a subset without questions: blank cells, nothing to score."""
+    cells = "  ".join(" " * 5 for _ in REPORT_COLUMNS)
+    return f"{name:<14} {cells}  (n=0)"
 
 
 def main():
@@ -76,8 +82,11 @@ def main():
     for subset_name, subset in subsets.items():
         labels = episodes_to_labels(subset)
         for objective in ("ng", "ng+"):
-            preds = predictions(trained[objective], subset, args.gamma)
             name = f"{objective};{subset_name}"
+            if not subset:
+                print(empty_row_str(name))
+                continue
+            preds = predictions(trained[objective], subset, args.gamma)
             print(row_str(name, evaluate(preds, labels)))
     print(f"\ntotal {time.time() - t0:.0f}s")
 

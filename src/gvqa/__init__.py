@@ -1,6 +1,6 @@
 """Weakly-supervised temporally-grounded video QA at desk scale."""
 
-from .metrics import GroundingLabel, MetricReport, Prediction, evaluate
+from .metrics import GroundingLabel, LabelTable, MetricReport, Prediction, evaluate
 from .model import (
     Episode,
     ModelConfig,
@@ -16,6 +16,7 @@ from .trainer import TrainConfig, train
 __all__ = [
     "Episode",
     "GroundingLabel",
+    "LabelTable",
     "MetricReport",
     "ModelConfig",
     "Prediction",

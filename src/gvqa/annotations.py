@@ -1,9 +1,9 @@
 """Annotation file ingestion and dataset statistics.
 
-Reads grounding labels from CSV or JSON, validates every row, and summarizes
-the corpus: counts, mean segment/video durations, segment-to-video ratio,
-where segments sit in the video, and how segments and questions share each
-other.
+Reads grounding labels from CSV or JSON into a validated LabelTable, and
+summarizes the corpus: counts, mean segment/video durations, segment-to-video
+ratio, where segments sit in the video, and how segments and questions share
+each other.
 """
 
 from __future__ import annotations
@@ -14,9 +14,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .metrics import GroundingLabel
+import numpy as np
+
+from .metrics import GroundingLabel, LabelTable, ordered_sum
 from .svgplot import bar_chart, pie_chart
-from .temporal import TemporalSegment, VideoExtent, iou
+from .temporal import TemporalSegment, VideoExtent
 
 CSV_COLUMNS = ("question_id", "video_id", "duration_s", "answer_index", "segments")
 
@@ -120,113 +122,158 @@ def _build_label(row: Mapping[str, object], where: str) -> GroundingLabel:
         raise ValidationError(f"{where}: {exc}") from exc
 
 
-def load_labels(path: str | Path) -> dict[str, GroundingLabel]:
-    """Load labels from a .csv or .json file, keyed by question id.
+def load_labels(path: str | Path) -> LabelTable:
+    """Load labels from a .csv or .json file into a table keyed by question id.
 
-    Rows that parse but violate label constraints (segment outside the video,
-    start >= end, negative start) raise ValidationError naming the line.
+    The whole file is parsed and checked at once. If any row fails, the rows
+    are read again one by one through the GroundingLabel checks, so the first
+    bad row in file order raises: ParseError for an unreadable value,
+    ValidationError for a row that parses but violates a label constraint
+    (segment outside the video, start >= end, negative start, repeated
+    question id). Both name the file and line (CSV) or row (JSON).
     """
     path = Path(path)
     if path.suffix.lower() == ".json":
-        return _load_json(path)
-    if path.suffix.lower() == ".csv":
-        return _load_csv(path)
-    raise ParseError(f"{path}: unsupported extension (want .csv or .json)")
+        table = _load_json(path)
+    elif path.suffix.lower() == ".csv":
+        table = _load_csv(path)
+    else:
+        raise ParseError(f"{path}: unsupported extension (want .csv or .json)")
+    if not table:
+        raise ParseError(f"{path}: no rows")
+    return table
 
 
-def _load_csv(path: Path) -> dict[str, GroundingLabel]:
+# any of these from the bulk path sends the file through the row-by-row
+# reader, which raises the first bad row's error with its location
+_BULK_ERRORS = (ValueError, TypeError, KeyError, OverflowError, csv.Error)
+
+
+def _bulk_table(qids: list, vids: list, durations: list, answers: list,
+                cells: list) -> LabelTable:
+    """One table from raw column values, converted by the builtins that
+    _build_label uses; raises one of _BULK_ERRORS if any row is bad."""
+    seg_start: list[float] = []
+    seg_end: list[float] = []
+    seg_owner: list[int] = []
+    for row, cell in enumerate(cells):
+        for a, b in _parse_segments(cell, ""):
+            seg_start.append(a)
+            seg_end.append(b)
+            seg_owner.append(row)
+    return LabelTable(list(map(str, qids)), list(map(str, vids)),
+                      list(map(float, durations)), list(map(int, answers)),
+                      seg_start, seg_end, seg_owner)
+
+
+def _add_label(labels: dict[str, GroundingLabel], label: GroundingLabel, where: str) -> None:
+    if label.question_id in labels:
+        raise ValidationError(f"{where}: duplicate question_id {label.question_id!r}")
+    labels[label.question_id] = label
+
+
+def _load_csv(path: Path) -> LabelTable:
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ParseError(f"{path}: empty file")
+        missing = set(CSV_COLUMNS) - set(header)
+        if missing:
+            raise ParseError(f"{path}: header missing columns {sorted(missing)}")
+        try:
+            rows = [row for row in reader if row]
+            # short and long rows take csv.DictReader's padding rules: row by row
+            if any(len(row) != len(header) for row in rows):
+                raise ValueError("ragged rows")
+            # a repeated column name reads its last column, as in csv.DictReader
+            column = {name: i for i, name in enumerate(header)}
+            return _bulk_table(*([row[column[c]] for row in rows] for c in CSV_COLUMNS))
+        except _BULK_ERRORS:
+            pass
+    return LabelTable.of(_read_csv_rows(path))
+
+
+def _read_csv_rows(path: Path) -> dict[str, GroundingLabel]:
+    """Row-by-row reading; raises at the first bad row, naming its line."""
     labels: dict[str, GroundingLabel] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ParseError(f"{path}: empty file")
-        missing = set(CSV_COLUMNS) - set(reader.fieldnames)
-        if missing:
-            raise ParseError(f"{path}: header missing columns {sorted(missing)}")
         for row in reader:
             where = f"{path.name}:{reader.line_num}"
-            label = _build_label(row, where)
-            if label.question_id in labels:
-                raise ValidationError(f"{where}: duplicate question_id {label.question_id!r}")
-            labels[label.question_id] = label
-    if not labels:
-        raise ParseError(f"{path}: no rows")
+            _add_label(labels, _build_label(row, where), where)
     return labels
 
 
-def _load_json(path: Path) -> dict[str, GroundingLabel]:
+def _load_json(path: Path) -> LabelTable:
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(raw, list):
         raise ParseError(f"{path}: expected a JSON array of rows")
+    try:
+        return _bulk_table(*([row[c] for row in raw] for c in CSV_COLUMNS))
+    except _BULK_ERRORS:
+        pass
+    return LabelTable.of(_read_json_rows(path, raw))
+
+
+def _read_json_rows(path: Path, raw: list) -> dict[str, GroundingLabel]:
+    """Row-by-row reading; raises at the first bad row, naming its index."""
     labels: dict[str, GroundingLabel] = {}
     for i, row in enumerate(raw):
         where = f"{path.name}:row {i}"
         if not isinstance(row, dict):
             raise ParseError(f"{where}: not an object")
-        label = _build_label(row, where)
-        if label.question_id in labels:
-            raise ValidationError(f"{where}: duplicate question_id {label.question_id!r}")
-        labels[label.question_id] = label
-    if not labels:
-        raise ParseError(f"{path}: no rows")
+        _add_label(labels, _build_label(row, where), where)
     return labels
 
 
 def save_labels(path: str | Path, labels: Mapping[str, GroundingLabel]) -> None:
     """Write labels back out in the schema load_labels reads."""
     path = Path(path)
-
-    def base(lab: GroundingLabel) -> dict:
-        return {
-            "question_id": lab.question_id,
-            "video_id": lab.video_id,
-            "duration_s": lab.extent.duration,
-            "answer_index": lab.answer_index,
-        }
+    table = LabelTable.of(labels)
+    bounds = table.seg_bounds.tolist()
+    starts, ends = table.seg_start.tolist(), table.seg_end.tolist()
+    base = list(zip(table.question_ids, table.video_ids,
+                    table.duration.tolist(), table.answer.tolist()))
 
     if path.suffix.lower() == ".json":
         rows = [
-            base(lab) | {"segments": [[s.start, s.end] for s in lab.segments]}
-            for lab in labels.values()
+            {"question_id": qid, "video_id": vid, "duration_s": duration,
+             "answer_index": answer,
+             "segments": [[a, b] for a, b in zip(starts[lo:hi], ends[lo:hi])]}
+            for (qid, vid, duration, answer), lo, hi in zip(base, bounds, bounds[1:])
         ]
         path.write_text(json.dumps(rows, indent=2) + "\n", encoding="utf-8")
     elif path.suffix.lower() == ".csv":
-        rows = [
-            base(lab) | {"segments": ";".join(f"{s.start!r}:{s.end!r}" for s in lab.segments)}
-            for lab in labels.values()
-        ]
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(CSV_COLUMNS))
-            writer.writeheader()
-            writer.writerows(rows)
+            writer = csv.writer(fh)
+            writer.writerow(CSV_COLUMNS)
+            writer.writerows(
+                (qid, vid, duration, answer,
+                 ";".join(f"{a!r}:{b!r}" for a, b in zip(starts[lo:hi], ends[lo:hi])))
+                for (qid, vid, duration, answer), lo, hi in zip(base, bounds, bounds[1:])
+            )
     else:
         raise ParseError(f"{path}: unsupported extension (want .csv or .json)")
 
 
 # --- statistics ---------------------------------------------------------------
 
-def _position_bin(seg: TemporalSegment, duration: float) -> str:
-    mid = (seg.start + seg.end) / 2.0
-    third = duration / 3.0
-    if mid < third:
-        return "left"
-    if mid < 2.0 * third:
-        return "middle"
-    return "right"
-
-
-def _dedup_segments(segs: list[TemporalSegment]) -> list[list[int]]:
+def _dedup_segments(starts: list[float], ends: list[float]) -> list[list[int]]:
     """Greedy IoU clustering; two segments with IoU > 0.5 count as the same.
 
+    IoU takes temporal.iou's steps with the later segment as the prediction.
     Returns clusters as index lists; first member is the representative.
     """
     clusters: list[list[int]] = []
-    for i, seg in enumerate(segs):
+    for i, (start, end) in enumerate(zip(starts, ends)):
         for cluster in clusters:
-            if iou(seg, segs[cluster[0]]) > DEDUP_IOU:
+            r_start, r_end = starts[cluster[0]], ends[cluster[0]]
+            inter = max(0.0, min(end, r_end) - max(start, r_start))
+            if inter / (((end - start) + (r_end - r_start)) - inter) > DEDUP_IOU:
                 cluster.append(i)
                 break
         else:
@@ -241,45 +288,50 @@ def compute_stats(labels: Mapping[str, GroundingLabel]) -> DatasetStats:
     midpoint. The ratio statistic is per-segment (length / its video's
     duration) averaged over all segments. qas_per_seg deduplicates segments
     within a video via IoU > 0.5 and counts distinct QAs per deduped segment.
+    Sums run in label order, as a Python loop over the labels adds them.
     """
     if not labels:
         raise EmptyDataset("no labels")
+    table = LabelTable.of(labels)
+    n_questions = len(table)
+    owner = table.seg_owner
+    n_segments = owner.size
+    length = table.seg_end - table.seg_start
+    duration = table.duration[owner]
 
-    videos: dict[str, float] = {}
-    by_video: dict[str, list[tuple[str, TemporalSegment]]] = {}
-    n_segments = 0
-    seg_dur_sum = 0.0
-    ratio_sum = 0.0
-    pos_counts = dict.fromkeys(POSITION_BINS, 0)
-    segs_per_qa: dict[int, int] = {}
+    mid = (table.seg_start + table.seg_end) / 2.0
+    third = duration / 3.0
+    left = mid < third
+    middle = ~left & (mid < 2.0 * third)
+    n_left, n_middle = int(np.count_nonzero(left)), int(np.count_nonzero(middle))
+    pos_counts = {"left": n_left, "middle": n_middle, "right": n_segments - n_left - n_middle}
 
-    for lab in labels.values():
-        videos[lab.video_id] = lab.extent.duration
-        k = len(lab.segments)
-        segs_per_qa[k] = segs_per_qa.get(k, 0) + 1
-        for seg in lab.segments:
-            n_segments += 1
-            seg_dur_sum += seg.length
-            ratio_sum += seg.length / lab.extent.duration
-            pos_counts[_position_bin(seg, lab.extent.duration)] += 1
-            by_video.setdefault(lab.video_id, []).append((lab.question_id, seg))
+    k, count = np.unique(np.diff(table.seg_bounds), return_counts=True)
+    segs_per_qa = dict(zip(k.tolist(), count.tolist()))
 
+    # a video seen again keeps its first position and takes the last duration
+    videos = dict(zip(table.video_ids, table.duration.tolist()))
+
+    owners = owner.tolist()
+    starts, ends = table.seg_start.tolist(), table.seg_end.tolist()
+    by_video: dict[str, list[int]] = {}
+    for seg, row in enumerate(owners):
+        by_video.setdefault(table.video_ids[row], []).append(seg)
     qas_per_seg: dict[int, int] = {}
-    for vid, entries in by_video.items():
-        segs = [seg for _, seg in entries]
-        for cluster in _dedup_segments(segs):
-            qids = {entries[i][0] for i in cluster}
-            qas_per_seg[len(qids)] = qas_per_seg.get(len(qids), 0) + 1
+    for segs in by_video.values():
+        clusters = _dedup_segments([starts[i] for i in segs], [ends[i] for i in segs])
+        for cluster in clusters:
+            n_qas = len({owners[segs[i]] for i in cluster})
+            qas_per_seg[n_qas] = qas_per_seg.get(n_qas, 0) + 1
     n_dedup = sum(qas_per_seg.values())
 
-    n_questions = len(labels)
     return DatasetStats(
         n_videos=len(videos),
         n_questions=n_questions,
         n_segments=n_segments,
-        mean_seg_dur=seg_dur_sum / n_segments,
+        mean_seg_dur=ordered_sum(length) / n_segments,
         mean_vid_dur=sum(videos.values()) / len(videos),
-        mean_ratio=ratio_sum / n_segments,
+        mean_ratio=ordered_sum(length / duration) / n_segments,
         position_hist={b: pos_counts[b] / n_segments for b in POSITION_BINS},
         segs_per_qa_hist={k: v / n_questions for k, v in sorted(segs_per_qa.items())},
         qas_per_seg_hist={k: v / n_dedup for k, v in sorted(qas_per_seg.items())},

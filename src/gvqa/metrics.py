@@ -3,7 +3,8 @@
 Scores answer accuracy together with temporal evidence quality: Acc@QA,
 Acc@GQA (correct answer and best IoP >= 0.5), mean IoP/IoU and thresholded
 rates at 0.3/0.5. Multi-segment labels are scored against the segment with
-maximal overlap.
+maximal overlap. Label sets are held as a validated columnar LabelTable, so
+scoring runs as array operations over all segments at once.
 """
 
 from __future__ import annotations
@@ -13,12 +14,18 @@ import json
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
+
+import numpy as np
 
 from .temporal import TemporalSegment, VideoExtent, iop, iou
 
 PROTOCOL_THRESHOLDS = (0.3, 0.5)
 GQA_IOP_THRESHOLD = 0.5
+# answer indices are held in an int64 column
+MAX_ANSWER_INDEX = int(np.iinfo(np.int64).max)
+# a segment may end this far past its video's duration (float slack)
+END_SLACK = 1e-9
 
 
 class UnknownQuestionId(KeyError):
@@ -44,14 +51,131 @@ class GroundingLabel:
         if not segments:
             raise ValueError(f"label {self.question_id} has no segments")
         for seg in segments:
-            if seg.start < 0 or seg.end > self.extent.duration + 1e-9:
+            if seg.start < 0 or seg.end > self.extent.duration + END_SLACK:
                 raise ValueError(
                     f"label {self.question_id}: segment [{seg.start}, {seg.end}] "
                     f"outside video of duration {self.extent.duration}"
                 )
         if self.answer_index < 0:
             raise ValueError(f"label {self.question_id}: negative answer_index")
+        if self.answer_index > MAX_ANSWER_INDEX:
+            raise ValueError(
+                f"label {self.question_id}: answer_index {self.answer_index} "
+                f"exceeds {MAX_ANSWER_INDEX}"
+            )
         object.__setattr__(self, "segments", segments)
+
+
+class LabelTable(Mapping[str, GroundingLabel]):
+    """A validated label set held in columns, keyed by question id.
+
+    Row i is one question: ``question_ids[i]``, ``video_ids[i]``,
+    ``duration[i]`` and ``answer[i]``. Segment k is
+    ``[seg_start[k], seg_end[k]]`` of row ``seg_owner[k]``; each row's
+    segments are contiguous and keep their input order. ``index`` maps a
+    question id to its row.
+
+    The constructor checks every rule of GroundingLabel, TemporalSegment and
+    VideoExtent over whole columns and raises ValueError if any row breaks
+    one, so a table holds only rows that GroundingLabel accepts. The table is
+    read-only; reading a key builds that row's GroundingLabel.
+    """
+
+    def __init__(self, question_ids, video_ids, duration, answer,
+                 seg_start, seg_end, seg_owner) -> None:
+        self.question_ids = tuple(question_ids)
+        self.video_ids = tuple(video_ids)
+        self.duration = np.array(duration, dtype=np.float64)
+        try:
+            self.answer = np.array(answer, dtype=np.int64)
+        except OverflowError:
+            raise ValueError("label table: answer index outside int64") from None
+        self.seg_start = np.array(seg_start, dtype=np.float64)
+        self.seg_end = np.array(seg_end, dtype=np.float64)
+        self.seg_owner = np.array(seg_owner, dtype=np.intp)
+        self.index = dict(zip(self.question_ids, range(len(self.question_ids))))
+        problem = self._problem()
+        if problem:
+            raise ValueError(f"label table: {problem}")
+        # row i's segments are seg_bounds[i]:seg_bounds[i + 1]
+        self.seg_bounds = np.concatenate(
+            ([0], np.cumsum(np.bincount(self.seg_owner, minlength=len(self)))))
+        for column in (self.duration, self.answer, self.seg_start, self.seg_end,
+                       self.seg_owner, self.seg_bounds):
+            column.flags.writeable = False
+
+    def _problem(self) -> str:
+        """The first broken rule, or "" when every row is valid."""
+        n = len(self.question_ids)
+        if not (len(self.video_ids) == self.duration.shape[0] == self.answer.shape[0] == n):
+            return "row columns differ in length"
+        if not self.seg_start.shape == self.seg_end.shape == self.seg_owner.shape:
+            return "segment columns differ in length"
+        if len(self.index) != n:
+            return "duplicate question ids"
+        owner = self.seg_owner
+        if owner.size and (owner[0] < 0 or np.any(owner[1:] < owner[:-1])):
+            return "segment owners must be sorted row indices"
+        counts = np.bincount(owner, minlength=n)
+        if counts.shape[0] != n or not np.all(counts):
+            return "every row needs at least one segment"
+        duration = self.duration
+        if not np.all(np.isfinite(duration) & (duration > 0)):
+            return "durations must be finite and > 0"
+        if np.any(self.answer < 0):
+            return "negative answer index"
+        start, end = self.seg_start, self.seg_end
+        if not np.all(np.isfinite(start) & np.isfinite(end)):
+            return "segment endpoints must be finite"
+        if not np.all((start >= 0) & (start < end)):
+            return "segments need 0 <= start < end"
+        if np.any(end > duration[owner] + END_SLACK):
+            return "segment outside its video"
+        return ""
+
+    @classmethod
+    def of(cls, labels: Mapping[str, GroundingLabel]) -> "LabelTable":
+        """The table itself, or a table gathered from a mapping of labels.
+
+        Each key must be its label's question id.
+        """
+        if isinstance(labels, LabelTable):
+            return labels
+        qids, vids, duration, answer = [], [], [], []
+        seg_start, seg_end, seg_owner = [], [], []
+        for row, (qid, label) in enumerate(labels.items()):
+            if qid != label.question_id:
+                raise ValueError(f"key {qid!r} holds the label of {label.question_id!r}")
+            qids.append(qid)
+            vids.append(label.video_id)
+            duration.append(label.extent.duration)
+            answer.append(label.answer_index)
+            for seg in label.segments:
+                seg_start.append(seg.start)
+                seg_end.append(seg.end)
+                seg_owner.append(row)
+        return cls(qids, vids, duration, answer, seg_start, seg_end, seg_owner)
+
+    def __getitem__(self, qid: str) -> GroundingLabel:
+        i = self.index[qid]
+        lo, hi = self.seg_bounds[i:i + 2].tolist()
+        return GroundingLabel(
+            question_id=qid,
+            video_id=self.video_ids[i],
+            extent=VideoExtent(self.duration[i].item()),
+            segments=tuple(TemporalSegment(a, b) for a, b in
+                           zip(self.seg_start[lo:hi].tolist(), self.seg_end[lo:hi].tolist())),
+            answer_index=self.answer[i].item(),
+        )
+
+    def __contains__(self, qid: object) -> bool:
+        return qid in self.index
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.question_ids)
+
+    def __len__(self) -> int:
+        return len(self.question_ids)
 
 
 @dataclass(frozen=True)
@@ -123,71 +247,76 @@ def evaluate(
     are recorded in the report warnings. Unknown or duplicate question ids are
     errors.
     """
-    by_qid: dict[str, Prediction] = {}
+    table = LabelTable.of(labels)
+    rows: dict[int, Prediction] = {}
     for pred in preds:
-        if pred.question_id not in labels:
+        row = table.index.get(pred.question_id)
+        if row is None:
             raise UnknownQuestionId(pred.question_id)
-        if pred.question_id in by_qid:
+        if row in rows:
             raise DuplicatePrediction(pred.question_id)
-        by_qid[pred.question_id] = pred
+        rows[row] = pred
 
-    n = len(labels)
+    n = len(table)
     if n == 0:
         raise ValueError("empty label set")
 
-    n_correct = 0
-    n_gqa = 0
-    iop_sum = 0.0
-    iou_sum = 0.0
-    iop_hits = {t: 0 for t in PROTOCOL_THRESHOLDS}
-    iou_hits = {t: 0 for t in PROTOCOL_THRESHOLDS}
-    missing: list[str] = []
+    # a missing prediction gets the dummy window [0, 1], scored zero below
+    has = np.zeros(n, dtype=bool)
+    p_start = np.zeros(n)
+    p_end = np.ones(n)
+    index = np.fromiter(rows, dtype=np.intp, count=len(rows))
+    has[index] = True
+    p_start[index] = [p.window.start for p in rows.values()]
+    p_end[index] = [p.window.end for p in rows.values()]
+    correct = np.zeros(n, dtype=bool)
+    correct[index] = np.array([p.answer_index for p in rows.values()]) == table.answer[index]
 
-    for qid in labels:
-        label = labels[qid]
-        pred = by_qid.get(qid)
-        if pred is None:
-            missing.append(qid)
-            continue
-        correct = pred.answer_index == label.answer_index
-        p_iop = best_overlap(pred.window, label, "iop")
-        p_iou = best_overlap(pred.window, label, "iou")
-        n_correct += correct
-        n_gqa += correct and p_iop >= GQA_IOP_THRESHOLD
-        iop_sum += p_iop
-        iou_sum += p_iou
-        for t in PROTOCOL_THRESHOLDS:
-            iop_hits[t] += p_iop >= t
-            iou_hits[t] += p_iou >= t
+    # every segment against its question's window, in temporal.iop/iou's order
+    owner = table.seg_owner
+    ps, pe = p_start[owner], p_end[owner]
+    plen = pe - ps
+    glen = table.seg_end - table.seg_start
+    inter = np.maximum(0.0, np.minimum(pe, table.seg_end) - np.maximum(ps, table.seg_start))
+    starts = table.seg_bounds[:-1]
+    best_iop = np.where(has, np.maximum.reduceat(inter / plen, starts), 0.0)
+    best_iou = np.where(has, np.maximum.reduceat(inter / ((plen + glen) - inter), starts), 0.0)
 
     warnings = []
-    if missing:
+    n_missing = n - len(rows)
+    if n_missing:
         warnings.append(
-            f"{len(missing)} labeled questions had no prediction and were scored zero"
+            f"{n_missing} labeled questions had no prediction and were scored zero"
         )
 
     pct = 100.0 / n
     return MetricReport(
-        acc_qa=n_correct * pct,
-        acc_gqa=n_gqa * pct,
-        m_iop=iop_sum * pct,
-        iop_at={t: iop_hits[t] * pct for t in PROTOCOL_THRESHOLDS},
-        m_iou=iou_sum * pct,
-        iou_at={t: iou_hits[t] * pct for t in PROTOCOL_THRESHOLDS},
+        acc_qa=int(np.count_nonzero(correct)) * pct,
+        acc_gqa=int(np.count_nonzero(correct & (best_iop >= GQA_IOP_THRESHOLD))) * pct,
+        m_iop=ordered_sum(best_iop) * pct,
+        iop_at={t: int(np.count_nonzero(best_iop >= t)) * pct for t in PROTOCOL_THRESHOLDS},
+        m_iou=ordered_sum(best_iou) * pct,
+        iou_at={t: int(np.count_nonzero(best_iou >= t)) * pct for t in PROTOCOL_THRESHOLDS},
         n_questions=n,
         warnings=warnings,
     )
 
 
+def ordered_sum(values: np.ndarray) -> float:
+    """Left-to-right sum of a non-empty array, as a Python `+=` loop adds."""
+    return float(np.add.accumulate(values)[-1])
+
+
 def random_baseline(labels: Mapping[str, GroundingLabel], answer_id: int) -> list[Prediction]:
     """Fixed-answer predictor that grounds every question on the whole video."""
+    table = LabelTable.of(labels)
     return [
         Prediction(
             question_id=qid,
             answer_index=answer_id,
-            window=TemporalSegment(0.0, label.extent.duration),
+            window=TemporalSegment(0.0, duration),
         )
-        for qid, label in labels.items()
+        for qid, duration in zip(table.question_ids, table.duration.tolist())
     ]
 
 

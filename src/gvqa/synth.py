@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .gaussian import frame_positions
-from .metrics import GroundingLabel
+from .metrics import GroundingLabel, LabelTable
 from .model import Episode
 from .temporal import TemporalSegment, VideoExtent
 
@@ -170,8 +170,26 @@ def oracle_grounding(episode: Episode) -> TemporalSegment:
     return episode.gt_moment
 
 
-def episodes_to_labels(episodes: Iterable[Episode]) -> dict[str, GroundingLabel]:
-    """Grounding labels keyed by question id, for the metrics protocol."""
+def episodes_to_labels(episodes: Iterable[Episode]) -> LabelTable:
+    """Grounding labels keyed by question id, for the metrics protocol.
+
+    Raises NotSynthetic for an episode without a planted moment. A repeated
+    question id keeps its last episode's label, as a dict would.
+    """
+    episodes = list(episodes)
+    if all(ep.gt_moment is not None for ep in episodes):
+        try:
+            return LabelTable(
+                [ep.question_id for ep in episodes],
+                [ep.video_id for ep in episodes],
+                [ep.extent.duration for ep in episodes],
+                [ep.correct for ep in episodes],
+                [ep.gt_moment.start for ep in episodes],
+                [ep.gt_moment.end for ep in episodes],
+                range(len(episodes)),
+            )
+        except ValueError:
+            pass  # built one by one below, which names the first bad episode
     labels = {}
     for ep in episodes:
         labels[ep.question_id] = GroundingLabel(
@@ -181,7 +199,7 @@ def episodes_to_labels(episodes: Iterable[Episode]) -> dict[str, GroundingLabel]
             segments=(oracle_grounding(ep),),
             answer_index=ep.correct,
         )
-    return labels
+    return LabelTable.of(labels)
 
 
 def split_by_video(

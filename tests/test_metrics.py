@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gvqa.metrics import (
+    GQA_IOP_THRESHOLD,
+    PROTOCOL_THRESHOLDS,
     DuplicatePrediction,
     GroundingLabel,
+    LabelTable,
     MetricReport,
     Prediction,
     UnknownQuestionId,
@@ -135,6 +138,49 @@ def test_label_needs_segments():
         GroundingLabel("q", "v", VideoExtent(5.0), (), 0)
 
 
+def test_label_table_is_a_read_only_mapping(fixture_labels):
+    table = LabelTable.of(fixture_labels)
+    assert LabelTable.of(table) is table
+    assert list(table) == list(fixture_labels) and len(table) == 4
+    assert dict(table) == fixture_labels
+    assert "q4" in table and "nope" not in table
+    with pytest.raises(KeyError):
+        table["nope"]
+    assert table.seg_owner.tolist() == [0, 1, 2, 3, 3]
+    with pytest.raises(ValueError):
+        table.seg_start[0] = 1.0
+
+
+TWO_ROWS = {"question_ids": ["a", "b"], "video_ids": ["v", "v"], "duration": [10.0, 10.0],
+            "answer": [0, 1], "seg_start": [1.0, 1.0], "seg_end": [2.0, 5.0],
+            "seg_owner": [0, 1]}
+
+
+@pytest.mark.parametrize("change, rule", [
+    ({"question_ids": ["a", "a"]}, "duplicate"),
+    ({"video_ids": ["v"]}, "length"),
+    ({"duration": [10.0, float("nan")]}, "durations"),
+    ({"duration": [10.0, 0.0]}, "durations"),
+    ({"answer": [0, -1]}, "negative"),
+    ({"answer": [0, 2**63]}, "int64"),
+    ({"seg_owner": [1, 0]}, "sorted"),
+    ({"seg_owner": [0, 0]}, "at least one segment"),
+    ({"seg_start": [1.0, 5.0]}, "start < end"),
+    ({"seg_start": [-1.0, 1.0]}, "start"),
+    ({"seg_end": [2.0, float("inf")]}, "finite"),
+    ({"seg_end": [2.0, 10.0 + 2e-9]}, "outside"),
+])
+def test_label_table_checks_every_rule(change, rule):
+    LabelTable(**TWO_ROWS)
+    with pytest.raises(ValueError, match=rule):
+        LabelTable(**(TWO_ROWS | change))
+
+
+def test_label_table_of_needs_keys_equal_to_ids(fixture_labels):
+    with pytest.raises(ValueError, match="holds the label"):
+        LabelTable.of({"x": fixture_labels["q1"]})
+
+
 # --- whole-video grounding: IoP and IoU coincide ----------------------------
 
 def test_random_baseline_iop_equals_iou(fixture_labels):
@@ -164,6 +210,72 @@ def test_random_baseline_property(answer_id, data):
     # Acc@GQA cannot exceed either factor of its conjunction
     assert r.acc_gqa <= r.acc_qa + 1e-9
     assert r.acc_gqa <= r.iop_at[0.5] + 1e-9
+
+
+# --- array scoring against the per-question loop ----------------------------
+
+def reference_evaluate(preds, labels):
+    """evaluate as a loop over questions and segments, with temporal.iop/iou."""
+    by_qid = {p.question_id: p for p in preds}
+    n_correct = n_gqa = 0
+    iop_sum = iou_sum = 0.0
+    iop_hits = dict.fromkeys(PROTOCOL_THRESHOLDS, 0)
+    iou_hits = dict.fromkeys(PROTOCOL_THRESHOLDS, 0)
+    missing = 0
+    for qid, lab in labels.items():
+        p = by_qid.get(qid)
+        if p is None:
+            missing += 1
+            continue
+        correct = p.answer_index == lab.answer_index
+        p_iop = max(iop(p.window, seg) for seg in lab.segments)
+        p_iou = max(iou(p.window, seg) for seg in lab.segments)
+        n_correct += correct
+        n_gqa += correct and p_iop >= GQA_IOP_THRESHOLD
+        iop_sum += p_iop
+        iou_sum += p_iou
+        for t in PROTOCOL_THRESHOLDS:
+            iop_hits[t] += p_iop >= t
+            iou_hits[t] += p_iou >= t
+    pct = 100.0 / len(labels)
+    return MetricReport(
+        acc_qa=n_correct * pct,
+        acc_gqa=n_gqa * pct,
+        m_iop=iop_sum * pct,
+        iop_at={t: iop_hits[t] * pct for t in PROTOCOL_THRESHOLDS},
+        m_iou=iou_sum * pct,
+        iou_at={t: iou_hits[t] * pct for t in PROTOCOL_THRESHOLDS},
+        n_questions=len(labels),
+        warnings=[f"{missing} labeled questions had no prediction and were scored zero"]
+        if missing else [],
+    )
+
+
+@st.composite
+def scored_label_sets(draw):
+    """Multi-segment labels and predictions for a drawn subset, in drawn order."""
+    labels, preds = {}, []
+    for i in range(draw(st.integers(1, 24))):
+        duration = draw(st.floats(1e-3, 1e4))
+        segs = []
+        for _ in range(draw(st.integers(1, 4))):
+            a = draw(st.floats(0.0, duration, exclude_max=True))
+            segs.append((a, draw(st.floats(a, duration, exclude_min=True))))
+        labels[f"q{i}"] = label(f"q{i}", duration, segs, ans=draw(st.integers(0, 3)))
+        if draw(st.integers(0, 4)):
+            a = draw(st.floats(0.0, 2 * duration, exclude_max=True))
+            b = draw(st.floats(a, 2 * duration, exclude_min=True))
+            preds.append(pred(f"q{i}", draw(st.integers(0, 3)), a, b))
+    return labels, draw(st.permutations(preds))
+
+
+@given(scored_label_sets())
+@settings(max_examples=100, deadline=None)
+def test_evaluate_bit_identical_to_loop(case):
+    labels, preds = case
+    want = reference_evaluate(preds, labels)
+    assert evaluate(preds, labels) == want
+    assert evaluate(preds, LabelTable.of(labels)) == want
 
 
 # --- 1ms boolean-grid oracle ------------------------------------------------

@@ -1,11 +1,12 @@
 """Planted-moment generator: determinism, geometry, probes."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
-from gvqa.metrics import evaluate, random_baseline
+from gvqa.metrics import LabelTable, evaluate, random_baseline
 from gvqa.model import Episode, ModelConfig, init_params
 from gvqa.synth import (
     SIBLINGS_PER_VIDEO,
@@ -174,6 +175,18 @@ def test_episodes_to_labels(eps):
         assert lab.answer_index == ep.correct
         assert lab.extent.duration == ep.extent.duration
         assert lab.video_id == ep.video_id
+
+
+def test_episodes_to_labels_falls_back_row_by_row(eps):
+    # a repeated id keeps the last episode's label, in the first one's place
+    twin = dataclasses.replace(eps[1], question_id=eps[0].question_id)
+    labels = episodes_to_labels(iter([eps[0], twin, eps[2]]))
+    assert isinstance(labels, LabelTable)
+    assert list(labels) == [eps[0].question_id, eps[2].question_id]
+    assert labels[eps[0].question_id].segments == (twin.gt_moment,)
+    bare = dataclasses.replace(eps[1], gt_moment=None)
+    with pytest.raises(NotSynthetic):
+        episodes_to_labels([eps[0], bare])
 
 
 def test_whole_video_baseline_hits_moment_ratio_exactly(eps):

@@ -476,7 +476,7 @@ def test_val_question_ids_must_be_distinct(world):
     _, train_eps, val_eps = world
     twin = dataclasses.replace(val_eps[1], question_id=val_eps[0].question_id)
     rows = []
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="validation episodes need distinct question ids"):
         train(fresh_params(), train_eps, TrainConfig(objective="ng", epochs=1, seed=0),
               val_episodes=[val_eps[0], twin], on_epoch=rows.append)
     assert rows == []
