@@ -1,5 +1,7 @@
 """Train the answer-only and joint objectives on the same synthetic world and
-compare them on the full validation split and on its diagnostic subsets.
+compare them on the full validation split and on its diagnostic subsets. Then,
+for each trained model, sweep the confidence-interval multiplier and the
+window source, reporting mean window width and the grounded-QA metrics.
 
 Usage: python3 scripts/compare_objectives.py [--episodes 2000] [--seed 7]
 Takes about two minutes at the default scale on one core.
@@ -8,7 +10,9 @@ Takes about two minutes at the default scale on one core.
 import argparse
 import time
 
-from gvqa.metrics import REPORT_COLUMNS, Prediction, evaluate, random_baseline, report_row
+import numpy as np
+
+from gvqa.metrics import REPORT_COLUMNS, evaluate, random_baseline, report_row
 from gvqa.model import ModelConfig, init_params, predict_episodes
 from gvqa.synth import (
     SynthConfig,
@@ -19,13 +23,6 @@ from gvqa.synth import (
     split_diagnostic,
 )
 from gvqa.trainer import TrainConfig, train
-
-
-def predictions(params, episodes, gamma):
-    return [
-        Prediction(question_id=ep.question_id, answer_index=p.answer_index, window=p.window)
-        for ep, p in zip(episodes, predict_episodes(params, episodes, gamma=gamma))
-    ]
 
 
 def row_str(name, report):
@@ -86,8 +83,20 @@ def main():
             if not subset:
                 print(empty_row_str(name))
                 continue
-            preds = predictions(trained[objective], subset, args.gamma)
+            preds = predict_episodes(trained[objective], subset, gamma=args.gamma)
             print(row_str(name, evaluate(preds, labels)))
+
+    for objective, params in trained.items():
+        print(f"\n{objective} window sweep on {len(val_eps)} val episodes")
+        print(f"{'gamma':>5} {'source':>6} {'width_s':>8}  "
+              f"{'Acc@GQA':>7} {'mIoP':>5} {'mIoU':>5}")
+        for gamma in (1.0, 0.8):
+            for source in ("gauss", "attn", "fused"):
+                preds = predict_episodes(params, val_eps, gamma=gamma, window_source=source)
+                width = np.mean([p.window.length for p in preds])
+                row = report_row(evaluate(preds, labels_all))
+                print(f"{gamma:5.1f} {source:>6} {width:8.2f}  "
+                      f"{row['Acc@GQA']:7.1f} {row['mIoP']:5.1f} {row['mIoU']:5.1f}")
     print(f"\ntotal {time.time() - t0:.0f}s")
 
 

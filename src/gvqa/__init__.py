@@ -10,7 +10,7 @@ from .model import (
     save_checkpoint,
 )
 from .synth import SynthConfig, generate, split_by_video
-from .temporal import TemporalSegment, VideoExtent, intersect_len, union_len, iop, iou
+from .temporal import TemporalSegment, VideoExtent, intersect_len, iop, iou
 from .trainer import TrainConfig, train
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "save_checkpoint",
     "split_by_video",
     "train",
-    "union_len",
 ]
 
 __version__ = "0.1.0"

@@ -62,8 +62,9 @@ class DatasetStats:
             total = sum(hist.values())
             if abs(total - 1.0) > 1e-9:
                 raise ValueError(f"{name} sums to {total}, expected 1")
-        if not 0.0 < self.mean_ratio <= 1.0:
-            raise ValueError(f"mean_ratio {self.mean_ratio} outside (0, 1]")
+        # a valid segment's length / duration can underflow to 0
+        if not 0.0 <= self.mean_ratio <= 1.0:
+            raise ValueError(f"mean_ratio {self.mean_ratio} outside [0, 1]")
 
 
 # --- loading ----------------------------------------------------------------

@@ -14,8 +14,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import annotations, metrics, svgplot
 from .model import (
     ModelConfig,
@@ -109,23 +107,13 @@ def parse_config_file(path: Path) -> dict[str, str]:
     return values
 
 
+# every config field is typed int, float or str
+_PARSERS = {"int": int, "float": float, "str": str}
+
+
 def _coerce(key: str, value: str, typ: str) -> object:
-    base = {"int": int, "float": float, "str": str, "bool": None}.get(
-        typ.split("|")[0].strip(), None
-    )
     try:
-        if typ.startswith("bool"):
-            low = value.lower()
-            if low in ("true", "1", "yes"):
-                return True
-            if low in ("false", "0", "no"):
-                return False
-            raise ValueError(value)
-        if base is int:
-            return int(value)
-        if base is float:
-            return float(value)
-        return value
+        return _PARSERS[typ](value)
     except ValueError:
         raise annotations.ValidationError(f"config key {key}: cannot parse {value!r} as {typ}")
 
@@ -201,12 +189,7 @@ def cmd_train_synth(args: argparse.Namespace) -> int:
     save_checkpoint(out / "checkpoint.npz", best)
     write_history_csv(out / "history.csv", history)
 
-    val_preds = predict_episodes(best, val_eps, gamma=train_cfg.gamma)
-    preds = [
-        metrics.Prediction(question_id=ep.question_id, answer_index=p.answer_index,
-                           window=p.window)
-        for ep, p in zip(val_eps, val_preds)
-    ]
+    preds = predict_episodes(best, val_eps, gamma=train_cfg.gamma)
     metrics.save_predictions(out / "predictions.json", preds)
     labels = episodes_to_labels(val_eps)
     annotations.save_labels(out / "labels.csv", labels)
@@ -217,7 +200,7 @@ def cmd_train_synth(args: argparse.Namespace) -> int:
 
     tl_dir = out / "timelines"
     tl_dir.mkdir(exist_ok=True)
-    for ep, p in zip(val_eps[: extra["timelines"]], val_preds):
+    for ep, p in zip(val_eps[: extra["timelines"]], preds):
         bands = [
             ("moment", ep.gt_moment.start, ep.gt_moment.end),
             ("window", p.window.start, p.window.end),

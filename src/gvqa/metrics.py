@@ -18,14 +18,12 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .temporal import TemporalSegment, VideoExtent, iop, iou
+from .temporal import END_SLACK, TemporalSegment, VideoExtent, iop, iou
 
 PROTOCOL_THRESHOLDS = (0.3, 0.5)
 GQA_IOP_THRESHOLD = 0.5
 # answer indices are held in an int64 column
 MAX_ANSWER_INDEX = int(np.iinfo(np.int64).max)
-# a segment may end this far past its video's duration (float slack)
-END_SLACK = 1e-9
 
 
 class UnknownQuestionId(KeyError):

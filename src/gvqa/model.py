@@ -37,8 +37,9 @@ from .gaussian import (
     gaussian_weights,
     mask_weights,
 )
+from .metrics import Prediction
 from .posthoc import extract_window_raw
-from .temporal import TemporalSegment, VideoExtent
+from .temporal import END_SLACK, TemporalSegment, VideoExtent
 
 CHECKPOINT_VERSION = 1
 
@@ -79,7 +80,7 @@ class Episode:
         for v in list(self.neg_questions) + list(self.pos_variants):
             if np.asarray(v).shape != self.question.shape:
                 raise ShapeMismatch("negative/variant question dim mismatch")
-        if self.gt_moment is not None and self.gt_moment.end > self.extent.duration + 1e-9:
+        if self.gt_moment is not None and self.gt_moment.end > self.extent.duration + END_SLACK:
             raise ValueError("gt_moment extends past the video")
 
     @property
@@ -118,11 +119,6 @@ PARAM_NAMES = (
     "W_a", "b_a",
     "u",
 )
-
-# parameters that only the answer-scoring branch touches; the grounding
-# term's gradient for these must be exactly zero
-ANSWER_ONLY_PARAMS = ("W_a", "b_a")
-
 
 QKV_NAMES = ("W_q", "W_k", "W_val")
 
@@ -816,9 +812,10 @@ def loss_and_gradients(
 # --- inference -------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class EpisodePrediction:
-    answer_index: int
-    window: TemporalSegment
+class EpisodePrediction(Prediction):
+    """A Prediction plus the model state behind it: the Gaussian mask, the
+    pooling trace and the answer scores."""
+
     mask: GaussianMask
     trace: np.ndarray
     scores: np.ndarray
@@ -830,7 +827,8 @@ def predict_episodes(
     gamma: float = 1.0,
     window_source: str = "gauss",
 ) -> list[EpisodePrediction]:
-    """Answer choice plus grounded window for each episode, in input order.
+    """Answer choice plus grounded window for each episode, in input order,
+    keyed by the episode's question id.
 
     window_source names the one window that is built and returned:
       "gauss"  the mask's confidence interval (mu +- gamma*sigma) * duration;
@@ -859,8 +857,9 @@ def predict_episodes(
             else:
                 window = fuse_windows(confidence_interval(mask, ep.extent, gamma),
                                       extract_window_raw(traces[j], ep.grid))
-            out[i] = EpisodePrediction(answer_index=answers[j], window=window, mask=mask,
-                                       trace=traces[j].copy(), scores=scores_all[j].copy())
+            out[i] = EpisodePrediction(question_id=ep.question_id, answer_index=answers[j],
+                                       window=window, mask=mask, trace=traces[j].copy(),
+                                       scores=scores_all[j].copy())
     return out
 
 

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .gaussian import frame_positions
+from .gaussian import FrameGrid, frame_times
 from .metrics import GroundingLabel, LabelTable
 from .model import Episode
 from .temporal import TemporalSegment, VideoExtent
@@ -119,7 +119,7 @@ def generate(config: SynthConfig) -> list[Episode]:
         background = config.noise_std * _unit_rows(
             rng.normal(size=(config.n_frames, config.d_v))
         )
-        centers = frame_positions(config.n_frames) * duration
+        centers = frame_times(FrameGrid(config.n_frames, extent))
 
         n_here = min(SIBLINGS_PER_VIDEO, config.n_episodes - len(episodes))
         for j in range(n_here):
@@ -227,7 +227,7 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
 
 def moment_frame_mask(episode: Episode) -> np.ndarray:
     """Boolean per-frame mask of the frames the generator planted the signal on."""
-    centers = frame_positions(episode.n_frames) * episode.extent.duration
+    centers = frame_times(episode.grid)
     return _frames_inside(centers, oracle_grounding(episode))
 
 

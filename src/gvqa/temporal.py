@@ -10,6 +10,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+# a segment may end this far past its video's duration (float slack)
+END_SLACK = 1e-9
+
 
 class EmptyAfterClamp(ValueError):
     """Raised when clamping an interval to a video leaves nothing."""
@@ -55,11 +58,6 @@ class VideoExtent:
 def intersect_len(a: TemporalSegment, b: TemporalSegment) -> float:
     """Length of the overlap of two segments, 0 when disjoint."""
     return max(0.0, min(a.end, b.end) - max(a.start, b.start))
-
-
-def union_len(a: TemporalSegment, b: TemporalSegment) -> float:
-    """Measure of a ∪ b (handles the disjoint case, not just the hull)."""
-    return a.length + b.length - intersect_len(a, b)
 
 
 def iop(pred: TemporalSegment, gt: TemporalSegment) -> float:

@@ -18,9 +18,9 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .metrics import GroundingLabel, Prediction, evaluate
+from .metrics import GroundingLabel, evaluate
 from .model import PARAM_NAMES, Episode, ModelParams, loss_and_gradients, predict_episodes
-from .synth import ConfigError, episodes_to_labels, split_by_video
+from .synth import ConfigError, episodes_to_labels
 
 
 class NonFiniteLoss(RuntimeError):
@@ -45,7 +45,7 @@ class TrainConfig:
     patience: int = 5
     seed: int = 0
     gamma: float = 1.0              # window multiplier for validation metrics
-    val_fraction: float = 0.15
+    val_fraction: float = 0.15     # the CLI's split_by_video share
 
     def __post_init__(self) -> None:
         if self.objective not in ("ng", "ng+"):
@@ -198,9 +198,7 @@ def _validate(
     gamma: float,
 ) -> dict:
     """Grounded-QA metrics of the episodes' predictions, as fractions."""
-    preds = [Prediction(ep.question_id, p.answer_index, p.window)
-             for ep, p in zip(episodes, predict_episodes(params, episodes, gamma=gamma))]
-    report = evaluate(preds, labels)
+    report = evaluate(predict_episodes(params, episodes, gamma=gamma), labels)
     # percent -> fraction; n * (100 / n) can round one ulp above 100
     return {k: min(getattr(report, k) / 100.0, 1.0)
             for k in ("acc_qa", "acc_gqa", "m_iop", "m_iou")}
@@ -224,23 +222,18 @@ def train(
     params: ModelParams,
     episodes: Sequence[Episode],
     config: TrainConfig,
-    val_episodes: Sequence[Episode] | None = None,
+    val_episodes: Sequence[Episode],
     on_epoch: Callable[[dict], None] | None = None,
 ) -> tuple[ModelParams, list[dict]]:
     """Optimize params on the episode set; returns (best_params, history).
 
-    Early stopping triggers after `patience` epochs without a validation
-    Acc@GQA improvement, counted within the final stage. History rows carry
-    epoch, stage, train loss and validation metrics as fractions.
+    val_episodes are scored after every epoch. Early stopping triggers after
+    `patience` epochs without a validation Acc@GQA improvement, counted
+    within the final stage. History rows carry epoch, stage, train loss and
+    validation metrics as fractions.
     """
     if not episodes:
         raise ConfigError("no training episodes")
-    if val_episodes is None:
-        episodes, val_episodes = split_by_video(
-            episodes, config.val_fraction, seed=config.seed
-        )
-        if not episodes:
-            raise ConfigError("validation split swallowed all episodes")
 
     # raises NotSynthetic for a validation episode without a moment
     val_labels = episodes_to_labels(val_episodes)

@@ -188,6 +188,14 @@ def test_stats_single_whole_video_label():
     assert s.position_hist["middle"] == 1.0
 
 
+def test_stats_segment_ratio_underflowing_to_zero():
+    # a valid label whose length / duration rounds to 0
+    labels = {"q": make_label("q", "v", 2.0, [(0.0, 5e-324)])}
+    s = compute_stats(labels)
+    assert s.mean_ratio == 0.0
+    assert s.mean_seg_dur == 5e-324
+
+
 def test_stats_empty():
     with pytest.raises(EmptyDataset):
         compute_stats({})

@@ -89,6 +89,16 @@ def test_stats_empty_exit_2(tmp_path, capsys):
     assert rc == 2
 
 
+def test_stats_segment_ratio_underflowing_to_zero(tmp_path, capsys):
+    labels = tmp_path / "tiny.csv"
+    labels.write_text("question_id,video_id,duration_s,answer_index,segments\n"
+                      "q0,v0,2.0,0,0.0:5e-324\n")
+    rc = main(["stats", str(labels), "-o", str(tmp_path)])
+    assert rc == 0
+    assert "mean segment/video ratio: 0.00" in capsys.readouterr().out
+    assert json.loads((tmp_path / "stats.json").read_text())["mean_ratio"] == 0.0
+
+
 def test_data_dir_env_var(data, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("GVQA_DATA_DIR", str(data))
     monkeypatch.chdir(tmp_path)

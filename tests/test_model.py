@@ -16,8 +16,8 @@ from gvqa.gaussian import (
     frame_positions,
     mask_weights,
 )
+from gvqa.metrics import Prediction, evaluate
 from gvqa.model import (
-    ANSWER_ONLY_PARAMS,
     Episode,
     ModelConfig,
     NegativeCountMismatch,
@@ -35,7 +35,8 @@ from gvqa.model import (
     save_checkpoint,
 )
 from gvqa.posthoc import extract_window_raw
-from gvqa.temporal import TemporalSegment, VideoExtent
+from gvqa.synth import episodes_to_labels
+from gvqa.temporal import END_SLACK, TemporalSegment, VideoExtent
 
 
 SMALL = ModelConfig(d_v=5, d_t=6, width=8)
@@ -91,6 +92,25 @@ class TestEpisode:
                 extent=VideoExtent(10.0),
                 gt_moment=TemporalSegment(5.0, 12.0),
             )
+
+    def test_moment_may_end_within_the_slack(self):
+        # the rule GroundingLabel applies to a label's segments
+        rng = np.random.default_rng(0)
+
+        def ending_at(end):
+            return Episode(
+                frames=rng.normal(size=(4, 5)),
+                question=rng.normal(size=6),
+                answers=rng.normal(size=(3, 6)),
+                correct=0,
+                extent=VideoExtent(10.0),
+                gt_moment=TemporalSegment(5.0, end),
+            )
+
+        edge = 10.0 + END_SLACK
+        assert ending_at(edge).gt_moment.end == edge
+        with pytest.raises(ValueError):
+            ending_at(float(np.nextafter(edge, np.inf)))
 
     def test_shape_mismatch_is_the_gaussian_class(self):
         assert ShapeMismatch is gaussian.ShapeMismatch
@@ -329,7 +349,8 @@ class TestGradients:
         params = init_params(SMALL, seed=16)
         ep = make_episode(rng)
         _, grads = loss_and_gradients(params, ep, objective="ground")
-        for name in ANSWER_ONLY_PARAMS:
+        # only the answer-scoring branch touches W_a and b_a
+        for name in ("W_a", "b_a"):
             assert np.all(grads[name] == 0.0), name
         # while the rest of the network does receive signal
         assert np.any(grads["W_v"] != 0.0)
@@ -650,6 +671,21 @@ class TestEngine:
             assert got.mask.sigma == pytest.approx(one.mask.sigma, abs=1e-12)
             assert np.allclose(got.trace, one.trace, rtol=0, atol=1e-12)
             assert np.allclose(got.scores, one.scores, rtol=0, atol=1e-12)
+
+    def test_predictions_are_metrics_predictions_in_input_order(self, monkeypatch):
+        rng = np.random.default_rng(45)
+        params = init_params(SMALL, seed=45)
+        eps = mixed_batch(rng)
+        # several chunks, processed out of input order
+        monkeypatch.setattr(model, "CHUNK_FRAMES", 8)
+        preds = model.predict_episodes(params, eps, gamma=0.8)
+        assert all(isinstance(p, Prediction) for p in preds)
+        assert [p.question_id for p in preds] == [ep.question_id for ep in eps]
+        assert predict_episode(params, eps[2]).question_id == "q2"
+        hand = [Prediction(ep.question_id, p.answer_index, p.window)
+                for ep, p in zip(eps, preds)]
+        labels = episodes_to_labels(eps)
+        assert evaluate(preds, labels) == evaluate(hand, labels)
 
     def test_nan_head_in_one_episode_gives_nan_sums(self):
         # a non-finite frame in one episode of five: the summed loss and every

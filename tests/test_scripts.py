@@ -39,11 +39,16 @@ def test_compare_objectives_prints_empty_subset_rows():
         assert len(rows[name]) == 9 and rows[name][-1] == "(n=4)"
 
 
-def test_gamma_width_sweep_prints_every_row():
-    lines = _run("gamma_width_sweep.py")
-    rows = [line.split() for line in lines
-            if line.split()[:1] in (["1.0"], ["0.8"])]
-    assert [(r[0], r[1]) for r in rows] == [
-        (g, s) for g in ("1.0", "0.8") for s in ("gauss", "attn", "fused")
-    ]
-    assert all(len(r) == 6 for r in rows)
+def test_compare_objectives_prints_every_sweep_row():
+    sweeps = {}
+    for line in _run("compare_objectives.py"):
+        if "window sweep" in line:
+            rows = sweeps[line.split()[0]] = []
+        elif line.split()[:1] in (["1.0"], ["0.8"]):
+            rows.append(line.split())
+    assert list(sweeps) == ["ng", "ng+"]
+    for rows in sweeps.values():
+        assert [(r[0], r[1]) for r in rows] == [
+            (g, s) for g in ("1.0", "0.8") for s in ("gauss", "attn", "fused")
+        ]
+        assert all(len(r) == 6 for r in rows)

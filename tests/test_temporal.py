@@ -11,7 +11,6 @@ from gvqa.temporal import (
     intersect_len,
     iop,
     iou,
-    union_len,
 )
 
 
@@ -62,7 +61,6 @@ class TestOverlap:
     # Hand-computed: [2,6] vs [4,10]: inter 2, union 8, pred len 4.
     def test_partial(self):
         assert intersect_len(seg(2, 6), seg(4, 10)) == 2.0
-        assert union_len(seg(2, 6), seg(4, 10)) == 8.0
         assert iop(seg(2, 6), seg(4, 10)) == 0.5
         assert iou(seg(2, 6), seg(4, 10)) == 0.25
 
@@ -121,11 +119,6 @@ def test_iou_never_exceeds_iop(a, b):
 def test_self_overlap_is_one(a):
     assert iou(a, a) == pytest.approx(1.0)
     assert iop(a, a) == pytest.approx(1.0)
-
-
-@given(segments(), segments())
-def test_union_inclusion_exclusion(a, b):
-    assert union_len(a, b) == pytest.approx(a.length + b.length - intersect_len(a, b))
 
 
 class TestClamp:

@@ -323,18 +323,10 @@ def test_single_stage_ngplus(world):
     assert [r["stage"] for r in hist] == ["ng+", "ng+"]
 
 
-def test_auto_split_when_no_val_given(world):
-    eps, _, _ = world
-    cfg = TrainConfig(objective="ng", epochs=1, lr=1e-3, patience=5, seed=0,
-                      val_fraction=0.2)
-    best, hist = train(fresh_params(), eps, cfg)
-    assert len(hist) == 1
-    assert 0.0 <= hist[0]["acc_qa"] <= 1.0
-
-
-def test_empty_episodes_rejected():
+def test_empty_episodes_rejected(world):
+    _, _, val_eps = world
     with pytest.raises(ConfigError):
-        train(fresh_params(), [], TrainConfig())
+        train(fresh_params(), [], TrainConfig(), val_episodes=val_eps)
 
 
 def test_non_finite_loss_aborts(world):
