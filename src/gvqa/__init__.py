@@ -1,6 +1,13 @@
 """Weakly-supervised temporally-grounded video QA at desk scale."""
 
-from .metrics import GroundingLabel, LabelTable, MetricReport, Prediction, evaluate
+from .metrics import (
+    GroundingLabel,
+    LabelTable,
+    MetricReport,
+    Prediction,
+    PredictionTable,
+    evaluate,
+)
 from .model import (
     Episode,
     ModelConfig,
@@ -20,6 +27,7 @@ __all__ = [
     "MetricReport",
     "ModelConfig",
     "Prediction",
+    "PredictionTable",
     "SynthConfig",
     "TemporalSegment",
     "TrainConfig",

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -46,7 +47,8 @@ def _out_dir(args: argparse.Namespace) -> Path:
 def cmd_eval(args: argparse.Namespace) -> int:
     preds = metrics.load_predictions(_resolve_input(args.predictions))
     labels = annotations.load_labels(_resolve_input(args.labels))
-    report = metrics.evaluate(preds, labels)
+    # rounded once here: the writers' own rounding of rounded values is free
+    report = metrics.evaluate(preds, labels).rounded()
     out = _out_dir(args)
     metrics.write_report_json(out / "report.json", report)
     metrics.write_report_csv(out / "report.csv", report)
@@ -218,7 +220,9 @@ def cmd_train_synth(args: argparse.Namespace) -> int:
 
 # --- parser ---------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The gvqa parser, built once per process; callers must not change it."""
     parser = argparse.ArgumentParser(
         prog="gvqa",
         description="Grounded video QA: evaluation, label statistics, synthetic training.",
@@ -229,12 +233,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("predictions", help="JSON predictions file")
     p_eval.add_argument("labels", help="labels file (.csv or .json)")
     p_eval.add_argument("-o", "--out", default="gvqa_out")
-    p_eval.set_defaults(func=cmd_eval)
 
     p_stats = sub.add_parser("stats", help="annotation statistics and charts")
     p_stats.add_argument("labels", help="labels file (.csv or .json)")
     p_stats.add_argument("-o", "--out", default="gvqa_out")
-    p_stats.set_defaults(func=cmd_stats)
 
     p_train = sub.add_parser("train-synth",
                              help="train and evaluate on planted-moment episodes")
@@ -246,14 +248,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--gamma", type=float)
     p_train.add_argument("--frames", type=int)
     p_train.add_argument("-o", "--out", default="gvqa_out")
-    p_train.set_defaults(func=cmd_train_synth)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # looked up per call, not bound into the cached parser, so a patched or
+    # wrapped module attribute is the command that runs
+    command = {"eval": cmd_eval, "stats": cmd_stats, "train-synth": cmd_train_synth}
     try:
-        return args.func(args)
+        return command[args.command](args)
     except NonFiniteLoss as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

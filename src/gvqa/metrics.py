@@ -3,8 +3,9 @@
 Scores answer accuracy together with temporal evidence quality: Acc@QA,
 Acc@GQA (correct answer and best IoP >= 0.5), mean IoP/IoU and thresholded
 rates at 0.3/0.5. Multi-segment labels are scored against the segment with
-maximal overlap. Label sets are held as a validated columnar LabelTable, so
-scoring runs as array operations over all segments at once.
+maximal overlap. Label sets and prediction sets are held as validated
+columnar tables (LabelTable, PredictionTable), so scoring runs as array
+operations over all segments at once.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ import csv
 import json
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -185,6 +187,66 @@ class Prediction:
     window: TemporalSegment
 
 
+class PredictionTable(Sequence[Prediction]):
+    """A validated prediction set held in columns, in input order.
+
+    Row i is one prediction: ``question_ids[i]``, ``answer[i]`` and the
+    window ``[start[i], end[i]]``. ``answer`` is int64; if some answer does
+    not fit in int64 the column holds Python ints instead (dtype object), so
+    that answer is kept exactly and scores wrong. Question ids may repeat;
+    evaluate rejects the repeat.
+
+    The constructor checks every rule of TemporalSegment over whole columns
+    and raises ValueError if any row breaks one. The table is read-only;
+    reading row i builds that row's Prediction.
+    """
+
+    def __init__(self, question_ids, answer, start, end) -> None:
+        self.question_ids = tuple(question_ids)
+        try:
+            self.answer = np.array(answer, dtype=np.int64)
+        except OverflowError:
+            self.answer = np.array(answer, dtype=object)
+        self.start = np.array(start, dtype=np.float64)
+        self.end = np.array(end, dtype=np.float64)
+        problem = self._problem()
+        if problem:
+            raise ValueError(f"prediction table: {problem}")
+        for column in (self.answer, self.start, self.end):
+            column.flags.writeable = False
+
+    def _problem(self) -> str:
+        """The first broken rule, or "" when every row is valid."""
+        if not self.answer.shape == self.start.shape == self.end.shape == (len(self),):
+            return "columns differ in length"
+        start, end = self.start, self.end
+        if not np.all(np.isfinite(start) & np.isfinite(end)):
+            return "window endpoints must be finite"
+        if not np.all((start >= 0) & (start < end)):
+            return "windows need 0 <= start < end"
+        return ""
+
+    @classmethod
+    def of(cls, preds: Iterable[Prediction]) -> "PredictionTable":
+        """The table itself, or a table gathered from predictions in order."""
+        if isinstance(preds, PredictionTable):
+            return preds
+        qids, answer, start, end = [], [], [], []
+        for p in preds:
+            qids.append(p.question_id)
+            answer.append(p.answer_index)
+            start.append(p.window.start)
+            end.append(p.window.end)
+        return cls(qids, answer, start, end)
+
+    def __getitem__(self, i: int) -> Prediction:
+        return Prediction(self.question_ids[i], int(self.answer[i]),
+                          TemporalSegment(float(self.start[i]), float(self.end[i])))
+
+    def __len__(self) -> int:
+        return len(self.question_ids)
+
+
 @dataclass
 class MetricReport:
     """Aggregate grounded-QA metrics, all percentages in [0, 100]."""
@@ -218,7 +280,12 @@ def round_percent(value: float) -> float:
     Goes through the shortest repr so a float that prints as 20.05 rounds to
     20.1 even when its binary value sits a hair below the tie.
     """
-    return float(Decimal(str(value)).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
+    text = str(value)
+    # one digit after the point already: quantizing would give it back, so a
+    # rounded report rounds again for free
+    if text.find(".") == len(text) - 2:
+        return float(value)
+    return float(Decimal(text).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
 
 
 def best_overlap(pred: TemporalSegment, label: GroundingLabel, kind: str = "iop") -> float:
@@ -246,29 +313,32 @@ def evaluate(
     errors.
     """
     table = LabelTable.of(labels)
-    rows: dict[int, Prediction] = {}
-    for pred in preds:
-        row = table.index.get(pred.question_id)
-        if row is None:
-            raise UnknownQuestionId(pred.question_id)
-        if row in rows:
-            raise DuplicatePrediction(pred.question_id)
-        rows[row] = pred
+    preds = PredictionTable.of(preds)
+    rows = list(map(table.index.get, preds.question_ids))
+    if None in rows or len(set(rows)) < len(rows):
+        # name the first offending prediction, in input order
+        seen: set[int] = set()
+        for qid, row in zip(preds.question_ids, rows):
+            if row is None:
+                raise UnknownQuestionId(qid)
+            if row in seen:
+                raise DuplicatePrediction(qid)
+            seen.add(row)
 
     n = len(table)
     if n == 0:
         raise ValueError("empty label set")
 
     # a missing prediction gets the dummy window [0, 1], scored zero below
+    index = np.array(rows, dtype=np.intp)
     has = np.zeros(n, dtype=bool)
-    p_start = np.zeros(n)
-    p_end = np.ones(n)
-    index = np.fromiter(rows, dtype=np.intp, count=len(rows))
     has[index] = True
-    p_start[index] = [p.window.start for p in rows.values()]
-    p_end[index] = [p.window.end for p in rows.values()]
+    p_start = np.zeros(n)
+    p_start[index] = preds.start
+    p_end = np.ones(n)
+    p_end[index] = preds.end
     correct = np.zeros(n, dtype=bool)
-    correct[index] = np.array([p.answer_index for p in rows.values()]) == table.answer[index]
+    correct[index] = preds.answer == table.answer[index]
 
     # every segment against its question's window, in temporal.iop/iou's order
     owner = table.seg_owner
@@ -305,26 +375,43 @@ def ordered_sum(values: np.ndarray) -> float:
     return float(np.add.accumulate(values)[-1])
 
 
-def random_baseline(labels: Mapping[str, GroundingLabel], answer_id: int) -> list[Prediction]:
+def random_baseline(labels: Mapping[str, GroundingLabel], answer_id: int) -> PredictionTable:
     """Fixed-answer predictor that grounds every question on the whole video."""
     table = LabelTable.of(labels)
-    return [
-        Prediction(
-            question_id=qid,
-            answer_index=answer_id,
-            window=TemporalSegment(0.0, duration),
-        )
-        for qid, duration in zip(table.question_ids, table.duration.tolist())
-    ]
+    n = len(table)
+    return PredictionTable(table.question_ids, [answer_id] * n, np.zeros(n), table.duration)
 
 
 # --- file formats ---------------------------------------------------------
 
-def load_predictions(path: str | Path) -> list[Prediction]:
-    """Read a prediction file: JSON map question_id -> {answer, start, end}."""
+# any of these from the bulk path sends the file through the entry-by-entry
+# reader, which raises the first bad entry's error with its question id
+_BULK_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
+
+
+def load_predictions(path: str | Path) -> PredictionTable:
+    """Read a prediction file: JSON map question_id -> {answer, start, end}.
+
+    Each column is converted in one pass by the builtins the entry-by-entry
+    reader uses; if any entry is bad, the file's entries are read again one
+    by one, so the error names the first bad question.
+    """
     raw = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: prediction file must be a JSON object")
+    entries = list(raw.values())
+    try:
+        return PredictionTable(list(map(str, raw)),
+                               list(map(int, map(itemgetter("answer"), entries))),
+                               list(map(float, map(itemgetter("start"), entries))),
+                               list(map(float, map(itemgetter("end"), entries))))
+    except _BULK_ERRORS:
+        pass
+    return PredictionTable.of(_read_prediction_entries(path, raw))
+
+
+def _read_prediction_entries(path: str | Path, raw: dict) -> list[Prediction]:
+    """Entry-by-entry reading; raises at the first bad entry, naming its question."""
     preds = []
     for qid, entry in raw.items():
         try:

@@ -814,11 +814,12 @@ def loss_and_gradients(
 @dataclass(frozen=True)
 class EpisodePrediction(Prediction):
     """A Prediction plus the model state behind it: the Gaussian mask, the
-    pooling trace and the answer scores."""
+    pooling trace and the answer scores. It compares and hashes by the
+    Prediction fields only."""
 
-    mask: GaussianMask
-    trace: np.ndarray
-    scores: np.ndarray
+    mask: GaussianMask = field(compare=False)
+    trace: np.ndarray = field(compare=False)
+    scores: np.ndarray = field(compare=False)
 
 
 def predict_episodes(

@@ -1,15 +1,25 @@
 """Command line behavior: exit codes, outputs, determinism."""
 
+import importlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gvqa.annotations import save_labels
+from gvqa import cli
+from gvqa.annotations import load_labels, save_labels
 from gvqa.cli import main, parse_config_file
-from gvqa.metrics import Prediction, save_predictions
+from gvqa.metrics import (
+    Prediction,
+    evaluate,
+    load_predictions,
+    save_predictions,
+    write_report_csv,
+    write_report_json,
+)
 from gvqa.synth import SynthConfig, episodes_to_labels, generate
 
 
@@ -260,3 +270,58 @@ def test_console_script_installed(data, tmp_path):
     )
     assert proc.returncode == 0
     assert "Acc@QA: 100.0" in proc.stdout
+
+
+def test_console_script_entry_point(data, tmp_path, monkeypatch, capsys):
+    # the target [project.scripts] installs as `gvqa`, called as its wrapper
+    # calls it: no arguments, the command line in sys.argv
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["gvqa"]
+    module, _, attr = target.partition(":")
+    entry = getattr(importlib.import_module(module), attr)
+    monkeypatch.setattr(sys, "argv", ["gvqa", "eval", str(data / "perfect.json"),
+                                      str(data / "labels.csv"), "-o", str(tmp_path)])
+    assert entry() == 0
+    assert "Acc@QA: 100.0" in capsys.readouterr().out
+
+
+def test_eval_bad_window_names_question_exit_2(data, tmp_path, capsys):
+    preds = json.loads((data / "perfect.json").read_text())
+    qid = sorted(preds)[len(preds) // 2]
+    preds[qid]["end"] = preds[qid]["start"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(preds))
+    rc = main(["eval", str(bad), str(data / "labels.csv"), "-o", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"bad prediction for question {qid!r}: segment needs start < end" in err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_parser_built_once_and_commands_looked_up_per_call(data, tmp_path, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_eval", lambda args: seen.append(args.predictions) or 7)
+    assert main(["eval", "p.json", "l.csv", "-o", str(tmp_path)]) == 7
+    assert seen == ["p.json"]
+
+
+def test_eval_report_files_from_rounded_report(data, tmp_path):
+    # cmd_eval writes from its once-rounded report; the files must equal the
+    # writers' output for the unrounded report (with some windows too long,
+    # so mIoP needs rounding)
+    preds = json.loads((data / "perfect.json").read_text())
+    for i, v in enumerate(preds.values()):
+        if i % 3 == 0:
+            v["end"] = v["start"] + (v["end"] - v["start"]) * 1.37
+    some = tmp_path / "some.json"
+    some.write_text(json.dumps(preds))
+    assert main(["eval", str(some), str(data / "labels.csv"), "-o", str(tmp_path / "cli")]) == 0
+    report = evaluate(load_predictions(some), load_labels(data / "labels.csv"))
+    assert report.m_iop != round(report.m_iop, 1)
+    write_report_json(tmp_path / "direct.json", report)
+    write_report_csv(tmp_path / "direct.csv", report)
+    assert (tmp_path / "cli" / "report.json").read_bytes() == (tmp_path / "direct.json").read_bytes()
+    assert (tmp_path / "cli" / "report.csv").read_bytes() == (tmp_path / "direct.csv").read_bytes()

@@ -1,5 +1,7 @@
 import json
 import math
+from decimal import ROUND_HALF_UP, Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,12 +9,14 @@ from hypothesis import given, settings, strategies as st
 
 from gvqa.metrics import (
     GQA_IOP_THRESHOLD,
+    MAX_ANSWER_INDEX,
     PROTOCOL_THRESHOLDS,
     DuplicatePrediction,
     GroundingLabel,
     LabelTable,
     MetricReport,
     Prediction,
+    PredictionTable,
     UnknownQuestionId,
     best_overlap,
     evaluate,
@@ -317,6 +321,7 @@ def test_round_percent_half_up():
     assert round_percent(100.0) == 100.0
     # pathological: one question in three
     assert round_percent(100.0 / 3.0) == 33.3
+    assert type(round_percent(7)) is float
 
 
 def test_rounded_report_keeps_invariants(fixture_labels, fixture_preds):
@@ -371,3 +376,185 @@ def test_prediction_file_not_object(tmp_path):
     p.write_text("[1, 2, 3]")
     with pytest.raises(ValueError, match="JSON object"):
         load_predictions(p)
+
+
+# --- columnar prediction table ------------------------------------------------
+
+def test_prediction_table_is_a_read_only_sequence(fixture_preds):
+    table = PredictionTable.of(fixture_preds)
+    assert PredictionTable.of(table) is table
+    assert len(table) == 4
+    assert list(table) == fixture_preds
+    assert [table[i] for i in range(len(table))] == fixture_preds
+    assert table[-1] == fixture_preds[-1]
+    assert type(table[0].answer_index) is int
+    with pytest.raises(IndexError):
+        table[4]
+    assert table.answer.dtype == np.int64
+    with pytest.raises(ValueError):
+        table.start[0] = 1.0
+    # a generator is gathered in order, too
+    assert list(PredictionTable.of(p for p in fixture_preds)) == fixture_preds
+
+
+@pytest.mark.parametrize("column, values, rule", [
+    ("start", [0.0, math.nan], "finite"),
+    ("end", [1.0, math.inf], "finite"),
+    ("start", [0.0, -1.0], "0 <= start < end"),
+    ("start", [0.0, 2.0], "0 <= start < end"),
+    ("end", [1.0], "differ in length"),
+])
+def test_prediction_table_checks_every_rule(column, values, rule):
+    cols = {"question_ids": ["a", "b"], "answer": [0, 1], "start": [0.0, 1.0], "end": [1.0, 2.0]}
+    cols[column] = values
+    with pytest.raises(ValueError, match=rule):
+        PredictionTable(**cols)
+
+
+def test_answer_beyond_int64_is_kept_and_scored_wrong():
+    big = 2**63  # one past the largest label answer; a float64 column would equal it
+    labels = {"q0": label("q0", 10.0, [(0, 5)], ans=MAX_ANSWER_INDEX),
+              "q1": label("q1", 10.0, [(0, 5)], ans=1)}
+    table = PredictionTable(["q0", "q1"], [big, 1], [0.0, 0.0], [5.0, 5.0])
+    assert table[0].answer_index == big
+    report = evaluate(table, labels)
+    assert report == evaluate(list(table), labels) == reference_evaluate(list(table), labels)
+    assert report.acc_qa == 50.0
+
+
+@pytest.mark.parametrize("order, error, qid", [
+    (["q1", "q2", "q1", "ghost"], DuplicatePrediction, "q1"),
+    (["q1", "ghost", "q2", "q1"], UnknownQuestionId, "ghost"),
+])
+def test_first_bad_question_id_is_named(fixture_labels, order, error, qid):
+    preds = [pred(q, 0, 0, 1) for q in order]
+    for given_preds in (preds, PredictionTable.of(preds)):
+        with pytest.raises(error) as exc:
+            evaluate(given_preds, fixture_labels)
+        assert exc.value.args == (qid,)
+
+
+def test_no_prediction_at_all(fixture_labels):
+    report = evaluate([], fixture_labels)
+    assert report.acc_qa == report.m_iop == 0.0
+    assert report.warnings == ["4 labeled questions had no prediction and were scored zero"]
+    with pytest.raises(UnknownQuestionId):
+        evaluate([pred("q1", 0, 0, 1)], {})
+
+
+# --- bulk prediction loader against the entry-by-entry loop -------------------
+
+def reference_load_predictions(path):
+    """load_predictions as an entry-by-entry loop."""
+    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: prediction file must be a JSON object")
+    preds = []
+    for qid, entry in raw.items():
+        try:
+            preds.append(
+                Prediction(
+                    question_id=str(qid),
+                    answer_index=int(entry["answer"]),
+                    window=TemporalSegment(float(entry["start"]), float(entry["end"])),
+                )
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: bad prediction for question {qid!r}: {exc}") from exc
+    return preds
+
+
+def _bad_entry(draw, entry):
+    """One entry broken in one of the ways a prediction file can be, or a
+    value that only looks wrong (a numeric string, a bool answer, a huge answer)."""
+    kind = draw(st.sampled_from([
+        "missing", "not_dict", "string", "non_finite", "negative_start",
+        "start_ge_end", "bool_answer", "huge_answer",
+    ]))
+    key = draw(st.sampled_from(["answer", "start", "end"]))
+    if kind == "missing":
+        del entry[key]
+    elif kind == "not_dict":
+        return draw(st.sampled_from([[1, 2.0, 3.0], "q", 7, None, True]))
+    elif kind == "string":
+        entry[key] = draw(st.sampled_from([str(entry[key]), "1.5", "x", ""]))
+    elif kind == "non_finite":
+        entry[key] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    elif kind == "negative_start":
+        entry["start"] = draw(st.sampled_from([-1e-300, -0.5, -0.0]))
+    elif kind == "start_ge_end":
+        entry["end"] = entry["start"] - draw(st.sampled_from([0.0, 1.0]))
+    elif kind == "bool_answer":
+        entry["answer"] = draw(st.booleans())
+    else:
+        entry["answer"] = draw(st.sampled_from([2**63 - 1, 2**63, 2**70, -2**64, 10**400]))
+    return entry
+
+
+@st.composite
+def prediction_files(draw):
+    """File text and label set: valid entries, with up to two bad ones at
+    random places."""
+    n = draw(st.integers(1, 8))
+    entries, labels = {}, {}
+    for i in range(n):
+        a = draw(st.floats(0.0, 50.0))
+        b = draw(st.floats(a, 100.0, exclude_min=True))
+        entries[f"q{i}"] = {"answer": draw(st.integers(0, 3)), "start": a, "end": b}
+        labels[f"q{i}"] = label(f"q{i}", 100.0, [(10.0, 60.0)],
+                                ans=draw(st.sampled_from([0, 1, 3, MAX_ANSWER_INDEX])))
+    # mostly none or one; two bad entries check that the first one is named
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=2, unique=True)):
+        entries[f"q{i}"] = _bad_entry(draw, entries[f"q{i}"])
+    return json.dumps(entries), labels
+
+
+def _outcome(load, path):
+    try:
+        return "ok", load(path)
+    except Exception as exc:  # the exception type and message are compared
+        return type(exc), str(exc)
+
+
+@given(prediction_files())
+@settings(max_examples=300, deadline=None)
+def test_load_predictions_equals_entry_loop(tmp_path_factory, case):
+    text, labels = case
+    path = tmp_path_factory.mktemp("preds") / "preds.json"
+    path.write_text(text, encoding="utf-8")
+    got, want = _outcome(load_predictions, path), _outcome(reference_load_predictions, path)
+    if want[0] != "ok":
+        assert got == want
+        return
+    table = got[1]
+    assert isinstance(table, PredictionTable)
+    assert list(table) == want[1]
+    assert [type(p.answer_index) for p in table] == [int] * len(table)
+    report = evaluate(table, labels)
+    assert report == evaluate(list(table), labels) == reference_evaluate(want[1], labels)
+
+
+@pytest.mark.parametrize("entries, message", [
+    ({"q0": {"answer": 1, "start": 0.0, "end": 1.0},
+      "q1": {"answer": 1, "start": 3.0, "end": 3.0},
+      "q2": {"answer": 1, "start": 0.0}},
+     "bad prediction for question 'q1': segment needs start < end, got [3.0, 3.0]"),
+    # the later entry's infinite answer overflows while the answer column is
+    # converted, before the earlier entry's missing start is reached
+    ({"q0": {"answer": 1, "end": 1.0},
+      "q1": {"answer": math.inf, "start": 0.0, "end": 1.0}},
+     "bad prediction for question 'q0': 'start'"),
+])
+def test_load_predictions_names_first_bad_entry(tmp_path, entries, message):
+    p = tmp_path / "preds.json"
+    p.write_text(json.dumps(entries))
+    with pytest.raises(ValueError) as exc:
+        load_predictions(p)
+    assert str(exc.value) == f"{p}: {message}"
+
+
+@given(st.floats(0.0, 100.0))
+def test_round_percent_is_idempotent_and_matches_decimal(value):
+    want = float(Decimal(str(value)).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
+    assert round_percent(value) == want
+    assert round_percent(want) == want

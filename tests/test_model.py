@@ -687,6 +687,19 @@ class TestEngine:
         labels = episodes_to_labels(eps)
         assert evaluate(preds, labels) == evaluate(hand, labels)
 
+    def test_predictions_compare_and_hash_by_prediction_fields(self):
+        rng = np.random.default_rng(46)
+        params = init_params(SMALL, seed=46)
+        ep = mixed_batch(rng)[0]
+        a, b = predict_episode(params, ep), predict_episode(params, ep)
+        assert a.trace is not b.trace
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+        moved = dataclasses.replace(a, window=TemporalSegment(0.0, a.window.end + 1.0))
+        assert moved != a
+        assert dataclasses.replace(a, trace=a.trace + 1.0, scores=-a.scores) == a
+
     def test_nan_head_in_one_episode_gives_nan_sums(self):
         # a non-finite frame in one episode of five: the summed loss and every
         # gradient are NaN, for the trainer to report; no GaussianMask error
