@@ -17,7 +17,7 @@ from .model import (
     save_checkpoint,
 )
 from .synth import SynthConfig, generate, split_by_video
-from .temporal import TemporalSegment, VideoExtent, intersect_len, iop, iou
+from .temporal import TemporalSegment, VideoExtent
 from .trainer import TrainConfig, train
 
 __all__ = [
@@ -35,9 +35,6 @@ __all__ = [
     "evaluate",
     "generate",
     "init_params",
-    "intersect_len",
-    "iop",
-    "iou",
     "load_checkpoint",
     "predict_episode",
     "save_checkpoint",

@@ -171,9 +171,7 @@ def cmd_train_synth(args: argparse.Namespace) -> int:
     out = _out_dir(args)
 
     episodes = generate(synth_cfg)
-    train_eps, val_eps = split_by_video(
-        episodes, train_cfg.val_fraction, seed=train_cfg.seed
-    )
+    train_eps, val_eps = split_by_video(episodes, seed=train_cfg.seed)
     model_cfg = ModelConfig(d_v=synth_cfg.d_v, d_t=synth_cfg.d_t, width=extra["width"])
     params = init_params(model_cfg, seed=train_cfg.seed + 1)
 

@@ -46,26 +46,14 @@ class GaussianMask:
         object.__setattr__(self, "sigma", sigma)
 
 
-@dataclass(frozen=True)
-class FrameGrid:
-    """Uniformly sampled frame centers over a video."""
-
-    n_frames: int
-    extent: VideoExtent
-
-    def __post_init__(self) -> None:
-        if self.n_frames < 2:
-            raise ValueError(f"need at least 2 frames, got {self.n_frames}")
-
-
 def frame_positions(n_frames: int) -> np.ndarray:
     """Normalized frame centers x_i = (i + 0.5) / n in (0, 1)."""
     return (np.arange(n_frames) + 0.5) / n_frames
 
 
-def frame_times(grid: FrameGrid) -> np.ndarray:
+def frame_times(n_frames: int, duration: float) -> np.ndarray:
     """Frame center times in seconds: (i + 0.5) * d / n."""
-    return frame_positions(grid.n_frames) * grid.extent.duration
+    return frame_positions(n_frames) * duration
 
 
 def gaussian_weights(x: np.ndarray, mu, sigma) -> np.ndarray:
@@ -92,9 +80,9 @@ def gaussian_gradients(
     return np.sum(gw / sigma**2, axis=-1), np.sum(gw * diff / sigma**3, axis=-1)
 
 
-def mask_weights(mask: GaussianMask, grid: FrameGrid) -> np.ndarray:
+def mask_weights(mask: GaussianMask, n_frames: int) -> np.ndarray:
     """Per-frame weights G_i = exp(-0.5 ((x_i - mu)/sigma)^2), in (0, 1]."""
-    return gaussian_weights(frame_positions(grid.n_frames), mask.mu, mask.sigma)
+    return gaussian_weights(frame_positions(n_frames), mask.mu, mask.sigma)
 
 
 def confidence_interval(mask: GaussianMask, extent: VideoExtent, gamma: float) -> TemporalSegment:

@@ -28,7 +28,6 @@ import numpy as np
 
 from .gaussian import (
     SIGMA_MIN,
-    FrameGrid,
     GaussianMask,
     ShapeMismatch,
     confidence_interval,
@@ -80,6 +79,10 @@ class Episode:
         for v in list(self.neg_questions) + list(self.pos_variants):
             if np.asarray(v).shape != self.question.shape:
                 raise ShapeMismatch("negative/variant question dim mismatch")
+        if not self.extent.duration / self.frames.shape[0] > 0:
+            # a zero frame bin leaves post-hoc windows no length
+            raise ValueError(f"episode {self.question_id!r}: duration {self.extent.duration} s "
+                             f"is too short for {self.frames.shape[0]} frames")
         if self.gt_moment is not None and self.gt_moment.end > self.extent.duration + END_SLACK:
             raise ValueError("gt_moment extends past the video")
 
@@ -90,10 +93,6 @@ class Episode:
     @property
     def n_answers(self) -> int:
         return self.answers.shape[0]
-
-    @property
-    def grid(self) -> FrameGrid:
-        return FrameGrid(n_frames=self.n_frames, extent=self.extent)
 
 
 @dataclass(frozen=True)
@@ -725,7 +724,8 @@ def encode_video(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pooled video vector and pooling attention trace under an optional mask."""
     (chunk,) = _chunks(params, [episode])
-    G = np.ones((1, episode.n_frames)) if mask is None else mask_weights(mask, episode.grid)[None]
+    n = episode.n_frames
+    G = np.ones((1, n)) if mask is None else mask_weights(mask, n)[None]
     pool = _pool(params, _encode_frames(params, chunk.F, _qkv_weight(params), chunk.ws), G,
                  chunk.ws)
     return pool["v_t"][0], pool["trace"][0]
@@ -849,15 +849,17 @@ def predict_episodes(
         answers = scores_all.argmax(axis=1).tolist()
         traces = cache["trace"]
         for j, (i, ep) in enumerate(zip(chunk.index, chunk.episodes)):
-            # a NaN head output raises GaussianMask's ValueError here
-            mask = GaussianMask(mus[j], sigmas[j])
+            try:
+                mask = GaussianMask(mus[j], sigmas[j])
+            except ValueError as exc:  # a NaN head output
+                raise ValueError(f"{exc} for {chunk.where(j)}") from None
             if window_source == "gauss":
                 window = confidence_interval(mask, ep.extent, gamma)
             elif window_source == "attn":
-                window = extract_window_raw(traces[j], ep.grid)
+                window = extract_window_raw(traces[j], ep.extent.duration)
             else:
                 window = fuse_windows(confidence_interval(mask, ep.extent, gamma),
-                                      extract_window_raw(traces[j], ep.grid))
+                                      extract_window_raw(traces[j], ep.extent.duration))
             out[i] = EpisodePrediction(question_id=ep.question_id, answer_index=answers[j],
                                        window=window, mask=mask, trace=traces[j].copy(),
                                        scores=scores_all[j].copy())

@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 
-from .gaussian import FrameGrid, frame_times
+from .gaussian import frame_times
 from .temporal import TemporalSegment
 
 DEFAULT_SMOOTH_W = 3
@@ -54,11 +54,12 @@ def _minmax(scores: np.ndarray) -> np.ndarray | None:
 
 def extract_window_raw(
     scores: np.ndarray,
-    grid: FrameGrid,
+    duration: float,
     smooth_w: int = DEFAULT_SMOOTH_W,
     dist_cap_s: float = DEFAULT_DIST_CAP_S,
 ) -> TemporalSegment:
-    """Window around the attention peak of per-frame scores.
+    """Window around the attention peak of per-frame scores, one per frame
+    bin of a video of `duration` seconds.
 
     Smooth, min-max normalize, pivot at the argmax (lowest index on ties),
     then include contiguous frames on each side whose normalized score is at
@@ -68,14 +69,12 @@ def extract_window_raw(
     result because the min-max step cancels it.
     """
     scores = np.asarray(scores, dtype=float)
-    if scores.shape != (grid.n_frames,):
-        raise ValueError(f"scores shape {scores.shape} != ({grid.n_frames},)")
     if dist_cap_s <= 0:
         raise ValueError(f"dist_cap_s must be positive, got {dist_cap_s}")
     smoothed = smooth_scores(scores, smooth_w)
     norm = _minmax(smoothed)
-    n = grid.n_frames
-    bin_w = grid.extent.duration / n
+    n = len(scores)
+    bin_w = duration / n
     if norm is None:
         warnings.warn(
             "attention trace is flat after smoothing; grounding to the first frame bin",
@@ -88,7 +87,7 @@ def extract_window_raw(
     tol = 1e-9
     pivot = int(np.argmax(norm >= 1.0 - tol))
     mean_norm = float(norm.mean())
-    times = frame_times(grid)
+    times = frame_times(n, duration)
 
     def ok(i: int) -> bool:
         return norm[i] >= mean_norm - tol and abs(times[i] - times[pivot]) <= dist_cap_s

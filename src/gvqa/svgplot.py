@@ -16,6 +16,20 @@ def _esc(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
+def _open(width: int, height: int, title: str) -> list[str]:
+    """The <svg> element, white background and centered title of a chart."""
+    return [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" font-size="14">{_esc(title)}</text>',
+    ]
+
+
+def _close(parts: list[str]) -> str:
+    return "\n".join(parts) + "\n</svg>\n"
+
+
 def bar_chart(values: Mapping[str, float], title: str, y_label: str = "") -> str:
     """Vertical bar chart; keys become x-axis labels in insertion order."""
     if not values:
@@ -29,12 +43,7 @@ def bar_chart(values: Mapping[str, float], title: str, y_label: str = "") -> str
     slot = plot_w / n
     bar_w = slot * 0.6
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" font-size="14">{_esc(title)}</text>',
-    ]
+    parts = _open(width, height, title)
     if y_label:
         parts.append(
             f'<text x="14" y="{margin_t + plot_h / 2:.1f}" text-anchor="middle" '
@@ -56,8 +65,7 @@ def bar_chart(values: Mapping[str, float], title: str, y_label: str = "") -> str
         parts.append(
             f'<text x="{bx + bar_w / 2:.1f}" y="{y0 + 16}" text-anchor="middle">{_esc(str(label))}</text>'
         )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _close(parts)
 
 
 def pie_chart(fractions: Mapping[str, float], title: str) -> str:
@@ -66,12 +74,7 @@ def pie_chart(fractions: Mapping[str, float], title: str) -> str:
         raise ValueError("pie_chart needs at least one slice")
     width, height = 420, 300
     cx, cy, r = 150.0, 168.0, 110.0
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" font-size="14">{_esc(title)}</text>',
-    ]
+    parts = _open(width, height, title)
     total = sum(fractions.values())
     angle = -math.pi / 2
     for i, (label, frac) in enumerate(fractions.items()):
@@ -92,8 +95,7 @@ def pie_chart(fractions: Mapping[str, float], title: str) -> str:
         ly = 60 + i * 20
         parts.append(f'<rect x="290" y="{ly - 10}" width="12" height="12" fill="{color}"/>')
         parts.append(f'<text x="308" y="{ly}">{_esc(str(label))} ({frac * 100:.1f}%)</text>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _close(parts)
 
 
 def timeline(
@@ -115,12 +117,7 @@ def timeline(
     def sx(t: float) -> float:
         return margin_l + plot_w * max(0.0, min(1.0, t / duration))
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" font-size="14">{_esc(title)}</text>',
-    ]
+    parts = _open(width, height, title)
     y = 40
     if trace is not None and len(trace) > 0:
         lo, hi = min(trace), max(trace)
@@ -153,5 +150,4 @@ def timeline(
         f'<text x="{margin_l + plot_w:.1f}" y="{y + 10}" font-size="10" fill="#555" '
         f'text-anchor="end">{duration:.1f}s</text>'
     )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _close(parts)

@@ -22,9 +22,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .gaussian import FrameGrid, frame_times
-from .metrics import GroundingLabel, LabelTable
-from .model import Episode
+from .gaussian import frame_times
+from .metrics import LabelTable
+from .model import Episode, _softmax
 from .temporal import TemporalSegment, VideoExtent
 
 SIBLINGS_PER_VIDEO = 4
@@ -119,7 +119,7 @@ def generate(config: SynthConfig) -> list[Episode]:
         background = config.noise_std * _unit_rows(
             rng.normal(size=(config.n_frames, config.d_v))
         )
-        centers = frame_times(FrameGrid(config.n_frames, extent))
+        centers = frame_times(config.n_frames, duration)
 
         n_here = min(SIBLINGS_PER_VIDEO, config.n_episodes - len(episodes))
         for j in range(n_here):
@@ -173,33 +173,20 @@ def oracle_grounding(episode: Episode) -> TemporalSegment:
 def episodes_to_labels(episodes: Iterable[Episode]) -> LabelTable:
     """Grounding labels keyed by question id, for the metrics protocol.
 
-    Raises NotSynthetic for an episode without a planted moment. A repeated
-    question id keeps its last episode's label, as a dict would.
+    Raises NotSynthetic for the first episode without a planted moment, and
+    LabelTable's ValueError for a repeated question id.
     """
     episodes = list(episodes)
-    if all(ep.gt_moment is not None for ep in episodes):
-        try:
-            return LabelTable(
-                [ep.question_id for ep in episodes],
-                [ep.video_id for ep in episodes],
-                [ep.extent.duration for ep in episodes],
-                [ep.correct for ep in episodes],
-                [ep.gt_moment.start for ep in episodes],
-                [ep.gt_moment.end for ep in episodes],
-                range(len(episodes)),
-            )
-        except ValueError:
-            pass  # built one by one below, which names the first bad episode
-    labels = {}
-    for ep in episodes:
-        labels[ep.question_id] = GroundingLabel(
-            question_id=ep.question_id,
-            video_id=ep.video_id,
-            extent=ep.extent,
-            segments=(oracle_grounding(ep),),
-            answer_index=ep.correct,
-        )
-    return LabelTable.of(labels)
+    moments = [oracle_grounding(ep) for ep in episodes]
+    return LabelTable(
+        [ep.question_id for ep in episodes],
+        [ep.video_id for ep in episodes],
+        [ep.extent.duration for ep in episodes],
+        [ep.correct for ep in episodes],
+        [m.start for m in moments],
+        [m.end for m in moments],
+        range(len(episodes)),
+    )
 
 
 def split_by_video(
@@ -220,14 +207,9 @@ def split_by_video(
 
 # --- diagnostic scorers ----------------------------------------------------------
 
-def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def moment_frame_mask(episode: Episode) -> np.ndarray:
     """Boolean per-frame mask of the frames the generator planted the signal on."""
-    centers = frame_times(episode.grid)
+    centers = frame_times(episode.n_frames, episode.extent.duration)
     return _frames_inside(centers, oracle_grounding(episode))
 
 
@@ -247,7 +229,7 @@ class QuestionOnlyScorer:
         onehot[np.arange(len(episodes)), y] = 1.0
         for _ in range(epochs):
             scores = np.einsum("ef,eaf->ea", Q @ self.W, A)
-            p = _softmax_rows(scores)
+            p = _softmax(scores)
             grad = Q.T @ np.einsum("ea,eaf->ef", p - onehot, A) / len(episodes)
             self.W -= lr * grad
 
@@ -302,7 +284,7 @@ class FramesQuestionScorer:
         onehot[np.arange(len(episodes)), y] = 1.0
         for _ in range(epochs):
             scores = np.einsum("ef,eaf->ea", V @ self.U + Q @ self.W, A)
-            delta = _softmax_rows(scores) - onehot
+            delta = _softmax(scores) - onehot
             # the answer-weighted error, shared by both updates
             delta_A = np.einsum("ea,eaf->ef", delta, A)
             self.U -= lr * (V.T @ delta_A) / len(episodes)

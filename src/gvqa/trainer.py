@@ -3,7 +3,8 @@
 Supports the answer-only objective and the joint objective with a question
 grounding term. The joint objective can run in two stages: grounding-term
 pretraining followed by joint finetuning. Early stopping watches validation
-Acc@GQA; the returned parameters are the best-validation snapshot.
+Acc@GQA; the returned parameters are the final stage's best-validation
+snapshot.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .metrics import GroundingLabel, evaluate
+from .metrics import LabelTable, evaluate
 from .model import PARAM_NAMES, Episode, ModelParams, loss_and_gradients, predict_episodes
 from .synth import ConfigError, episodes_to_labels
 
@@ -45,7 +46,6 @@ class TrainConfig:
     patience: int = 5
     seed: int = 0
     gamma: float = 1.0              # window multiplier for validation metrics
-    val_fraction: float = 0.15     # the CLI's split_by_video share
 
     def __post_init__(self) -> None:
         if self.objective not in ("ng", "ng+"):
@@ -64,8 +64,6 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be in [0, 1]")
         if self.gamma <= 0:
             raise ConfigError("gamma must be positive")
-        if not 0.0 < self.val_fraction < 1.0:
-            raise ConfigError("val_fraction must be in (0, 1)")
 
 
 class Adam:
@@ -194,7 +192,7 @@ def sample_negatives(
 def _validate(
     params: ModelParams,
     episodes: Sequence[Episode],
-    labels: Mapping[str, GroundingLabel],
+    labels: LabelTable,
     gamma: float,
 ) -> dict:
     """Grounded-QA metrics of the episodes' predictions, as fractions."""
@@ -227,18 +225,19 @@ def train(
 ) -> tuple[ModelParams, list[dict]]:
     """Optimize params on the episode set; returns (best_params, history).
 
-    val_episodes are scored after every epoch. Early stopping triggers after
-    `patience` epochs without a validation Acc@GQA improvement, counted
-    within the final stage. History rows carry epoch, stage, train loss and
-    validation metrics as fractions.
+    val_episodes are scored after every epoch. best_params is the snapshot
+    with the highest validation Acc@GQA within the final stage (the earliest
+    on ties). Early stopping triggers after `patience` final-stage epochs
+    without an improvement on it. History rows carry epoch, stage, train
+    loss and validation metrics as fractions.
     """
     if not episodes:
         raise ConfigError("no training episodes")
 
+    if len({ep.question_id for ep in val_episodes}) != len(val_episodes):
+        raise ConfigError("validation episodes need distinct question ids")
     # raises NotSynthetic for a validation episode without a moment
     val_labels = episodes_to_labels(val_episodes)
-    if len(val_labels) != len(val_episodes):
-        raise ConfigError("validation episodes need distinct question ids")
     rng = np.random.default_rng(config.seed)
     adam = Adam(params.arrays, lr=config.lr)
     pool = None
@@ -298,7 +297,9 @@ def train(
             history.append(row)
             if on_epoch is not None:
                 on_epoch(row)
-            if val["acc_gqa"] > best["acc_gqa"]:
+            # an earlier stage's answer head is untrained: only the final
+            # stage competes for the snapshot
+            if stage_idx == final_stage and val["acc_gqa"] > best["acc_gqa"]:
                 best = {"acc_gqa": val["acc_gqa"], "params": params.copy(), "epoch": epoch}
                 since_best = 0
             else:

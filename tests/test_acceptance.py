@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from gvqa import annotations, metrics
-from gvqa.gaussian import FrameGrid, GaussianMask, confidence_interval
+from gvqa.gaussian import GaussianMask, confidence_interval
 from gvqa.metrics import GroundingLabel, Prediction, evaluate, random_baseline
 from gvqa.model import (
     Episode,
@@ -275,7 +275,6 @@ def test_criterion_7_posthoc_properties():
     for _ in range(1000):
         n = int(rng.integers(4, 65))
         duration = float(rng.uniform(8.0, 120.0))
-        grid = FrameGrid(n_frames=n, extent=VideoExtent(duration))
         kind = rng.integers(3)
         if kind == 0:
             scores = rng.dirichlet(np.full(n, 0.3))
@@ -284,7 +283,7 @@ def test_criterion_7_posthoc_properties():
         else:
             scores = np.zeros(n)
             scores[rng.integers(n)] = 1.0
-        win = extract_window_raw(scores, grid)
+        win = extract_window_raw(scores, duration)
         bin_w = duration / n
 
         import gvqa.posthoc as ph
@@ -300,7 +299,7 @@ def test_criterion_7_posthoc_properties():
 
         a = float(rng.uniform(0.5, 20.0))
         b = float(rng.uniform(0.0, 5.0))
-        win2 = extract_window_raw(a * scores + b, grid)
+        win2 = extract_window_raw(a * scores + b, duration)
         if win2 != win:
             violations += 1
     assert violations == 0

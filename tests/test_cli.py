@@ -227,11 +227,13 @@ def test_gamma_zero_exit_2(tmp_path, capsys):
 
 
 def test_unknown_config_key_exit_2(tmp_path, capsys):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("not_a_key = 3\n")
-    rc = main(["train-synth", "--config", str(cfg), "-o", str(tmp_path / "o")])
-    assert rc == 2
-    assert "unknown config key" in capsys.readouterr().err
+    # the validation share is split_by_video's default, not a config field
+    for line in ("not_a_key = 3", "train.val_fraction = 0.5"):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"n_episodes = 8\nepochs = 1\n{line}\n")
+        rc = main(["train-synth", "--config", str(cfg), "-o", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"unknown config key {line.split()[0]!r}" in capsys.readouterr().err
 
 
 def test_config_without_equals_exit_2(tmp_path, capsys):

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from gvqa.gaussian import (
     SIGMA_MIN,
-    FrameGrid,
     GaussianMask,
     ShapeMismatch,
     confidence_interval,
@@ -17,10 +16,6 @@ from gvqa.gaussian import (
 )
 from gvqa.model import Episode, ModelConfig, encode_video, init_params, predict_gaussian
 from gvqa.temporal import VideoExtent
-
-
-def grid(n, d):
-    return FrameGrid(n_frames=n, extent=VideoExtent(d))
 
 
 MODEL = ModelConfig(d_v=5, d_t=6, width=8)
@@ -39,20 +34,16 @@ def model_case(seed, n=6):
 
 class TestFrameTimes:
     def test_four_frames_forty_seconds(self):
-        assert frame_times(grid(4, 40.0)).tolist() == [5.0, 15.0, 25.0, 35.0]
+        assert frame_times(4, 40.0).tolist() == [5.0, 15.0, 25.0, 35.0]
 
     def test_two_frames_ten_seconds(self):
-        assert frame_times(grid(2, 10.0)).tolist() == [2.5, 7.5]
+        assert frame_times(2, 10.0).tolist() == [2.5, 7.5]
 
     def test_32_frames_first_center(self):
-        t = frame_times(grid(32, 39.5))
+        t = frame_times(32, 39.5)
         assert len(t) == 32
         assert t[0] == pytest.approx(0.5 / 32 * 39.5)
         assert t[0] == pytest.approx(0.617, abs=1e-3)
-
-    def test_min_two_frames(self):
-        with pytest.raises(ValueError):
-            grid(1, 10.0)
 
 
 class TestMaskParams:
@@ -90,19 +81,19 @@ class TestMaskParams:
 class TestMaskWeights:
     def test_peak_is_one_on_grid_point(self):
         # x_1 = 0.375 for n=4; put mu exactly there
-        g = mask_weights(GaussianMask(0.375, 0.2), grid(4, 40.0))
+        g = mask_weights(GaussianMask(0.375, 0.2), 4)
         assert g[1] == pytest.approx(1.0)
 
     def test_closed_form_value(self):
         # mu=0.5, sigma=0.5, x=1.0 -> exp(-0.5)
-        g = mask_weights(GaussianMask(0.5, 0.5), grid(2, 10.0))
+        g = mask_weights(GaussianMask(0.5, 0.5), 2)
         x = 0.75  # second frame center for n=2
         assert g[1] == pytest.approx(math.exp(-0.5 * ((x - 0.5) / 0.5) ** 2))
         manual = math.exp(-0.5 * ((1.0 - 0.5) / 0.5) ** 2)
         assert manual == pytest.approx(0.6065, abs=1e-4)
 
     def test_extreme_decay_positive_no_nan(self):
-        g = mask_weights(GaussianMask(0.0, SIGMA_MIN), grid(32, 60.0))
+        g = mask_weights(GaussianMask(0.0, SIGMA_MIN), 32)
         assert np.all(g > 0)
         assert np.all(np.isfinite(g))
 
@@ -113,7 +104,7 @@ class TestMaskWeights:
     )
     @settings(max_examples=60, deadline=None)
     def test_unimodal_peak_nearest_mu(self, mu, sigma, n):
-        g = mask_weights(GaussianMask(mu, sigma), grid(n, 30.0))
+        g = mask_weights(GaussianMask(mu, sigma), n)
         assert np.all(g > 0) and np.all(g <= 1.0)
         x = (np.arange(n) + 0.5) / n
         nearest = int(np.argmin(np.abs(x - mu)))
@@ -134,26 +125,24 @@ def mask_gradients(mask, weights, upstream):
 class TestMaskGradients:
     def test_zero_upstream(self):
         mask = GaussianMask(0.3, 0.2)
-        d_mu, d_sigma = mask_gradients(mask, mask_weights(mask, grid(8, 20.0)), np.zeros(8))
+        d_mu, d_sigma = mask_gradients(mask, mask_weights(mask, 8), np.zeros(8))
         assert d_mu == 0.0 and d_sigma == 0.0
 
     def test_symmetric_upstream_zero_mu_grad(self):
         # mu on the grid's axis of symmetry, even upstream -> odd integrand
-        g = grid(8, 20.0)
         up = np.array([1.0, 2.0, 3.0, 4.0, 4.0, 3.0, 2.0, 1.0])
         mask = GaussianMask(0.5, 0.3)
-        d_mu, _ = mask_gradients(mask, mask_weights(mask, g), up)
+        d_mu, _ = mask_gradients(mask, mask_weights(mask, 8), up)
         assert d_mu == pytest.approx(0.0, abs=1e-12)
 
     def test_upstream_length_checked(self):
         mask = GaussianMask(0.5, 0.3)
         with pytest.raises(ShapeMismatch):
-            mask_gradients(mask, mask_weights(mask, grid(8, 20.0)), np.zeros(5))
+            mask_gradients(mask, mask_weights(mask, 8), np.zeros(5))
 
     def test_matches_finite_differences(self):
         # central differences on L = sum(up * G) over 100 random draws
         rng = np.random.default_rng(42)
-        g = grid(16, 33.0)
         eps = 1e-5
         for _ in range(100):
             mu = rng.uniform(0.05, 0.95)
@@ -161,10 +150,10 @@ class TestMaskGradients:
             up = rng.normal(size=16)
 
             def loss(m, s):
-                return float(np.sum(up * mask_weights(GaussianMask(m, s), g)))
+                return float(np.sum(up * mask_weights(GaussianMask(m, s), 16)))
 
             mask = GaussianMask(mu, sigma)
-            d_mu, d_sigma = mask_gradients(mask, mask_weights(mask, g), up)
+            d_mu, d_sigma = mask_gradients(mask, mask_weights(mask, 16), up)
             fd_mu = (loss(mu + eps, sigma) - loss(mu - eps, sigma)) / (2 * eps)
             fd_sigma = (loss(mu, sigma + eps) - loss(mu, sigma - eps)) / (2 * eps)
             assert d_mu == pytest.approx(fd_mu, rel=1e-4, abs=1e-8)
@@ -267,7 +256,7 @@ class TestGaussianAttention:
         # independent reimplementation: explicit loops, no broadcasting
         params, ep, q, k, v = model_case(2, n=4)
         mask = GaussianMask(0.4, 0.3)
-        g = mask_weights(mask, ep.grid)
+        g = mask_weights(mask, ep.n_frames)
         out, _ = encode_video(params, ep, mask)
         n, dk = q.shape
         oracle = np.zeros((n, v.shape[1]))
@@ -287,7 +276,7 @@ class TestGaussianAttention:
         # give a different pooled vector
         params, ep, q, k, v = model_case(3)
         mask = GaussianMask(0.2, 0.1)
-        g = mask_weights(mask, ep.grid)
+        g = mask_weights(mask, ep.n_frames)
         out, _ = encode_video(params, ep, mask)
         scaled = softmax_rows(q @ k.T / math.sqrt(q.shape[1])) * g[None, :]
         assert np.allclose(out, pooled(params, scaled @ v), atol=1e-12)
@@ -302,4 +291,4 @@ class TestGaussianAttention:
             encode_video(params, wide)
         mask = GaussianMask(0.5, 0.3)
         with pytest.raises(ShapeMismatch):
-            mask_gradients(mask, mask_weights(mask, ep.grid), np.ones(7))
+            mask_gradients(mask, mask_weights(mask, ep.n_frames), np.ones(7))

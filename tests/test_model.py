@@ -34,7 +34,7 @@ from gvqa.model import (
     predict_gaussian,
     save_checkpoint,
 )
-from gvqa.posthoc import extract_window_raw
+from gvqa.posthoc import DegenerateTraceWarning, extract_window_raw
 from gvqa.synth import episodes_to_labels
 from gvqa.temporal import END_SLACK, TemporalSegment, VideoExtent
 
@@ -69,6 +69,9 @@ class TestEpisode:
                 correct=0,
                 extent=VideoExtent(10.0),
             )
+        with pytest.raises(ShapeMismatch, match="n>=2"):
+            Episode(frames=rng.normal(size=(1, 5)), question=rng.normal(size=6),
+                    answers=rng.normal(size=(3, 6)), correct=0, extent=VideoExtent(10.0))
 
     def test_correct_in_range(self):
         rng = np.random.default_rng(0)
@@ -383,7 +386,7 @@ class TestGradients:
         mask = predict_gaussian(params, ep)
         assert mask.sigma == SIGMA_MIN
         assert np.min(np.abs(frame_positions(ep.n_frames) - mask.mu)) >= 12 * SIGMA_MIN
-        assert mask_weights(mask, ep.grid).min() == np.finfo(float).tiny
+        assert mask_weights(mask, ep.n_frames).min() == np.finfo(float).tiny
 
         def loss_fn():
             return objective_loss(params, ep, objective, alpha)
@@ -503,7 +506,7 @@ class TestPredictEpisode:
         t = predict_episode(params, ep, window_source="attn")
         f = predict_episode(params, ep, window_source="fused")
         gauss_win = confidence_interval(g.mask, ep.extent, 1.0)
-        attn_win = extract_window_raw(t.trace, ep.grid)
+        attn_win = extract_window_raw(t.trace, ep.extent.duration)
         assert g.window == gauss_win
         assert t.window == attn_win
         assert f.window == fuse_windows(gauss_win, attn_win)
@@ -882,3 +885,103 @@ class TestQKVBuffer:
         clone = copy.deepcopy(init_params(SMALL, seed=51))
         clone.arrays["W_q"][0, 0] = 5.0
         assert model._qkv_weight(clone)[0, 0] == 5.0
+
+
+# --- degenerate worlds ------------------------------------------------------------
+
+SOURCES = ("gauss", "attn", "fused")
+
+
+def degenerate_episode(seed=60, n=32, duration=30.0, **fields):
+    """An n-frame episode without a moment, with its own negatives, so every
+    objective runs on it; fields replaces any of its arrays."""
+    rng = np.random.default_rng(seed)
+    ep = dataclasses.replace(make_episode(rng, n=n), gt_moment=None, question_id="q",
+                             extent=VideoExtent(duration))
+    return dataclasses.replace(ep, **fields)
+
+
+def assert_finite(params, ep, objectives=("ng", "ground", "ng+")):
+    """Each window source's prediction, and each objective's loss and
+    gradients, are finite (a window's TemporalSegment checks its ends)."""
+    for source in SOURCES:
+        pred = predict_episode(params, ep, window_source=source)
+        assert np.all(np.isfinite(pred.trace)) and np.all(np.isfinite(pred.scores)), source
+    for objective in objectives:
+        loss, grads = loss_and_gradients(params, ep, objective=objective, alpha=0.5)
+        assert math.isfinite(loss), objective
+        assert all(np.all(np.isfinite(g)) for g in grads.values()), objective
+
+
+class TestDegenerateWorlds:
+    """Inputs at the edge of what Episode accepts: each path gives finite
+    outputs, the documented fallback or a typed error, never a NaN."""
+
+    @pytest.mark.parametrize("fill", ["constant", "zero"])
+    def test_flat_frames_fall_back_to_the_first_bin(self, fill):
+        params = init_params(SMALL, seed=61)
+        frames = np.tile(np.arange(5.0), (32, 1)) if fill == "constant" else np.zeros((32, 5))
+        ep = degenerate_episode(frames=frames)
+        first_bin = TemporalSegment(0.0, 30.0 / 32)
+        gauss = predict_episode(params, ep).window
+        with pytest.warns(DegenerateTraceWarning):
+            assert predict_episode(params, ep, window_source="attn").window == first_bin
+        with pytest.warns(DegenerateTraceWarning):
+            fused = predict_episode(params, ep, window_source="fused").window
+        assert fused == fuse_windows(gauss, first_bin)
+        with pytest.warns(DegenerateTraceWarning):
+            if fill == "constant":
+                assert_finite(params, ep)
+            else:
+                # all-zero frames pool to a zero video vector: the grounding
+                # term has no cosine against the questions
+                assert_finite(params, ep, objectives=("ng",))
+                for objective in ("ground", "ng+"):
+                    with pytest.raises(model.ZeroNorm, match="pooled vector in episode 'q'"):
+                        loss_and_gradients(params, ep, objective=objective)
+
+    def test_zero_question(self):
+        params = init_params(SMALL, seed=62)
+        ep = degenerate_episode(question=np.zeros(6))
+        assert_finite(params, ep, objectives=("ng",))
+        for objective in ("ground", "ng+"):
+            with pytest.raises(model.ZeroNorm, match="candidate question 0 in episode 'q'"):
+                loss_and_gradients(params, ep, objective=objective)
+
+    def test_zero_answer_row(self):
+        params = init_params(SMALL, seed=63)
+        ep = degenerate_episode()
+        ep.answers[0] = 0.0
+        for source in SOURCES:
+            with pytest.raises(model.ZeroNorm, match="answer row 0 in episode 'q'"):
+                predict_episode(params, ep, window_source=source)
+        for objective in ("ng", "ground", "ng+"):
+            with pytest.raises(model.ZeroNorm, match="answer row 0 in episode 'q'"):
+                loss_and_gradients(params, ep, objective=objective)
+
+    @pytest.mark.filterwarnings("ignore::gvqa.posthoc.DegenerateTraceWarning")
+    @given(st.sampled_from([2, 32]), st.floats(min_value=1e-322, max_value=1e308),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_extreme_durations_and_two_frames(self, n, duration, seed):
+        assert_finite(init_params(SMALL, seed=64), degenerate_episode(seed, n, duration))
+
+    @pytest.mark.parametrize("n", [2, 32])
+    def test_duration_too_short_for_its_frames(self, n):
+        # 5e-324 s over n frames gives a frame bin of 0 s
+        with pytest.raises(ValueError, match=f"episode 'q': duration 5e-324 s is too short "
+                                             f"for {n} frames"):
+            degenerate_episode(n=n, duration=5e-324)
+
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_huge_frames_name_the_episode(self, source):
+        # the head overflows to NaN: the loss is NaN, for the trainer's
+        # NonFiniteLoss, and prediction names the episode
+        params = init_params(SMALL, seed=65)
+        eps = [degenerate_episode(seed=i, question_id=f"q{i}") for i in range(3)]
+        eps[1].frames *= 1e200
+        with np.errstate(all="ignore"):
+            assert math.isnan(loss_and_gradients(params, eps[1])[0])
+            with pytest.raises(ValueError, match=r"non-finite mask parameters \(nan, nan\) "
+                                                 r"for episode 'q1' \(position 1 of the batch\)"):
+                model.predict_episodes(params, eps, window_source=source)

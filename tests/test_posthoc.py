@@ -2,13 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gvqa.gaussian import FrameGrid, frame_times
+from gvqa.gaussian import frame_times
 from gvqa.posthoc import DegenerateTraceWarning, extract_window_raw, smooth_scores
-from gvqa.temporal import VideoExtent
-
-
-def grid(n, d):
-    return FrameGrid(n_frames=n, extent=VideoExtent(d))
 
 
 def normalized(values):
@@ -73,13 +68,13 @@ class TestExtractWindow:
     def test_one_hot_yields_single_bin(self):
         # 8 frames over 40s: bins of 5s; peak at frame 3 -> [15, 20]
         # smoothing would spread the spike to frames 2..4, all >= mean
-        seg = extract_window_raw(normalized([0, 0, 0, 1, 0, 0, 0, 0]), grid(8, 40.0),
+        seg = extract_window_raw(normalized([0, 0, 0, 1, 0, 0, 0, 0]), 40.0,
                                  smooth_w=1)
         assert (seg.start, seg.end) == (15.0, 20.0)
 
     def test_uniform_trace_degenerate(self):
         with pytest.warns(DegenerateTraceWarning):
-            seg = extract_window_raw(normalized([1, 1, 1, 1]), grid(4, 20.0))
+            seg = extract_window_raw(normalized([1, 1, 1, 1]), 20.0)
         assert (seg.start, seg.end) == (0.0, 5.0)
 
     def test_plateau_spans_plateau_bins(self):
@@ -87,7 +82,7 @@ class TestExtractWindow:
         # everything else near zero. dist cap is generous.
         v = np.full(16, 0.01)
         v[5:10] = 1.0
-        seg = extract_window_raw(v, grid(16, 32.0), smooth_w=1, dist_cap_s=10.0)
+        seg = extract_window_raw(v, 32.0, smooth_w=1, dist_cap_s=10.0)
         assert (seg.start, seg.end) == (5 * 2.0, 10 * 2.0)
 
     def test_distance_cap_limits_expansion(self):
@@ -95,17 +90,16 @@ class TestExtractWindow:
         # cap the window would span everything; 10s cap keeps centers within
         # 10s of the pivot (2 frames each side).
         v = np.linspace(1.0, 0.99, 20)  # tiny tilt so argmax = 0, not flat
-        seg = extract_window_raw(v, grid(20, 100.0), smooth_w=1, dist_cap_s=10.0)
+        seg = extract_window_raw(v, 100.0, smooth_w=1, dist_cap_s=10.0)
         assert seg.start == 0.0
         assert seg.end == pytest.approx(15.0)  # frames 0,1,2 -> bins [0,15]
 
     def test_pivot_always_inside(self):
         rng = np.random.default_rng(1)
-        g = grid(32, 60.0)
-        times = frame_times(g)
+        times = frame_times(32, 60.0)
         for _ in range(50):
             v = rng.uniform(0, 1, size=32)
-            seg = extract_window_raw(v, g, smooth_w=3)
+            seg = extract_window_raw(v, 60.0, smooth_w=3)
             sm = smooth_scores(v, 3)
             pivot = int(np.argmax((sm - sm.min()) / (sm.max() - sm.min())))
             assert seg.start <= times[pivot] <= seg.end
@@ -113,7 +107,7 @@ class TestExtractWindow:
     def test_lowest_index_tie_rule(self):
         # two equal peaks; pivot must be the earlier one
         v = np.array([0.0, 1.0, 0.0, 0.0, 1.0, 0.0])
-        seg = extract_window_raw(v, grid(6, 12.0), smooth_w=1, dist_cap_s=100.0)
+        seg = extract_window_raw(v, 12.0, smooth_w=1, dist_cap_s=100.0)
         # mean of normalized = 2/6=0.333; both peaks qualify but only
         # contiguously-reachable frames from pivot 1 are included
         assert seg.start == pytest.approx(2.0)
@@ -121,22 +115,21 @@ class TestExtractWindow:
 
     def test_affine_invariance(self):
         rng = np.random.default_rng(2)
-        g = grid(32, 45.0)
         for _ in range(25):
             v = rng.uniform(0, 1, size=32)
             a = rng.uniform(0.1, 20.0)
             b = rng.uniform(-1.0, 5.0)
-            s1 = extract_window_raw(v, g)
-            s2 = extract_window_raw(a * v + b, g)
+            s1 = extract_window_raw(v, 45.0)
+            s2 = extract_window_raw(a * v + b, 45.0)
             assert s1.start == pytest.approx(s2.start, abs=1e-9)
             assert s1.end == pytest.approx(s2.end, abs=1e-9)
 
     def test_bad_dist_cap(self):
         with pytest.raises(ValueError):
-            extract_window_raw(np.arange(4.0), grid(4, 10.0), dist_cap_s=0.0)
+            extract_window_raw(np.arange(4.0), 10.0, dist_cap_s=0.0)
 
 
-def brute_force_window(v, g, smooth_w, dist_cap_s):
+def brute_force_window(v, duration, smooth_w, dist_cap_s):
     """Independent oracle: enumerate every frame, test inclusion by walking."""
     sm = smooth_scores(np.asarray(v, float), smooth_w)
     if sm.max() - sm.min() <= 1e-15:
@@ -145,7 +138,7 @@ def brute_force_window(v, g, smooth_w, dist_cap_s):
     # near-ties within 1e-9 of the top count as the pivot (lowest index wins),
     # matching the affine-stable tie rule of the implementation
     pivot = min(i for i in range(len(norm)) if norm[i] >= 1.0 - 1e-9)
-    times = frame_times(g)
+    times = frame_times(len(norm), duration)
     mean = norm.mean()
     included = {pivot}
     i = pivot - 1
@@ -156,7 +149,7 @@ def brute_force_window(v, g, smooth_w, dist_cap_s):
     while i < len(norm) and norm[i] >= mean - 1e-9 and abs(times[i] - times[pivot]) <= dist_cap_s:
         included.add(i)
         i += 1
-    bw = g.extent.duration / g.n_frames
+    bw = duration / len(norm)
     return (min(included) * bw, (max(included) + 1) * bw)
 
 
@@ -168,14 +161,13 @@ def brute_force_window(v, g, smooth_w, dist_cap_s):
 )
 @settings(max_examples=120, deadline=None)
 def test_matches_brute_force_oracle(values, smooth_w, dist_cap_s, duration):
-    g = grid(len(values), duration)
-    expected = brute_force_window(values, g, smooth_w, dist_cap_s)
+    expected = brute_force_window(values, duration, smooth_w, dist_cap_s)
     if expected is None:
         with pytest.warns(DegenerateTraceWarning):
-            seg = extract_window_raw(np.array(values), g, smooth_w, dist_cap_s)
+            seg = extract_window_raw(np.array(values), duration, smooth_w, dist_cap_s)
         assert (seg.start, seg.end) == (0.0, duration / len(values))
     else:
-        seg = extract_window_raw(np.array(values), g, smooth_w, dist_cap_s)
+        seg = extract_window_raw(np.array(values), duration, smooth_w, dist_cap_s)
         assert seg.start == pytest.approx(expected[0], abs=1e-9)
         assert seg.end == pytest.approx(expected[1], abs=1e-9)
 
@@ -189,14 +181,13 @@ def test_matches_brute_force_oracle(values, smooth_w, dist_cap_s, duration):
 def test_window_respects_distance_cap(n, duration, seed):
     rng = np.random.default_rng(seed)
     v = rng.uniform(0, 1, size=n)
-    g = grid(n, duration)
     if smooth_scores(v, 3).max() - smooth_scores(v, 3).min() <= 1e-15:
         return
-    seg = extract_window_raw(v, g, smooth_w=3, dist_cap_s=10.0)
+    seg = extract_window_raw(v, duration, smooth_w=3, dist_cap_s=10.0)
     sm = smooth_scores(v, 3)
     norm = (sm - sm.min()) / (sm.max() - sm.min())
     pivot = int(np.argmax(norm))
-    pivot_t = frame_times(g)[pivot]
+    pivot_t = frame_times(n, duration)[pivot]
     bin_w = duration / n
     assert seg.start >= pivot_t - 10.0 - bin_w - 1e-9
     assert seg.end <= pivot_t + 10.0 + bin_w + 1e-9

@@ -177,16 +177,16 @@ def test_episodes_to_labels(eps):
         assert lab.video_id == ep.video_id
 
 
-def test_episodes_to_labels_falls_back_row_by_row(eps):
-    # a repeated id keeps the last episode's label, in the first one's place
-    twin = dataclasses.replace(eps[1], question_id=eps[0].question_id)
-    labels = episodes_to_labels(iter([eps[0], twin, eps[2]]))
+def test_episodes_to_labels_rejects_bad_episodes(eps):
+    labels = episodes_to_labels(iter(eps[:3]))
     assert isinstance(labels, LabelTable)
-    assert list(labels) == [eps[0].question_id, eps[2].question_id]
-    assert labels[eps[0].question_id].segments == (twin.gt_moment,)
-    bare = dataclasses.replace(eps[1], gt_moment=None)
-    with pytest.raises(NotSynthetic):
-        episodes_to_labels([eps[0], bare])
+    assert list(labels) == [ep.question_id for ep in eps[:3]]
+    twin = dataclasses.replace(eps[1], question_id=eps[0].question_id)
+    with pytest.raises(ValueError, match="duplicate question ids"):
+        episodes_to_labels([eps[0], twin, eps[2]])
+    bare = dataclasses.replace(eps[1], gt_moment=None, question_id="bare")
+    with pytest.raises(NotSynthetic, match="episode bare has no planted moment"):
+        episodes_to_labels([eps[0], bare, twin])
 
 
 def test_whole_video_baseline_hits_moment_ratio_exactly(eps):

@@ -56,7 +56,6 @@ def test_config_validation():
         {"p_same_video": 1.5},
         {"p_pos_swap": -0.1},
         {"gamma": 0.0},
-        {"val_fraction": 0.0},
     ):
         with pytest.raises(ConfigError):
             TrainConfig(**kwargs)
@@ -316,6 +315,25 @@ def test_two_stage_plan_and_answer_freeze(world):
     assert snaps[2][0] == "ng+" and not snaps[2][1]
 
 
+def test_best_snapshot_comes_from_the_final_stage(world, monkeypatch):
+    """A pretrain epoch that scores higher than every joint epoch must not
+    supply the returned parameters: its answer head is untrained."""
+    _, train_eps, val_eps = world
+    scores = iter([0.9, 0.1, 0.3, 0.2])
+    snapshots = []
+
+    def scripted(params, episodes, labels, gamma):
+        snapshots.append(params.copy())
+        return {"acc_qa": 0.5, "acc_gqa": next(scores), "m_iop": 0.5, "m_iou": 0.5}
+
+    monkeypatch.setattr(trainer_module, "_validate", scripted)
+    cfg = TrainConfig(objective="ng+", stages=2, epochs=4, lr=1e-3, patience=10, seed=2)
+    best, hist = train(fresh_params(), train_eps, cfg, val_episodes=val_eps)
+    assert [r["stage"] for r in hist] == ["ground", "ground", "ng+", "ng+"]
+    for k in best.arrays:
+        assert np.array_equal(best.arrays[k], snapshots[2].arrays[k]), k
+
+
 def test_single_stage_ngplus(world):
     _, train_eps, val_eps = world
     cfg = TrainConfig(objective="ng+", stages=1, epochs=2, lr=1e-3, patience=10, seed=2)
@@ -367,6 +385,10 @@ def test_nan_head_in_a_minibatch_of_five_aborts(world):
     five[2].frames[3, 0] = np.nan
     cfg = TrainConfig(objective="ng+", epochs=1, batch=5, seed=0)
     with pytest.raises(NonFiniteLoss, match="loss at epoch 0, batch starting 0"):
+        train(fresh_params(), five, cfg, val_episodes=val_eps)
+    # finite frames scaled by 1e200 overflow the head to NaN the same way
+    five[2].frames = train_eps[2].frames * 1e200
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteLoss, match="loss at epoch 0"):
         train(fresh_params(), five, cfg, val_episodes=val_eps)
 
 
