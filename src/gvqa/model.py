@@ -66,25 +66,27 @@ class Episode:
         self.frames = np.asarray(self.frames, dtype=float)
         self.question = np.asarray(self.question, dtype=float)
         self.answers = np.asarray(self.answers, dtype=float)
+        where = f"episode {self.question_id!r}: "
         if self.frames.ndim != 2 or self.frames.shape[0] < 2:
-            raise ShapeMismatch(f"frames must be (n>=2, d_v), got {self.frames.shape}")
+            raise ShapeMismatch(f"{where}frames must be (n>=2, d_v), got {self.frames.shape}")
         if self.question.ndim != 1:
-            raise ShapeMismatch(f"question must be a vector, got {self.question.shape}")
+            raise ShapeMismatch(f"{where}question must be a vector, got {self.question.shape}")
         if self.answers.ndim != 2 or self.answers.shape[0] < 2:
-            raise ShapeMismatch(f"answers must be (A>=2, d_t), got {self.answers.shape}")
+            raise ShapeMismatch(f"{where}answers must be (A>=2, d_t), got {self.answers.shape}")
         if self.answers.shape[1] != self.question.shape[0]:
-            raise ShapeMismatch("answers and question disagree on text dim")
+            raise ShapeMismatch(f"{where}answers and question disagree on text dim")
         if not 0 <= self.correct < self.answers.shape[0]:
-            raise ValueError(f"correct index {self.correct} outside [0, {self.answers.shape[0]})")
+            raise ValueError(f"{where}correct index {self.correct} outside "
+                             f"[0, {self.answers.shape[0]})")
         for v in list(self.neg_questions) + list(self.pos_variants):
             if np.asarray(v).shape != self.question.shape:
-                raise ShapeMismatch("negative/variant question dim mismatch")
+                raise ShapeMismatch(f"{where}negative/variant question dim mismatch")
         if not self.extent.duration / self.frames.shape[0] > 0:
             # a zero frame bin leaves post-hoc windows no length
-            raise ValueError(f"episode {self.question_id!r}: duration {self.extent.duration} s "
+            raise ValueError(f"{where}duration {self.extent.duration} s "
                              f"is too short for {self.frames.shape[0]} frames")
         if self.gt_moment is not None and self.gt_moment.end > self.extent.duration + END_SLACK:
-            raise ValueError("gt_moment extends past the video")
+            raise ValueError(f"{where}gt_moment extends past the video")
 
     @property
     def n_frames(self) -> int:
@@ -249,18 +251,26 @@ def load_checkpoint(path: str | Path) -> ModelParams:
 # buckets the caller's episodes by (n_frames, n_answers), in order of first
 # appearance, and cuts each bucket into chunks of at most CHUNK_FRAMES frames
 # (at least one episode). A chunk runs the stages
-# _encode_frames (projection and frame self-attention), _ground (grounding
-# head -> mask parameters), _pool (mask-scaled attention and attention
-# pooling) and _cosine_scores; _backward reverses them. A lone episode is a
-# chunk of one, packed as views of its own arrays.
+# _encode_frames (frames straight to [Q|K|V] and frame self-attention), _ground
+# (grounding head -> mask parameters), _pool (mask-scaled attention and
+# attention pooling) and _cosine_scores; _backward reverses them. A lone
+# episode is a chunk of one, packed as views of its own arrays.
+#
+# The mask scales post-softmax attention per key frame, and the grounding
+# head and the pooling each read the attended values through one query
+# vector (W_g qv and u), so past the softmax the (n, n) attention S is only
+# ever multiplied by vectors: no (n, width) product S V is formed, forward or
+# backward, and the backward's dS and dV are each one rank-4 product. Frames
+# map to [Q|K|V] through W_v [W_q|W_k|W_val], formed once per call
+# (_frame_qkv).
 #
 # Every chunk-sized array lives in a _Workspace: buffers preallocated per
 # chunk shape that the stages write with out= or in place, reused across the
 # chunks of a call and kept across calls. Arrays of this size sit at the
 # allocator's mmap and trim thresholds, so allocating them per chunk would
 # page-fault them in again every time. Only the buffers differ from plain
-# expressions, so the arithmetic is bit for bit the same. A chunk's arrays are
-# valid until the next chunk of its shape is packed, and nothing an entry
+# expressions, so a warm call gives the bits of a cold one. A chunk's arrays
+# are valid until the next chunk of its shape is packed, and nothing an entry
 # point returns is a view of them.
 
 # frames per chunk: 8 episodes at 32 frames, 2 at 128. Smaller chunks pay
@@ -283,21 +293,13 @@ class _Workspace:
         self.F = np.empty((b, n, d_v))
         self.q = np.empty((b, d_t))
         self.answers = np.empty((b, A, d_t))
-        # forward cache
-        self.X = np.empty((b * n, w))
+        # forward cache: the frames' [Q|K|V] and the self-attention
         self.QKV = np.empty((b, n, 3 * w))
         self.S = np.empty((b, n, n))
-        self.H0 = np.empty((b, n, w))
-        self.GV = np.empty((b, n, w))
-        self.H1 = np.empty((b, n, w))
-        # backward: dH1 and later dH0, their _outer2 operands, the attention
-        # and value gradients, and one scratch product of each size
-        self.dH = np.empty((b, n, w))
-        self.outer_a = np.empty((b, n, 2))
-        self.outer_b = np.empty((b, 2, w))
+        # backward: the attention and [Q|K|V] gradients, and one (n, n)
+        # scratch product
         self.dS = np.empty((b, n, n))
         self.dQKV = np.empty((b, n, 3 * w))
-        self.nw = np.empty((b, n, w))
         self.nn = np.empty((b, n, n))
 
 
@@ -370,6 +372,18 @@ def _qkv_weight(params: ModelParams) -> np.ndarray:
     return np.concatenate([P[name] for name in QKV_NAMES], axis=1)
 
 
+def _frame_qkv(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """(W_frames, b_frames) = (W_v [W_q|W_k|W_val], b_v [W_q|W_k|W_val]):
+    frames map straight to [Q|K|V] = F W_frames + b_frames, without the
+    projected frames F W_v + b_v. That is d_v 3 width multiply-adds per frame
+    instead of (d_v + 3 width) width, fewer while 2 d_v < 3 width: 48 < 192
+    for the synthetic world's d_v 24 at width 64, 10 < 24 for the tests'
+    d_v 5 at width 8. Wider features stay exact, only slower."""
+    P = params.arrays
+    W_qkv = _qkv_weight(params)
+    return P["W_v"] @ W_qkv, P["b_v"] @ W_qkv
+
+
 def _softmax(z: np.ndarray) -> np.ndarray:
     """Softmax over the last axis, computed in z's own buffer (callers pass a
     temporary): the (b, n, n) attention stays one allocation."""
@@ -392,36 +406,48 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 0.5 * np.tanh(0.5 * z) + 0.5
 
 
-def _encode_frames(params: ModelParams, F: np.ndarray, W_qkv: np.ndarray,
-                   ws: _Workspace) -> dict:
-    """Projected frames X (flat), their query/key/value maps and the
-    row-softmax self-attention weights S."""
-    P = params.arrays
+def _encode_frames(params: ModelParams, F: np.ndarray, W_frames: np.ndarray,
+                   b_frames: np.ndarray, ws: _Workspace) -> dict:
+    """The frames' query/key/value maps, F W_frames + b_frames (_frame_qkv),
+    and the row-softmax self-attention weights S."""
     b, n, d_v = F.shape
     w = params.config.width
-    X = np.matmul(F.reshape(b * n, d_v), P["W_v"], out=ws.X)
-    X += P["b_v"]
     QKV = ws.QKV
-    np.matmul(X, W_qkv, out=QKV.reshape(b * n, 3 * w))
+    np.matmul(F.reshape(b * n, d_v), W_frames, out=QKV.reshape(b * n, 3 * w))
+    QKV += b_frames
     Qm, Km, Vm = QKV[..., :w], QKV[..., w:2 * w], QKV[..., 2 * w:]
     Z = np.matmul(Qm, Km.transpose(0, 2, 1), out=ws.S)
     Z /= math.sqrt(w)
     S = _softmax(Z)
-    return {"X": X, "Qm": Qm, "Km": Km, "Vm": Vm, "S": S}
+    return {"Qm": Qm, "Km": Km, "Vm": Vm, "S": S}
 
 
-def _ground(params: ModelParams, enc: dict, q: np.ndarray, ws: _Workspace) -> dict:
-    """Grounding head: question-conditioned attention over the unmasked tokens,
-    read out through squashed projections into mu in [0, 1] and
-    sigma in [SIGMA_MIN, 1]."""
+def _mv(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """M v per batch row: (b, n, m) and (b, m) -> (b, n)."""
+    return (M @ v[:, :, None])[..., 0]
+
+
+def _vm(v: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """M^T v per batch row: (b, n) and (b, n, m) -> (b, m)."""
+    return (v[:, None, :] @ M)[:, 0]
+
+
+def _ground(params: ModelParams, enc: dict, q: np.ndarray) -> dict:
+    """Grounding head: question-conditioned attention over the unmasked tokens
+    H0 = S Vm, read out through squashed projections into mu in [0, 1] and
+    sigma in [SIGMA_MIN, 1].
+
+    H0 is read only through vectors: the logits H0 (W_g qv) are S (Vm g) and
+    the readout H0^T alpha is Vm^T (S^T alpha)."""
     P = params.arrays
-    n = enc["Vm"].shape[1]
-    H0 = np.matmul(enc["S"], enc["Vm"], out=ws.H0)
+    S, Vm = enc["S"], enc["Vm"]
+    n = Vm.shape[1]
     qv = q @ P["W_t"] + P["b_t"]
-    # logits (H0 W_g) qv, contracted as H0 (W_g qv): no (n, w) key map
     g = qv @ P["W_g"].T
-    alpha = _softmax((H0 @ g[:, :, None])[..., 0])
-    c = (alpha[:, None, :] @ H0)[:, 0]
+    Vg = _mv(Vm, g)
+    alpha = _softmax(_mv(S, Vg))
+    Sa = _vm(alpha, S)
+    c = _vm(Sa, Vm)
     x = _positions(n)
     m1 = alpha @ x
     dx = x - m1[:, None]
@@ -430,22 +456,23 @@ def _ground(params: ModelParams, enc: dict, q: np.ndarray, ws: _Workspace) -> di
     mu = _sigmoid(c @ P["w_mu"] + P["a_mu"] * m1 + P["b_mu"])
     sg_inner = _sigmoid(c @ P["w_sg"] + P["a_sg"] * m2 + P["b_sg"])
     sigma = SIGMA_MIN + (1.0 - SIGMA_MIN) * sg_inner
-    return {"H0": H0, "qv": qv, "g": g, "alpha": alpha, "c": c, "x": x, "dx": dx,
+    return {"qv": qv, "g": g, "Vg": Vg, "alpha": alpha, "Sa": Sa, "c": c, "x": x, "dx": dx,
             "dx2": dx2, "m1": m1, "m2": m2, "mu": mu, "sg_inner": sg_inner, "sigma": sigma}
 
 
-def _pool(params: ModelParams, enc: dict, G: np.ndarray, ws: _Workspace) -> dict:
+def _pool(params: ModelParams, enc: dict, G: np.ndarray) -> dict:
     """Attention with post-softmax per-key weights G (rows are not
-    re-normalized), pooled by a learned query. The pooling softmax `trace`
-    sums to 1 and serves as the post-hoc localization signal.
+    re-normalized), H1 = (S * G) Vm, pooled by a learned query u. The
+    pooling softmax `trace` sums to 1 and serves as the post-hoc
+    localization signal.
 
-    (S * G) @ Vm is computed as S @ (G * Vm): the mask scales n x width
-    values instead of n x n attention weights."""
-    GV = np.multiply(G[:, :, None], enc["Vm"], out=ws.GV)
-    H1 = np.matmul(enc["S"], GV, out=ws.H1)
-    trace = _softmax(H1 @ params.arrays["u"])
-    return {"G": G, "GV": GV, "H1": H1, "trace": trace,
-            "v_t": (trace[:, None, :] @ H1)[:, 0]}
+    H1 is read only through vectors: the pooling logits H1 u are
+    S (G * Vm u) and the pooled vector H1^T trace is Vm^T (G * S^T trace)."""
+    S, Vm = enc["S"], enc["Vm"]
+    Vu = Vm @ params.arrays["u"]
+    trace = _softmax(_mv(S, G * Vu))
+    St = _vm(trace, S)
+    return {"G": G, "Vu": Vu, "trace": trace, "St": St, "v_t": _vm(G * St, Vm)}
 
 
 def _cosine_scores(rows: np.ndarray, vec: np.ndarray, temperature: float,
@@ -464,7 +491,8 @@ def _cosine_scores(rows: np.ndarray, vec: np.ndarray, temperature: float,
             "scores": cos / temperature}
 
 
-def _forward(params: ModelParams, chunk: _Chunk, W_qkv: np.ndarray) -> dict:
+def _forward(params: ModelParams, chunk: _Chunk, W_frames: np.ndarray,
+             b_frames: np.ndarray) -> dict:
     """Full forward pass of a chunk; returns every intermediate of backprop.
 
     A NaN head output (non-finite parameters) gives NaN frame weights, so
@@ -472,10 +500,10 @@ def _forward(params: ModelParams, chunk: _Chunk, W_qkv: np.ndarray) -> dict:
     raising in GaussianMask.
     """
     P = params.arrays
-    cache = _encode_frames(params, chunk.F, W_qkv, chunk.ws)
-    cache.update(_ground(params, cache, chunk.q, chunk.ws))
+    cache = _encode_frames(params, chunk.F, W_frames, b_frames, chunk.ws)
+    cache.update(_ground(params, cache, chunk.q))
     G = gaussian_weights(cache["x"], cache["mu"][:, None], cache["sigma"][:, None])
-    cache.update(_pool(params, cache, G, chunk.ws))
+    cache.update(_pool(params, cache, G))
     f = cache["v_t"] + cache["qv"]
     b, A, d_t = chunk.answers.shape
     B = (chunk.answers.reshape(b * A, d_t) @ P["W_a"] + P["b_a"]).reshape(b, A, -1)
@@ -517,14 +545,6 @@ def _candidate_questions(
     return Qc
 
 
-def _outer2(a1: np.ndarray, a2: np.ndarray, b1: np.ndarray, b2: np.ndarray,
-            ws: _Workspace) -> np.ndarray:
-    """a1 (x) b1 + a2 (x) b2 per batch row: (b, n) and (b, w) -> (b, n, w),
-    written into ws.dH."""
-    return np.matmul(np.stack((a1, a2), axis=2, out=ws.outer_a),
-                     np.stack((b1, b2), axis=1, out=ws.outer_b), out=ws.dH)
-
-
 def _softmax_backward(y: np.ndarray, dy: np.ndarray) -> np.ndarray:
     """Jacobian-vector product for y = softmax(z) over the last axis: dz from dy."""
     return y * (dy - (dy * y).sum(axis=-1, keepdims=True))
@@ -544,34 +564,31 @@ def _cosine_backward(
     return dvec, drows
 
 
-def _backward(params: ModelParams, chunk: _Chunk, cache: dict, W_qkv: np.ndarray,
-              d_vt: np.ndarray, d_qv: np.ndarray, grads: dict[str, np.ndarray]) -> None:
+def _backward(params: ModelParams, chunk: _Chunk, cache: dict, d_vt: np.ndarray,
+              d_qv: np.ndarray, grads: dict[str, np.ndarray]) -> None:
     """Adds the chunk's gradients below the pooled vector v_t and the projected
-    question qv into grads; grads["W_qkv"] collects [W_q | W_k | W_val]'s.
+    question qv into grads; grads["W_frames"] and grads["b_frames"] collect
+    those of the frame map to [Q|K|V] (_frame_qkv).
 
-    dQ, dK and dV are written into one (b, n, 3 width) buffer; dH1 and dH0
-    share one buffer, as do the scratch products of each size."""
+    The forward reads S and Vm only through vectors (H0 = S Vm and
+    H1 = (S * G) Vm are never formed), so dS and dVm are each one product over
+    a length-4 axis; dQ, dK and dV are written into one (b, n, 3 width)
+    buffer."""
     P = params.arrays
     ws = chunk.ws
     S, G, Vm = cache["S"], cache["G"], cache["Vm"]
-    H0, H1 = cache["H0"], cache["H1"]
     alpha, trace = cache["alpha"], cache["trace"]
+    Vu, St = cache["Vu"], cache["St"]
     b, n, w = Vm.shape
 
-    # pooling: v_t = trace @ H1, trace = softmax(H1 @ u)
-    dp = _softmax_backward(trace, (H1 @ d_vt[:, :, None])[..., 0])
-    # the two outer products trace (x) d_vt + dp (x) u as one product over a
-    # length-2 axis, which is faster than two broadcasts
-    dH1 = _outer2(trace, dp, d_vt, np.broadcast_to(P["u"], d_vt.shape), ws)
-    grads["u"] += H1.reshape(b * n, w).T @ dp.reshape(b * n)
-
-    # H1 = S @ GV, GV = G * Vm
-    dS = np.matmul(dH1, cache["GV"].transpose(0, 2, 1), out=ws.dS)
-    dQKV = ws.dQKV
-    dVm = dQKV[..., 2 * w:]
-    np.matmul(S.transpose(0, 2, 1), dH1, out=dVm)  # dGV until scaled by G
-    dG = np.multiply(dVm, Vm, out=ws.nw).sum(axis=2)
-    dVm *= G[:, :, None]
+    # pooling: v_t = Vm^T (G * S^T trace), trace = softmax(p), p = S (G * Vm u)
+    Vd = _mv(Vm, d_vt)
+    GVd = G * Vd
+    dp = _softmax_backward(trace, _mv(S, GVd))
+    Sdp = _vm(dp, S)
+    GSdp = G * Sdp
+    grads["u"] += GSdp.reshape(b * n) @ Vm.reshape(b * n, w)
+    dG = St * Vd + Sdp * Vu
 
     # Gaussian weights -> (mu, sigma) -> (z_mu, z_sg)
     mu, sg_inner = cache["mu"], cache["sg_inner"]
@@ -596,17 +613,23 @@ def _backward(params: ModelParams, chunk: _Chunk, cache: dict, W_qkv: np.ndarray
     dm1 = dm1 + dm2 * (-2.0 * (alpha * cache["dx"]).sum(axis=1))  # analytically 0; kept exact
     d_alpha += dm1[:, None] * cache["x"]
 
-    # c = alpha @ H0; alpha = softmax(e), e = H0 @ g, g = W_g qv
-    d_alpha += (H0 @ dc[:, :, None])[..., 0]
+    # c = Vm^T (S^T alpha); alpha = softmax(e), e = S (Vm g), g = W_g qv
+    Vdc = _mv(Vm, dc)
+    d_alpha += _mv(S, Vdc)
     de = _softmax_backward(alpha, d_alpha)
-    dH0 = _outer2(alpha, de, dc, cache["g"], ws)
-    dg = (de[:, None, :] @ H0)[:, 0]
+    Sde = _vm(de, S)
+    dg = _vm(Sde, Vm)
     grads["W_g"] += dg.T @ cache["qv"]
     d_qv += dg @ P["W_g"]
 
-    # H0 = S @ Vm
-    dS += np.matmul(dH0, Vm.transpose(0, 2, 1), out=ws.nn)
-    dVm += np.matmul(S.transpose(0, 2, 1), dH0, out=ws.nw)
+    # dS = trace (x) G Vm d_vt + dp (x) G Vm u + alpha (x) Vm dc + de (x) Vm g,
+    # dVm = G S^T trace (x) d_vt + G S^T dp (x) u + S^T alpha (x) dc + S^T de (x) g
+    dS = np.matmul(np.stack((trace, dp, alpha, de), axis=2),
+                   np.stack((GVd, G * Vu, Vdc, cache["Vg"]), axis=1), out=ws.dS)
+    dQKV = ws.dQKV
+    np.matmul(np.stack((G * St, GSdp, cache["Sa"], Sde), axis=2),
+              np.stack((d_vt, np.broadcast_to(P["u"], d_vt.shape), dc, cache["g"]), axis=1),
+              out=dQKV[..., 2 * w:])
 
     # S = softmax(Qm Km^T / sqrt(w), rows)
     dS -= np.multiply(dS, S, out=ws.nn).sum(axis=-1, keepdims=True)
@@ -617,11 +640,9 @@ def _backward(params: ModelParams, chunk: _Chunk, cache: dict, W_qkv: np.ndarray
     dQKV[..., :2 * w] *= 1.0 / math.sqrt(w)
     dQKV = dQKV.reshape(b * n, 3 * w)
 
-    # QKV = X [W_q | W_k | W_val], X = F W_v + b_v. dX = dQKV [..]^T is never
-    # formed: F^T dX = (F^T dQKV) [..]^T is the cheaper order
-    grads["W_qkv"] += cache["X"].T @ dQKV
-    grads["W_v"] += (chunk.F.reshape(b * n, -1).T @ dQKV) @ W_qkv.T
-    grads["b_v"] += dQKV.sum(axis=0) @ W_qkv.T
+    # QKV = F W_frames + b_frames
+    grads["W_frames"] += chunk.F.reshape(b * n, -1).T @ dQKV
+    grads["b_frames"] += dQKV.sum(axis=0)
 
     # qv = question W_t + b_t (d_qv accumulated from fusion + grounding head)
     grads["W_t"] += chunk.q.T @ d_qv
@@ -631,7 +652,7 @@ def _backward(params: ModelParams, chunk: _Chunk, cache: dict, W_qkv: np.ndarray
 def _chunk_objective(
     params: ModelParams,
     chunk: _Chunk,
-    W_qkv: np.ndarray,
+    frame_qkv: tuple[np.ndarray, np.ndarray],
     answer_term: bool,
     scale: float,
     pos_question: Sequence[np.ndarray | None],
@@ -643,7 +664,7 @@ def _chunk_objective(
     None. Returns None for a non-finite head output."""
     P = params.arrays
     T = params.temperature
-    cache = _forward(params, chunk, W_qkv)
+    cache = _forward(params, chunk, *frame_qkv)
     if not math.isfinite(cache["mu"].sum() + cache["sigma"].sum()):
         return None
     b, A, d_t = chunk.answers.shape
@@ -675,7 +696,7 @@ def _chunk_objective(
         d_vt += dv
         grads["W_t"] += Qc.reshape(b * A, d_t).T @ dR.reshape(b * A, w)
         grads["b_t"] += dR.sum(axis=(0, 1))
-    _backward(params, chunk, cache, W_qkv, d_vt, d_qv, grads)
+    _backward(params, chunk, cache, d_vt, d_qv, grads)
     return float(np.sum(loss))
 
 
@@ -695,14 +716,15 @@ def _objective(
     w = params.config.width
     answer_term = objective in ("ng", "ng+")
     scale = {"ng": 0.0, "ground": 1.0, "ng+": alpha}[objective]
-    W_qkv = _qkv_weight(params)
+    W_frames, b_frames = _frame_qkv(params)
     grads = None
     if backward:
         grads = {name: np.zeros_like(arr) for name, arr in P.items()}
-        grads["W_qkv"] = np.zeros_like(W_qkv)
+        grads["W_frames"] = np.zeros_like(W_frames)
+        grads["b_frames"] = np.zeros_like(b_frames)
     total = 0.0
     for chunk in _chunks(params, episodes):
-        loss = _chunk_objective(params, chunk, W_qkv, answer_term, scale,
+        loss = _chunk_objective(params, chunk, (W_frames, b_frames), answer_term, scale,
                                 pos_question, neg_questions, grads)
         if loss is None:
             # NaN head output: the loss and every gradient are NaN
@@ -710,7 +732,12 @@ def _objective(
                               if backward else None)
         total += loss
     if backward:
-        g_qkv = grads.pop("W_qkv")
+        # W_frames = W_v [W_q|W_k|W_val], b_frames = b_v [W_q|W_k|W_val]
+        dW, db = grads.pop("W_frames"), grads.pop("b_frames")
+        W_qkv = _qkv_weight(params)
+        g_qkv = P["W_v"].T @ dW + np.outer(P["b_v"], db)
+        grads["W_v"] = dW @ W_qkv.T
+        grads["b_v"] = db @ W_qkv.T
         grads["W_q"] = g_qkv[:, :w].copy()
         grads["W_k"] = g_qkv[:, w:2 * w].copy()
         grads["W_val"] = g_qkv[:, 2 * w:].copy()
@@ -726,16 +753,15 @@ def encode_video(
     (chunk,) = _chunks(params, [episode])
     n = episode.n_frames
     G = np.ones((1, n)) if mask is None else mask_weights(mask, n)[None]
-    pool = _pool(params, _encode_frames(params, chunk.F, _qkv_weight(params), chunk.ws), G,
-                 chunk.ws)
+    pool = _pool(params, _encode_frames(params, chunk.F, *_frame_qkv(params), chunk.ws), G)
     return pool["v_t"][0], pool["trace"][0]
 
 
 def predict_gaussian(params: ModelParams, episode: Episode) -> GaussianMask:
     """The grounding head's mask for this episode (deterministic)."""
     (chunk,) = _chunks(params, [episode])
-    head = _ground(params, _encode_frames(params, chunk.F, _qkv_weight(params), chunk.ws),
-                   chunk.q, chunk.ws)
+    head = _ground(params, _encode_frames(params, chunk.F, *_frame_qkv(params), chunk.ws),
+                   chunk.q)
     return GaussianMask(head["mu"][0], head["sigma"][0])
 
 
@@ -839,10 +865,10 @@ def predict_episodes(
     """
     if window_source not in ("gauss", "attn", "fused"):
         raise ValueError(f"unknown window_source {window_source!r}")
-    W_qkv = _qkv_weight(params)
+    W_frames, b_frames = _frame_qkv(params)
     out: list[EpisodePrediction | None] = [None] * len(episodes)
     for chunk in _chunks(params, episodes):
-        cache = _forward(params, chunk, W_qkv)
+        cache = _forward(params, chunk, W_frames, b_frames)
         scores_all = cache["answer"]["scores"]
         # one read per chunk: the per-episode tail works on Python scalars
         mus, sigmas = cache["mu"].tolist(), cache["sigma"].tolist()

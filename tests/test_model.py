@@ -115,6 +115,26 @@ class TestEpisode:
         with pytest.raises(ValueError):
             ending_at(float(np.nextafter(edge, np.inf)))
 
+    @pytest.mark.parametrize("error,fields", [
+        (ShapeMismatch, {"frames": np.zeros((1, 5))}),
+        (ShapeMismatch, {"frames": np.zeros(5)}),
+        (ShapeMismatch, {"question": np.zeros((2, 6))}),
+        (ShapeMismatch, {"answers": np.zeros((1, 6))}),
+        (ShapeMismatch, {"answers": np.zeros((3, 7))}),
+        (ShapeMismatch, {"neg_questions": [np.zeros(7)]}),
+        (ShapeMismatch, {"pos_variants": [np.zeros(5)]}),
+        (ValueError, {"correct": 3}),
+        (ValueError, {"correct": -1}),
+        (ValueError, {"gt_moment": TemporalSegment(5.0, 12.0)}),
+    ])
+    def test_errors_name_the_episode(self, error, fields):
+        rng = np.random.default_rng(0)
+        ep = dict(frames=rng.normal(size=(4, 5)), question=rng.normal(size=6),
+                  answers=rng.normal(size=(3, 6)), correct=0, extent=VideoExtent(10.0),
+                  question_id="q")
+        with pytest.raises(error, match="^episode 'q': "):
+            Episode(**{**ep, **fields})
+
     def test_shape_mismatch_is_the_gaussian_class(self):
         assert ShapeMismatch is gaussian.ShapeMismatch
 
@@ -566,9 +586,9 @@ class TestPredictEpisode:
 
 # --- the batched engine -----------------------------------------------------------
 
-def mixed_batch(rng, frames=(4, 6, 4, 4, 6, 4, 4), answers=(3, 3, 4, 3, 3, 4, 3)):
+def mixed_batch(rng, frames=(4, 6, 4, 4, 6, 4, 4), answers=(3, 3, 4, 3, 3, 4, 3), d_v=5):
     """Episodes of mixed frame and answer counts, with distinct question ids."""
-    return [dataclasses.replace(make_episode(rng, n=n, A=A), question_id=f"q{i}")
+    return [dataclasses.replace(make_episode(rng, n=n, d_v=d_v, A=A), question_id=f"q{i}")
             for i, (n, A) in enumerate(zip(frames, answers))]
 
 
@@ -597,6 +617,7 @@ def assert_same_sums(batched, singles):
 
 
 OBJECTIVES = [("ng", 0.0), ("ground", 0.0), ("ng+", 0.5)]
+WIDE = ModelConfig(d_v=20, d_t=6, width=8)
 
 
 class TestEngine:
@@ -633,15 +654,15 @@ class TestEngine:
         assert chunk.F.base is ep.frames and chunk.answers.base is ep.answers
 
     @pytest.mark.parametrize("objective,alpha", OBJECTIVES)
-    def test_batched_gradients_match_finite_differences(self, objective, alpha):
+    def test_batched_gradients_match_finite_differences(self, objective, alpha, config=SMALL):
         # five-point central differences of the summed public losses, with
         # criterion 4's bound, against one batched call with B = 3 and mixed
         # frame and answer counts
         rng = np.random.default_rng(43)
-        params = init_params(SMALL, seed=43)
+        params = init_params(config, seed=43)
         for arr in params.arrays.values():
             arr += 0.05 * rng.normal(size=arr.shape)
-        eps = mixed_batch(rng, frames=(4, 6, 4), answers=(3, 3, 4))
+        eps = mixed_batch(rng, frames=(4, 6, 4), answers=(3, 3, 4), d_v=config.d_v)
         _, grads = loss_and_gradients(params, eps, objective=objective, alpha=alpha)
         h = 1e-3
         for name, arr in params.arrays.items():
@@ -656,6 +677,11 @@ class TestEngine:
                 arr[idx] = orig
                 a = grads[name][idx]
                 assert abs(a - fd) / max(abs(a), abs(fd), 1e-6) < 1e-4, (name, idx)
+
+    @pytest.mark.parametrize("objective,alpha", OBJECTIVES)
+    def test_wide_features_match_finite_differences(self, objective, alpha):
+        # 2 d_v > 3 width: frames map to Q|K|V the costlier way round
+        self.test_batched_gradients_match_finite_differences(objective, alpha, WIDE)
 
     @pytest.mark.parametrize("source", ["gauss", "attn", "fused"])
     def test_predict_episodes_equals_predict_episode(self, monkeypatch, source):
@@ -720,6 +746,154 @@ class TestEngine:
         eps = mixed_batch(rng, frames=(4, 4), answers=(3, 3))
         with pytest.raises(ValueError, match="2 episodes"):
             loss_and_gradients(params, eps, objective="ng+", neg_questions=[None])
+
+
+def _softmax(z):
+    e = np.exp(z - z.max())
+    return e / e.sum()
+
+
+def _softmax_back(y, dy):
+    return y * (dy - dy @ y)
+
+
+def _cosine(rows, vec, T):
+    """Scores cos(rows_k, vec) / T and the gradient map (dscore -> drows, dvec)."""
+    rn, vn = np.linalg.norm(rows, axis=1), np.linalg.norm(vec)
+    cos = rows @ vec / (rn * vn)
+
+    def back(ds):
+        drows = (ds / T)[:, None] * (vec / (rn[:, None] * vn) - cos[:, None] * rows / rn[:, None]**2)
+        dvec = (ds / T) @ (rows / (rn[:, None] * vn)) - (ds / T) @ cos * vec / vn**2
+        return drows, dvec
+
+    return cos / T, back
+
+
+def _ce(scores, target):
+    p = _softmax(scores)
+    d = p.copy()
+    d[target] -= 1.0
+    return -math.log(p[target]), d
+
+
+def dense_reference(params, ep, objective, alpha):
+    """One episode's loss, gradients and prediction state from dense
+    formulas: the projected frames X, the (n, width) products H0 = S V and
+    H1 = S (G * V), and rank-2 outer products for dH0 and dH1. The engine
+    reads S only through vectors and maps frames straight to Q|K|V."""
+    P, w, T = params.arrays, params.config.width, params.temperature
+    F, n = ep.frames, ep.n_frames
+    X = F @ P["W_v"] + P["b_v"]
+    Q, K, V = X @ P["W_q"], X @ P["W_k"], X @ P["W_val"]
+    S = np.stack([_softmax(z) for z in Q @ K.T / math.sqrt(w)])
+    H0 = S @ V
+    qv = ep.question @ P["W_t"] + P["b_t"]
+    g = P["W_g"] @ qv
+    a = _softmax(H0 @ g)
+    c = a @ H0
+    x = frame_positions(n)
+    m1 = a @ x
+    dx = x - m1
+    m2 = a @ dx**2
+    mu = 1.0 / (1.0 + math.exp(-(c @ P["w_mu"] + P["a_mu"] * m1 + P["b_mu"])))
+    sgi = 1.0 / (1.0 + math.exp(-(c @ P["w_sg"] + P["a_sg"] * m2 + P["b_sg"])))
+    sigma = SIGMA_MIN + (1.0 - SIGMA_MIN) * sgi
+    G = gaussian.gaussian_weights(x, mu, sigma)
+    GV = G[:, None] * V
+    H1 = S @ GV
+    trace = _softmax(H1 @ P["u"])
+    v_t = trace @ H1
+    f = v_t + qv
+    B = ep.answers @ P["W_a"] + P["b_a"]
+    scores, answer_back = _cosine(B, f, T)
+
+    grads = {name: np.zeros_like(arr) for name, arr in P.items()}
+    loss, d_vt, d_qv = 0.0, np.zeros(w), np.zeros(w)
+    if objective in ("ng", "ng+"):
+        loss, ds = _ce(scores, ep.correct)
+        dB, df = answer_back(ds)
+        grads["W_a"] += ep.answers.T @ dB
+        grads["b_a"] += dB.sum(axis=0)
+        d_vt += df
+        d_qv += df
+    scale = {"ng": 0.0, "ground": 1.0, "ng+": alpha}[objective]
+    if scale:
+        Qc = np.stack([ep.question, *ep.neg_questions])
+        gscores, ground_back = _cosine(Qc @ P["W_t"] + P["b_t"], v_t, T)
+        loss_g, dgs = _ce(gscores, 0)
+        loss += scale * loss_g
+        dR, dv = ground_back(scale * dgs)
+        grads["W_t"] += Qc.T @ dR
+        grads["b_t"] += dR.sum(axis=0)
+        d_vt += dv
+
+    dp = _softmax_back(trace, H1 @ d_vt)
+    dH1 = np.outer(trace, d_vt) + np.outer(dp, P["u"])
+    grads["u"] += H1.T @ dp
+    dS = dH1 @ GV.T
+    dGV = S.T @ dH1
+    dG = (dGV * V).sum(axis=1)
+    dV = G[:, None] * dGV
+    d_mu, d_sigma = gaussian.gaussian_gradients(x, mu, sigma, G, dG)
+    dz_mu = d_mu * mu * (1.0 - mu)
+    dz_sg = d_sigma * (1.0 - SIGMA_MIN) * sgi * (1.0 - sgi)
+    for k, dz, m in (("mu", dz_mu, m1), ("sg", dz_sg, m2)):
+        grads[f"w_{k}"] += dz * c
+        grads[f"a_{k}"] += dz * m
+        grads[f"b_{k}"] += dz
+    dc = dz_mu * P["w_mu"] + dz_sg * P["w_sg"]
+    dm2 = dz_sg * P["a_sg"]
+    dm1 = dz_mu * P["a_mu"] - 2.0 * dm2 * (a @ dx)
+    de = _softmax_back(a, dm2 * dx**2 + dm1 * x + H0 @ dc)
+    dH0 = np.outer(a, dc) + np.outer(de, g)
+    dg = H0.T @ de
+    grads["W_g"] += np.outer(dg, qv)
+    d_qv += P["W_g"].T @ dg
+    dS += dH0 @ V.T
+    dV += S.T @ dH0
+    dZ = S * (dS - (dS * S).sum(axis=1, keepdims=True)) / math.sqrt(w)
+    dQ, dK = dZ @ K, dZ.T @ Q
+    for name, d in (("W_q", dQ), ("W_k", dK), ("W_val", dV)):
+        grads[name] += X.T @ d
+    dX = dQ @ P["W_q"].T + dK @ P["W_k"].T + dV @ P["W_val"].T
+    grads["W_v"] += F.T @ dX
+    grads["b_v"] += dX.sum(axis=0)
+    grads["W_t"] += np.outer(ep.question, d_qv)
+    grads["b_t"] += d_qv
+    return {"loss": loss, "grads": grads, "mu": mu, "sigma": sigma, "trace": trace,
+            "scores": scores}
+
+
+def assert_close_to(got, want, name):
+    scale = max(np.max(np.abs(want)), 1e-300)
+    assert np.max(np.abs(np.asarray(got) - want)) <= 1e-10 * scale, name
+
+
+class TestDenseReference:
+    """The engine against dense_reference, to rounding: far tighter than the
+    finite-difference bound."""
+
+    @pytest.mark.parametrize("chunk_frames", [8, model.CHUNK_FRAMES])
+    @pytest.mark.parametrize("objective,alpha", OBJECTIVES)
+    def test_loss_gradients_and_predictions(self, monkeypatch, chunk_frames, objective, alpha):
+        rng = np.random.default_rng(70)
+        params = init_params(SMALL, seed=70)
+        for arr in params.arrays.values():
+            arr += 0.1 * rng.normal(size=arr.shape)
+        eps = mixed_batch(rng)
+        monkeypatch.setattr(model, "CHUNK_FRAMES", chunk_frames)
+        refs = [dense_reference(params, ep, objective, alpha) for ep in eps]
+        loss, grads = loss_and_gradients(params, eps, objective=objective, alpha=alpha)
+        assert_close_to(loss, sum(r["loss"] for r in refs), "loss")
+        assert list(grads) == list(params.arrays)
+        for name in grads:
+            assert_close_to(grads[name], sum(r["grads"][name] for r in refs), name)
+        for pred, ref in zip(model.predict_episodes(params, eps), refs):
+            for key in ("mu", "sigma"):
+                assert_close_to(getattr(pred.mask, key), ref[key], key)
+            assert_close_to(pred.trace, ref["trace"], "trace")
+            assert_close_to(pred.scores, ref["scores"], "scores")
 
 
 def engine_outputs(params, eps, objective, alpha):
