@@ -1,5 +1,7 @@
 """Weakly-supervised temporally-grounded video QA at desk scale."""
 
+import importlib
+
 from .metrics import (
     GroundingLabel,
     LabelTable,
@@ -8,17 +10,31 @@ from .metrics import (
     PredictionTable,
     evaluate,
 )
-from .model import (
-    Episode,
-    ModelConfig,
-    init_params,
-    load_checkpoint,
-    predict_episode,
-    save_checkpoint,
-)
-from .synth import SynthConfig, generate, split_by_video
 from .temporal import TemporalSegment, VideoExtent
-from .trainer import TrainConfig, train
+
+# the training stack (model, synth, trainer) loads on first use of one of its
+# names, so `gvqa eval` and `gvqa stats` never import it
+_TRAINING_NAMES = {
+    "Episode": "model",
+    "ModelConfig": "model",
+    "init_params": "model",
+    "load_checkpoint": "model",
+    "predict_episode": "model",
+    "save_checkpoint": "model",
+    "SynthConfig": "synth",
+    "generate": "synth",
+    "split_by_video": "synth",
+    "TrainConfig": "trainer",
+    "train": "trainer",
+}
+
+
+def __getattr__(name: str):
+    # read through on every lookup: a patched module attribute is what callers get
+    if name in _TRAINING_NAMES:
+        return getattr(importlib.import_module(f".{_TRAINING_NAMES[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Episode",

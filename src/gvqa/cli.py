@@ -16,14 +16,6 @@ import sys
 from pathlib import Path
 
 from . import annotations, metrics, svgplot
-from .model import (
-    ModelConfig,
-    init_params,
-    predict_episodes,
-    save_checkpoint,
-)
-from .synth import SynthConfig, episodes_to_labels, generate, split_by_video
-from .trainer import NonFiniteLoss, TrainConfig, train, write_history_csv
 
 
 def _resolve_input(path_str: str) -> Path:
@@ -91,9 +83,6 @@ TRAIN_DEFAULTS = {
 }
 EXTRA_KEYS = {"width": int, "timelines": int}
 
-_SYNTH_FIELDS = {f.name: f.type for f in dataclasses.fields(SynthConfig)}
-_TRAIN_FIELDS = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
-
 
 def parse_config_file(path: Path) -> dict[str, str]:
     """key=value lines; blank lines and #-comments ignored."""
@@ -120,9 +109,12 @@ def _coerce(key: str, value: str, typ: str) -> object:
         raise annotations.ValidationError(f"config key {key}: cannot parse {value!r} as {typ}")
 
 
-def _split_config(file_values: dict[str, str], args: argparse.Namespace
-                  ) -> tuple[dict, dict, dict]:
-    """Merge config file and flags into synth/train/extra keyword dicts."""
+def _split_config(file_values: dict[str, str], args: argparse.Namespace,
+                  synth_cls: type, train_cls: type) -> tuple[dict, dict, dict]:
+    """Merge config file and flags into synth/train/extra keyword dicts for
+    the two config dataclasses."""
+    synth_fields = {f.name: f.type for f in dataclasses.fields(synth_cls)}
+    train_fields = {f.name: f.type for f in dataclasses.fields(train_cls)}
     synth: dict = {}
     train_kw: dict = {}
     extra: dict = {"width": 64, "timelines": 8}
@@ -130,16 +122,16 @@ def _split_config(file_values: dict[str, str], args: argparse.Namespace
         scope, _, name = key.partition(".")
         if key == "seed":
             synth["seed"] = train_kw["seed"] = _coerce(key, value, "int")
-        elif scope == "synth" and name in _SYNTH_FIELDS:
-            synth[name] = _coerce(key, value, _SYNTH_FIELDS[name])
-        elif scope == "train" and name in _TRAIN_FIELDS:
-            train_kw[name] = _coerce(key, value, _TRAIN_FIELDS[name])
+        elif scope == "synth" and name in synth_fields:
+            synth[name] = _coerce(key, value, synth_fields[name])
+        elif scope == "train" and name in train_fields:
+            train_kw[name] = _coerce(key, value, train_fields[name])
         elif key in EXTRA_KEYS:
             extra[key] = _coerce(key, value, EXTRA_KEYS[key].__name__)
-        elif key in _SYNTH_FIELDS and key not in _TRAIN_FIELDS:
-            synth[key] = _coerce(key, value, _SYNTH_FIELDS[key])
-        elif key in _TRAIN_FIELDS and key not in _SYNTH_FIELDS:
-            train_kw[key] = _coerce(key, value, _TRAIN_FIELDS[key])
+        elif key in synth_fields and key not in train_fields:
+            synth[key] = _coerce(key, value, synth_fields[key])
+        elif key in train_fields and key not in synth_fields:
+            train_kw[key] = _coerce(key, value, train_fields[key])
         else:
             raise annotations.ValidationError(f"unknown config key {key!r}")
     # flags override the file
@@ -164,8 +156,13 @@ def _split_config(file_values: dict[str, str], args: argparse.Namespace
 
 
 def cmd_train_synth(args: argparse.Namespace) -> int:
+    # the training stack loads here, so eval and stats never import it
+    from .model import ModelConfig, init_params, predict_episodes, save_checkpoint
+    from .synth import SynthConfig, episodes_to_labels, generate, split_by_video
+    from .trainer import NonFiniteLoss, TrainConfig, train, write_history_csv
+
     file_values = parse_config_file(_resolve_input(args.config)) if args.config else {}
-    synth_kw, train_kw, extra = _split_config(file_values, args)
+    synth_kw, train_kw, extra = _split_config(file_values, args, SynthConfig, TrainConfig)
     synth_cfg = SynthConfig(**synth_kw)
     train_cfg = TrainConfig(**train_kw)
     out = _out_dir(args)
@@ -183,8 +180,12 @@ def cmd_train_synth(args: argparse.Namespace) -> int:
               f"loss {row['loss']:.4f} acc {row['acc_qa']:.3f} "
               f"gqa {row['acc_gqa']:.3f} iop {row['m_iop']:.3f} iou {row['m_iou']:.3f}")
 
-    best, history = train(params, train_eps, train_cfg,
-                          val_episodes=val_eps, on_epoch=on_epoch)
+    try:
+        best, history = train(params, train_eps, train_cfg,
+                              val_episodes=val_eps, on_epoch=on_epoch)
+    except NonFiniteLoss as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
     save_checkpoint(out / "checkpoint.npz", best)
     write_history_csv(out / "history.csv", history)
@@ -256,9 +257,6 @@ def main(argv: list[str] | None = None) -> int:
     command = {"eval": cmd_eval, "stats": cmd_stats, "train-synth": cmd_train_synth}
     try:
         return command[args.command](args)
-    except NonFiniteLoss as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except json.JSONDecodeError as exc:
         offset = len(exc.doc[: exc.pos].encode("utf-8")) if exc.doc else exc.pos
         print(f"error: invalid JSON at byte offset {offset}: {exc.msg}", file=sys.stderr)

@@ -251,18 +251,23 @@ def load_checkpoint(path: str | Path) -> ModelParams:
 # buckets the caller's episodes by (n_frames, n_answers), in order of first
 # appearance, and cuts each bucket into chunks of at most CHUNK_FRAMES frames
 # (at least one episode). A chunk runs the stages
-# _encode_frames (frames straight to [Q|K|V] and frame self-attention), _ground
+# _encode_frames (bilinear frame self-attention and the values), _ground
 # (grounding head -> mask parameters), _pool (mask-scaled attention and
 # attention pooling) and _cosine_scores; _backward reverses them. A lone
 # episode is a chunk of one, packed as views of its own arrays.
+#
+# The attention logits Q K^T / sqrt(width) are scored in the frames' own
+# d_v dimensions: with A = (W_v W_q)(W_v W_k)^T / sqrt(width) and
+# r = (b_v W_q)(W_v W_k)^T / sqrt(width) they are (F A + r) F^T plus terms
+# constant along each row, which cancel in the row softmax. So frames map to
+# [V | P] = F [W_v W_val | A] + [b_v W_val | r] and the logits are P F^T;
+# Q and K are never formed (_frame_map builds the map once per call).
 #
 # The mask scales post-softmax attention per key frame, and the grounding
 # head and the pooling each read the attended values through one query
 # vector (W_g qv and u), so past the softmax the (n, n) attention S is only
 # ever multiplied by vectors: no (n, width) product S V is formed, forward or
-# backward, and the backward's dS and dV are each one rank-4 product. Frames
-# map to [Q|K|V] through W_v [W_q|W_k|W_val], formed once per call
-# (_frame_qkv).
+# backward, and the backward's dS and dV are each one rank-4 product.
 #
 # Every chunk-sized array lives in a _Workspace: buffers preallocated per
 # chunk shape that the stages write with out= or in place, reused across the
@@ -273,11 +278,11 @@ def load_checkpoint(path: str | Path) -> ModelParams:
 # are valid until the next chunk of its shape is packed, and nothing an entry
 # point returns is a view of them.
 
-# frames per chunk: 8 episodes at 32 frames, 2 at 128. Smaller chunks pay
-# more per-call overhead; with the workspace, larger ones train no faster and
-# hold more memory (the CHUNK_FRAMES sweep on the workspace engine, in
-# CHANGES.md). Another size also reorders the gradient sums.
-CHUNK_FRAMES = 256
+# frames per chunk: 16 episodes at 32 frames, 4 at 128. Smaller chunks pay
+# more per-call overhead; larger ones train no faster and hold more memory
+# (the CHUNK_FRAMES sweeps in CHANGES.md). Another size also reorders the
+# gradient sums.
+CHUNK_FRAMES = 512
 
 
 class ZeroNorm(ValueError):
@@ -289,17 +294,21 @@ class _Workspace:
     answers) of a model with the given dimensions."""
 
     def __init__(self, b: int, n: int, A: int, d_v: int, d_t: int, w: int) -> None:
-        # packed inputs (chunks of more than one episode)
+        # packed inputs (chunks of more than one episode), the candidate
+        # questions, and the answer and candidate projections
         self.F = np.empty((b, n, d_v))
         self.q = np.empty((b, d_t))
         self.answers = np.empty((b, A, d_t))
-        # forward cache: the frames' [Q|K|V] and the self-attention
-        self.QKV = np.empty((b, n, 3 * w))
+        self.Qc = np.empty((b, A, d_t))
+        self.B = np.empty((b, A, w))
+        self.R = np.empty((b, A, w))
+        # forward cache: the frames' [V | P] and the self-attention
+        self.VP = np.empty((b, n, w + d_v))
         self.S = np.empty((b, n, n))
-        # backward: the attention and [Q|K|V] gradients, and one (n, n)
+        # backward: the attention and [V | P] gradients, and one (n, n)
         # scratch product
         self.dS = np.empty((b, n, n))
-        self.dQKV = np.empty((b, n, 3 * w))
+        self.dVP = np.empty((b, n, w + d_v))
         self.nn = np.empty((b, n, n))
 
 
@@ -372,16 +381,25 @@ def _qkv_weight(params: ModelParams) -> np.ndarray:
     return np.concatenate([P[name] for name in QKV_NAMES], axis=1)
 
 
-def _frame_qkv(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """(W_frames, b_frames) = (W_v [W_q|W_k|W_val], b_v [W_q|W_k|W_val]):
-    frames map straight to [Q|K|V] = F W_frames + b_frames, without the
-    projected frames F W_v + b_v. That is d_v 3 width multiply-adds per frame
-    instead of (d_v + 3 width) width, fewer while 2 d_v < 3 width: 48 < 192
-    for the synthetic world's d_v 24 at width 64, 10 < 24 for the tests'
-    d_v 5 at width 8. Wider features stay exact, only slower."""
+def _frame_map(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """(Vb, M): Vb = [W_v; b_v], and M = Vb [W_q | W_k | W_val | .], a
+    (d_v + 1, 3 width + d_v) array whose last d_v columns hold [A; r]. So
+    M[:, 2 width:] is the frame map [[W_v W_val | A]; [b_v W_val | r]]: its
+    first d_v rows multiply the frames, its last row is the bias.
+
+    Per frame that is d_v (d_v + width) + n d_v multiply-adds forward instead
+    of 3 d_v width + n width for F [Q|K|V] and Q K^T, fewer while
+    d_v < width: 24 < 64 in the synthetic world, 5 < 8 in the tests. Wider
+    features stay exact, only slower."""
     P = params.arrays
-    W_qkv = _qkv_weight(params)
-    return P["W_v"] @ W_qkv, P["b_v"] @ W_qkv
+    d_v, w = params.config.d_v, params.config.width
+    Vb = np.concatenate((P["W_v"], P["b_v"][None]))
+    M = np.empty((d_v + 1, 3 * w + d_v))
+    np.matmul(Vb, _qkv_weight(params), out=M[:, :3 * w])
+    # scaling a contiguous copy of the key block costs less than scaling
+    # the strided [A; r] afterwards
+    np.matmul(M[:, :w], M[:d_v, w:2 * w].T * (1.0 / math.sqrt(w)), out=M[:, 3 * w:])
+    return Vb, M
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -406,20 +424,17 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 0.5 * np.tanh(0.5 * z) + 0.5
 
 
-def _encode_frames(params: ModelParams, F: np.ndarray, W_frames: np.ndarray,
-                   b_frames: np.ndarray, ws: _Workspace) -> dict:
-    """The frames' query/key/value maps, F W_frames + b_frames (_frame_qkv),
-    and the row-softmax self-attention weights S."""
+def _encode_frames(params: ModelParams, F: np.ndarray, M: np.ndarray, ws: _Workspace) -> dict:
+    """The frames' values and attention queries, [V | P] = F [W_v W_val | A]
+    + [b_v W_val | r] (_frame_map's M), and the row-softmax self-attention
+    weights S = softmax(P F^T), equal to softmax(Q K^T / sqrt(width))."""
     b, n, d_v = F.shape
     w = params.config.width
-    QKV = ws.QKV
-    np.matmul(F.reshape(b * n, d_v), W_frames, out=QKV.reshape(b * n, 3 * w))
-    QKV += b_frames
-    Qm, Km, Vm = QKV[..., :w], QKV[..., w:2 * w], QKV[..., 2 * w:]
-    Z = np.matmul(Qm, Km.transpose(0, 2, 1), out=ws.S)
-    Z /= math.sqrt(w)
-    S = _softmax(Z)
-    return {"Qm": Qm, "Km": Km, "Vm": Vm, "S": S}
+    VP = ws.VP
+    np.matmul(F.reshape(b * n, d_v), M[:d_v, 2 * w:], out=VP.reshape(b * n, w + d_v))
+    VP += M[d_v, 2 * w:]
+    S = _softmax(np.matmul(VP[..., w:], F.transpose(0, 2, 1), out=ws.S))
+    return {"Vm": VP[..., :w], "S": S}
 
 
 def _mv(M: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -491,8 +506,7 @@ def _cosine_scores(rows: np.ndarray, vec: np.ndarray, temperature: float,
             "scores": cos / temperature}
 
 
-def _forward(params: ModelParams, chunk: _Chunk, W_frames: np.ndarray,
-             b_frames: np.ndarray) -> dict:
+def _forward(params: ModelParams, chunk: _Chunk, M: np.ndarray) -> dict:
     """Full forward pass of a chunk; returns every intermediate of backprop.
 
     A NaN head output (non-finite parameters) gives NaN frame weights, so
@@ -500,13 +514,15 @@ def _forward(params: ModelParams, chunk: _Chunk, W_frames: np.ndarray,
     raising in GaussianMask.
     """
     P = params.arrays
-    cache = _encode_frames(params, chunk.F, W_frames, b_frames, chunk.ws)
+    cache = _encode_frames(params, chunk.F, M, chunk.ws)
     cache.update(_ground(params, cache, chunk.q))
     G = gaussian_weights(cache["x"], cache["mu"][:, None], cache["sigma"][:, None])
     cache.update(_pool(params, cache, G))
     f = cache["v_t"] + cache["qv"]
     b, A, d_t = chunk.answers.shape
-    B = (chunk.answers.reshape(b * A, d_t) @ P["W_a"] + P["b_a"]).reshape(b, A, -1)
+    B = chunk.ws.B
+    np.matmul(chunk.answers.reshape(b * A, d_t), P["W_a"], out=B.reshape(b * A, -1))
+    B += P["b_a"]
     cache.update(f=f, B=B, answer=_cosine_scores(B, f, params.temperature, chunk,
                                                  "answer row", "fused vector"))
     return cache
@@ -528,9 +544,9 @@ def _candidate_questions(
     neg_questions: Sequence[Sequence[np.ndarray] | None],
 ) -> np.ndarray:
     """(b, A, d_t): per episode, the positive question (its own or the given
-    variant) followed by its A - 1 negatives."""
-    b, A, d_t = chunk.answers.shape
-    Qc = np.empty((b, A, d_t))
+    variant) followed by its A - 1 negatives, in the chunk's workspace."""
+    Qc = chunk.ws.Qc
+    A = Qc.shape[1]
     for j, (i, ep) in enumerate(zip(chunk.index, chunk.episodes)):
         negs = ep.neg_questions if neg_questions[i] is None else neg_questions[i]
         if len(negs) != A - 1:
@@ -567,12 +583,12 @@ def _cosine_backward(
 def _backward(params: ModelParams, chunk: _Chunk, cache: dict, d_vt: np.ndarray,
               d_qv: np.ndarray, grads: dict[str, np.ndarray]) -> None:
     """Adds the chunk's gradients below the pooled vector v_t and the projected
-    question qv into grads; grads["W_frames"] and grads["b_frames"] collect
-    those of the frame map to [Q|K|V] (_frame_qkv).
+    question qv into grads; grads["frame_map"] collects those of the frame
+    map M[:, 2 width:] (_frame_map).
 
     The forward reads S and Vm only through vectors (H0 = S Vm and
     H1 = (S * G) Vm are never formed), so dS and dVm are each one product over
-    a length-4 axis; dQ, dK and dV are written into one (b, n, 3 width)
+    a length-4 axis; dV and dP are written into one (b, n, width + d_v)
     buffer."""
     P = params.arrays
     ws = chunk.ws
@@ -626,23 +642,22 @@ def _backward(params: ModelParams, chunk: _Chunk, cache: dict, d_vt: np.ndarray,
     # dVm = G S^T trace (x) d_vt + G S^T dp (x) u + S^T alpha (x) dc + S^T de (x) g
     dS = np.matmul(np.stack((trace, dp, alpha, de), axis=2),
                    np.stack((GVd, G * Vu, Vdc, cache["Vg"]), axis=1), out=ws.dS)
-    dQKV = ws.dQKV
+    dVP = ws.dVP
     np.matmul(np.stack((G * St, GSdp, cache["Sa"], Sde), axis=2),
               np.stack((d_vt, np.broadcast_to(P["u"], d_vt.shape), dc, cache["g"]), axis=1),
-              out=dQKV[..., 2 * w:])
+              out=dVP[..., :w])
 
-    # S = softmax(Qm Km^T / sqrt(w), rows)
+    # S = softmax(P F^T, rows); F is data, so only dP = dZ F
     dS -= np.multiply(dS, S, out=ws.nn).sum(axis=-1, keepdims=True)
     dZ = dS
     dZ *= S
-    np.matmul(dZ, cache["Km"], out=dQKV[..., :w])
-    np.matmul(dZ.transpose(0, 2, 1), cache["Qm"], out=dQKV[..., w:2 * w])
-    dQKV[..., :2 * w] *= 1.0 / math.sqrt(w)
-    dQKV = dQKV.reshape(b * n, 3 * w)
+    np.matmul(dZ, chunk.F, out=dVP[..., w:])
+    dVP = dVP.reshape(b * n, -1)
 
-    # QKV = F W_frames + b_frames
-    grads["W_frames"] += chunk.F.reshape(b * n, -1).T @ dQKV
-    grads["b_frames"] += dQKV.sum(axis=0)
+    # [V | P] = F M[:d_v, 2w:] + M[d_v, 2w:]
+    d_v = chunk.F.shape[2]
+    grads["frame_map"][:d_v] += chunk.F.reshape(b * n, d_v).T @ dVP
+    grads["frame_map"][d_v] += dVP.sum(axis=0)
 
     # qv = question W_t + b_t (d_qv accumulated from fusion + grounding head)
     grads["W_t"] += chunk.q.T @ d_qv
@@ -652,7 +667,7 @@ def _backward(params: ModelParams, chunk: _Chunk, cache: dict, d_vt: np.ndarray,
 def _chunk_objective(
     params: ModelParams,
     chunk: _Chunk,
-    frame_qkv: tuple[np.ndarray, np.ndarray],
+    M: np.ndarray,
     answer_term: bool,
     scale: float,
     pos_question: Sequence[np.ndarray | None],
@@ -664,7 +679,7 @@ def _chunk_objective(
     None. Returns None for a non-finite head output."""
     P = params.arrays
     T = params.temperature
-    cache = _forward(params, chunk, *frame_qkv)
+    cache = _forward(params, chunk, M)
     if not math.isfinite(cache["mu"].sum() + cache["sigma"].sum()):
         return None
     b, A, d_t = chunk.answers.shape
@@ -676,7 +691,9 @@ def _chunk_objective(
         loss = loss_a
     if scale != 0.0:
         Qc = _candidate_questions(chunk, pos_question, neg_questions)
-        R = (Qc.reshape(b * A, d_t) @ P["W_t"] + P["b_t"]).reshape(b, A, w)
+        R = chunk.ws.R
+        np.matmul(Qc.reshape(b * A, d_t), P["W_t"], out=R.reshape(b * A, w))
+        R += P["b_t"]
         g = _cosine_scores(R, cache["v_t"], T, chunk, "candidate question", "pooled vector")
         loss_g, dgscore = _ce_from_scores(g["scores"], np.zeros(b, dtype=int))
         loss = loss + scale * loss_g
@@ -713,18 +730,17 @@ def _objective(
     if objective not in ("ng", "ground", "ng+"):
         raise ValueError(f"unknown objective {objective!r}")
     P = params.arrays
-    w = params.config.width
+    d_v, w = params.config.d_v, params.config.width
     answer_term = objective in ("ng", "ng+")
     scale = {"ng": 0.0, "ground": 1.0, "ng+": alpha}[objective]
-    W_frames, b_frames = _frame_qkv(params)
+    Vb, M = _frame_map(params)
     grads = None
     if backward:
         grads = {name: np.zeros_like(arr) for name, arr in P.items()}
-        grads["W_frames"] = np.zeros_like(W_frames)
-        grads["b_frames"] = np.zeros_like(b_frames)
+        grads["frame_map"] = np.zeros((d_v + 1, w + d_v))
     total = 0.0
     for chunk in _chunks(params, episodes):
-        loss = _chunk_objective(params, chunk, (W_frames, b_frames), answer_term, scale,
+        loss = _chunk_objective(params, chunk, M, answer_term, scale,
                                 pos_question, neg_questions, grads)
         if loss is None:
             # NaN head output: the loss and every gradient are NaN
@@ -732,12 +748,19 @@ def _objective(
                               if backward else None)
         total += loss
     if backward:
-        # W_frames = W_v [W_q|W_k|W_val], b_frames = b_v [W_q|W_k|W_val]
-        dW, db = grads.pop("W_frames"), grads.pop("b_frames")
-        W_qkv = _qkv_weight(params)
-        g_qkv = P["W_v"].T @ dW + np.outer(P["b_v"], db)
-        grads["W_v"] = dW @ W_qkv.T
-        grads["b_v"] = db @ W_qkv.T
+        # M = Vb [W_q | W_k | W_val | .] with [A; r] = M[:, :w] M[:d_v, w:2w]^T / sqrt(w).
+        # dM's bias row under W_k, the b_v W_k path, stays 0: it only shifts
+        # each row of the logits, and each row of dZ sums to 0
+        d_map = grads.pop("frame_map")
+        dA = d_map[:, w:] * (1.0 / math.sqrt(w))
+        dM = np.zeros((d_v + 1, 3 * w))
+        np.matmul(dA, M[:d_v, w:2 * w], out=dM[:, :w])
+        np.matmul(dA.T, M[:, :w], out=dM[:d_v, w:2 * w])
+        dM[:, 2 * w:] = d_map[:, :w]
+        g_v = dM @ _qkv_weight(params).T
+        g_qkv = Vb.T @ dM
+        grads["W_v"] = g_v[:d_v]
+        grads["b_v"] = g_v[d_v]
         grads["W_q"] = g_qkv[:, :w].copy()
         grads["W_k"] = g_qkv[:, w:2 * w].copy()
         grads["W_val"] = g_qkv[:, 2 * w:].copy()
@@ -753,14 +776,14 @@ def encode_video(
     (chunk,) = _chunks(params, [episode])
     n = episode.n_frames
     G = np.ones((1, n)) if mask is None else mask_weights(mask, n)[None]
-    pool = _pool(params, _encode_frames(params, chunk.F, *_frame_qkv(params), chunk.ws), G)
+    pool = _pool(params, _encode_frames(params, chunk.F, _frame_map(params)[1], chunk.ws), G)
     return pool["v_t"][0], pool["trace"][0]
 
 
 def predict_gaussian(params: ModelParams, episode: Episode) -> GaussianMask:
     """The grounding head's mask for this episode (deterministic)."""
     (chunk,) = _chunks(params, [episode])
-    head = _ground(params, _encode_frames(params, chunk.F, *_frame_qkv(params), chunk.ws),
+    head = _ground(params, _encode_frames(params, chunk.F, _frame_map(params)[1], chunk.ws),
                    chunk.q)
     return GaussianMask(head["mu"][0], head["sigma"][0])
 
@@ -865,10 +888,10 @@ def predict_episodes(
     """
     if window_source not in ("gauss", "attn", "fused"):
         raise ValueError(f"unknown window_source {window_source!r}")
-    W_frames, b_frames = _frame_qkv(params)
+    M = _frame_map(params)[1]
     out: list[EpisodePrediction | None] = [None] * len(episodes)
     for chunk in _chunks(params, episodes):
-        cache = _forward(params, chunk, W_frames, b_frames)
+        cache = _forward(params, chunk, M)
         scores_all = cache["answer"]["scores"]
         # one read per chunk: the per-episode tail works on Python scalars
         mus, sigmas = cache["mu"].tolist(), cache["sigma"].tolist()

@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -250,13 +251,14 @@ def test_parse_config_file_shapes(tmp_path):
 
 
 def test_non_finite_loss_exit_3(tmp_path, monkeypatch, capsys):
-    from gvqa import cli
+    from gvqa import trainer
     from gvqa.trainer import NonFiniteLoss
 
     def boom(*args, **kwargs):
         raise NonFiniteLoss("synthetic blow-up")
 
-    monkeypatch.setattr(cli, "train", boom)
+    # cmd_train_synth imports train when it runs
+    monkeypatch.setattr(trainer, "train", boom)
     cfg = tmp_path / "run.cfg"
     _write_cfg(cfg)
     rc = main(TRAIN_ARGS + ["--config", str(cfg), "-o", str(tmp_path / "o")])
@@ -272,6 +274,35 @@ def test_console_script_installed(data, tmp_path):
     )
     assert proc.returncode == 0
     assert "Acc@QA: 100.0" in proc.stdout
+
+
+def test_eval_does_not_import_the_training_stack(data, tmp_path):
+    # gvqa eval loads no model, synth or trainer; the package still gives
+    # their names on first use
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys\n"
+        "import gvqa.cli\n"
+        "rc = gvqa.cli.main(sys.argv[1:])\n"
+        "training = ('gvqa.model', 'gvqa.synth', 'gvqa.trainer', 'gvqa.gaussian', 'gvqa.posthoc')\n"
+        "print(rc, sorted(m for m in training if m in sys.modules))\n"
+        "from gvqa import generate, train\n"
+        "import gvqa.synth, gvqa.trainer\n"
+        "print(generate is gvqa.synth.generate, train is gvqa.trainer.train)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "eval", str(data / "perfect.json"),
+         str(data / "labels.csv"), "-o", str(tmp_path)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == ["0 []", "True True"]
+
+
+def test_unknown_package_attribute_is_an_attribute_error():
+    import gvqa
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        gvqa.nope
 
 
 def test_console_script_entry_point(data, tmp_path, monkeypatch, capsys):

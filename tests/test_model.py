@@ -654,7 +654,8 @@ class TestEngine:
         assert chunk.F.base is ep.frames and chunk.answers.base is ep.answers
 
     @pytest.mark.parametrize("objective,alpha", OBJECTIVES)
-    def test_batched_gradients_match_finite_differences(self, objective, alpha, config=SMALL):
+    def test_batched_gradients_match_finite_differences(self, objective, alpha, config=SMALL,
+                                                        frame_bias=0.0):
         # five-point central differences of the summed public losses, with
         # criterion 4's bound, against one batched call with B = 3 and mixed
         # frame and answer counts
@@ -662,6 +663,7 @@ class TestEngine:
         params = init_params(config, seed=43)
         for arr in params.arrays.values():
             arr += 0.05 * rng.normal(size=arr.shape)
+        params.arrays["b_v"] += frame_bias * rng.normal(size=config.width)
         eps = mixed_batch(rng, frames=(4, 6, 4), answers=(3, 3, 4), d_v=config.d_v)
         _, grads = loss_and_gradients(params, eps, objective=objective, alpha=alpha)
         h = 1e-3
@@ -680,8 +682,16 @@ class TestEngine:
 
     @pytest.mark.parametrize("objective,alpha", OBJECTIVES)
     def test_wide_features_match_finite_differences(self, objective, alpha):
-        # 2 d_v > 3 width: frames map to Q|K|V the costlier way round
+        # d_v > width: the bilinear scores cost more than Q K^T, exact all the same
         self.test_batched_gradients_match_finite_differences(objective, alpha, WIDE)
+
+    @pytest.mark.parametrize("config", [SMALL, WIDE], ids=["small", "wide"])
+    @pytest.mark.parametrize("objective,alpha", OBJECTIVES)
+    def test_frame_bias_of_order_one_matches_finite_differences(self, objective, alpha, config):
+        # b_v of order 1: the logits' r term and the row-constant terms that
+        # cancel in the softmax (whose b_v W_k path has zero gradient) are large
+        self.test_batched_gradients_match_finite_differences(objective, alpha, config,
+                                                             frame_bias=1.0)
 
     @pytest.mark.parametrize("source", ["gauss", "attn", "fused"])
     def test_predict_episodes_equals_predict_episode(self, monkeypatch, source):
@@ -779,9 +789,10 @@ def _ce(scores, target):
 
 def dense_reference(params, ep, objective, alpha):
     """One episode's loss, gradients and prediction state from dense
-    formulas: the projected frames X, the (n, width) products H0 = S V and
-    H1 = S (G * V), and rank-2 outer products for dH0 and dH1. The engine
-    reads S only through vectors and maps frames straight to Q|K|V."""
+    formulas: the projected frames X, Q, K and V, the (n, width) products
+    H0 = S V and H1 = S (G * V), and rank-2 outer products for dH0 and dH1.
+    The engine reads S only through vectors and scores the frames through
+    the d_v x d_v bilinear form, never forming X, Q or K."""
     P, w, T = params.arrays, params.config.width, params.temperature
     F, n = ep.frames, ep.n_frames
     X = F @ P["W_v"] + P["b_v"]
@@ -896,6 +907,29 @@ class TestDenseReference:
             assert_close_to(pred.scores, ref["scores"], "scores")
 
 
+    def test_attention_equals_the_softmax_of_dense_q_k(self):
+        # with b_v of order 1 the terms of Q K^T that the bilinear logits
+        # drop are large; being constant along each row, they leave S alone
+        rng = np.random.default_rng(71)
+        params = init_params(SMALL, seed=71)
+        P, w = params.arrays, SMALL.width
+        for arr in P.values():
+            arr += 0.1 * rng.normal(size=arr.shape)
+        P["b_v"] += rng.normal(size=w)
+        M = model._frame_map(params)[1]
+        for chunk in model._chunks(params, mixed_batch(rng)):
+            S = model._encode_frames(params, chunk.F, M, chunk.ws)["S"]
+            for j, ep in enumerate(chunk.episodes):
+                X = ep.frames @ P["W_v"] + P["b_v"]
+                Q, K = X @ P["W_q"], X @ P["W_k"]
+                dense = np.stack([_softmax(z) for z in Q @ K.T / math.sqrt(w)])
+                assert np.max(np.abs(S[j] - dense)) <= 1e-12, chunk.where(j)
+                # the r term (the query bias against the keys) matters here
+                no_r = np.stack([_softmax(z) for z in (Q - P["b_v"] @ P["W_q"]) @ K.T
+                                 / math.sqrt(w)])
+                assert np.max(np.abs(no_r - dense)) > 1e-3
+
+
 def engine_outputs(params, eps, objective, alpha):
     """Loss, gradients and fused-window predictions: one engine call each."""
     loss, grads = loss_and_gradients(params, eps, objective=objective, alpha=alpha)
@@ -993,6 +1027,23 @@ class TestWorkspace:
         for n in range(2, 2 + bound + 3):
             loss_and_gradients(params, make_episode(rng, n=n))
         assert model._workspace.cache_info().currsize == bound
+
+    def test_a_training_run_fits_the_cache(self):
+        # the synthetic world's schedule at 32 frames: 64-episode minibatches
+        # and a 36-episode tail, 300 validation episodes, lone predicts; after
+        # one round every shape is cached, so a second round allocates nothing
+        rng = np.random.default_rng(66)
+        params = init_params(SMALL, seed=66)
+        ep = make_episode(rng, n=32)
+        rounds = [[ep] * size for size in (64, 64, 36, 300, 1)]
+        shapes = {(c.F.shape, c.answers.shape) for eps in rounds for c in model._chunks(params, eps)}
+        assert len(shapes) <= model._workspace.cache_info().maxsize
+        model._workspace.cache_clear()
+        for _ in range(2):
+            for eps in rounds:
+                for _chunk in model._chunks(params, eps):
+                    pass
+        assert model._workspace.cache_info().misses == len(shapes)
 
     def test_threads_do_not_share_a_workspace(self):
         rng = np.random.default_rng(65)
