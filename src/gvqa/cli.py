@@ -147,6 +147,8 @@ def _split_config(file_values: dict[str, str], args: argparse.Namespace,
         synth["n_frames"] = args.frames
     if args.epochs is not None:
         train_kw["epochs"] = args.epochs
+    if extra["timelines"] < 0:
+        raise annotations.ValidationError(f"timelines must be >= 0, got {extra['timelines']}")
     defaults = dict(TRAIN_DEFAULTS)
     # ng has no grounding pretrain stage: from the file or the flag, it runs
     # one stage unless stages is set explicitly

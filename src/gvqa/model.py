@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -105,9 +106,11 @@ class ModelConfig:
     temperature: float = 0.07
 
     def __post_init__(self) -> None:
+        for dim in (self.d_v, self.d_t, self.width):
+            operator.index(dim)  # TypeError unless an integer
         if min(self.d_v, self.d_t, self.width) < 1:
             raise ValueError("dimensions must be positive")
-        if self.temperature <= 0:
+        if not self.temperature > 0:  # NaN too
             raise ValueError("temperature must be positive")
 
 
@@ -121,31 +124,13 @@ PARAM_NAMES = (
     "u",
 )
 
-QKV_NAMES = ("W_q", "W_k", "W_val")
-
 
 @dataclass
 class ModelParams:
-    """Named parameter arrays plus the fixed softmax temperature.
-
-    W_q, W_k and W_val are kept as column views of one (width, 3 width)
-    buffer, so the engine reads [W_q | W_k | W_val] without a copy; in-place
-    updates of the views (Adam, tests) update the buffer too.
-    """
+    """Named parameter arrays plus the fixed softmax temperature."""
 
     arrays: dict[str, np.ndarray]
     config: ModelConfig
-    # (buffer, its three views) while arrays still holds those views
-    _qkv: tuple | None = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        w = self.config.width
-        parts = [self.arrays.get(name) for name in QKV_NAMES]
-        if all(p is not None and p.shape == (w, w) for p in parts):
-            fused = np.concatenate(parts, axis=1)
-            views = tuple(fused[:, j * w:(j + 1) * w] for j in range(3))
-            self.arrays.update(zip(QKV_NAMES, views))
-            self._qkv = (fused, views)
 
     @property
     def temperature(self) -> float:
@@ -217,15 +202,20 @@ def save_checkpoint(path: str | Path, params: ModelParams) -> None:
 def load_checkpoint(path: str | Path) -> ModelParams:
     """Parameters saved by save_checkpoint, checked against their config.
 
-    The arrays must be exactly PARAM_NAMES (ValueError otherwise), each with
+    A missing or malformed __meta__ raises ValueError naming the file. The
+    arrays must be exactly PARAM_NAMES (ValueError otherwise), each with
     the shape that init_params gives for the stored config (ShapeMismatch
     otherwise), and finite.
     """
     with np.load(path) as blob:
-        meta = json.loads(bytes(blob["__meta__"]).decode("utf-8"))
-        if meta.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {meta.get('version')}")
-        config = ModelConfig(**meta["config"])
+        try:
+            meta = json.loads(bytes(blob["__meta__"]).decode("utf-8"))
+            if meta["version"] != CHECKPOINT_VERSION:
+                raise ValueError(f"unsupported checkpoint version {meta['version']!r}")
+            config = ModelConfig(**meta["config"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"checkpoint {path}: bad __meta__: "
+                             f"{type(exc).__name__}: {exc}") from None
         stored = set(blob.files) - {"__meta__"}
         if stored != set(PARAM_NAMES):
             raise ValueError(
@@ -369,23 +359,10 @@ def _chunks(params: ModelParams, episodes: Sequence[Episode]) -> Iterator[_Chunk
                          np.stack([ep.answers for ep in eps], out=ws.answers), ws)
 
 
-def _qkv_weight(params: ModelParams) -> np.ndarray:
-    """[W_q | W_k | W_val]: the query, key and value maps as one GEMM. The
-    params' own buffer while the arrays are still its views, else a copy."""
-    P = params.arrays
-    if params._qkv is not None:
-        fused, (q, k, v) = params._qkv
-        if (P["W_q"] is q and P["W_k"] is k and P["W_val"] is v
-                and q.base is fused and k.base is fused and v.base is fused):
-            return fused
-    return np.concatenate([P[name] for name in QKV_NAMES], axis=1)
-
-
-def _frame_map(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """(Vb, M): Vb = [W_v; b_v], and M = Vb [W_q | W_k | W_val | .], a
-    (d_v + 1, 3 width + d_v) array whose last d_v columns hold [A; r]. So
-    M[:, 2 width:] is the frame map [[W_v W_val | A]; [b_v W_val | r]]: its
-    first d_v rows multiply the frames, its last row is the bias.
+def _frame_map(params: ModelParams) -> np.ndarray:
+    """The (d_v + 1, width + d_v) frame map M = [Vb W_val | (Vb W_q)(W_v W_k)^T
+    / sqrt(width)] with Vb = [W_v; b_v], that is [[W_v W_val | A]; [b_v W_val | r]]:
+    its first d_v rows multiply the frames, its last row is the bias.
 
     Per frame that is d_v (d_v + width) + n d_v multiply-adds forward instead
     of 3 d_v width + n width for F [Q|K|V] and Q K^T, fewer while
@@ -394,12 +371,29 @@ def _frame_map(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     P = params.arrays
     d_v, w = params.config.d_v, params.config.width
     Vb = np.concatenate((P["W_v"], P["b_v"][None]))
-    M = np.empty((d_v + 1, 3 * w + d_v))
-    np.matmul(Vb, _qkv_weight(params), out=M[:, :3 * w])
-    # scaling a contiguous copy of the key block costs less than scaling
-    # the strided [A; r] afterwards
-    np.matmul(M[:, :w], M[:d_v, w:2 * w].T * (1.0 / math.sqrt(w)), out=M[:, 3 * w:])
-    return Vb, M
+    M = np.empty((d_v + 1, w + d_v))
+    np.matmul(Vb, P["W_val"], out=M[:, :w])
+    # scaling the small key block costs less than scaling the strided [A; r]
+    np.matmul(Vb @ P["W_q"], (P["W_v"] @ P["W_k"]).T * (1.0 / math.sqrt(w)), out=M[:, w:])
+    return M
+
+
+def _frame_map_grads(params: ModelParams, d_map: np.ndarray) -> dict[str, np.ndarray]:
+    """The gradients of W_v, b_v, W_q, W_k and W_val from d_map, the gradient
+    of _frame_map's M = [Vb W_val | Qm Km^T / sqrt(width)] with Qm = Vb W_q
+    and Km = W_v W_k. Km has no bias row: the key bias b_v W_k only shifts
+    each row of the logits, which the softmax ignores, so it has no path."""
+    P = params.arrays
+    d_v, w = params.config.d_v, params.config.width
+    W_v = P["W_v"]
+    Vb = np.concatenate((W_v, P["b_v"][None]))
+    dV = d_map[:, :w]
+    dA = d_map[:, w:] * (1.0 / math.sqrt(w))
+    dQm = dA @ (W_v @ P["W_k"])
+    dKm = dA.T @ (Vb @ P["W_q"])
+    dVb = dV @ P["W_val"].T + dQm @ P["W_q"].T
+    return {"W_v": dVb[:d_v] + dKm @ P["W_k"].T, "b_v": dVb[d_v],
+            "W_q": Vb.T @ dQm, "W_k": W_v.T @ dKm, "W_val": Vb.T @ dV}
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -431,8 +425,8 @@ def _encode_frames(params: ModelParams, F: np.ndarray, M: np.ndarray, ws: _Works
     b, n, d_v = F.shape
     w = params.config.width
     VP = ws.VP
-    np.matmul(F.reshape(b * n, d_v), M[:d_v, 2 * w:], out=VP.reshape(b * n, w + d_v))
-    VP += M[d_v, 2 * w:]
+    np.matmul(F.reshape(b * n, d_v), M[:d_v], out=VP.reshape(b * n, w + d_v))
+    VP += M[d_v]
     S = _softmax(np.matmul(VP[..., w:], F.transpose(0, 2, 1), out=ws.S))
     return {"Vm": VP[..., :w], "S": S}
 
@@ -584,7 +578,7 @@ def _backward(params: ModelParams, chunk: _Chunk, cache: dict, d_vt: np.ndarray,
               d_qv: np.ndarray, grads: dict[str, np.ndarray]) -> None:
     """Adds the chunk's gradients below the pooled vector v_t and the projected
     question qv into grads; grads["frame_map"] collects those of the frame
-    map M[:, 2 width:] (_frame_map).
+    map M (_frame_map).
 
     The forward reads S and Vm only through vectors (H0 = S Vm and
     H1 = (S * G) Vm are never formed), so dS and dVm are each one product over
@@ -654,7 +648,7 @@ def _backward(params: ModelParams, chunk: _Chunk, cache: dict, d_vt: np.ndarray,
     np.matmul(dZ, chunk.F, out=dVP[..., w:])
     dVP = dVP.reshape(b * n, -1)
 
-    # [V | P] = F M[:d_v, 2w:] + M[d_v, 2w:]
+    # [V | P] = F M[:d_v] + M[d_v]
     d_v = chunk.F.shape[2]
     grads["frame_map"][:d_v] += chunk.F.reshape(b * n, d_v).T @ dVP
     grads["frame_map"][d_v] += dVP.sum(axis=0)
@@ -730,14 +724,13 @@ def _objective(
     if objective not in ("ng", "ground", "ng+"):
         raise ValueError(f"unknown objective {objective!r}")
     P = params.arrays
-    d_v, w = params.config.d_v, params.config.width
     answer_term = objective in ("ng", "ng+")
     scale = {"ng": 0.0, "ground": 1.0, "ng+": alpha}[objective]
-    Vb, M = _frame_map(params)
+    M = _frame_map(params)
     grads = None
     if backward:
         grads = {name: np.zeros_like(arr) for name, arr in P.items()}
-        grads["frame_map"] = np.zeros((d_v + 1, w + d_v))
+        grads["frame_map"] = np.zeros_like(M)
     total = 0.0
     for chunk in _chunks(params, episodes):
         loss = _chunk_objective(params, chunk, M, answer_term, scale,
@@ -748,22 +741,7 @@ def _objective(
                               if backward else None)
         total += loss
     if backward:
-        # M = Vb [W_q | W_k | W_val | .] with [A; r] = M[:, :w] M[:d_v, w:2w]^T / sqrt(w).
-        # dM's bias row under W_k, the b_v W_k path, stays 0: it only shifts
-        # each row of the logits, and each row of dZ sums to 0
-        d_map = grads.pop("frame_map")
-        dA = d_map[:, w:] * (1.0 / math.sqrt(w))
-        dM = np.zeros((d_v + 1, 3 * w))
-        np.matmul(dA, M[:d_v, w:2 * w], out=dM[:, :w])
-        np.matmul(dA.T, M[:, :w], out=dM[:d_v, w:2 * w])
-        dM[:, 2 * w:] = d_map[:, :w]
-        g_v = dM @ _qkv_weight(params).T
-        g_qkv = Vb.T @ dM
-        grads["W_v"] = g_v[:d_v]
-        grads["b_v"] = g_v[d_v]
-        grads["W_q"] = g_qkv[:, :w].copy()
-        grads["W_k"] = g_qkv[:, w:2 * w].copy()
-        grads["W_val"] = g_qkv[:, 2 * w:].copy()
+        grads.update(_frame_map_grads(params, grads.pop("frame_map")))
     return total, grads
 
 
@@ -776,14 +754,14 @@ def encode_video(
     (chunk,) = _chunks(params, [episode])
     n = episode.n_frames
     G = np.ones((1, n)) if mask is None else mask_weights(mask, n)[None]
-    pool = _pool(params, _encode_frames(params, chunk.F, _frame_map(params)[1], chunk.ws), G)
+    pool = _pool(params, _encode_frames(params, chunk.F, _frame_map(params), chunk.ws), G)
     return pool["v_t"][0], pool["trace"][0]
 
 
 def predict_gaussian(params: ModelParams, episode: Episode) -> GaussianMask:
     """The grounding head's mask for this episode (deterministic)."""
     (chunk,) = _chunks(params, [episode])
-    head = _ground(params, _encode_frames(params, chunk.F, _frame_map(params)[1], chunk.ws),
+    head = _ground(params, _encode_frames(params, chunk.F, _frame_map(params), chunk.ws),
                    chunk.q)
     return GaussianMask(head["mu"][0], head["sigma"][0])
 
@@ -888,7 +866,7 @@ def predict_episodes(
     """
     if window_source not in ("gauss", "attn", "fused"):
         raise ValueError(f"unknown window_source {window_source!r}")
-    M = _frame_map(params)[1]
+    M = _frame_map(params)
     out: list[EpisodePrediction | None] = [None] * len(episodes)
     for chunk in _chunks(params, episodes):
         cache = _forward(params, chunk, M)

@@ -207,6 +207,11 @@ def split_by_video(
 
 # --- diagnostic scorers ----------------------------------------------------------
 
+# full-batch gradient descent of every probe fit
+PROBE_EPOCHS = 150
+PROBE_LR = 0.5
+
+
 def moment_frame_mask(episode: Episode) -> np.ndarray:
     """Boolean per-frame mask of the frames the generator planted the signal on."""
     centers = frame_times(episode.n_frames, episode.extent.duration)
@@ -219,7 +224,7 @@ class QuestionOnlyScorer:
 
     W: np.ndarray | None = None
 
-    def fit(self, episodes: Sequence[Episode], epochs: int = 150, lr: float = 0.5) -> None:
+    def fit(self, episodes: Sequence[Episode]) -> None:
         Q = np.stack([ep.question for ep in episodes])
         A = np.stack([ep.answers for ep in episodes])
         y = np.array([ep.correct for ep in episodes])
@@ -227,11 +232,11 @@ class QuestionOnlyScorer:
         self.W = np.zeros((d_t, d_t))
         onehot = np.zeros((len(episodes), A.shape[1]))
         onehot[np.arange(len(episodes)), y] = 1.0
-        for _ in range(epochs):
+        for _ in range(PROBE_EPOCHS):
             scores = np.einsum("ef,eaf->ea", Q @ self.W, A)
             p = _softmax(scores)
             grad = Q.T @ np.einsum("ea,eaf->ef", p - onehot, A) / len(episodes)
-            self.W -= lr * grad
+            self.W -= PROBE_LR * grad
 
     def scores(self, episode: Episode) -> np.ndarray:
         if self.W is None:
@@ -267,13 +272,7 @@ class FramesQuestionScorer:
             return np.zeros(episode.frames.shape[1])
         return rows.mean(axis=0)
 
-    def fit(
-        self,
-        episodes: Sequence[Episode],
-        frame_subset: str,
-        epochs: int = 150,
-        lr: float = 0.5,
-    ) -> None:
+    def fit(self, episodes: Sequence[Episode], frame_subset: str) -> None:
         V = np.stack([self._pool(ep, frame_subset) for ep in episodes])
         Q = np.stack([ep.question for ep in episodes])
         A = np.stack([ep.answers for ep in episodes])
@@ -282,13 +281,13 @@ class FramesQuestionScorer:
         self.W = np.zeros((Q.shape[1], A.shape[2]))
         onehot = np.zeros((len(episodes), A.shape[1]))
         onehot[np.arange(len(episodes)), y] = 1.0
-        for _ in range(epochs):
+        for _ in range(PROBE_EPOCHS):
             scores = np.einsum("ef,eaf->ea", V @ self.U + Q @ self.W, A)
             delta = _softmax(scores) - onehot
             # the answer-weighted error, shared by both updates
             delta_A = np.einsum("ea,eaf->ef", delta, A)
-            self.U -= lr * (V.T @ delta_A) / len(episodes)
-            self.W -= lr * (Q.T @ delta_A) / len(episodes)
+            self.U -= PROBE_LR * (V.T @ delta_A) / len(episodes)
+            self.W -= PROBE_LR * (Q.T @ delta_A) / len(episodes)
 
     def scores(self, episode: Episode, frame_subset: str) -> np.ndarray:
         if self.U is None or self.W is None:

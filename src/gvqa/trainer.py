@@ -66,32 +66,34 @@ class TrainConfig:
             raise ConfigError("gamma must be positive")
 
 
+# Adam's moment decay rates and denominator floor: the standard values
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class Adam:
     """Standard Adam over a dict of named arrays, updated in place."""
 
-    def __init__(self, arrays: Mapping[str, np.ndarray], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+    def __init__(self, arrays: Mapping[str, np.ndarray], lr: float) -> None:
         self.arrays = arrays
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in arrays.items()}
         self.v = {k: np.zeros_like(v) for k, v in arrays.items()}
 
     def step(self, grads: Mapping[str, np.ndarray]) -> None:
         self.t += 1
-        b1t = 1.0 - self.beta1**self.t
-        b2t = 1.0 - self.beta2**self.t
+        b1t = 1.0 - ADAM_BETA1**self.t
+        b2t = 1.0 - ADAM_BETA2**self.t
         for name, g in grads.items():
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            self.arrays[name] -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            self.arrays[name] -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + ADAM_EPS)
 
 
 # --- negative sampling ------------------------------------------------------

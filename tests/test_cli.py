@@ -227,6 +227,17 @@ def test_gamma_zero_exit_2(tmp_path, capsys):
     assert "gamma must be positive" in capsys.readouterr().err
 
 
+def test_negative_timelines_exit_2(tmp_path, capsys):
+    # a negative count would slice the validation list from the end
+    cfg = tmp_path / "run.cfg"
+    _write_cfg(cfg, "timelines = -1\n")
+    out = tmp_path / "o"
+    rc = main(TRAIN_ARGS + ["--config", str(cfg), "-o", str(out)])
+    assert rc == 2
+    assert "timelines must be >= 0, got -1" in capsys.readouterr().err
+    assert not (out / "timelines").exists()
+
+
 def test_unknown_config_key_exit_2(tmp_path, capsys):
     # the validation share is split_by_video's default, not a config field
     for line in ("not_a_key = 3", "train.val_fraction = 0.5"):

@@ -1,6 +1,8 @@
 import copy
 import dataclasses
+import json
 import math
+import re
 import threading
 from unittest import mock
 
@@ -18,8 +20,10 @@ from gvqa.gaussian import (
 )
 from gvqa.metrics import Prediction, evaluate
 from gvqa.model import (
+    PARAM_NAMES,
     Episode,
     ModelConfig,
+    ModelParams,
     NegativeCountMismatch,
     ShapeMismatch,
     encode_video,
@@ -497,6 +501,32 @@ class TestCheckpoint:
         with pytest.raises(ShapeMismatch, match="W_k"):
             load_checkpoint(p)
 
+    @pytest.mark.parametrize("meta", [
+        None,
+        b"not json",
+        [1],
+        {"config": {"d_v": 5, "d_t": 6, "width": 8, "temperature": 0.07}},
+        {"version": 1},
+        {"version": 1, "config": {"d_v": 5, "d_t": 6, "width": 8, "depth": 2}},
+        {"version": 1, "config": {"d_v": 5, "d_t": 6, "width": "8"}},
+        {"version": 1, "config": {"d_v": 5, "d_t": 6, "width": 8.0}},
+        {"version": 1, "config": {"d_v": 5, "d_t": 6, "width": 0}},
+        {"version": 1, "config": {"d_v": 5, "d_t": 6, "width": 8, "temperature": math.nan}},
+        {"version": 2, "config": {"d_v": 5, "d_t": 6, "width": 8}},
+    ], ids=["missing", "not-json", "list", "no-version", "no-config", "unknown-key",
+            "string-width", "float-width", "zero-width", "nan-temperature", "version-2"])
+    def test_bad_meta_names_the_file(self, tmp_path, meta):
+        def edit(arrays):
+            if meta is None:
+                del arrays["__meta__"]
+            else:
+                raw = meta if isinstance(meta, bytes) else json.dumps(meta).encode()
+                arrays["__meta__"] = np.frombuffer(raw, dtype=np.uint8)
+
+        p = self._tampered(tmp_path, edit)
+        with pytest.raises(ValueError, match=rf"checkpoint {re.escape(str(p))}: bad __meta__"):
+            load_checkpoint(p)
+
     def test_loaded_params_usable(self, tmp_path):
         rng = np.random.default_rng(22)
         params = init_params(SMALL, seed=20)
@@ -885,7 +915,8 @@ class TestDenseReference:
     """The engine against dense_reference, to rounding: far tighter than the
     finite-difference bound."""
 
-    @pytest.mark.parametrize("chunk_frames", [8, model.CHUNK_FRAMES])
+    # mixed_batch's largest bucket has 12 frames: one chunk per bucket from 12 on
+    @pytest.mark.parametrize("chunk_frames", [8, 12])
     @pytest.mark.parametrize("objective,alpha", OBJECTIVES)
     def test_loss_gradients_and_predictions(self, monkeypatch, chunk_frames, objective, alpha):
         rng = np.random.default_rng(70)
@@ -916,7 +947,7 @@ class TestDenseReference:
         for arr in P.values():
             arr += 0.1 * rng.normal(size=arr.shape)
         P["b_v"] += rng.normal(size=w)
-        M = model._frame_map(params)[1]
+        M = model._frame_map(params)
         for chunk in model._chunks(params, mixed_batch(rng)):
             S = model._encode_frames(params, chunk.F, M, chunk.ws)["S"]
             for j, ep in enumerate(chunk.episodes):
@@ -1091,25 +1122,38 @@ class TestZeroNorm:
             loss_and_gradients(params, eps, objective="ground", neg_questions=negs)
 
 
-class TestQKVBuffer:
-    def test_in_place_updates_reach_the_fused_weight(self):
-        params = init_params(SMALL, seed=50)
-        params.arrays["W_k"][2, 3] += 1.0
-        fused = model._qkv_weight(params)
-        w = SMALL.width
-        assert np.array_equal(fused, np.concatenate(
-            [params.arrays[n] for n in ("W_q", "W_k", "W_val")], axis=1))
-        assert fused[2, w + 3] == params.arrays["W_k"][2, 3]
+class TestModelParams:
+    def test_holds_the_given_arrays(self):
+        given = dict(init_params(SMALL, seed=50).arrays)
+        params = ModelParams(dict(given), SMALL)
+        assert list(params.arrays) == list(PARAM_NAMES)
+        for name in PARAM_NAMES:
+            assert params.arrays[name] is given[name], name
 
-    def test_replaced_or_copied_arrays_are_concatenated(self):
-        import copy
-        params = init_params(SMALL, seed=51)
-        params.arrays["W_val"] = params.arrays["W_val"] * 2.0
-        expected = np.concatenate([params.arrays[n] for n in ("W_q", "W_k", "W_val")], axis=1)
-        assert np.array_equal(model._qkv_weight(params), expected)
-        clone = copy.deepcopy(init_params(SMALL, seed=51))
-        clone.arrays["W_q"][0, 0] = 5.0
-        assert model._qkv_weight(clone)[0, 0] == 5.0
+    @pytest.mark.parametrize("edit", ["in-place", "replaced", "deepcopy"])
+    def test_every_edit_reaches_the_next_call(self, edit):
+        # after each edit the params give the loss and gradients of fresh
+        # params built from copies of their arrays, and not the old ones
+        rng = np.random.default_rng(51)
+        ep = make_episode(rng)
+        for name in PARAM_NAMES:
+            given = dict(init_params(SMALL, seed=51).arrays)
+            params = ModelParams(dict(given), SMALL)
+            before = loss_and_gradients(params, ep, objective="ng+", alpha=0.5)[0]
+            delta = 0.1 * rng.normal(size=given[name].shape)
+            if edit == "in-place":
+                given[name] += delta
+            elif edit == "replaced":
+                params.arrays[name] = given[name] + delta
+            else:
+                params = copy.deepcopy(params)
+                params.arrays[name] += delta
+            fresh = ModelParams({k: v.copy() for k, v in params.arrays.items()}, SMALL)
+            loss, grads = loss_and_gradients(params, ep, objective="ng+", alpha=0.5)
+            want_loss, want = loss_and_gradients(fresh, ep, objective="ng+", alpha=0.5)
+            assert loss == want_loss != before, name
+            for k in want:
+                assert np.array_equal(grads[k], want[k]), (name, k)
 
 
 # --- degenerate worlds ------------------------------------------------------------
