@@ -87,8 +87,8 @@ def mask_weights(mask: GaussianMask, n_frames: int) -> np.ndarray:
 
 def confidence_interval(mask: GaussianMask, extent: VideoExtent, gamma: float) -> TemporalSegment:
     """Window ((mu - gamma*sigma) * d, (mu + gamma*sigma) * d) clamped to the video."""
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    if not 0 < gamma < math.inf:  # NaN too
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
     lo = (mask.mu - gamma * mask.sigma) * extent.duration
     hi = (mask.mu + gamma * mask.sigma) * extent.duration
     # mu in [0,1] and gamma*sigma > 0 put mu*d strictly inside the raw

@@ -21,6 +21,7 @@ import json
 import math
 import operator
 import threading
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -141,11 +142,6 @@ class ModelParams:
             arrays={k: v.copy() for k, v in self.arrays.items()}, config=self.config
         )
 
-    def validate(self) -> None:
-        for name, arr in self.arrays.items():
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"parameter {name} contains non-finite values")
-
 
 def init_params(config: ModelConfig, seed: int) -> ModelParams:
     """Scaled-normal init; grounding-head projectors start near center/medium.
@@ -202,12 +198,20 @@ def save_checkpoint(path: str | Path, params: ModelParams) -> None:
 def load_checkpoint(path: str | Path) -> ModelParams:
     """Parameters saved by save_checkpoint, checked against their config.
 
-    A missing or malformed __meta__ raises ValueError naming the file. The
-    arrays must be exactly PARAM_NAMES (ValueError otherwise), each with
-    the shape that init_params gives for the stored config (ShapeMismatch
-    otherwise), and finite.
+    A file that is not an .npz archive, or whose __meta__ is missing or
+    malformed, raises ValueError naming the file. The arrays must be exactly
+    PARAM_NAMES (ValueError otherwise), each a float array with the shape
+    that init_params gives for the stored config (ShapeMismatch for another
+    shape, ValueError for another dtype), and finite (ValueError).
     """
-    with np.load(path) as blob:
+    try:
+        blob = np.load(path)
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"checkpoint {path}: not an .npz archive: "
+                         f"{type(exc).__name__}: {exc}") from None
+    if not isinstance(blob, np.lib.npyio.NpzFile):
+        raise ValueError(f"checkpoint {path}: not an .npz archive but one {blob.dtype} array")
+    with blob:
         try:
             meta = json.loads(bytes(blob["__meta__"]).decode("utf-8"))
             if meta["version"] != CHECKPOINT_VERSION:
@@ -222,16 +226,18 @@ def load_checkpoint(path: str | Path) -> ModelParams:
                 f"checkpoint {path}: missing {sorted(set(PARAM_NAMES) - stored)}, "
                 f"unknown {sorted(stored - set(PARAM_NAMES))}"
             )
-        arrays = {name: np.array(blob[name]) for name in PARAM_NAMES}
+        arrays = {name: blob[name] for name in PARAM_NAMES}
     for name, ref in init_params(config, 0).arrays.items():
-        if arrays[name].shape != ref.shape:
+        arr = arrays[name]
+        if arr.dtype.kind != "f":
+            raise ValueError(f"checkpoint {path}: {name} has dtype {arr.dtype}, not float")
+        if arr.shape != ref.shape:
             raise ShapeMismatch(
-                f"checkpoint {path}: {name} has shape {arrays[name].shape}, "
-                f"config needs {ref.shape}"
+                f"checkpoint {path}: {name} has shape {arr.shape}, config needs {ref.shape}"
             )
-    params = ModelParams(arrays=arrays, config=config)
-    params.validate()
-    return params
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"checkpoint {path}: {name} contains non-finite values")
+    return ModelParams(arrays=arrays, config=config)
 
 
 # --- the engine -----------------------------------------------------------------
@@ -780,27 +786,15 @@ def ng_loss(params: ModelParams, episode: Episode) -> float:
     return _objective(params, [episode], "ng", 0.0, [None], [None], backward=False)[0]
 
 
-def grounding_loss(
-    params: ModelParams,
-    episode: Episode,
-    pos_question: np.ndarray | None = None,
-    neg_questions: Sequence[np.ndarray] | None = None,
-) -> float:
-    """Question-classification cross-entropy against the masked video vector."""
-    return _objective(params, [episode], "ground", 1.0, [pos_question], [neg_questions],
-                      backward=False)[0]
+def grounding_loss(params: ModelParams, episode: Episode) -> float:
+    """Cross-entropy classifying the episode's question against its own
+    negatives, using the masked video vector."""
+    return _objective(params, [episode], "ground", 1.0, [None], [None], backward=False)[0]
 
 
-def ngplus_loss(
-    params: ModelParams,
-    episode: Episode,
-    alpha: float = 1.0,
-    pos_question: np.ndarray | None = None,
-    neg_questions: Sequence[np.ndarray] | None = None,
-) -> float:
+def ngplus_loss(params: ModelParams, episode: Episode, alpha: float = 1.0) -> float:
     """ng_loss + alpha * grounding_loss (alpha=0 collapses to ng_loss)."""
-    return _objective(params, [episode], "ng+", alpha, [pos_question], [neg_questions],
-                      backward=False)[0]
+    return _objective(params, [episode], "ng+", alpha, [None], [None], backward=False)[0]
 
 
 def loss_and_gradients(

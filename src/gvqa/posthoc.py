@@ -16,8 +16,8 @@ import numpy as np
 from .gaussian import frame_times
 from .temporal import TemporalSegment
 
-DEFAULT_SMOOTH_W = 3
-DEFAULT_DIST_CAP_S = 10.0
+SMOOTH_W = 3
+DIST_CAP_S = 10.0
 
 
 class DegenerateTraceWarning(UserWarning):
@@ -52,26 +52,19 @@ def _minmax(scores: np.ndarray) -> np.ndarray | None:
     return (scores - lo) / (hi - lo)
 
 
-def extract_window_raw(
-    scores: np.ndarray,
-    duration: float,
-    smooth_w: int = DEFAULT_SMOOTH_W,
-    dist_cap_s: float = DEFAULT_DIST_CAP_S,
-) -> TemporalSegment:
+def extract_window_raw(scores: np.ndarray, duration: float) -> TemporalSegment:
     """Window around the attention peak of per-frame scores, one per frame
     bin of a video of `duration` seconds.
 
-    Smooth, min-max normalize, pivot at the argmax (lowest index on ties),
-    then include contiguous frames on each side whose normalized score is at
-    least the mean normalized score and whose center lies within dist_cap_s
-    seconds of the pivot center. The window spans the included frames' bins.
-    The scores need not sum to 1: positive affine rescaling cannot change the
-    result because the min-max step cancels it.
+    Smooth over SMOOTH_W frames, min-max normalize, pivot at the argmax
+    (lowest index on ties), then include contiguous frames on each side whose
+    normalized score is at least the mean normalized score and whose center
+    lies within DIST_CAP_S seconds of the pivot center. The window spans the
+    included frames' bins. The scores need not sum to 1: positive affine
+    rescaling cannot change the result because the min-max step cancels it.
     """
     scores = np.asarray(scores, dtype=float)
-    if dist_cap_s <= 0:
-        raise ValueError(f"dist_cap_s must be positive, got {dist_cap_s}")
-    smoothed = smooth_scores(scores, smooth_w)
+    smoothed = smooth_scores(scores, SMOOTH_W)
     norm = _minmax(smoothed)
     n = len(scores)
     bin_w = duration / n
@@ -90,7 +83,7 @@ def extract_window_raw(
     times = frame_times(n, duration)
 
     def ok(i: int) -> bool:
-        return norm[i] >= mean_norm - tol and abs(times[i] - times[pivot]) <= dist_cap_s
+        return norm[i] >= mean_norm - tol and abs(times[i] - times[pivot]) <= DIST_CAP_S
 
     left = pivot
     while left - 1 >= 0 and ok(left - 1):

@@ -66,12 +66,15 @@ class SynthConfig:
             raise ConfigError("moment_ratio must be in (0, 1)")
         if not 0.0 <= self.shortcut_rate <= 1.0:
             raise ConfigError("shortcut_rate must be in [0, 1]")
+        for name in ("noise_std", "signal_gain", "out_gain", "shortcut_gain", "variant_noise"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.noise_std < 0 or self.out_gain < 0 or self.signal_gain <= 0:
             raise ConfigError("gains must be non-negative (signal_gain positive)")
         if self.n_frames < 2:
             raise ConfigError("n_frames must be >= 2")
-        if not 0 < self.duration_lo <= self.duration_hi:
-            raise ConfigError("need 0 < duration_lo <= duration_hi")
+        if not 0 < self.duration_lo <= self.duration_hi < math.inf:
+            raise ConfigError("need 0 < duration_lo <= duration_hi < inf")
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -218,6 +221,27 @@ def moment_frame_mask(episode: Episode) -> np.ndarray:
     return _frames_inside(centers, oracle_grounding(episode))
 
 
+def _fit_probe(blocks: list[np.ndarray], episodes: Sequence[Episode]) -> list[np.ndarray]:
+    """Full-batch gradient descent from zero weights of the answer
+    cross-entropy of a probe scoring answer a of episode e as
+    sum_k (X_k[e] @ W_k) . a; returns one W_k per feature block X_k."""
+    A = np.stack([ep.answers for ep in episodes])
+    onehot = np.zeros((len(episodes), A.shape[1]))
+    onehot[np.arange(len(episodes)), [ep.correct for ep in episodes]] = 1.0
+    weights = [np.zeros((X.shape[1], A.shape[2])) for X in blocks]
+    for _ in range(PROBE_EPOCHS):
+        # one product per block: a single GEMM over the stacked blocks is slower
+        proj = blocks[0] @ weights[0]
+        for X, W in zip(blocks[1:], weights[1:]):
+            proj = proj + X @ W
+        delta = _softmax(np.einsum("ef,eaf->ea", proj, A)) - onehot
+        # the answer-weighted error, shared by every block's update
+        delta_A = np.einsum("ea,eaf->ef", delta, A)
+        for X, W in zip(blocks, weights):
+            W -= PROBE_LR * (X.T @ delta_A) / len(episodes)
+    return weights
+
+
 @dataclass
 class QuestionOnlyScorer:
     """Bilinear question-to-answer scorer; sees no frames at all."""
@@ -225,18 +249,7 @@ class QuestionOnlyScorer:
     W: np.ndarray | None = None
 
     def fit(self, episodes: Sequence[Episode]) -> None:
-        Q = np.stack([ep.question for ep in episodes])
-        A = np.stack([ep.answers for ep in episodes])
-        y = np.array([ep.correct for ep in episodes])
-        d_t = Q.shape[1]
-        self.W = np.zeros((d_t, d_t))
-        onehot = np.zeros((len(episodes), A.shape[1]))
-        onehot[np.arange(len(episodes)), y] = 1.0
-        for _ in range(PROBE_EPOCHS):
-            scores = np.einsum("ef,eaf->ea", Q @ self.W, A)
-            p = _softmax(scores)
-            grad = Q.T @ np.einsum("ea,eaf->ef", p - onehot, A) / len(episodes)
-            self.W -= PROBE_LR * grad
+        (self.W,) = _fit_probe([np.stack([ep.question for ep in episodes])], episodes)
 
     def scores(self, episode: Episode) -> np.ndarray:
         if self.W is None:
@@ -251,52 +264,38 @@ class QuestionOnlyScorer:
 class FramesQuestionScorer:
     """Linear scorer over mean-pooled frames plus a bilinear question term.
 
-    Every call names its frame pool, "moment" or "outside": fitting on
-    moment-only or outside-only frames is how the per-subset diagnostic
-    models are built, and they predict from the same pool.
+    frame_subset, "moment" or "outside", is the frame pool it fits on and
+    predicts from: fitting on moment-only or outside-only frames is how the
+    per-subset diagnostic models are built.
     """
 
+    frame_subset: str
     U: np.ndarray | None = None
     W: np.ndarray | None = None
 
-    @staticmethod
-    def _pool(episode: Episode, frame_subset: str) -> np.ndarray:
+    def __post_init__(self) -> None:
+        if self.frame_subset not in ("moment", "outside"):
+            raise ValueError(f"unknown frame_subset {self.frame_subset!r}")
+
+    def _pool(self, episode: Episode) -> np.ndarray:
         mask = moment_frame_mask(episode)
-        if frame_subset == "moment":
-            rows = episode.frames[mask]
-        elif frame_subset == "outside":
-            rows = episode.frames[~mask]
-        else:
-            raise ValueError(f"unknown frame_subset {frame_subset!r}")
+        rows = episode.frames[mask if self.frame_subset == "moment" else ~mask]
         if rows.shape[0] == 0:
             return np.zeros(episode.frames.shape[1])
         return rows.mean(axis=0)
 
-    def fit(self, episodes: Sequence[Episode], frame_subset: str) -> None:
-        V = np.stack([self._pool(ep, frame_subset) for ep in episodes])
+    def fit(self, episodes: Sequence[Episode]) -> None:
+        V = np.stack([self._pool(ep) for ep in episodes])
         Q = np.stack([ep.question for ep in episodes])
-        A = np.stack([ep.answers for ep in episodes])
-        y = np.array([ep.correct for ep in episodes])
-        self.U = np.zeros((V.shape[1], A.shape[2]))
-        self.W = np.zeros((Q.shape[1], A.shape[2]))
-        onehot = np.zeros((len(episodes), A.shape[1]))
-        onehot[np.arange(len(episodes)), y] = 1.0
-        for _ in range(PROBE_EPOCHS):
-            scores = np.einsum("ef,eaf->ea", V @ self.U + Q @ self.W, A)
-            delta = _softmax(scores) - onehot
-            # the answer-weighted error, shared by both updates
-            delta_A = np.einsum("ea,eaf->ef", delta, A)
-            self.U -= PROBE_LR * (V.T @ delta_A) / len(episodes)
-            self.W -= PROBE_LR * (Q.T @ delta_A) / len(episodes)
+        self.U, self.W = _fit_probe([V, Q], episodes)
 
-    def scores(self, episode: Episode, frame_subset: str) -> np.ndarray:
+    def scores(self, episode: Episode) -> np.ndarray:
         if self.U is None or self.W is None:
             raise ValueError("scorer not fitted")
-        v = self._pool(episode, frame_subset)
-        return (v @ self.U + episode.question @ self.W) @ episode.answers.T
+        return (self._pool(episode) @ self.U + episode.question @ self.W) @ episode.answers.T
 
-    def predict(self, episode: Episode, frame_subset: str) -> int:
-        return int(np.argmax(self.scores(episode, frame_subset)))
+    def predict(self, episode: Episode) -> int:
+        return int(np.argmax(self.scores(episode)))
 
 
 @dataclass(frozen=True)
@@ -313,10 +312,10 @@ def fit_diagnostics(
     """Train the three subset probes: blind, moment-only, outside-moment."""
     blind = QuestionOnlyScorer()
     blind.fit(train_episodes)
-    pos = FramesQuestionScorer()
-    pos.fit(train_episodes, frame_subset="moment")
-    neg = FramesQuestionScorer()
-    neg.fit(train_episodes, frame_subset="outside")
+    pos = FramesQuestionScorer("moment")
+    pos.fit(train_episodes)
+    neg = FramesQuestionScorer("outside")
+    neg.fit(train_episodes)
     return blind, pos, neg
 
 
@@ -334,8 +333,8 @@ def split_diagnostic(
         if blind.predict(ep) == ep.correct:
             continue
         vqa.add(ep.question_id)
-        neg_right = neg.predict(ep, "outside") == ep.correct
-        pos_right = pos.predict(ep, "moment") == ep.correct
+        neg_right = neg.predict(ep) == ep.correct
+        pos_right = pos.predict(ep) == ep.correct
         if pos_right and not neg_right:
             gdqa.add(ep.question_id)
     return DiagnosticSplit(vqa=frozenset(vqa), gdqa=frozenset(gdqa))

@@ -56,14 +56,17 @@ class TrainConfig:
             raise ConfigError("the answer-only objective has no grounding pretrain stage")
         if self.epochs < 1 or self.batch < 1 or self.patience < 1:
             raise ConfigError("epochs, batch and patience must be >= 1")
-        if self.lr < 0:
-            raise ConfigError("lr must be non-negative")
+        # NaN fails every comparison below
+        if not 0 <= self.lr < math.inf:
+            raise ConfigError(f"lr must be non-negative and finite, got {self.lr}")
+        if not 0 <= self.alpha < math.inf:
+            raise ConfigError(f"alpha must be non-negative and finite, got {self.alpha}")
         for name in ("p_same_video", "p_pos_swap"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1]")
-        if self.gamma <= 0:
-            raise ConfigError("gamma must be positive")
+        if not 0 < self.gamma < math.inf:
+            raise ConfigError(f"gamma must be positive and finite, got {self.gamma}")
 
 
 # Adam's moment decay rates and denominator floor: the standard values
@@ -101,21 +104,18 @@ class Adam:
 class NegativePool:
     """Question vectors grouped by video for hard-negative draws.
 
-    descriptive_ids lists question ids to exclude from all pools (questions
-    whose style makes them useless as grounding negatives). Besides the
-    entries themselves the pool keeps, for each video and for each question
-    id, the ascending positions of its entries, so a draw can find or skip
-    them without scanning the pool.
+    Every given episode's question is an entry, in the given order; a caller
+    that wants some questions never drawn as negatives leaves their episodes
+    out. Besides the entries themselves the pool keeps, for each video and
+    for each question id, the ascending positions of its entries, so a draw
+    can find or skip them without scanning the pool.
     """
 
-    def __init__(self, episodes: Sequence[Episode],
-                 descriptive_ids: frozenset[str] = frozenset()) -> None:
+    def __init__(self, episodes: Sequence[Episode]) -> None:
         self.entries: list[tuple[str, str, np.ndarray]] = []
         self.video_positions: dict[str, list[int]] = {}
         self.id_positions: dict[str, list[int]] = {}
         for ep in episodes:
-            if ep.question_id in descriptive_ids:
-                continue
             self.video_positions.setdefault(ep.video_id, []).append(len(self.entries))
             self.id_positions.setdefault(ep.question_id, []).append(len(self.entries))
             self.entries.append((ep.question_id, ep.video_id, ep.question))
@@ -257,7 +257,7 @@ def train(
         pool = NegativePool(episodes)
 
     history: list[dict] = []
-    best = {"acc_gqa": -1.0, "params": params.copy(), "epoch": -1}
+    best_acc, best_params = -1.0, params.copy()
     plan = _stage_plan(config)
     final_stage = len(plan) - 1
     epoch = 0
@@ -301,15 +301,15 @@ def train(
                 on_epoch(row)
             # an earlier stage's answer head is untrained: only the final
             # stage competes for the snapshot
-            if stage_idx == final_stage and val["acc_gqa"] > best["acc_gqa"]:
-                best = {"acc_gqa": val["acc_gqa"], "params": params.copy(), "epoch": epoch}
+            if stage_idx == final_stage and val["acc_gqa"] > best_acc:
+                best_acc, best_params = val["acc_gqa"], params.copy()
                 since_best = 0
             else:
                 since_best += 1
             epoch += 1
             if stage_idx == final_stage and since_best >= config.patience:
-                return best["params"], history
-    return best["params"], history
+                return best_params, history
+    return best_params, history
 
 
 HISTORY_COLUMNS = ("epoch", "stage", "loss", "acc_qa", "acc_gqa", "m_iop", "m_iou")

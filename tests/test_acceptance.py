@@ -287,7 +287,7 @@ def test_criterion_7_posthoc_properties():
         bin_w = duration / n
 
         import gvqa.posthoc as ph
-        smoothed = ph.smooth_scores(scores, ph.DEFAULT_SMOOTH_W)
+        smoothed = ph.smooth_scores(scores, ph.SMOOTH_W)
         pivot = int(np.argmax(smoothed))
         t_pivot = (pivot + 0.5) * bin_w
         if not (win.start - 1e-9 <= t_pivot <= win.end + 1e-9):

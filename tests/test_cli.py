@@ -227,6 +227,17 @@ def test_gamma_zero_exit_2(tmp_path, capsys):
     assert "gamma must be positive" in capsys.readouterr().err
 
 
+def test_gamma_nan_exit_2(tmp_path, capsys):
+    # NaN passes a plain "gamma <= 0" test and widened every window to the video
+    cfg = tmp_path / "run.cfg"
+    _write_cfg(cfg)
+    out = tmp_path / "o"
+    rc = main(TRAIN_ARGS + ["--config", str(cfg), "--gamma", "nan", "-o", str(out)])
+    assert rc == 2
+    assert "gamma must be positive and finite, got nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_negative_timelines_exit_2(tmp_path, capsys):
     # a negative count would slice the validation list from the end
     cfg = tmp_path / "run.cfg"

@@ -304,7 +304,7 @@ class TestLosses:
         params = init_params(SMALL, seed=13)
         ep = make_episode(rng, A=3)
         with pytest.raises(NegativeCountMismatch):
-            grounding_loss(params, ep, neg_questions=[rng.normal(size=6)])
+            loss_and_gradients(params, ep, objective="ground", neg_questions=[rng.normal(size=6)])
 
     def test_pos_variant_substitution_changes_loss(self):
         rng = np.random.default_rng(16)
@@ -312,7 +312,7 @@ class TestLosses:
         ep = make_episode(rng)
         variant = ep.question + 0.5 * rng.normal(size=6)
         a = grounding_loss(params, ep)
-        b = grounding_loss(params, ep, pos_question=variant)
+        b, _ = loss_and_gradients(params, ep, objective="ground", pos_question=variant)
         assert a != b
 
 
@@ -390,7 +390,8 @@ class TestGradients:
         variant = ep.question + 0.3 * rng.normal(size=6)
 
         def loss_fn():
-            return ngplus_loss(params, ep, alpha=1.0, pos_question=variant)
+            return loss_and_gradients(params, ep, objective="ng+", alpha=1.0,
+                                      pos_question=variant)[0]
 
         _, analytic = loss_and_gradients(params, ep, objective="ng+", alpha=1.0,
                                          pos_question=variant)
@@ -525,6 +526,25 @@ class TestCheckpoint:
 
         p = self._tampered(tmp_path, edit)
         with pytest.raises(ValueError, match=rf"checkpoint {re.escape(str(p))}: bad __meta__"):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("kind", ["npy", "text", "empty", "truncated", "string-array",
+                                      "int-array", "nan-param"])
+    def test_malformed_file_names_the_file(self, tmp_path, kind):
+        p = tmp_path / "model.npz"
+        if kind == "npy":
+            p = tmp_path / "model.npy"
+            np.save(p, np.zeros(3))
+        elif kind in ("text", "empty"):
+            p.write_text("W_v = 1\n" if kind == "text" else "")
+        elif kind == "truncated":
+            save_checkpoint(p, init_params(SMALL, seed=19))
+            p.write_bytes(p.read_bytes()[:200])
+        else:
+            bad = {"string-array": np.full((5, 8), "x"), "int-array": np.zeros((5, 8), int),
+                   "nan-param": np.full((5, 8), np.nan)}[kind]
+            p = self._tampered(tmp_path, lambda a: a.update(W_v=bad))
+        with pytest.raises(ValueError, match=rf"^checkpoint {re.escape(str(p))}: "):
             load_checkpoint(p)
 
     def test_loaded_params_usable(self, tmp_path):

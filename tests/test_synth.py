@@ -239,10 +239,16 @@ def diag():
 
 def test_moment_probe_beats_outside_probe(diag):
     _, val, _, pos, neg = diag
-    pos_acc = np.mean([pos.predict(ep, "moment") == ep.correct for ep in val])
-    neg_acc = np.mean([neg.predict(ep, "outside") == ep.correct for ep in val])
+    pos_acc = np.mean([pos.predict(ep) == ep.correct for ep in val])
+    neg_acc = np.mean([neg.predict(ep) == ep.correct for ep in val])
     assert pos_acc >= 0.9
     assert neg_acc <= pos_acc - 0.2
+
+
+def test_frames_probe_takes_a_known_pool_at_construction():
+    assert FramesQuestionScorer("outside").frame_subset == "outside"
+    with pytest.raises(ValueError, match="unknown frame_subset 'inside'"):
+        FramesQuestionScorer("inside")
 
 
 def test_blind_probe_tracks_shortcut_rate():
@@ -285,7 +291,7 @@ def _einsum_fit_blind(episodes, epochs=150, lr=0.5):
 
 def _einsum_fit_frames(episodes, frame_subset, epochs=150, lr=0.5):
     """FramesQuestionScorer.fit written with three-operand einsums."""
-    V = np.stack([FramesQuestionScorer._pool(ep, frame_subset) for ep in episodes])
+    V = np.stack([FramesQuestionScorer(frame_subset)._pool(ep) for ep in episodes])
     Q = np.stack([ep.question for ep in episodes])
     A = np.stack([ep.answers for ep in episodes])
     onehot = np.eye(A.shape[1])[[ep.correct for ep in episodes]]
@@ -309,7 +315,7 @@ def test_probe_fits_match_three_operand_einsums():
     ref_probes = []
     for subset in ("moment", "outside"):
         U, W = _einsum_fit_frames(train, subset)
-        ref_probes.append(FramesQuestionScorer(U=U, W=W))
+        ref_probes.append(FramesQuestionScorer(subset, U=U, W=W))
     pairs = [(blind.W, ref_blind.W)]
     for probe, ref in zip((pos, neg), ref_probes):
         pairs += [(probe.U, ref.U), (probe.W, ref.W)]
