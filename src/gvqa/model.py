@@ -111,8 +111,8 @@ class ModelConfig:
             operator.index(dim)  # TypeError unless an integer
         if min(self.d_v, self.d_t, self.width) < 1:
             raise ValueError("dimensions must be positive")
-        if not self.temperature > 0:  # NaN too
-            raise ValueError("temperature must be positive")
+        if not 0 < self.temperature < math.inf:  # NaN too
+            raise ValueError(f"temperature must be positive and finite, got {self.temperature}")
 
 
 # trainable array names in a fixed order (checkpoint layout, Adam slots)
@@ -242,28 +242,33 @@ def load_checkpoint(path: str | Path) -> ModelParams:
 
 # --- the engine -----------------------------------------------------------------
 #
-# Every entry point runs one engine over packed episodes: frames (b, n, d_v),
-# questions (b, d_t), answers and candidate questions (b, A, d_t). _chunks
-# buckets the caller's episodes by (n_frames, n_answers), in order of first
-# appearance, and cuts each bucket into chunks of at most CHUNK_FRAMES frames
-# (at least one episode). A chunk runs the stages
-# _encode_frames (bilinear frame self-attention and the values), _ground
+# Every entry point runs one engine over packed episodes: frames (b, n, d_v)
+# with a trailing ones column, questions (b, d_t), answers and candidate
+# questions (b, A, d_t). _chunks buckets the caller's episodes by
+# (n_frames, n_answers), in order of first appearance, and cuts each bucket
+# into chunks of at most CHUNK_FRAMES frames (at least one episode). A chunk
+# runs the stages _encode_frames (bilinear frame self-attention), _ground
 # (grounding head -> mask parameters), _pool (mask-scaled attention and
 # attention pooling) and _cosine_scores; _backward reverses them. A lone
-# episode is a chunk of one, packed as views of its own arrays.
+# episode is a chunk of one.
 #
 # The attention logits Q K^T / sqrt(width) are scored in the frames' own
 # d_v dimensions: with A = (W_v W_q)(W_v W_k)^T / sqrt(width) and
 # r = (b_v W_q)(W_v W_k)^T / sqrt(width) they are (F A + r) F^T plus terms
 # constant along each row, which cancel in the row softmax. So frames map to
-# [V | P] = F [W_v W_val | A] + [b_v W_val | r] and the logits are P F^T;
-# Q and K are never formed (_frame_map builds the map once per call).
+# P = [F 1] [A; r] and the logits are P F^T; Q and K are never formed
+# (_frame_map builds the map once per call).
 #
 # The mask scales post-softmax attention per key frame, and the grounding
 # head and the pooling each read the attended values through one query
 # vector (W_g qv and u), so past the softmax the (n, n) attention S is only
 # ever multiplied by vectors: no (n, width) product S V is formed, forward or
-# backward, and the backward's dS and dV are each one rank-4 product.
+# backward. The values Vm = [F 1] Mv, with Mv = [W_v; b_v] W_val the map's
+# first width columns, are read only through vectors too, as [F 1] (Mv x) and
+# Mv^T ([F 1]^T s), so no (n, width) array is formed at all: the ones column
+# carries Mv's bias row inside each product. The backward's dS is one rank-4
+# product and Mv's gradient one product of the four (d_v + 1)-vectors
+# [F 1]^T s with the four width-vectors x.
 #
 # Every chunk-sized array lives in a _Workspace: buffers preallocated per
 # chunk shape that the stages write with out= or in place, reused across the
@@ -274,11 +279,10 @@ def load_checkpoint(path: str | Path) -> ModelParams:
 # are valid until the next chunk of its shape is packed, and nothing an entry
 # point returns is a view of them.
 
-# frames per chunk: 16 episodes at 32 frames, 4 at 128. Smaller chunks pay
-# more per-call overhead; larger ones train no faster and hold more memory
-# (the CHUNK_FRAMES sweeps in CHANGES.md). Another size also reorders the
-# gradient sums.
-CHUNK_FRAMES = 512
+# frames per chunk: 32 episodes at 32 frames, 8 at 128. Smaller chunks pay
+# more per-call overhead; larger ones hold more memory (the CHUNK_FRAMES
+# sweeps in CHANGES.md). Another size also reorders the gradient sums.
+CHUNK_FRAMES = 1024
 
 
 class ZeroNorm(ValueError):
@@ -290,21 +294,25 @@ class _Workspace:
     answers) of a model with the given dimensions."""
 
     def __init__(self, b: int, n: int, A: int, d_v: int, d_t: int, w: int) -> None:
-        # packed inputs (chunks of more than one episode), the candidate
-        # questions, and the answer and candidate projections
-        self.F = np.empty((b, n, d_v))
+        # packed inputs: the frames with their ones column, [F 1], where
+        # packing writes only the view `frames` and so never the ones; the
+        # questions and answers; the candidate questions, and the answer
+        # and candidate projections
+        self.F = np.empty((b, n, d_v + 1))
+        self.F[..., d_v] = 1.0
+        self.frames = self.F[..., :d_v]
         self.q = np.empty((b, d_t))
         self.answers = np.empty((b, A, d_t))
         self.Qc = np.empty((b, A, d_t))
         self.B = np.empty((b, A, w))
         self.R = np.empty((b, A, w))
-        # forward cache: the frames' [V | P] and the self-attention
-        self.VP = np.empty((b, n, w + d_v))
+        # forward cache: the attention queries P and the self-attention
+        self.P = np.empty((b, n, d_v))
         self.S = np.empty((b, n, n))
-        # backward: the attention and [V | P] gradients, and one (n, n)
-        # scratch product
+        # backward: the attention and P gradients, and one (n, n) scratch
+        # product
         self.dS = np.empty((b, n, n))
-        self.dVP = np.empty((b, n, w + d_v))
+        self.dP = np.empty((b, n, d_v))
         self.nn = np.empty((b, n, n))
 
 
@@ -313,7 +321,9 @@ def _workspace(thread: int, b: int, n: int, A: int, d_v: int, d_t: int, w: int) 
     """The calling thread's workspace for a chunk shape. Keyed by thread too,
     so concurrent calls never share buffers. Four shapes cover a training run:
     full and tail chunks of the minibatches and of validation, and lone
-    episodes. A miss allocates the chunk's arrays afresh."""
+    episodes (at 32 frames: 32-episode chunks, the 4 left of a 36-episode
+    minibatch, the 12 left of 300 validation episodes, and 1). A miss
+    allocates the chunk's arrays afresh."""
     return _Workspace(b, n, A, d_v, d_t, w)
 
 
@@ -323,7 +333,7 @@ class _Chunk:
 
     index: list[int]          # positions in the caller's sequence
     episodes: list[Episode]
-    F: np.ndarray             # (b, n, d_v)
+    F: np.ndarray             # (b, n, d_v + 1), the last column ones
     q: np.ndarray             # (b, d_t)
     answers: np.ndarray       # (b, A, d_t)
     ws: _Workspace
@@ -346,10 +356,12 @@ def _chunks(params: ModelParams, episodes: Sequence[Episode]) -> Iterator[_Chunk
             )
     thread = threading.get_ident()
     if len(episodes) == 1:
-        # a lone episode is packed as views of its own arrays
+        # a lone episode's frames are copied next to the ones column; its
+        # question and answers are packed as views
         ep = episodes[0]
         ws = _workspace(thread, 1, ep.n_frames, ep.n_answers, d_v, d_t, c.width)
-        yield _Chunk([0], [ep], ep.frames[None], ep.question[None], ep.answers[None], ws)
+        ws.frames[0] = ep.frames
+        yield _Chunk([0], [ep], ws.F, ep.question[None], ep.answers[None], ws)
         return
     buckets: dict[tuple[int, int], list[int]] = {}
     for i, ep in enumerate(episodes):
@@ -360,20 +372,22 @@ def _chunks(params: ModelParams, episodes: Sequence[Episode]) -> Iterator[_Chunk
             part = index[lo:lo + size]
             eps = [episodes[i] for i in part]
             ws = _workspace(thread, len(part), n, A, d_v, d_t, c.width)
-            yield _Chunk(part, eps, np.stack([ep.frames for ep in eps], out=ws.F),
+            np.stack([ep.frames for ep in eps], out=ws.frames)
+            yield _Chunk(part, eps, ws.F,
                          np.stack([ep.question for ep in eps], out=ws.q),
                          np.stack([ep.answers for ep in eps], out=ws.answers), ws)
 
 
 def _frame_map(params: ModelParams) -> np.ndarray:
     """The (d_v + 1, width + d_v) frame map M = [Vb W_val | (Vb W_q)(W_v W_k)^T
-    / sqrt(width)] with Vb = [W_v; b_v], that is [[W_v W_val | A]; [b_v W_val | r]]:
-    its first d_v rows multiply the frames, its last row is the bias.
+    / sqrt(width)] with Vb = [W_v; b_v], that is [Mv | [A; r]]: it multiplies
+    the frames with their ones column, [F 1], so its last row is the bias.
 
-    Per frame that is d_v (d_v + width) + n d_v multiply-adds forward instead
-    of 3 d_v width + n width for F [Q|K|V] and Q K^T, fewer while
-    d_v < width: 24 < 64 in the synthetic world, 5 < 8 in the tests. Wider
-    features stay exact, only slower."""
+    Per frame the forward costs (d_v + 1) d_v + n d_v multiply-adds for P and
+    the logits, plus about d_v for each of the four value reads, instead of
+    3 d_v width + n width for F [Q|K|V] and Q K^T, fewer while d_v < width:
+    24 < 64 in the synthetic world, 5 < 8 in the tests. Wider features stay
+    exact, only slower."""
     P = params.arrays
     d_v, w = params.config.d_v, params.config.width
     Vb = np.concatenate((P["W_v"], P["b_v"][None]))
@@ -405,9 +419,11 @@ def _frame_map_grads(params: ModelParams, d_map: np.ndarray) -> dict[str, np.nda
 def _softmax(z: np.ndarray) -> np.ndarray:
     """Softmax over the last axis, computed in z's own buffer (callers pass a
     temporary): the (b, n, n) attention stays one allocation."""
-    z -= z.max(axis=-1, keepdims=True)
+    # the ufunc reductions are what ndarray.max and .sum call, without their
+    # Python wrappers: three softmaxes run per lone-episode forward
+    z -= np.maximum.reduce(z, axis=-1, keepdims=True)
     np.exp(z, out=z)
-    z /= z.sum(axis=-1, keepdims=True)
+    z /= np.add.reduce(z, axis=-1, keepdims=True)
     return z
 
 
@@ -425,16 +441,17 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def _encode_frames(params: ModelParams, F: np.ndarray, M: np.ndarray, ws: _Workspace) -> dict:
-    """The frames' values and attention queries, [V | P] = F [W_v W_val | A]
-    + [b_v W_val | r] (_frame_map's M), and the row-softmax self-attention
-    weights S = softmax(P F^T), equal to softmax(Q K^T / sqrt(width))."""
-    b, n, d_v = F.shape
+    """The frames' attention queries P = [F 1] [A; r] and the row-softmax
+    self-attention weights S = softmax(P F^T), equal to
+    softmax(Q K^T / sqrt(width)), from the packed frames F = [F 1] and
+    _frame_map's M. The values Vm = [F 1] Mv are left to the stages, which
+    read them through Mv = M[:, :width]."""
+    b, n, d1 = F.shape
     w = params.config.width
-    VP = ws.VP
-    np.matmul(F.reshape(b * n, d_v), M[:d_v], out=VP.reshape(b * n, w + d_v))
-    VP += M[d_v]
-    S = _softmax(np.matmul(VP[..., w:], F.transpose(0, 2, 1), out=ws.S))
-    return {"Vm": VP[..., :w], "S": S}
+    P = ws.P
+    np.matmul(F.reshape(b * n, d1), M[:, w:], out=P.reshape(b * n, d1 - 1))
+    S = _softmax(np.matmul(P, ws.frames.transpose(0, 2, 1), out=ws.S))
+    return {"F": F, "Mv": M[:, :w], "S": S}
 
 
 def _mv(M: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -452,17 +469,17 @@ def _ground(params: ModelParams, enc: dict, q: np.ndarray) -> dict:
     H0 = S Vm, read out through squashed projections into mu in [0, 1] and
     sigma in [SIGMA_MIN, 1].
 
-    H0 is read only through vectors: the logits H0 (W_g qv) are S (Vm g) and
-    the readout H0^T alpha is Vm^T (S^T alpha)."""
+    H0 and Vm are read only through vectors: the logits H0 (W_g qv) are
+    S ([F 1] (Mv g)) and the readout H0^T alpha is Mv^T ([F 1]^T (S^T alpha))."""
     P = params.arrays
-    S, Vm = enc["S"], enc["Vm"]
-    n = Vm.shape[1]
+    S, F, Mv = enc["S"], enc["F"], enc["Mv"]
+    n = S.shape[1]
     qv = q @ P["W_t"] + P["b_t"]
     g = qv @ P["W_g"].T
-    Vg = _mv(Vm, g)
+    Vg = _mv(F, g @ Mv.T)
     alpha = _softmax(_mv(S, Vg))
-    Sa = _vm(alpha, S)
-    c = _vm(Sa, Vm)
+    za = _vm(_vm(alpha, S), F)
+    c = za @ Mv
     x = _positions(n)
     m1 = alpha @ x
     dx = x - m1[:, None]
@@ -471,7 +488,7 @@ def _ground(params: ModelParams, enc: dict, q: np.ndarray) -> dict:
     mu = _sigmoid(c @ P["w_mu"] + P["a_mu"] * m1 + P["b_mu"])
     sg_inner = _sigmoid(c @ P["w_sg"] + P["a_sg"] * m2 + P["b_sg"])
     sigma = SIGMA_MIN + (1.0 - SIGMA_MIN) * sg_inner
-    return {"qv": qv, "g": g, "Vg": Vg, "alpha": alpha, "Sa": Sa, "c": c, "x": x, "dx": dx,
+    return {"qv": qv, "g": g, "Vg": Vg, "alpha": alpha, "za": za, "c": c, "x": x, "dx": dx,
             "dx2": dx2, "m1": m1, "m2": m2, "mu": mu, "sg_inner": sg_inner, "sigma": sigma}
 
 
@@ -481,13 +498,15 @@ def _pool(params: ModelParams, enc: dict, G: np.ndarray) -> dict:
     pooling softmax `trace` sums to 1 and serves as the post-hoc
     localization signal.
 
-    H1 is read only through vectors: the pooling logits H1 u are
-    S (G * Vm u) and the pooled vector H1^T trace is Vm^T (G * S^T trace)."""
-    S, Vm = enc["S"], enc["Vm"]
-    Vu = Vm @ params.arrays["u"]
+    H1 and Vm are read only through vectors: the pooling logits H1 u are
+    S (G * [F 1] (Mv u)) and the pooled vector H1^T trace is
+    Mv^T ([F 1]^T (G * S^T trace))."""
+    S, F, Mv = enc["S"], enc["F"], enc["Mv"]
+    Vu = F @ (Mv @ params.arrays["u"])
     trace = _softmax(_mv(S, G * Vu))
     St = _vm(trace, S)
-    return {"G": G, "Vu": Vu, "trace": trace, "St": St, "v_t": _vm(G * St, Vm)}
+    zt = _vm(G * St, F)
+    return {"G": G, "Vu": Vu, "trace": trace, "St": St, "zt": zt, "v_t": zt @ Mv}
 
 
 def _cosine_scores(rows: np.ndarray, vec: np.ndarray, temperature: float,
@@ -576,7 +595,12 @@ def _cosine_backward(
     coef = dscore / temperature
     dvec = ((coef[:, None, :] @ u_rows)[:, 0]
             - (coef * cos).sum(axis=1)[:, None] * u_vec) / vec_norm[:, None]
-    drows = coef[..., None] * (u_vec[:, None, :] - cos[..., None] * u_rows) / row_norms[..., None]
+    # coef (u_vec - cos u_rows) / row_norms, written into u_rows: (b, A, width)
+    # temporaries at large chunks would grow and trim the heap on every call
+    drows = np.multiply(cos[..., None], u_rows, out=u_rows)
+    np.subtract(u_vec[:, None, :], drows, out=drows)
+    drows *= coef[..., None]
+    drows /= row_norms[..., None]
     return dvec, drows
 
 
@@ -586,24 +610,25 @@ def _backward(params: ModelParams, chunk: _Chunk, cache: dict, d_vt: np.ndarray,
     question qv into grads; grads["frame_map"] collects those of the frame
     map M (_frame_map).
 
-    The forward reads S and Vm only through vectors (H0 = S Vm and
-    H1 = (S * G) Vm are never formed), so dS and dVm are each one product over
-    a length-4 axis; dV and dP are written into one (b, n, width + d_v)
-    buffer."""
+    The forward reads S and Vm = [F 1] Mv only through vectors (H0 = S Vm,
+    H1 = (S * G) Vm and Vm itself are never formed), so dS is one product
+    over a length-4 axis, and Mv's gradient one product of the four
+    (d_v + 1)-vectors z = [F 1]^T s that the reads Vm^T s formed with the
+    four width-vectors x they met."""
     P = params.arrays
     ws = chunk.ws
-    S, G, Vm = cache["S"], cache["G"], cache["Vm"]
+    S, G, F, Mv = cache["S"], cache["G"], chunk.F, cache["Mv"]
     alpha, trace = cache["alpha"], cache["trace"]
     Vu, St = cache["Vu"], cache["St"]
-    b, n, w = Vm.shape
+    b, n, d1 = F.shape
 
     # pooling: v_t = Vm^T (G * S^T trace), trace = softmax(p), p = S (G * Vm u)
-    Vd = _mv(Vm, d_vt)
+    Vd = _mv(F, d_vt @ Mv.T)
     GVd = G * Vd
     dp = _softmax_backward(trace, _mv(S, GVd))
     Sdp = _vm(dp, S)
-    GSdp = G * Sdp
-    grads["u"] += GSdp.reshape(b * n) @ Vm.reshape(b * n, w)
+    zp = _vm(G * Sdp, F)
+    grads["u"] += zp.sum(axis=0) @ Mv
     dG = St * Vd + Sdp * Vu
 
     # Gaussian weights -> (mu, sigma) -> (z_mu, z_sg)
@@ -630,34 +655,33 @@ def _backward(params: ModelParams, chunk: _Chunk, cache: dict, d_vt: np.ndarray,
     d_alpha += dm1[:, None] * cache["x"]
 
     # c = Vm^T (S^T alpha); alpha = softmax(e), e = S (Vm g), g = W_g qv
-    Vdc = _mv(Vm, dc)
+    Vdc = _mv(F, dc @ Mv.T)
     d_alpha += _mv(S, Vdc)
     de = _softmax_backward(alpha, d_alpha)
-    Sde = _vm(de, S)
-    dg = _vm(Sde, Vm)
+    ze = _vm(_vm(de, S), F)
+    dg = ze @ Mv
     grads["W_g"] += dg.T @ cache["qv"]
     d_qv += dg @ P["W_g"]
 
-    # dS = trace (x) G Vm d_vt + dp (x) G Vm u + alpha (x) Vm dc + de (x) Vm g,
-    # dVm = G S^T trace (x) d_vt + G S^T dp (x) u + S^T alpha (x) dc + S^T de (x) g
+    # dS = trace (x) G Vm d_vt + dp (x) G Vm u + alpha (x) Vm dc + de (x) Vm g
     dS = np.matmul(np.stack((trace, dp, alpha, de), axis=2),
                    np.stack((GVd, G * Vu, Vdc, cache["Vg"]), axis=1), out=ws.dS)
-    dVP = ws.dVP
-    np.matmul(np.stack((G * St, GSdp, cache["Sa"], Sde), axis=2),
-              np.stack((d_vt, np.broadcast_to(P["u"], d_vt.shape), dc, cache["g"]), axis=1),
-              out=dVP[..., :w])
+    # dVm = G S^T trace (x) d_vt + G S^T dp (x) u + S^T alpha (x) dc + S^T de (x) g,
+    # so dMv = [F 1]^T dVm sums z (x) x over the batch rows of the four pairs
+    d_map = grads["frame_map"]
+    w = Mv.shape[1]
+    d_map[:, :w] += (np.concatenate((cache["zt"], zp, cache["za"], ze)).T
+                     @ np.concatenate((d_vt, np.broadcast_to(P["u"], d_vt.shape), dc,
+                                       cache["g"])))
 
     # S = softmax(P F^T, rows); F is data, so only dP = dZ F
     dS -= np.multiply(dS, S, out=ws.nn).sum(axis=-1, keepdims=True)
     dZ = dS
     dZ *= S
-    np.matmul(dZ, chunk.F, out=dVP[..., w:])
-    dVP = dVP.reshape(b * n, -1)
+    dP = np.matmul(dZ, ws.frames, out=ws.dP)
 
-    # [V | P] = F M[:d_v] + M[d_v]
-    d_v = chunk.F.shape[2]
-    grads["frame_map"][:d_v] += chunk.F.reshape(b * n, d_v).T @ dVP
-    grads["frame_map"][d_v] += dVP.sum(axis=0)
+    # P = [F 1] M[:, width:]
+    d_map[:, w:] += F.reshape(b * n, d1).T @ dP.reshape(b * n, d1 - 1)
 
     # qv = question W_t + b_t (d_qv accumulated from fusion + grounding head)
     grads["W_t"] += chunk.q.T @ d_qv

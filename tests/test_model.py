@@ -513,9 +513,11 @@ class TestCheckpoint:
         {"version": 1, "config": {"d_v": 5, "d_t": 6, "width": 8.0}},
         {"version": 1, "config": {"d_v": 5, "d_t": 6, "width": 0}},
         {"version": 1, "config": {"d_v": 5, "d_t": 6, "width": 8, "temperature": math.nan}},
+        {"version": 1, "config": {"d_v": 5, "d_t": 6, "width": 8, "temperature": math.inf}},
         {"version": 2, "config": {"d_v": 5, "d_t": 6, "width": 8}},
     ], ids=["missing", "not-json", "list", "no-version", "no-config", "unknown-key",
-            "string-width", "float-width", "zero-width", "nan-temperature", "version-2"])
+            "string-width", "float-width", "zero-width", "nan-temperature", "inf-temperature",
+            "version-2"])
     def test_bad_meta_names_the_file(self, tmp_path, meta):
         def edit(arrays):
             if meta is None:
@@ -693,15 +695,32 @@ class TestEngine:
         monkeypatch.setattr(model, "CHUNK_FRAMES", 8)
         chunks = list(model._chunks(params, mixed_batch(rng)))
         assert [c.index for c in chunks] == [[0, 3], [6], [1], [4], [2, 5]]
-        assert [c.F.shape for c in chunks] == [(2, 4, 5), (1, 4, 5), (1, 6, 5), (1, 6, 5),
-                                              (2, 4, 5)]
+        # d_v 5 frames and their ones column
+        assert [c.F.shape for c in chunks] == [(2, 4, 6), (1, 4, 6), (1, 6, 6), (1, 6, 6),
+                                              (2, 4, 6)]
         assert [c.answers.shape[1] for c in chunks] == [3, 3, 3, 3, 4]
 
-    def test_lone_episode_is_packed_as_views(self):
+    def test_lone_and_batched_chunks_share_a_workspace_and_its_ones_column(self, monkeypatch):
+        # 4 frames per chunk: the batched call packs each of its episodes into
+        # the lone episode's (1, 4, 3) workspace, between two lone calls
         rng = np.random.default_rng(42)
+        params = init_params(SMALL, seed=42)
+        monkeypatch.setattr(model, "CHUNK_FRAMES", 4)
         ep = make_episode(rng)
-        (chunk,) = model._chunks(init_params(SMALL, seed=42), [ep])
-        assert chunk.F.base is ep.frames and chunk.answers.base is ep.answers
+        kept = copy.deepcopy(ep)
+        batch = mixed_batch(rng, frames=(4,) * 3, answers=(3,) * 3)
+        (lone,) = model._chunks(params, [ep])
+        assert all(c.ws is lone.ws for c in model._chunks(params, batch))
+        outputs = []
+        for eps in ([ep], batch, [ep]):
+            outputs.append(engine_outputs(params, eps, "ng+", 0.5))
+            assert np.all(lone.ws.F[..., SMALL.d_v] == 1.0)
+            for pred in outputs[-1][2]:
+                for arr in (pred.trace, pred.scores):
+                    assert not any(np.shares_memory(arr, buf) for buf in vars(lone.ws).values())
+        assert_identical(outputs[2], outputs[0])
+        for name in ("frames", "question", "answers"):
+            assert np.array_equal(getattr(ep, name), getattr(kept, name)), name
 
     @pytest.mark.parametrize("objective,alpha", OBJECTIVES)
     def test_batched_gradients_match_finite_differences(self, objective, alpha, config=SMALL,
@@ -1140,6 +1159,13 @@ class TestZeroNorm:
         negs = [None, [np.zeros(6), rng.normal(size=6)], None]
         with pytest.raises(model.ZeroNorm, match=r"candidate question 1 in episode 'q1' "):
             loss_and_gradients(params, eps, objective="ground", neg_questions=negs)
+
+
+@pytest.mark.parametrize("temperature", [0.0, -0.07, math.nan, math.inf])
+def test_temperature_must_be_positive_and_finite(temperature):
+    # an infinite temperature would make every cosine score 0
+    with pytest.raises(ValueError, match="temperature must be positive and finite"):
+        ModelConfig(5, 6, 8, temperature=temperature)
 
 
 class TestModelParams:
