@@ -77,6 +77,9 @@ class Episode:
             raise ShapeMismatch(f"{where}answers must be (A>=2, d_t), got {self.answers.shape}")
         if self.answers.shape[1] != self.question.shape[0]:
             raise ShapeMismatch(f"{where}answers and question disagree on text dim")
+        for name in ("frames", "question", "answers"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{where}non-finite value in {name}")
         if not 0 <= self.correct < self.answers.shape[0]:
             raise ValueError(f"{where}correct index {self.correct} outside "
                              f"[0, {self.answers.shape[0]})")
@@ -309,9 +312,11 @@ class _Workspace:
         # forward cache: the attention queries P and the self-attention
         self.P = np.empty((b, n, d_v))
         self.S = np.empty((b, n, n))
-        # backward: the attention and P gradients, and one (n, n) scratch
-        # product
+        # backward: the attention and P gradients, the two rank-4 operands
+        # of dS, and one (n, n) scratch product
         self.dS = np.empty((b, n, n))
+        self.dS_rows = np.empty((b, n, 4))
+        self.dS_cols = np.empty((b, 4, n))
         self.dP = np.empty((b, n, d_v))
         self.nn = np.empty((b, n, n))
 
@@ -372,10 +377,11 @@ def _chunks(params: ModelParams, episodes: Sequence[Episode]) -> Iterator[_Chunk
             part = index[lo:lo + size]
             eps = [episodes[i] for i in part]
             ws = _workspace(thread, len(part), n, A, d_v, d_t, c.width)
-            np.stack([ep.frames for ep in eps], out=ws.frames)
-            yield _Chunk(part, eps, ws.F,
-                         np.stack([ep.question for ep in eps], out=ws.q),
-                         np.stack([ep.answers for ep in eps], out=ws.answers), ws)
+            for j, ep in enumerate(eps):
+                ws.frames[j] = ep.frames
+                ws.q[j] = ep.question
+                ws.answers[j] = ep.answers
+            yield _Chunk(part, eps, ws.F, ws.q, ws.answers, ws)
 
 
 def _frame_map(params: ModelParams) -> np.ndarray:
@@ -664,8 +670,11 @@ def _backward(params: ModelParams, chunk: _Chunk, cache: dict, d_vt: np.ndarray,
     d_qv += dg @ P["W_g"]
 
     # dS = trace (x) G Vm d_vt + dp (x) G Vm u + alpha (x) Vm dc + de (x) Vm g
-    dS = np.matmul(np.stack((trace, dp, alpha, de), axis=2),
-                   np.stack((GVd, G * Vu, Vdc, cache["Vg"]), axis=1), out=ws.dS)
+    rows, cols = ws.dS_rows, ws.dS_cols
+    rows[..., 0], rows[..., 1], rows[..., 2], rows[..., 3] = trace, dp, alpha, de
+    cols[:, 0], cols[:, 2], cols[:, 3] = GVd, Vdc, cache["Vg"]
+    np.multiply(G, Vu, out=cols[:, 1])
+    dS = np.matmul(rows, cols, out=ws.dS)
     # dVm = G S^T trace (x) d_vt + G S^T dp (x) u + S^T alpha (x) dc + S^T de (x) g,
     # so dMv = [F 1]^T dVm sums z (x) x over the batch rows of the four pairs
     d_map = grads["frame_map"]

@@ -20,7 +20,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .metrics import LabelTable, evaluate
-from .model import PARAM_NAMES, Episode, ModelParams, loss_and_gradients, predict_episodes
+from .model import Episode, ModelParams, loss_and_gradients, predict_episodes
 from .synth import ConfigError, episodes_to_labels
 
 
@@ -76,27 +76,62 @@ ADAM_EPS = 1e-8
 
 
 class Adam:
-    """Standard Adam over a dict of named arrays, updated in place."""
+    """Standard Adam over a dict of named arrays, updated in place.
+
+    The moments m and v, and two scratch vectors, are flat buffers laid out
+    in the order of the arrays, so a step is a fixed handful of whole-buffer
+    numpy calls instead of a dozen per array. Each element is computed in the
+    order of the per-array update m = b1 m + (1 - b1) g,
+    v = b2 v + ((1 - b2) g) g, w -= lr (m / b1t) / (sqrt(v / b2t) + eps),
+    so the bits are those of that update."""
 
     def __init__(self, arrays: Mapping[str, np.ndarray], lr: float) -> None:
         self.arrays = arrays
         self.lr = lr
         self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in arrays.items()}
-        self.v = {k: np.zeros_like(v) for k, v in arrays.items()}
+        self.names = list(arrays)
+        offsets = np.cumsum([0] + [arrays[k].size for k in self.names]).tolist()
+        self.slices = [slice(lo, hi) for lo, hi in zip(offsets, offsets[1:])]
+        self.m = np.zeros(offsets[-1])
+        self.v = np.zeros(offsets[-1])
+        # the gathered gradient, later the update's denominator; and the
+        # moment increments, later the update itself
+        self._g = np.empty(offsets[-1])
+        self._s = np.empty(offsets[-1])
+        # each array's share of the update, as a view of its shape
+        self._steps = [self._s[sl].reshape(arrays[k].shape)
+                       for k, sl in zip(self.names, self.slices)]
 
-    def step(self, grads: Mapping[str, np.ndarray]) -> None:
+    def step(self, grads: Mapping[str, np.ndarray], scale: float = 1.0) -> None:
+        """One update from the gradients scale * grads. A non-finite gradient
+        raises NonFiniteLoss naming the first bad array, in the arrays'
+        order, before any moment or array changes."""
+        g, s = self._g, self._s
+        np.concatenate([grads[k] for k in self.names], axis=None, out=g)
+        if not np.isfinite(g).all():
+            bad = next(k for k, sl in zip(self.names, self.slices)
+                       if not np.isfinite(g[sl]).all())
+            raise NonFiniteLoss(f"non-finite gradient {bad}")
+        g *= scale
         self.t += 1
         b1t = 1.0 - ADAM_BETA1**self.t
         b2t = 1.0 - ADAM_BETA2**self.t
-        for name, g in grads.items():
-            m = self.m[name]
-            v = self.v[name]
-            m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
-            v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * g * g
-            self.arrays[name] -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + ADAM_EPS)
+        self.m *= ADAM_BETA1
+        np.multiply(g, 1.0 - ADAM_BETA1, out=s)
+        self.m += s
+        self.v *= ADAM_BETA2
+        np.multiply(g, 1.0 - ADAM_BETA2, out=s)
+        s *= g
+        self.v += s
+        # s = lr (m / b1t), g = sqrt(v / b2t) + eps, then s /= g
+        np.divide(self.m, b1t, out=s)
+        s *= self.lr
+        np.divide(self.v, b2t, out=g)
+        np.sqrt(g, out=g)
+        g += ADAM_EPS
+        s /= g
+        for name, d in zip(self.names, self._steps):
+            self.arrays[name] -= d
 
 
 # --- negative sampling ------------------------------------------------------
@@ -287,11 +322,10 @@ def train(
                 where = f"epoch {epoch}, batch starting {lo}, stage {objective}"
                 if not math.isfinite(batch_loss):
                     raise NonFiniteLoss(f"non-finite loss at {where}")
-                for name in PARAM_NAMES:
-                    if not np.all(np.isfinite(grads[name])):
-                        raise NonFiniteLoss(f"non-finite gradient {name} at {where}")
-                scale = 1.0 / len(batch)
-                adam.step({k: g * scale for k, g in grads.items()})
+                try:
+                    adam.step(grads, scale=1.0 / len(batch))
+                except NonFiniteLoss as exc:
+                    raise NonFiniteLoss(f"{exc} at {where}") from None
                 loss_sum += batch_loss
             val = _validate(params, val_episodes, val_labels, config.gamma)
             row = {"epoch": epoch, "stage": objective,

@@ -139,6 +139,17 @@ class TestEpisode:
         with pytest.raises(error, match="^episode 'q': "):
             Episode(**{**ep, **fields})
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", ["frames", "question", "answers"])
+    def test_non_finite_array_names_the_episode_and_field(self, field, value):
+        rng = np.random.default_rng(0)
+        ep = dict(frames=rng.normal(size=(4, 5)), question=rng.normal(size=6),
+                  answers=rng.normal(size=(3, 6)), correct=0, extent=VideoExtent(10.0),
+                  question_id="q")
+        ep[field].flat[-1] = value
+        with pytest.raises(ValueError, match=f"^episode 'q': non-finite value in {field}$"):
+            Episode(**ep)
+
     def test_shape_mismatch_is_the_gaussian_class(self):
         assert ShapeMismatch is gaussian.ShapeMismatch
 

@@ -113,6 +113,94 @@ def test_adam_zero_grad_is_noop():
     assert w[0] == 3.0
 
 
+class PerArrayAdam:
+    """The per-array Adam update, a dozen numpy calls per array, with the
+    gradients scaled before it: the reference the flat Adam must match bit
+    for bit."""
+
+    def __init__(self, arrays, lr):
+        self.arrays, self.lr, self.t = arrays, lr, 0
+        self.m = {k: np.zeros_like(v) for k, v in arrays.items()}
+        self.v = {k: np.zeros_like(v) for k, v in arrays.items()}
+
+    def step(self, grads, scale=1.0):
+        for name, g in grads.items():
+            if not np.all(np.isfinite(g)):
+                raise NonFiniteLoss(f"non-finite gradient {name}")
+        self.t += 1
+        b1t = 1.0 - trainer_module.ADAM_BETA1**self.t
+        b2t = 1.0 - trainer_module.ADAM_BETA2**self.t
+        for name, g in grads.items():
+            g = g * scale
+            m = self.m[name]
+            v = self.v[name]
+            m *= trainer_module.ADAM_BETA1
+            m += (1.0 - trainer_module.ADAM_BETA1) * g
+            v *= trainer_module.ADAM_BETA2
+            v += (1.0 - trainer_module.ADAM_BETA2) * g * g
+            self.arrays[name] -= (self.lr * (m / b1t)
+                                  / (np.sqrt(v / b2t) + trainer_module.ADAM_EPS))
+
+
+# 0-d, 1-d and 2-d, as a_mu, b_v and W_q are
+ADAM_SHAPES = {"a_mu": (), "b_v": (5,), "W_q": (5, 3)}
+
+
+def adam_pair(rng, lr=0.01):
+    start = {k: np.array(rng.normal(size=s)) for k, s in ADAM_SHAPES.items()}
+    flat_arrays = {k: v.copy() for k, v in start.items()}
+    ref_arrays = {k: v.copy() for k, v in start.items()}
+    return flat_arrays, Adam(flat_arrays, lr), ref_arrays, PerArrayAdam(ref_arrays, lr)
+
+
+def adam_grads(rng):
+    # magnitudes over eight decades, so the moments' roundings vary
+    return {k: np.array(rng.normal(size=s) * 10.0 ** rng.integers(-4, 4))
+            for k, s in ADAM_SHAPES.items()}
+
+
+def test_flat_adam_matches_the_per_array_update_bit_for_bit():
+    rng = np.random.default_rng(4)
+    flat_arrays, flat, ref_arrays, ref = adam_pair(rng)
+    held = dict(flat_arrays)
+    for t in range(1, 7):
+        grads = adam_grads(rng)
+        given = {k: g.copy() for k, g in grads.items()}
+        flat.step(grads, scale=1.0 / 3.0)
+        ref.step(grads, scale=1.0 / 3.0)
+        assert flat.t == ref.t == t
+        for i, k in enumerate(flat.names):
+            assert flat_arrays[k] is held[k] and flat_arrays[k].shape == ADAM_SHAPES[k]
+            assert np.array_equal(flat_arrays[k], ref_arrays[k]), (t, k)
+            assert np.array_equal(flat.m[flat.slices[i]], ref.m[k].ravel()), (t, k)
+            assert np.array_equal(flat.v[flat.slices[i]], ref.v[k].ravel()), (t, k)
+            assert np.array_equal(grads[k], given[k]), "step changed a gradient"
+
+
+def test_flat_adam_non_finite_gradient_changes_nothing():
+    rng = np.random.default_rng(5)
+    flat_arrays, flat, ref_arrays, ref = adam_pair(rng)
+    grads = adam_grads(rng)
+    flat.step(grads, scale=0.5)
+    ref.step(grads, scale=0.5)
+    before = (flat.t, flat.m.copy(), flat.v.copy(), {k: v.copy() for k, v in flat_arrays.items()})
+    bad = adam_grads(rng)
+    bad["b_v"][2] = np.nan
+    bad["W_q"][1, 1] = np.inf  # later in the arrays' order than b_v
+    with pytest.raises(NonFiniteLoss, match="^non-finite gradient b_v$"):
+        flat.step(bad, scale=0.5)
+    assert flat.t == before[0]
+    assert np.array_equal(flat.m, before[1]) and np.array_equal(flat.v, before[2])
+    for k, v in before[3].items():
+        assert np.array_equal(flat_arrays[k], v), k
+    # the failed step left no trace: the next one is the reference's second
+    grads = adam_grads(rng)
+    flat.step(grads, scale=0.5)
+    ref.step(grads, scale=0.5)
+    for k in ADAM_SHAPES:
+        assert np.array_equal(flat_arrays[k], ref_arrays[k]), k
+
+
 # --- negative sampling -------------------------------------------------------------
 
 def test_sample_negatives_distinct_and_counted(world):
@@ -304,6 +392,22 @@ def test_seed_reproducibility_ng(world):
     assert hist1 == hist2
     for k in best1.arrays:
         assert np.array_equal(best1.arrays[k], best2.arrays[k])
+
+
+def test_train_matches_the_per_array_adam_bit_for_bit(world, monkeypatch):
+    """A two-stage ng+ run, with a minibatch size that leaves a shorter tail,
+    ends in the same bits and history under the flat Adam as under the
+    per-array update fed pre-scaled gradients."""
+    _, train_eps, val_eps = world
+    cfg = TrainConfig(objective="ng+", stages=2, epochs=4, batch=24, lr=1e-3, patience=10,
+                      seed=2)
+    assert len(train_eps) % cfg.batch
+    best_flat, hist_flat = train(fresh_params(), train_eps, cfg, val_episodes=val_eps)
+    monkeypatch.setattr(trainer_module, "Adam", PerArrayAdam)
+    best_ref, hist_ref = train(fresh_params(), train_eps, cfg, val_episodes=val_eps)
+    assert hist_flat == hist_ref
+    for k in best_ref.arrays:
+        assert np.array_equal(best_flat.arrays[k], best_ref.arrays[k]), k
 
 
 def test_two_stage_plan_and_answer_freeze(world):
