@@ -259,8 +259,10 @@ def load_checkpoint(path: str | Path) -> ModelParams:
 # d_v dimensions: with A = (W_v W_q)(W_v W_k)^T / sqrt(width) and
 # r = (b_v W_q)(W_v W_k)^T / sqrt(width) they are (F A + r) F^T plus terms
 # constant along each row, which cancel in the row softmax. So frames map to
-# P = [F 1] [A; r] and the logits are P F^T; Q and K are never formed
-# (_frame_map builds the map once per call).
+# P = [F 1] [A; r] and the logits are P F^T; Q and K are never formed.
+# _frame_map builds the map and keeps the last one under a key of its source
+# arrays' bytes, so calls with unchanged weights (lone predicts) reuse it and
+# a call after any edit rebuilds it.
 #
 # The mask scales post-softmax attention per key frame, and the grounding
 # head and the pooling each read the attended values through one query
@@ -384,39 +386,63 @@ def _chunks(params: ModelParams, episodes: Sequence[Episode]) -> Iterator[_Chunk
             yield _Chunk(part, eps, ws.F, ws.q, ws.answers, ws)
 
 
-def _frame_map(params: ModelParams) -> np.ndarray:
-    """The (d_v + 1, width + d_v) frame map M = [Vb W_val | (Vb W_q)(W_v W_k)^T
-    / sqrt(width)] with Vb = [W_v; b_v], that is [Mv | [A; r]]: it multiplies
-    the frames with their ones column, [F 1], so its last row is the bias.
+# _frame_map's one memo entry, (key, M, Qm, Km), replaced whole on a miss
+_map_memo: tuple | None = None
+
+
+def _frame_map(params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (d_v + 1, width + d_v) frame map M = [Vb W_val | Qm Km^T / sqrt(width)]
+    with Vb = [W_v; b_v], Qm = Vb W_q and Km = W_v W_k, that is [Mv | [A; r]]:
+    it multiplies the frames with their ones column, [F 1], so its last row is
+    the bias. Returns M and the products Qm and Km, all read-only.
 
     Per frame the forward costs (d_v + 1) d_v + n d_v multiply-adds for P and
     the logits, plus about d_v for each of the four value reads, instead of
     3 d_v width + n width for F [Q|K|V] and Q K^T, fewer while d_v < width:
     24 < 64 in the synthetic world, 5 < 8 in the tests. Wider features stay
-    exact, only slower."""
+    exact, only slower.
+
+    The last map is kept under a key of the width and each source array's
+    shape, dtype and bytes, so a call whose arrays hold the same bytes reuses
+    it, and an edit in place or a replaced array misses and rebuilds."""
+    global _map_memo
     P = params.arrays
     d_v, w = params.config.d_v, params.config.width
+    key = [w]
+    for name in ("W_v", "b_v", "W_q", "W_k", "W_val"):
+        arr = P[name]
+        key += (arr.shape, arr.dtype.str, arr.tobytes())
+    key = tuple(key)
+    memo = _map_memo
+    if memo is not None and memo[0] == key:
+        return memo[1:]
     Vb = np.concatenate((P["W_v"], P["b_v"][None]))
     M = np.empty((d_v + 1, w + d_v))
     np.matmul(Vb, P["W_val"], out=M[:, :w])
+    Qm, Km = Vb @ P["W_q"], P["W_v"] @ P["W_k"]
     # scaling the small key block costs less than scaling the strided [A; r]
-    np.matmul(Vb @ P["W_q"], (P["W_v"] @ P["W_k"]).T * (1.0 / math.sqrt(w)), out=M[:, w:])
-    return M
+    np.matmul(Qm, Km.T * (1.0 / math.sqrt(w)), out=M[:, w:])
+    for arr in (M, Qm, Km):
+        arr.flags.writeable = False
+    _map_memo = (key, M, Qm, Km)
+    return M, Qm, Km
 
 
-def _frame_map_grads(params: ModelParams, d_map: np.ndarray) -> dict[str, np.ndarray]:
+def _frame_map_grads(params: ModelParams, Qm: np.ndarray, Km: np.ndarray,
+                     d_map: np.ndarray) -> dict[str, np.ndarray]:
     """The gradients of W_v, b_v, W_q, W_k and W_val from d_map, the gradient
-    of _frame_map's M = [Vb W_val | Qm Km^T / sqrt(width)] with Qm = Vb W_q
-    and Km = W_v W_k. Km has no bias row: the key bias b_v W_k only shifts
-    each row of the logits, which the softmax ignores, so it has no path."""
+    of _frame_map's M = [Vb W_val | Qm Km^T / sqrt(width)], given that call's
+    Qm = Vb W_q and Km = W_v W_k. Km has no bias row: the key bias b_v W_k
+    only shifts each row of the logits, which the softmax ignores, so it has
+    no path."""
     P = params.arrays
     d_v, w = params.config.d_v, params.config.width
     W_v = P["W_v"]
     Vb = np.concatenate((W_v, P["b_v"][None]))
     dV = d_map[:, :w]
     dA = d_map[:, w:] * (1.0 / math.sqrt(w))
-    dQm = dA @ (W_v @ P["W_k"])
-    dKm = dA.T @ (Vb @ P["W_q"])
+    dQm = dA @ Km
+    dKm = dA.T @ Qm
     dVb = dV @ P["W_val"].T + dQm @ P["W_q"].T
     return {"W_v": dVb[:d_v] + dKm @ P["W_k"].T, "b_v": dVb[d_v],
             "W_q": Vb.T @ dQm, "W_k": W_v.T @ dKm, "W_val": Vb.T @ dV}
@@ -425,9 +451,10 @@ def _frame_map_grads(params: ModelParams, d_map: np.ndarray) -> dict[str, np.nda
 def _softmax(z: np.ndarray) -> np.ndarray:
     """Softmax over the last axis, computed in z's own buffer (callers pass a
     temporary): the (b, n, n) attention stays one allocation."""
-    # the ufunc reductions are what ndarray.max and .sum call, without their
-    # Python wrappers: three softmaxes run per lone-episode forward
-    z -= np.maximum.reduce(z, axis=-1, keepdims=True)
+    # ufunc reductions skip ndarray.max's and .sum's Python wrappers: three
+    # softmaxes run per lone-episode forward. fmax gives maximum's output for
+    # every row (a NaN row comes out all NaN either way) and reduces faster
+    z -= np.fmax.reduce(z, axis=-1, keepdims=True)
     np.exp(z, out=z)
     z /= np.add.reduce(z, axis=-1, keepdims=True)
     return z
@@ -765,7 +792,7 @@ def _objective(
     P = params.arrays
     answer_term = objective in ("ng", "ng+")
     scale = {"ng": 0.0, "ground": 1.0, "ng+": alpha}[objective]
-    M = _frame_map(params)
+    M, Qm, Km = _frame_map(params)
     grads = None
     if backward:
         grads = {name: np.zeros_like(arr) for name, arr in P.items()}
@@ -780,7 +807,7 @@ def _objective(
                               if backward else None)
         total += loss
     if backward:
-        grads.update(_frame_map_grads(params, grads.pop("frame_map")))
+        grads.update(_frame_map_grads(params, Qm, Km, grads.pop("frame_map")))
     return total, grads
 
 
@@ -793,14 +820,14 @@ def encode_video(
     (chunk,) = _chunks(params, [episode])
     n = episode.n_frames
     G = np.ones((1, n)) if mask is None else mask_weights(mask, n)[None]
-    pool = _pool(params, _encode_frames(params, chunk.F, _frame_map(params), chunk.ws), G)
+    pool = _pool(params, _encode_frames(params, chunk.F, _frame_map(params)[0], chunk.ws), G)
     return pool["v_t"][0], pool["trace"][0]
 
 
 def predict_gaussian(params: ModelParams, episode: Episode) -> GaussianMask:
     """The grounding head's mask for this episode (deterministic)."""
     (chunk,) = _chunks(params, [episode])
-    head = _ground(params, _encode_frames(params, chunk.F, _frame_map(params), chunk.ws),
+    head = _ground(params, _encode_frames(params, chunk.F, _frame_map(params)[0], chunk.ws),
                    chunk.q)
     return GaussianMask(head["mu"][0], head["sigma"][0])
 
@@ -893,7 +920,7 @@ def predict_episodes(
     """
     if window_source not in ("gauss", "attn", "fused"):
         raise ValueError(f"unknown window_source {window_source!r}")
-    M = _frame_map(params)
+    M = _frame_map(params)[0]
     out: list[EpisodePrediction | None] = [None] * len(episodes)
     for chunk in _chunks(params, episodes):
         cache = _forward(params, chunk, M)

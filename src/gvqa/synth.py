@@ -141,7 +141,8 @@ def generate(config: SynthConfig) -> list[Episode]:
             inside = _frames_inside(centers, moment)
 
             signal = config.signal_gain * _unit(question @ M_q + answers[correct] @ M_a)
-            wrong = int(rng.choice([a for a in range(config.n_answers) if a != correct]))
+            others = [a for a in range(config.n_answers) if a != correct]
+            wrong = others[int(rng.integers(len(others)))]
             distractor = config.out_gain * _unit(answers[wrong] @ M_a)
 
             frames = background.copy()

@@ -683,6 +683,37 @@ OBJECTIVES = [("ng", 0.0), ("ground", 0.0), ("ng+", 0.5)]
 WIDE = ModelConfig(d_v=20, d_t=6, width=8)
 
 
+def _softmax_by_maximum(z):
+    """The engine's in-place softmax with the row max taken by np.maximum."""
+    z -= np.maximum.reduce(z, axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= np.add.reduce(z, axis=-1, keepdims=True)
+    return z
+
+
+class TestSoftmax:
+    def test_random_rows_equal_the_maximum_reference(self):
+        rng = np.random.default_rng(90)
+        for shape in [(32, 32, 32), (8, 128, 128), (1700, 5), (1, 32, 32)]:
+            z = rng.normal(scale=30.0, size=shape)
+            assert np.array_equal(model._softmax(z.copy()), _softmax_by_maximum(z.copy()))
+
+    def test_special_values_equal_the_maximum_reference(self):
+        # rows drawn from NaN, +-inf and +-0 next to ordinary values, plus
+        # rows of only -inf, only signed zeros and only NaN
+        rng = np.random.default_rng(91)
+        pool = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.5, -2.0, 700.0])
+        z = rng.choice(pool, size=(400, 6))
+        z = np.concatenate((z, [[-np.inf] * 6, [0.0, -0.0] * 3, [-0.0] * 6, [np.nan] * 6]))
+        with np.errstate(all="ignore"):
+            got, want = model._softmax(z.copy()), _softmax_by_maximum(z.copy())
+        assert np.array_equal(got, want, equal_nan=True)
+        # a NaN row is all NaN either way, though not always with the same
+        # sign bit; every other entry matches bit for bit
+        numbers = ~np.isnan(want)
+        assert np.array_equal(got[numbers].view(np.uint64), want[numbers].view(np.uint64))
+
+
 class TestEngine:
     @pytest.mark.parametrize("objective,alpha", OBJECTIVES)
     def test_batched_matches_one_at_a_time(self, monkeypatch, objective, alpha):
@@ -997,7 +1028,7 @@ class TestDenseReference:
         for arr in P.values():
             arr += 0.1 * rng.normal(size=arr.shape)
         P["b_v"] += rng.normal(size=w)
-        M = model._frame_map(params)
+        M = model._frame_map(params)[0]
         for chunk in model._chunks(params, mixed_batch(rng)):
             S = model._encode_frames(params, chunk.F, M, chunk.ws)["S"]
             for j, ep in enumerate(chunk.episodes):
@@ -1018,8 +1049,10 @@ def engine_outputs(params, eps, objective, alpha):
 
 
 def cold_outputs(params, eps, objective, alpha):
-    """engine_outputs with every workspace freshly allocated."""
+    """engine_outputs with every workspace freshly allocated and the frame
+    map rebuilt."""
     model._workspace.cache_clear()
+    model._map_memo = None
     return engine_outputs(params, eps, objective, alpha)
 
 
@@ -1189,14 +1222,16 @@ class TestModelParams:
 
     @pytest.mark.parametrize("edit", ["in-place", "replaced", "deepcopy"])
     def test_every_edit_reaches_the_next_call(self, edit):
-        # after each edit the params give the loss and gradients of fresh
-        # params built from copies of their arrays, and not the old ones
+        # after each edit the params give the prediction, loss and gradients
+        # of fresh params built from copies of their arrays, and not the old
+        # ones, although the last call kept the frame map of the old arrays
         rng = np.random.default_rng(51)
         ep = make_episode(rng)
         for name in PARAM_NAMES:
             given = dict(init_params(SMALL, seed=51).arrays)
             params = ModelParams(dict(given), SMALL)
             before = loss_and_gradients(params, ep, objective="ng+", alpha=0.5)[0]
+            old = predict_episode(params, ep, window_source="fused")
             delta = 0.1 * rng.normal(size=given[name].shape)
             if edit == "in-place":
                 given[name] += delta
@@ -1206,11 +1241,104 @@ class TestModelParams:
                 params = copy.deepcopy(params)
                 params.arrays[name] += delta
             fresh = ModelParams({k: v.copy() for k, v in params.arrays.items()}, SMALL)
+            got = predict_episode(params, ep, window_source="fused")
+            ref = predict_episode(fresh, ep, window_source="fused")
+            assert (got.answer_index, got.window, got.mask) == (ref.answer_index, ref.window,
+                                                                ref.mask), name
+            assert np.array_equal(got.trace, ref.trace), name
+            assert np.array_equal(got.scores, ref.scores), name
+            assert not np.array_equal(got.scores, old.scores), name
             loss, grads = loss_and_gradients(params, ep, objective="ng+", alpha=0.5)
             want_loss, want = loss_and_gradients(fresh, ep, objective="ng+", alpha=0.5)
             assert loss == want_loss != before, name
             for k in want:
                 assert np.array_equal(grads[k], want[k]), (name, k)
+
+
+MAP_SOURCES = ("W_v", "b_v", "W_q", "W_k", "W_val")
+
+
+def cold_map(params):
+    """_frame_map built afresh."""
+    model._map_memo = None
+    return model._frame_map(params)
+
+
+class TestFrameMapMemo:
+    def test_equal_bytes_share_a_map(self):
+        params = init_params(SMALL, seed=52)
+        first = model._frame_map(params)
+        again = model._frame_map(params.copy())
+        assert all(a is b for a, b in zip(first, again))
+
+    @pytest.mark.parametrize("name", MAP_SOURCES)
+    def test_a_one_ulp_edit_builds_a_new_map(self, name):
+        rng = np.random.default_rng(53)
+        params = init_params(SMALL, seed=53)
+        for arr in params.arrays.values():
+            arr += rng.normal(size=arr.shape)
+        old = model._frame_map(params)
+        params.arrays[name].flat[3] = np.nextafter(params.arrays[name].flat[3], np.inf)
+        new = model._frame_map(params)
+        assert all(a is not b for a, b in zip(old, new))
+        for a, b in zip(new, cold_map(params)):
+            assert np.array_equal(a, b)
+
+    def test_the_sign_of_a_zero_builds_a_new_map(self):
+        # b_v starts at +0.0: -0.0 holds other bytes, though it compares equal
+        params = init_params(SMALL, seed=54)
+        old = model._frame_map(params)
+        params.arrays["b_v"][0] = -0.0
+        assert model._frame_map(params)[0] is not old[0]
+
+    def test_the_same_bytes_in_another_shape_still_raise(self):
+        params = init_params(SMALL, seed=55)
+        model._frame_map(params)
+        params.arrays["W_q"] = params.arrays["W_q"].reshape(4, 16)
+        with pytest.raises(ValueError):
+            model._frame_map(params)
+
+    def test_the_map_is_read_only(self):
+        for arr in model._frame_map(init_params(SMALL, seed=56)):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = 1.0
+
+    def test_the_memo_holds_no_caller_array(self):
+        params = init_params(SMALL, seed=57)
+        model._frame_map(params)
+        for part in model._map_memo[1:]:
+            assert not any(np.shares_memory(part, arr) for arr in params.arrays.values())
+
+    def test_threads_with_their_own_params_get_their_own_answers(self):
+        # two threads alternate lone predicts under different params, so the
+        # memo keeps changing hands; each gets the serial results of its own
+        rng = np.random.default_rng(58)
+        eps = [make_episode(rng, n=n) for n in (4, 6, 5)]
+        params = [init_params(SMALL, seed=s) for s in (58, 59)]
+        want = [[predict_episode(p, ep) for ep in eps] for p in params]
+        got = [[], []]
+        start = threading.Barrier(2)
+
+        def work(k):
+            start.wait()
+            for _ in range(200):
+                got[k].extend(predict_episode(params[k], ep) for ep in eps)
+
+        workers = [threading.Thread(target=work, args=(k,)) for k in (0, 1)]
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in workers)
+        for k in (0, 1):
+            assert len(got[k]) == 200 * len(eps)
+            for i, pred in enumerate(got[k]):
+                ref = want[k][i % len(eps)]
+                assert (pred.answer_index, pred.window, pred.mask) == (
+                    ref.answer_index, ref.window, ref.mask)
+                assert np.array_equal(pred.trace, ref.trace)
+                assert np.array_equal(pred.scores, ref.scores)
 
 
 # --- degenerate worlds ------------------------------------------------------------

@@ -155,6 +155,17 @@ def test_generator_stream_pinned():
     assert _stream_digest(generate(SynthConfig(n_episodes=40, seed=3))) == "1d8f9f75103d7c6d"
 
 
+@pytest.mark.parametrize("n_answers,digest", [
+    (2, "23528f56feeed79c"), (3, "f7d995958a9dd982"), (7, "c29cf6a1835e2754"),
+])
+def test_distractor_draw_stream_pinned(n_answers, digest):
+    """The distractor answer is one draw among the n_answers - 1 wrong ones,
+    down to a single wrong answer; digests recorded when the draw was
+    rng.choice over the list of wrong answers."""
+    config = SynthConfig(n_episodes=12, n_answers=n_answers, seed=5)
+    assert _stream_digest(generate(config)) == digest
+
+
 def test_oracle_grounding(eps):
     ep = eps[0]
     assert oracle_grounding(ep) == ep.gt_moment
