@@ -81,7 +81,11 @@ TRAIN_DEFAULTS = {
     "lr": 2e-3,
     "patience": 10,
 }
-EXTRA_KEYS = {"width": int, "timelines": int}
+# the keys that configure neither dataclass, with their defaults (each
+# parsed as its default's type)
+EXTRA_DEFAULTS = {"width": 64, "timelines": 8}
+# every train-synth flag sets the config key named by its dest
+FLAG_KEYS = ("seed", "objective", "alpha", "gamma", "n_frames", "epochs")
 
 
 def parse_config_file(path: Path) -> dict[str, str]:
@@ -112,13 +116,17 @@ def _coerce(key: str, value: str, typ: str) -> object:
 def _split_config(file_values: dict[str, str], args: argparse.Namespace,
                   synth_cls: type, train_cls: type) -> tuple[dict, dict, dict]:
     """Merge config file and flags into synth/train/extra keyword dicts for
-    the two config dataclasses."""
+    the two config dataclasses. Each set flag is read as its config key after
+    the file's keys, so a flag wins; str of a float flag is its repr, which
+    parses back to the same float."""
     synth_fields = {f.name: f.type for f in dataclasses.fields(synth_cls)}
     train_fields = {f.name: f.type for f in dataclasses.fields(train_cls)}
     synth: dict = {}
     train_kw: dict = {}
-    extra: dict = {"width": 64, "timelines": 8}
-    for key, value in file_values.items():
+    extra = dict(EXTRA_DEFAULTS)
+    flags = [(key, str(getattr(args, key))) for key in FLAG_KEYS
+             if getattr(args, key) is not None]
+    for key, value in [*file_values.items(), *flags]:
         scope, _, name = key.partition(".")
         if key == "seed":
             synth["seed"] = train_kw["seed"] = _coerce(key, value, "int")
@@ -126,27 +134,14 @@ def _split_config(file_values: dict[str, str], args: argparse.Namespace,
             synth[name] = _coerce(key, value, synth_fields[name])
         elif scope == "train" and name in train_fields:
             train_kw[name] = _coerce(key, value, train_fields[name])
-        elif key in EXTRA_KEYS:
-            extra[key] = _coerce(key, value, EXTRA_KEYS[key].__name__)
+        elif key in EXTRA_DEFAULTS:
+            extra[key] = _coerce(key, value, type(EXTRA_DEFAULTS[key]).__name__)
         elif key in synth_fields and key not in train_fields:
             synth[key] = _coerce(key, value, synth_fields[key])
         elif key in train_fields and key not in synth_fields:
             train_kw[key] = _coerce(key, value, train_fields[key])
         else:
             raise annotations.ValidationError(f"unknown config key {key!r}")
-    # flags override the file
-    if args.seed is not None:
-        synth["seed"] = train_kw["seed"] = args.seed
-    if args.objective is not None:
-        train_kw["objective"] = args.objective
-    if args.alpha is not None:
-        train_kw["alpha"] = args.alpha
-    if args.gamma is not None:
-        train_kw["gamma"] = args.gamma
-    if args.frames is not None:
-        synth["n_frames"] = args.frames
-    if args.epochs is not None:
-        train_kw["epochs"] = args.epochs
     if extra["timelines"] < 0:
         raise annotations.ValidationError(f"timelines must be >= 0, got {extra['timelines']}")
     defaults = dict(TRAIN_DEFAULTS)
@@ -247,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--epochs", type=int)
     p_train.add_argument("--alpha", type=float)
     p_train.add_argument("--gamma", type=float)
-    p_train.add_argument("--frames", type=int)
+    p_train.add_argument("--frames", dest="n_frames", type=int)
     p_train.add_argument("-o", "--out", default="gvqa_out")
     return parser
 

@@ -31,6 +31,10 @@ MAX_ANSWER_INDEX = int(np.iinfo(np.int64).max)
 class UnknownQuestionId(KeyError):
     """A prediction references a question that is not in the label set."""
 
+    def __str__(self) -> str:
+        # KeyError's own str is the repr of the bare id
+        return f"prediction for question {self.args[0]!r}, which is not in the labels"
+
 
 class DuplicatePrediction(ValueError):
     """Two predictions share a question id."""

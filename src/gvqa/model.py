@@ -80,6 +80,10 @@ class Episode:
         for name in ("frames", "question", "answers"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{where}non-finite value in {name}")
+        try:
+            operator.index(self.correct)
+        except TypeError:
+            raise ValueError(f"{where}correct index {self.correct!r} is not an integer") from None
         if not 0 <= self.correct < self.answers.shape[0]:
             raise ValueError(f"{where}correct index {self.correct} outside "
                              f"[0, {self.answers.shape[0]})")
@@ -252,8 +256,8 @@ def load_checkpoint(path: str | Path) -> ModelParams:
 # into chunks of at most CHUNK_FRAMES frames (at least one episode). A chunk
 # runs the stages _encode_frames (bilinear frame self-attention), _ground
 # (grounding head -> mask parameters), _pool (mask-scaled attention and
-# attention pooling) and _cosine_scores; _backward reverses them. A lone
-# episode is a chunk of one.
+# attention pooling) and _cosine_scores, all through _forward; _backward
+# reverses them. A lone episode is a chunk of one.
 #
 # The attention logits Q K^T / sqrt(width) are scored in the frames' own
 # d_v dimensions: with A = (W_v W_q)(W_v W_k)^T / sqrt(width) and
@@ -558,17 +562,21 @@ def _cosine_scores(rows: np.ndarray, vec: np.ndarray, temperature: float,
             "scores": cos / temperature}
 
 
-def _forward(params: ModelParams, chunk: _Chunk, M: np.ndarray) -> dict:
+def _forward(params: ModelParams, chunk: _Chunk, M: np.ndarray,
+             G: np.ndarray | None = None) -> dict:
     """Full forward pass of a chunk; returns every intermediate of backprop.
 
-    A NaN head output (non-finite parameters) gives NaN frame weights, so
-    the failure reaches the loss, where the trainer reports it, instead of
-    raising in GaussianMask.
+    The pooling runs under the frame weights G, (b, n), when the caller gives
+    them, and under the head's Gaussian weights otherwise; the head runs
+    either way. A NaN head output (non-finite parameters) gives NaN frame
+    weights, so the failure reaches the loss, where the trainer reports it,
+    instead of raising in GaussianMask.
     """
     P = params.arrays
     cache = _encode_frames(params, chunk.F, M, chunk.ws)
     cache.update(_ground(params, cache, chunk.q))
-    G = gaussian_weights(cache["x"], cache["mu"][:, None], cache["sigma"][:, None])
+    if G is None:
+        G = gaussian_weights(cache["x"], cache["mu"][:, None], cache["sigma"][:, None])
     cache.update(_pool(params, cache, G))
     f = cache["v_t"] + cache["qv"]
     b, A, d_t = chunk.answers.shape
@@ -820,16 +828,13 @@ def encode_video(
     (chunk,) = _chunks(params, [episode])
     n = episode.n_frames
     G = np.ones((1, n)) if mask is None else mask_weights(mask, n)[None]
-    pool = _pool(params, _encode_frames(params, chunk.F, _frame_map(params)[0], chunk.ws), G)
-    return pool["v_t"][0], pool["trace"][0]
+    cache = _forward(params, chunk, _frame_map(params)[0], G)
+    return cache["v_t"][0], cache["trace"][0]
 
 
 def predict_gaussian(params: ModelParams, episode: Episode) -> GaussianMask:
     """The grounding head's mask for this episode (deterministic)."""
-    (chunk,) = _chunks(params, [episode])
-    head = _ground(params, _encode_frames(params, chunk.F, _frame_map(params)[0], chunk.ws),
-                   chunk.q)
-    return GaussianMask(head["mu"][0], head["sigma"][0])
+    return predict_episode(params, episode).mask
 
 
 def fuse_windows(gauss_win: TemporalSegment, attn_win: TemporalSegment) -> TemporalSegment:
@@ -862,30 +867,27 @@ def loss_and_gradients(
     episodes: Episode | Sequence[Episode],
     objective: str = "ng",
     alpha: float = 1.0,
-    pos_question: np.ndarray | Sequence[np.ndarray | None] | None = None,
-    neg_questions: Sequence[np.ndarray] | Sequence[Sequence[np.ndarray] | None] | None = None,
+    pos_question: Sequence[np.ndarray | None] | None = None,
+    neg_questions: Sequence[Sequence[np.ndarray] | None] | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Loss and full parameter gradients, for one episode or summed over many.
+    """Loss and full parameter gradients, summed over the episodes; a lone
+    Episode is a batch of one.
 
     objective: "ng" (answer CE), "ground" (grounding CE only, the stage-1
     pretraining term), or "ng+" (answer CE + alpha * grounding CE).
 
-    With one Episode, pos_question is its positive question variant and
-    neg_questions its list of negatives (None: the episode's own). With a
-    sequence of episodes both are per-episode sequences of those, or None
-    for every episode's own.
+    pos_question and neg_questions are per-episode sequences: each episode's
+    positive question variant and its list of negatives, None for its own.
+    None for the whole argument means every episode's own.
     """
-    if isinstance(episodes, Episode):
-        episodes, pos_question, neg_questions = [episodes], [pos_question], [neg_questions]
-    else:
-        episodes = list(episodes)
-        pos_question = [None] * len(episodes) if pos_question is None else list(pos_question)
-        neg_questions = [None] * len(episodes) if neg_questions is None else list(neg_questions)
-        if not len(pos_question) == len(neg_questions) == len(episodes):
-            raise ValueError(
-                f"{len(episodes)} episodes, {len(pos_question)} positive questions, "
-                f"{len(neg_questions)} negative lists"
-            )
+    episodes = [episodes] if isinstance(episodes, Episode) else list(episodes)
+    pos_question = [None] * len(episodes) if pos_question is None else list(pos_question)
+    neg_questions = [None] * len(episodes) if neg_questions is None else list(neg_questions)
+    if not len(pos_question) == len(neg_questions) == len(episodes):
+        raise ValueError(
+            f"{len(episodes)} episodes, {len(pos_question)} positive questions, "
+            f"{len(neg_questions)} negative lists"
+        )
     return _objective(params, episodes, objective, alpha, pos_question, neg_questions,
                       backward=True)
 

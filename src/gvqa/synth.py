@@ -17,7 +17,8 @@ the moment-only or the outside-moment frames.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -36,6 +37,18 @@ class ConfigError(ValueError):
 
 class NotSynthetic(ValueError):
     """Episode carries no planted moment."""
+
+
+def check_integers(config: object) -> None:
+    """ConfigError naming the first of the dataclass config's int fields whose
+    value is not an integer."""
+    for f in fields(config):
+        if f.type == "int":
+            value = getattr(config, f.name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -58,6 +71,10 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_integers(self)
+        for name in ("seed", "n_pos_variants"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.n_episodes < 1:
             raise ConfigError("n_episodes must be >= 1")
         if self.n_answers < 2:

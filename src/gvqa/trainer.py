@@ -21,7 +21,7 @@ import numpy as np
 
 from .metrics import LabelTable, evaluate
 from .model import Episode, ModelParams, loss_and_gradients, predict_episodes
-from .synth import ConfigError, episodes_to_labels
+from .synth import ConfigError, check_integers, episodes_to_labels
 
 
 class NonFiniteLoss(RuntimeError):
@@ -48,6 +48,9 @@ class TrainConfig:
     gamma: float = 1.0              # window multiplier for validation metrics
 
     def __post_init__(self) -> None:
+        check_integers(self)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.objective not in ("ng", "ng+"):
             raise ConfigError(f"objective must be 'ng' or 'ng+', got {self.objective!r}")
         if self.stages not in (1, 2):
@@ -270,6 +273,8 @@ def train(
     """
     if not episodes:
         raise ConfigError("no training episodes")
+    if not val_episodes:
+        raise ConfigError("no validation episodes")
 
     if len({ep.question_id for ep in val_episodes}) != len(val_episodes):
         raise ConfigError("validation episodes need distinct question ids")

@@ -22,6 +22,7 @@ from gvqa.metrics import (
     write_report_json,
 )
 from gvqa.synth import SynthConfig, episodes_to_labels, generate
+from gvqa.trainer import TrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +80,9 @@ def test_eval_unknown_question_exit_2(data, tmp_path, capsys):
     preds.write_text(json.dumps({"ghost": {"answer": 0, "start": 0.0, "end": 1.0}}))
     rc = main(["eval", str(preds), str(data / "labels.csv"), "-o", str(tmp_path)])
     assert rc == 2
+    # not the bare KeyError repr "error: 'ghost'"
+    assert capsys.readouterr().err == (
+        "error: prediction for question 'ghost', which is not in the labels\n")
 
 
 def test_stats_outputs(data, tmp_path, capsys):
@@ -179,6 +183,43 @@ def test_train_synth_flag_overrides_config_seed(tmp_path):
     assert main(["train-synth", "--config", str(cfg2), "--epochs", "1",
                  "-o", str(plain)]) == 0
     assert (flag / "labels.csv").read_bytes() == (plain / "labels.csv").read_bytes()
+
+
+@pytest.mark.parametrize("flag,key", [
+    (["--seed", "3"], "seed = 3"),
+    (["--frames", "16"], "n_frames = 16"),
+    (["--epochs", "2"], "epochs = 2"),
+    (["--alpha", "0.7"], "alpha = 0.7"),
+    (["--gamma", "0.9"], "gamma = 0.9"),
+    (["--objective", "ng"], "objective = ng"),
+])
+def test_each_flag_equals_its_config_key(tmp_path, flag, key):
+    outs = []
+    for name, extra, flags in (("flag", "", flag), ("key", key + "\n", [])):
+        cfg = tmp_path / f"{name}.cfg"
+        _write_cfg(cfg, "epochs = 1\n" + extra)
+        outs.append(tmp_path / name)
+        assert main(["train-synth", "--config", str(cfg), *flags, "-o", str(outs[-1])]) == 0
+    assert (outs[0] / "predictions.json").read_bytes() == (outs[1] / "predictions.json").read_bytes()
+
+
+def test_seed_flag_wins_over_both_file_seeds(tmp_path):
+    # the flag is read after the file's keys, so it sets the world seed that
+    # a later synth.seed line would otherwise keep
+    cfg = tmp_path / "run.cfg"
+    _write_cfg(cfg, "seed = 5\nsynth.seed = 9\n")
+    args = cli.build_parser().parse_args(["train-synth", "--config", str(cfg), "--seed", "3"])
+    synth_kw, train_kw, _ = cli._split_config(parse_config_file(cfg), args,
+                                              SynthConfig, TrainConfig)
+    assert synth_kw["seed"] == train_kw["seed"] == 3
+    # and end to end: the same outputs as the seed flag alone
+    plain = tmp_path / "plain.cfg"
+    _write_cfg(plain)
+    for name, path in (("both", cfg), ("plain", plain)):
+        assert main(["train-synth", "--config", str(path), "--seed", "3", "--epochs", "1",
+                     "-o", str(tmp_path / name)]) == 0
+    for f in ("predictions.json", "labels.csv"):
+        assert (tmp_path / "both" / f).read_bytes() == (tmp_path / "plain" / f).read_bytes()
 
 
 @pytest.mark.parametrize("route", ["file", "flag"])

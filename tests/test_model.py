@@ -130,6 +130,8 @@ class TestEpisode:
         (ValueError, {"correct": 3}),
         (ValueError, {"correct": -1}),
         (ValueError, {"gt_moment": TemporalSegment(5.0, 12.0)}),
+        (ValueError, {"correct": 1.5}),
+        (ValueError, {"correct": np.float64(1.0)}),
     ])
     def test_errors_name_the_episode(self, error, fields):
         rng = np.random.default_rng(0)
@@ -315,7 +317,7 @@ class TestLosses:
         params = init_params(SMALL, seed=13)
         ep = make_episode(rng, A=3)
         with pytest.raises(NegativeCountMismatch):
-            loss_and_gradients(params, ep, objective="ground", neg_questions=[rng.normal(size=6)])
+            loss_and_gradients(params, ep, objective="ground", neg_questions=[[rng.normal(size=6)]])
 
     def test_pos_variant_substitution_changes_loss(self):
         rng = np.random.default_rng(16)
@@ -323,7 +325,7 @@ class TestLosses:
         ep = make_episode(rng)
         variant = ep.question + 0.5 * rng.normal(size=6)
         a = grounding_loss(params, ep)
-        b, _ = loss_and_gradients(params, ep, objective="ground", pos_question=variant)
+        b, _ = loss_and_gradients(params, ep, objective="ground", pos_question=[variant])
         assert a != b
 
 
@@ -402,10 +404,10 @@ class TestGradients:
 
         def loss_fn():
             return loss_and_gradients(params, ep, objective="ng+", alpha=1.0,
-                                      pos_question=variant)[0]
+                                      pos_question=[variant])[0]
 
         _, analytic = loss_and_gradients(params, ep, objective="ng+", alpha=1.0,
-                                         pos_question=variant)
+                                         pos_question=[variant])
         numeric = numeric_gradient(loss_fn, params)
         assert_grads_match(analytic, numeric)
 
@@ -661,8 +663,8 @@ def summed_singles(params, episodes, objective, alpha, pos=None, negs=None):
     for i, ep in enumerate(episodes):
         loss, g = loss_and_gradients(
             params, ep, objective=objective, alpha=alpha,
-            pos_question=None if pos is None else pos[i],
-            neg_questions=None if negs is None else negs[i],
+            pos_question=None if pos is None else [pos[i]],
+            neg_questions=None if negs is None else [negs[i]],
         )
         total += loss
         for k in grads:
@@ -1018,6 +1020,36 @@ class TestDenseReference:
             assert_close_to(pred.trace, ref["trace"], "trace")
             assert_close_to(pred.scores, ref["scores"], "scores")
 
+
+    @pytest.mark.parametrize("supplied", ["ones", "mask", "positive"])
+    def test_pooling_under_a_supplied_g(self, supplied):
+        # the caller-G forward against H1 = (S * G) V: no mask (ones) and a
+        # mask's weights through encode_video, and an arbitrary positive
+        # vector through the engine's forward
+        rng = np.random.default_rng(72)
+        params = init_params(SMALL, seed=72)
+        P, w = params.arrays, SMALL.width
+        for arr in P.values():
+            arr += 0.1 * rng.normal(size=arr.shape)
+        ep = make_episode(rng, n=7)
+        if supplied == "positive":
+            G = rng.uniform(0.05, 2.0, size=ep.n_frames)
+            (chunk,) = model._chunks(params, [ep])
+            cache = model._forward(params, chunk, model._frame_map(params)[0], G[None])
+            v_t, trace = cache["v_t"][0], cache["trace"][0]
+        elif supplied == "mask":
+            mask = GaussianMask(0.3, 0.2)
+            G = mask_weights(mask, ep.n_frames)
+            v_t, trace = encode_video(params, ep, mask)
+        else:
+            G = np.ones(ep.n_frames)
+            v_t, trace = encode_video(params, ep)
+        X = ep.frames @ P["W_v"] + P["b_v"]
+        S = np.stack([_softmax(z) for z in (X @ P["W_q"]) @ (X @ P["W_k"]).T / math.sqrt(w)])
+        H1 = (S * G) @ (X @ P["W_val"])
+        want_trace = _softmax(H1 @ P["u"])
+        assert_close_to(trace, want_trace, "trace")
+        assert_close_to(v_t, want_trace @ H1, "v_t")
 
     def test_attention_equals_the_softmax_of_dense_q_k(self):
         # with b_v of order 1 the terms of Q K^T that the bilinear logits

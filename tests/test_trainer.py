@@ -65,6 +65,28 @@ def test_config_validation():
             TrainConfig(**kwargs)
 
 
+def _int_fields(cls):
+    return [f"{cls.__name__}.{f.name}" for f in dataclasses.fields(cls) if f.type == "int"]
+
+
+@pytest.mark.parametrize("value", [2.5, np.float64(3.0)], ids=["2.5", "float64"])
+@pytest.mark.parametrize("target", [*_int_fields(TrainConfig), *_int_fields(SynthConfig)])
+def test_integer_field_rejects_a_float_naming_it(target, value):
+    # a float count used to pass the range checks and fail later, in train
+    # or generate, as a TypeError from range or numpy
+    owner, name = target.split(".")
+    with pytest.raises(ConfigError, match=f"^{name} must be an integer, got "):
+        {"TrainConfig": TrainConfig, "SynthConfig": SynthConfig}[owner](**{name: value})
+
+
+@pytest.mark.parametrize("cls,name", [(TrainConfig, "seed"), (SynthConfig, "seed"),
+                                      (SynthConfig, "n_pos_variants")])
+def test_negative_seed_or_variant_count_rejected(cls, name):
+    # a negative seed used to fail inside numpy; -1 variants silently meant 0
+    with pytest.raises(ConfigError, match=f"^{name} must be >= 0, got -1$"):
+        cls(**{name: -1})
+
+
 def _float_fields(cls):
     return [f"{cls.__name__}.{f.name}" for f in dataclasses.fields(cls) if f.type == "float"]
 
@@ -460,6 +482,15 @@ def test_empty_episodes_rejected(world):
     _, _, val_eps = world
     with pytest.raises(ConfigError):
         train(fresh_params(), [], TrainConfig(), val_episodes=val_eps)
+
+
+def test_empty_validation_set_rejected_before_training(world, monkeypatch):
+    # it used to train a full epoch, then fail in evaluate on the empty labels
+    _, train_eps, _ = world
+    monkeypatch.setattr(trainer_module, "loss_and_gradients", None)
+    with pytest.raises(ConfigError, match="^no validation episodes$"):
+        train(fresh_params(), train_eps, TrainConfig(objective="ng", epochs=1, seed=0),
+              val_episodes=[])
 
 
 def test_non_finite_loss_aborts(world):
