@@ -12,7 +12,8 @@ import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from itertools import repeat
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -150,10 +151,31 @@ def load_labels(path: str | Path) -> LabelTable:
 _BULK_ERRORS = (ValueError, TypeError, KeyError, OverflowError, csv.Error)
 
 
-def _bulk_table(qids: list, vids: list, durations: list, answers: list,
-                cells: list) -> LabelTable:
+def _bulk_table(qids: Iterable, vids: Iterable, durations: Iterable, answers: Iterable,
+                segments: tuple[list, list, object]) -> LabelTable:
     """One table from raw column values, converted by the builtins that
-    _build_label uses; raises one of _BULK_ERRORS if any row is bad."""
+    _build_label uses, and the (start, end, owner) segment columns; raises
+    one of _BULK_ERRORS if any row is bad."""
+    return LabelTable(list(map(str, qids)), list(map(str, vids)),
+                      list(map(float, durations)), list(map(int, answers)), *segments)
+
+
+def _csv_segments(cells: Sequence[str]) -> tuple[list, list, np.ndarray]:
+    """The segment columns of CSV cells, parsed all at once. Every chunk
+    between semicolons must hold exactly one colon; any other cell (an
+    empty or blank chunk, a stray colon) raises ValueError, and the
+    row-by-row reader reads the file instead."""
+    chunks = ";".join(cells).split(";")
+    if set(map(str.count, chunks, repeat(":"))) != {1}:
+        raise ValueError("a segment is not 'start:end'")
+    # float() ignores the whitespace that _parse_segments strips
+    values = list(map(float, ":".join(chunks).split(":")))
+    per_row = np.array(list(map(str.count, cells, repeat(";")))) + 1
+    return values[0::2], values[1::2], np.repeat(np.arange(len(cells)), per_row)
+
+
+def _json_segments(cells: Sequence[object]) -> tuple[list, list, list]:
+    """The segment columns of JSON cells, parsed cell by cell."""
     seg_start: list[float] = []
     seg_end: list[float] = []
     seg_owner: list[int] = []
@@ -162,9 +184,7 @@ def _bulk_table(qids: list, vids: list, durations: list, answers: list,
             seg_start.append(a)
             seg_end.append(b)
             seg_owner.append(row)
-    return LabelTable(list(map(str, qids)), list(map(str, vids)),
-                      list(map(float, durations)), list(map(int, answers)),
-                      seg_start, seg_end, seg_owner)
+    return seg_start, seg_end, seg_owner
 
 
 def _add_label(labels: dict[str, GroundingLabel], label: GroundingLabel, where: str) -> None:
@@ -184,12 +204,15 @@ def _load_csv(path: Path) -> LabelTable:
             raise ParseError(f"{path}: header missing columns {sorted(missing)}")
         try:
             rows = [row for row in reader if row]
-            # short and long rows take csv.DictReader's padding rules: row by row
-            if any(len(row) != len(header) for row in rows):
-                raise ValueError("ragged rows")
+            # short and long rows take csv.DictReader's padding rules, and a
+            # file without rows its message: row by row
+            if set(map(len, rows)) != {len(header)}:
+                raise ValueError("ragged or no rows")
             # a repeated column name reads its last column, as in csv.DictReader
             column = {name: i for i, name in enumerate(header)}
-            return _bulk_table(*([row[column[c]] for row in rows] for c in CSV_COLUMNS))
+            columns = list(zip(*rows))
+            *values, cells = (columns[column[c]] for c in CSV_COLUMNS)
+            return _bulk_table(*values, _csv_segments(cells))
         except _BULK_ERRORS:
             pass
     return LabelTable.of(_read_csv_rows(path))
@@ -214,7 +237,8 @@ def _load_json(path: Path) -> LabelTable:
     if not isinstance(raw, list):
         raise ParseError(f"{path}: expected a JSON array of rows")
     try:
-        return _bulk_table(*([row[c] for row in raw] for c in CSV_COLUMNS))
+        *values, cells = ([row[c] for row in raw] for c in CSV_COLUMNS)
+        return _bulk_table(*values, _json_segments(cells))
     except _BULK_ERRORS:
         pass
     return LabelTable.of(_read_json_rows(path, raw))

@@ -350,8 +350,11 @@ class _Chunk:
     ws: _Workspace
 
     def where(self, j: int) -> str:
-        return (f"episode {self.episodes[j].question_id!r} "
-                f"(position {self.index[j]} of the batch)")
+        return _where(self.episodes[j], self.index[j])
+
+
+def _where(episode: Episode, i: int) -> str:
+    return f"episode {episode.question_id!r} (position {i} of the batch)"
 
 
 def _chunks(params: ModelParams, episodes: Sequence[Episode]) -> Iterator[_Chunk]:
@@ -598,26 +601,50 @@ def _ce_from_scores(scores: np.ndarray, target: np.ndarray) -> tuple[np.ndarray,
     return loss, p
 
 
-def _candidate_questions(
-    chunk: _Chunk,
-    pos_question: Sequence[np.ndarray | None],
-    neg_questions: Sequence[Sequence[np.ndarray] | None],
-) -> np.ndarray:
-    """(b, A, d_t): per episode, the positive question (its own or the given
-    variant) followed by its A - 1 negatives, in the chunk's workspace."""
+def _candidates(
+    d_t: int,
+    episodes: Sequence[Episode],
+    pos_question: Sequence[np.ndarray | None] | None,
+    neg_questions: Sequence[Sequence[np.ndarray] | None] | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, start): every episode's candidate questions as rows of one
+    matrix. Episode i's positive (its own question or the given variant) and
+    its A_i - 1 negatives (its own or the given ones) are rows
+    start[i]:start[i] + A_i. Raises ShapeMismatch for a wrong dimension and
+    NegativeCountMismatch for a wrong count, naming the episode."""
+    A = np.array([ep.n_answers for ep in episodes])
+    start = np.cumsum(A) - A
+    rows = []
+    for i, (ep, a) in enumerate(zip(episodes, A.tolist())):
+        pos = ep.question if pos_question is None or pos_question[i] is None else pos_question[i]
+        pos = np.asarray(pos, dtype=float)
+        if pos.shape != (d_t,):
+            raise ShapeMismatch(f"positive question of shape {pos.shape} for "
+                                f"{_where(ep, i)}, need ({d_t},)")
+        negs = ep.neg_questions if neg_questions is None or neg_questions[i] is None \
+            else neg_questions[i]
+        try:
+            negs = np.asarray(negs, dtype=float)
+        except (TypeError, ValueError):
+            raise ShapeMismatch(f"ragged negative questions for {_where(ep, i)}") from None
+        if negs.shape != (a - 1, d_t):
+            if negs.ndim and negs.shape[0] != a - 1:
+                raise NegativeCountMismatch(f"need {a - 1} negative questions, got "
+                                            f"{negs.shape[0]} for {_where(ep, i)}")
+            raise ShapeMismatch(f"negative questions of shape {negs.shape} for "
+                                f"{_where(ep, i)}, need ({a - 1}, {d_t})")
+        rows += [pos[None], negs]
+    return np.concatenate(rows), start
+
+
+def _candidate_questions(chunk: _Chunk, rows: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """(b, A, d_t): per episode, its positive then its A - 1 negatives,
+    taken from _candidates' rows into the chunk's workspace by one take."""
     Qc = chunk.ws.Qc
-    A = Qc.shape[1]
-    for j, (i, ep) in enumerate(zip(chunk.index, chunk.episodes)):
-        negs = ep.neg_questions if neg_questions[i] is None else neg_questions[i]
-        if len(negs) != A - 1:
-            raise NegativeCountMismatch(
-                f"need {A - 1} negative questions, got {len(negs)} for {chunk.where(j)}"
-            )
-        pos = ep.question if pos_question[i] is None else np.asarray(pos_question[i], dtype=float)
-        if pos.shape != ep.question.shape:
-            raise ShapeMismatch(f"positive question dim mismatch for {chunk.where(j)}")
-        Qc[j, 0] = pos
-        Qc[j, 1:] = negs
+    b, A, d_t = Qc.shape
+    index = (start[chunk.index][:, None] + np.arange(A)).ravel()
+    # every index is in range; "clip" lets take write into out unbuffered
+    np.take(rows, index, axis=0, out=Qc.reshape(b * A, d_t), mode="clip")
     return Qc
 
 
@@ -738,13 +765,12 @@ def _chunk_objective(
     M: np.ndarray,
     answer_term: bool,
     scale: float,
-    pos_question: Sequence[np.ndarray | None],
-    neg_questions: Sequence[Sequence[np.ndarray] | None],
+    candidates: tuple[np.ndarray, np.ndarray] | None,
     grads: dict[str, np.ndarray] | None,
 ) -> float | None:
     """The chunk's summed loss: the answer term if answer_term, plus scale
-    times the grounding term. Adds the gradients into grads unless it is
-    None. Returns None for a non-finite head output."""
+    times the grounding term over _candidates' rows. Adds the gradients into
+    grads unless it is None. Returns None for a non-finite head output."""
     P = params.arrays
     T = params.temperature
     cache = _forward(params, chunk, M)
@@ -758,7 +784,7 @@ def _chunk_objective(
         loss_a, dscore = _ce_from_scores(cache["answer"]["scores"], correct)
         loss = loss_a
     if scale != 0.0:
-        Qc = _candidate_questions(chunk, pos_question, neg_questions)
+        Qc = _candidate_questions(chunk, *candidates)
         R = chunk.ws.R
         np.matmul(Qc.reshape(b * A, d_t), P["W_t"], out=R.reshape(b * A, w))
         R += P["b_t"]
@@ -790,8 +816,8 @@ def _objective(
     episodes: Sequence[Episode],
     objective: str,
     alpha: float,
-    pos_question: Sequence[np.ndarray | None],
-    neg_questions: Sequence[Sequence[np.ndarray] | None],
+    pos_question: Sequence[np.ndarray | None] | None,
+    neg_questions: Sequence[Sequence[np.ndarray] | None] | None,
     backward: bool,
 ) -> tuple[float, dict[str, np.ndarray] | None]:
     """Summed loss over the episodes and, when backward, summed gradients."""
@@ -800,6 +826,9 @@ def _objective(
     P = params.arrays
     answer_term = objective in ("ng", "ng+")
     scale = {"ng": 0.0, "ground": 1.0, "ng+": alpha}[objective]
+    candidates = None
+    if scale != 0.0:
+        candidates = _candidates(params.config.d_t, episodes, pos_question, neg_questions)
     M, Qm, Km = _frame_map(params)
     grads = None
     if backward:
@@ -807,8 +836,7 @@ def _objective(
         grads["frame_map"] = np.zeros_like(M)
     total = 0.0
     for chunk in _chunks(params, episodes):
-        loss = _chunk_objective(params, chunk, M, answer_term, scale,
-                                pos_question, neg_questions, grads)
+        loss = _chunk_objective(params, chunk, M, answer_term, scale, candidates, grads)
         if loss is None:
             # NaN head output: the loss and every gradient are NaN
             return math.nan, ({name: np.full_like(arr, np.nan) for name, arr in P.items()}
@@ -848,18 +876,18 @@ def fuse_windows(gauss_win: TemporalSegment, attn_win: TemporalSegment) -> Tempo
 
 def ng_loss(params: ModelParams, episode: Episode) -> float:
     """Answer cross-entropy under the predicted Gaussian mask."""
-    return _objective(params, [episode], "ng", 0.0, [None], [None], backward=False)[0]
+    return _objective(params, [episode], "ng", 0.0, None, None, backward=False)[0]
 
 
 def grounding_loss(params: ModelParams, episode: Episode) -> float:
     """Cross-entropy classifying the episode's question against its own
     negatives, using the masked video vector."""
-    return _objective(params, [episode], "ground", 1.0, [None], [None], backward=False)[0]
+    return _objective(params, [episode], "ground", 1.0, None, None, backward=False)[0]
 
 
 def ngplus_loss(params: ModelParams, episode: Episode, alpha: float = 1.0) -> float:
     """ng_loss + alpha * grounding_loss (alpha=0 collapses to ng_loss)."""
-    return _objective(params, [episode], "ng+", alpha, [None], [None], backward=False)[0]
+    return _objective(params, [episode], "ng+", alpha, None, None, backward=False)[0]
 
 
 def loss_and_gradients(
@@ -877,16 +905,16 @@ def loss_and_gradients(
     pretraining term), or "ng+" (answer CE + alpha * grounding CE).
 
     pos_question and neg_questions are per-episode sequences: each episode's
-    positive question variant and its list of negatives, None for its own.
-    None for the whole argument means every episode's own.
+    positive question variant and its negatives, None for its own. None for
+    the whole argument means every episode's own. Arrays are such sequences:
+    a (B, d_t) positive array, a (B, A - 1, d_t) negative array.
     """
     episodes = [episodes] if isinstance(episodes, Episode) else list(episodes)
-    pos_question = [None] * len(episodes) if pos_question is None else list(pos_question)
-    neg_questions = [None] * len(episodes) if neg_questions is None else list(neg_questions)
-    if not len(pos_question) == len(neg_questions) == len(episodes):
+    n_pos = len(episodes) if pos_question is None else len(pos_question)
+    n_neg = len(episodes) if neg_questions is None else len(neg_questions)
+    if not n_pos == n_neg == len(episodes):
         raise ValueError(
-            f"{len(episodes)} episodes, {len(pos_question)} positive questions, "
-            f"{len(neg_questions)} negative lists"
+            f"{len(episodes)} episodes, {n_pos} positive questions, {n_neg} negative lists"
         )
     return _objective(params, episodes, objective, alpha, pos_question, neg_questions,
                       backward=True)

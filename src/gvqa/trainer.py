@@ -9,7 +9,6 @@ snapshot.
 
 from __future__ import annotations
 
-import bisect
 import csv
 import math
 import warnings
@@ -140,91 +139,126 @@ class Adam:
 # --- negative sampling ------------------------------------------------------
 
 class NegativePool:
-    """Question vectors grouped by video for hard-negative draws.
+    """Question vectors of the training episodes, for hard-negative draws.
 
-    Every given episode's question is an entry, in the given order; a caller
-    that wants some questions never drawn as negatives leaves their episodes
-    out. Besides the entries themselves the pool keeps, for each video and
-    for each question id, the ascending positions of its entries, so a draw
-    can find or skip them without scanning the pool.
+    Entry i is the i-th given episode's question, so a pool built from
+    train()'s episodes has episode i at position i. sample_negatives names
+    the episodes it draws for by pool position, so every such episode must
+    be in the pool, at its own position. The pool is
+    held as columns: the (N, d_t) question matrix, each position's question
+    id and video id as integer codes, and every video's positions,
+    ascending. `fallbacks` counts the same-video slots that fell back to
+    other videos, over every draw from the pool.
     """
 
     def __init__(self, episodes: Sequence[Episode]) -> None:
-        self.entries: list[tuple[str, str, np.ndarray]] = []
-        self.video_positions: dict[str, list[int]] = {}
-        self.id_positions: dict[str, list[int]] = {}
-        for ep in episodes:
-            self.video_positions.setdefault(ep.video_id, []).append(len(self.entries))
-            self.id_positions.setdefault(ep.question_id, []).append(len(self.entries))
-            self.entries.append((ep.question_id, ep.video_id, ep.question))
-        if not self.entries:
+        if not episodes:
             raise ConfigError("negative pool is empty")
+        self.questions = np.stack([ep.question for ep in episodes])
+        id_codes: dict[str, int] = {}
+        video_codes: dict[str, int] = {}
+        self.ids = np.array([id_codes.setdefault(ep.question_id, len(id_codes))
+                             for ep in episodes])
+        self.videos = np.array([video_codes.setdefault(ep.video_id, len(video_codes))
+                                for ep in episodes])
+        # video v's positions are siblings[sibling_bounds[v]:sibling_bounds[v + 1]];
+        # rank[p] is position p's place among them
+        self.siblings = np.argsort(self.videos, kind="stable")
+        self.sibling_bounds = np.searchsorted(self.videos[self.siblings],
+                                              np.arange(len(video_codes) + 1))
+        self.rank = np.empty(len(episodes), dtype=np.intp)
+        self.rank[self.siblings] = (np.arange(len(episodes))
+                                    - self.sibling_bounds[self.videos[self.siblings]])
+        self.fallbacks = 0
 
 
 def sample_negatives(
     pool: NegativePool,
-    episode: Episode,
+    positions: np.ndarray,
     count: int,
     p_same_video: float,
     rng: np.random.Generator,
-) -> list[np.ndarray]:
-    """Draw `count` distinct negative questions for one episode.
+) -> np.ndarray:
+    """Draw `count` negatives for each of a minibatch's episodes, given as
+    their pool positions; returns the (b, count) pool positions drawn.
 
     Each slot comes from the episode's own video with probability
-    p_same_video, otherwise from other videos. When the chosen sub-pool has
-    no unused entries left the draw falls back to the other one (same-video
-    exhaustion additionally warns, since it silently changes hardness).
+    p_same_video, otherwise from other videos. An episode's negatives have
+    distinct question ids, none equal to its own. When the episode's video
+    has no unused entry left a same-video slot falls back to other videos,
+    counts in pool.fallbacks and warns InsufficientPool (at most once per
+    call, since it silently changes hardness); a cross-video slot with no
+    candidate left falls back to the video; with neither, ConfigError.
 
-    The draws and the generator stream match the list-scan definition: per
-    slot, the candidates are the same-video entries other than the episode's
-    question, or the other videos' entries, in pool order and minus every
-    entry whose question id is already picked, and the slot takes candidate
-    `rng.integers(len(candidates))`. Cross-video candidates are not listed;
-    the index is mapped onto the pool by stepping past the ascending
-    positions excluded from it. A call costs O(count * (siblings + count)),
-    whatever the pool size.
+    The draw is defined by this scalar procedure. First the whole minibatch's
+    `same[e, j] = rng.random() < p_same_video`, then its `u[e, j] =
+    rng.random()`, each in row-major order. Then for each episode e in
+    order, for each slot j in order, the tentative pick is the
+    `int(u * m)`-th of the m other positions of e's video in pool order
+    (same-video), or position `int(u * N)` of the N-entry pool
+    (cross-video). It is a conflict when its question id is e's own or one
+    already picked for e, when a same-video slot's video has no other
+    position, or when a cross-video pick lies in e's video. A conflict is
+    redrawn: the candidates are the wanted sub-pool's positions (e's video,
+    or every other video) whose ids are neither e's nor picked, in pool
+    order, and the slot takes candidate `int(rng.random() * len(candidates))`,
+    falling back as above. Here the tentative picks and their conflicts are
+    found with array calls; only episodes with a conflict run the loop.
     """
-    picked: set[str] = set()
-    out: list[np.ndarray] = []
-    # ascending positions no cross-video draw may take: the episode's own
-    # video, then every entry of a picked question id
-    excluded = list(pool.video_positions.get(episode.video_id, ()))
-    same_all = [pool.entries[p] for p in excluded]
+    positions = np.asarray(positions, dtype=np.intp)
+    b, n = len(positions), len(pool.ids)
+    video = pool.videos[positions]
+    own = pool.ids[positions]
+    lo = pool.sibling_bounds[video]
+    others = pool.sibling_bounds[video + 1] - lo - 1
+    same = rng.random((b, count)) < p_same_video
+    u = rng.random((b, count))
+    # skip the episode's own position; a video with no other position
+    # reads a neighbour's, which `clash` flags
+    k = (u * others[:, None]).astype(np.intp)
+    k += k >= pool.rank[positions][:, None]
+    sibling = pool.siblings[np.minimum(lo[:, None] + k, n - 1)]
+    picks = np.where(same, sibling, (u * n).astype(np.intp))
+    ids = pool.ids[picks]
+    clash = ((ids == own[:, None]) | (same & (others == 0)[:, None])
+             | (~same & (pool.videos[picks] == video[:, None])))
+    # an episode runs the loop if a slot conflicts by itself or two repeat an id
+    ranked = np.sort(ids, axis=1)
+    redo = np.flatnonzero(clash.any(axis=1) | (ranked[:, 1:] == ranked[:, :-1]).any(axis=1))
     warned = False
-    for _ in range(count):
-        same = [e for e in same_all if e[0] != episode.question_id and e[0] not in picked]
-        n_cross = len(pool.entries) - len(excluded)
-        want_same = rng.random() < p_same_video
-        if want_same and not same and not warned:
-            # constant text so the default warning filter prints it once, not
-            # once per episode
-            warnings.warn(
-                "same-video negatives exhausted; drawing cross-video",
-                InsufficientPool,
-                stacklevel=2,
-            )
-            warned = True
-        if want_same and same:
-            qid, _, q = same[int(rng.integers(len(same)))]
-        elif n_cross:
-            # the k-th position that is not excluded
-            pos = int(rng.integers(n_cross))
-            for e in excluded:
-                if e > pos:
-                    break
-                pos += 1
-            qid, _, q = pool.entries[pos]
-        elif same:
-            qid, _, q = same[int(rng.integers(len(same)))]
-        else:
-            raise ConfigError("negative pools exhausted; need more episodes")
-        picked.add(qid)
-        for p in pool.id_positions[qid]:
-            i = bisect.bisect_left(excluded, p)
-            if i == len(excluded) or excluded[i] != p:
-                excluded.insert(i, p)
-        out.append(q)
-    return out
+    rows = zip(redo.tolist(), picks[redo].tolist(), ids[redo].tolist(),
+               same[redo].tolist(), clash[redo].tolist())
+    for e, row, row_ids, wants, clashes in rows:
+        sibs = pool.siblings[lo[e]:lo[e] + others[e] + 1]
+        sib_ids = list(zip(sibs.tolist(), pool.ids[sibs].tolist()))
+        picked = [int(own[e])]
+        for j in range(count):
+            if clashes[j] or row_ids[j] in picked:
+                same_c = [p for p, q in sib_ids if q not in picked]
+                if wants[j] and same_c:
+                    cands = same_c
+                else:
+                    outside = pool.videos != video[e]
+                    for q in picked:
+                        outside &= pool.ids != q
+                    cands = np.flatnonzero(outside)
+                    if wants[j]:
+                        if not warned:
+                            # constant text so the default warning filter
+                            # prints it once, not once per minibatch
+                            warnings.warn("same-video negatives exhausted; drawing cross-video",
+                                          InsufficientPool, stacklevel=2)
+                            warned = True
+                        pool.fallbacks += bool(len(cands))
+                    if not len(cands):
+                        cands = same_c
+                if not len(cands):
+                    raise ConfigError("negative pools exhausted; need more episodes")
+                row[j] = int(cands[int(rng.random() * len(cands))])
+                row_ids[j] = int(pool.ids[row[j]])
+            picked.append(row_ids[j])
+        picks[e] = row
+    return picks
 
 
 # --- training loop -------------------------------------------------------------
@@ -269,7 +303,7 @@ def train(
     with the highest validation Acc@GQA within the final stage (the earliest
     on ties). Early stopping triggers after `patience` final-stage epochs
     without an improvement on it. History rows carry epoch, stage, train
-    loss and validation metrics as fractions.
+    loss, validation metrics as fractions, and the sampler's fallback count.
     """
     if not episodes:
         raise ConfigError("no training episodes")
@@ -306,20 +340,25 @@ def train(
         for _ in range(n_epochs):
             order = rng.permutation(len(episodes))
             loss_sum = 0.0
+            fallbacks = 0 if pool is None else pool.fallbacks
             for lo in range(0, len(order), config.batch):
-                batch = [episodes[i] for i in order[lo:lo + config.batch]]
-                # every draw comes before the engine call, in the per-episode
-                # order (negatives, then the positive swap), so the generator
-                # stream does not depend on how the engine batches
+                index = order[lo:lo + config.batch]
+                batch = [episodes[i] for i in index]
+                # one draw per minibatch, before the engine call: the
+                # negatives, then swap[e] = rng.random() < p_pos_swap and
+                # w[e] = rng.random() for every episode; an episode with m > 0
+                # variants and swap takes variant int(w * m) as its positive
                 negs = pos = None
                 if objective in ("ground", "ng+"):
-                    negs, pos = [], []
-                    for ep in batch:
-                        negs.append(sample_negatives(pool, ep, need, config.p_same_video, rng))
-                        swap = None
-                        if ep.pos_variants and rng.random() < config.p_pos_swap:
-                            swap = ep.pos_variants[int(rng.integers(len(ep.pos_variants)))]
-                        pos.append(swap)
+                    negs = pool.questions[sample_negatives(pool, index, need,
+                                                           config.p_same_video, rng)]
+                    swap = rng.random(len(index)) < config.p_pos_swap
+                    w = rng.random(len(index))
+                    pos = pool.questions[index]
+                    for j in np.flatnonzero(swap).tolist():
+                        variants = batch[j].pos_variants
+                        if variants:
+                            pos[j] = variants[int(w[j] * len(variants))]
                 batch_loss, grads = loss_and_gradients(
                     params, batch, objective=objective, alpha=config.alpha,
                     pos_question=pos, neg_questions=negs,
@@ -334,7 +373,8 @@ def train(
                 loss_sum += batch_loss
             val = _validate(params, val_episodes, val_labels, config.gamma)
             row = {"epoch": epoch, "stage": objective,
-                   "loss": loss_sum / len(episodes), **val}
+                   "loss": loss_sum / len(episodes), **val,
+                   "fallbacks": 0 if pool is None else pool.fallbacks - fallbacks}
             history.append(row)
             if on_epoch is not None:
                 on_epoch(row)
@@ -351,15 +391,19 @@ def train(
     return best_params, history
 
 
-HISTORY_COLUMNS = ("epoch", "stage", "loss", "acc_qa", "acc_gqa", "m_iop", "m_iou")
+HISTORY_COLUMNS = ("epoch", "stage", "loss", "acc_qa", "acc_gqa", "m_iop", "m_iou",
+                   "fallbacks")
 
 
 def write_history_csv(path: str | Path, history: Sequence[dict]) -> None:
     """Per-epoch curve file (metrics as fractions, loss in nats). acc_gqa is
-    the column early stopping selects on; stage names the epoch's objective."""
+    the column early stopping selects on; stage names the epoch's objective;
+    fallbacks counts the epoch's same-video negative slots that were drawn
+    from other videos."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(HISTORY_COLUMNS)
         for row in history:
             writer.writerow([row["epoch"], row["stage"]]
-                            + [f"{row[k]:.6f}" for k in HISTORY_COLUMNS[2:]])
+                            + [f"{row[k]:.6f}" for k in HISTORY_COLUMNS[2:-1]]
+                            + [row["fallbacks"]])

@@ -390,6 +390,38 @@ def test_valid_file_is_read_in_bulk(tmp_path, monkeypatch, corpus):
         assert dict(load_labels(tmp_path / name)) == corpus
 
 
+def _table_columns(table):
+    return (table.question_ids, table.video_ids, table.duration.tolist(),
+            table.answer.tolist(), table.seg_start.tolist(), table.seg_end.tolist(),
+            table.seg_owner.tolist())
+
+
+@pytest.mark.parametrize("cell, bulk", [
+    ("1:2;3:4;10:12.5", True),     # several segments
+    (" 1 : 2 ", True),             # float() ignores what the row reader strips
+    ("1:2;\n3:4", True),           # a quoted cell across two lines
+    ("1:2;", False),               # an empty chunk
+    ("1:2; ;3:4", False),          # a blank chunk
+    ("1:2:3", False),              # a stray colon: ParseError at its line
+    ("", False),                   # no segment: ParseError at its line
+])
+def test_segment_cells_read_alike_in_bulk_and_row_by_row(tmp_path, monkeypatch, cell, bulk):
+    # the cell sits between two plain rows, so a line number after it counts
+    path = write_rows(tmp_path, [["q1", "v", "30", "0", "1:2"], ["q2", "v", "30", "1", cell],
+                                 ["q3", "w", "30", "2", "5:6"]])
+
+    def rows(p):
+        return _table_columns(LabelTable.of(annotations._read_csv_rows(p)))
+
+    want = outcome(rows, path)
+    assert outcome(lambda p: _table_columns(load_labels(p)), path) == want
+    if bulk:
+        monkeypatch.setattr(annotations, "_build_label", None)
+        assert _table_columns(load_labels(path)) == want[1]
+    elif want[0] != "ok":
+        assert want[0] is ParseError and want[1].startswith("labels.csv:3: ")
+
+
 CSV_DURATIONS = ["30.0", "30.0", "12.5", "7", "1_0", " 2", "2.0", "nan", "inf", "-inf",
                  "0", "-3", "1e309", "forty", ""]
 CSV_ANSWERS = ["0", "0", "3", "1_0", " 2", "2.0", "-1", "x", "", str(2**63), str(2**63 - 1)]

@@ -319,6 +319,42 @@ class TestLosses:
         with pytest.raises(NegativeCountMismatch):
             loss_and_gradients(params, ep, objective="ground", neg_questions=[[rng.normal(size=6)]])
 
+    def test_scalar_negatives_do_not_broadcast(self):
+        # four scalars for A = 5 at d_t = 4 are four negatives of the wrong
+        # shape, not rows to broadcast across the candidate matrix
+        rng = np.random.default_rng(17)
+        params = init_params(ModelConfig(d_v=5, d_t=4, width=8), seed=15)
+        ep = dataclasses.replace(make_episode(rng, d_t=4, A=5), question_id="q7")
+        with pytest.raises(ShapeMismatch, match=r"episode 'q7' \(position 0 of the batch\)"):
+            loss_and_gradients(params, [ep], objective="ground",
+                               neg_questions=[[1.0, 2.0, 3.0, 4.0]])
+
+    def test_negatives_of_the_wrong_dimension_name_the_episode(self):
+        rng = np.random.default_rng(18)
+        params = init_params(ModelConfig(d_v=5, d_t=4, width=8), seed=16)
+        eps = [dataclasses.replace(make_episode(rng, d_t=4, A=5), question_id=f"q{i}")
+               for i in range(2)]
+        wide = [None, [rng.normal(size=5) for _ in range(4)]]
+        with pytest.raises(ShapeMismatch, match=r"episode 'q1' \(position 1 of the batch\)"):
+            loss_and_gradients(params, eps, objective="ground", neg_questions=wide)
+        # the same negatives as one array
+        with pytest.raises(ShapeMismatch, match=r"episode 'q0' \(position 0 of the batch\)"):
+            loss_and_gradients(params, eps, objective="ng+",
+                               pos_question=np.stack([ep.question for ep in eps]),
+                               neg_questions=rng.normal(size=(2, 4, 5)))
+
+    def test_negative_array_of_the_wrong_count_names_the_episode(self):
+        rng = np.random.default_rng(19)
+        params = init_params(SMALL, seed=17)
+        eps = [dataclasses.replace(make_episode(rng, A=A), question_id=f"q{i}")
+               for i, A in enumerate((3, 4))]
+        with pytest.raises(NegativeCountMismatch,
+                           match=r"need 3 negative questions, got 2 for episode 'q1' "
+                                 r"\(position 1 of the batch\)"):
+            loss_and_gradients(params, eps, objective="ground",
+                               pos_question=np.stack([ep.question for ep in eps]),
+                               neg_questions=rng.normal(size=(2, 2, 6)))
+
     def test_pos_variant_substitution_changes_loss(self):
         rng = np.random.default_rng(16)
         params = init_params(SMALL, seed=14)
@@ -732,6 +768,34 @@ class TestEngine:
         monkeypatch.setattr(model, "CHUNK_FRAMES", 8)
         assert_same_sums(loss_and_gradients(params, eps, objective=objective, alpha=alpha,
                                             pos_question=pos, neg_questions=negs), singles)
+
+    @pytest.mark.parametrize("objective,alpha", OBJECTIVES[1:])
+    def test_lists_and_arrays_give_the_same_bits(self, objective, alpha):
+        # per-episode lists with None entries (the episode's own questions)
+        # and the equivalent (B, d_t) and (B, A - 1, d_t) arrays
+        rng = np.random.default_rng(47)
+        params = init_params(SMALL, seed=47)
+        eps = mixed_batch(rng, frames=(4, 6, 4, 4, 6), answers=(3,) * 5)
+        pos = [None, eps[1].question + 0.2 * rng.normal(size=6), None, None,
+               eps[4].question + 0.1 * rng.normal(size=6)]
+        negs = [None, [rng.normal(size=6) for _ in range(2)], None,
+                list(rng.normal(size=(2, 6))), None]
+        pos_arr = np.stack([ep.question if p is None else p for ep, p in zip(eps, pos)])
+        neg_arr = np.stack([np.stack(ep.neg_questions if n is None else n)
+                            for ep, n in zip(eps, negs)])
+        own_pos = np.stack([ep.question for ep in eps])
+        own_neg = np.stack([np.stack(ep.neg_questions) for ep in eps])
+        for lists, arrays in (((pos, negs), (pos_arr, neg_arr)),
+                              ((None, None), (own_pos, own_neg)),
+                              (([None] * 5, [None] * 5), (own_pos, own_neg))):
+            want = loss_and_gradients(params, eps, objective=objective, alpha=alpha,
+                                      pos_question=lists[0], neg_questions=lists[1])
+            got = loss_and_gradients(params, eps, objective=objective, alpha=alpha,
+                                     pos_question=arrays[0], neg_questions=arrays[1])
+            assert got[0] == want[0]
+            assert list(got[1]) == list(want[1])
+            for name in want[1]:
+                assert np.array_equal(got[1][name], want[1][name]), name
 
     def test_chunks_bucket_by_shape_in_first_appearance_order(self, monkeypatch):
         rng = np.random.default_rng(41)

@@ -229,29 +229,28 @@ def test_sample_negatives_distinct_and_counted(world):
     eps, train_eps, _ = world
     pool = NegativePool(train_eps)
     rng = np.random.default_rng(0)
-    for ep in train_eps[:20]:
-        negs = sample_negatives(pool, ep, 2, 0.3, rng)
-        assert len(negs) == 2
-        assert not np.array_equal(negs[0], negs[1])
-        for q in negs:
-            assert not np.array_equal(q, ep.question)
+    picks = sample_negatives(pool, np.arange(20), 2, 0.3, rng)
+    assert picks.shape == (20, 2)
+    for i, row in enumerate(picks):
+        ids = [train_eps[p].question_id for p in row]
+        assert len(set(ids)) == 2
+        assert train_eps[i].question_id not in ids
+        for q in pool.questions[row]:
+            assert not np.array_equal(q, train_eps[i].question)
 
 
 def test_same_video_rate_monte_carlo(world):
     """Each negative slot picks a same-video question with the configured
-    probability; measured over 10^4 draws."""
+    probability; measured over 10^4 draws, in minibatches of 100."""
     _, train_eps, _ = world
     pool = NegativePool(train_eps)
     rng = np.random.default_rng(42)
-    ep = train_eps[0]
-    sib_bytes = {q.tobytes() for qid, vid, q in pool.entries
-                 if vid == ep.video_id and qid != ep.question_id}
     same = 0
     total = 0
-    for _ in range(5000):
-        for q in sample_negatives(pool, ep, 2, 0.3, rng):
-            same += q.tobytes() in sib_bytes
-            total += 1
+    for _ in range(50):
+        picks = sample_negatives(pool, np.zeros(100, dtype=int), 2, 0.3, rng)
+        same += int(np.sum(pool.videos[picks] == pool.videos[0]))
+        total += picks.size
     assert total == 10_000
     assert abs(same / total - 0.3) < 0.02
 
@@ -259,14 +258,14 @@ def test_same_video_rate_monte_carlo(world):
 def test_exhaustion_falls_back_with_warning(world):
     _, train_eps, _ = world
     pool = NegativePool(train_eps)
-    ep = train_eps[0]
     rng = np.random.default_rng(1)
+    siblings = sum(ep.video_id == train_eps[0].video_id for ep in train_eps[1:])
     # 3 siblings available but 5 slots forced to same-video
+    assert siblings == 3
     with pytest.warns(InsufficientPool):
-        negs = sample_negatives(pool, ep, 5, 1.0, rng)
-    assert len(negs) == 5
-    seen = {q.tobytes() for q in negs}
-    assert len(seen) == 5
+        (picks,) = sample_negatives(pool, [0], 5, 1.0, rng)
+    assert len({train_eps[p].question_id for p in picks}) == 5
+    assert pool.fallbacks == 5 - siblings
 
 
 def test_pools_exhausted_raises(world):
@@ -274,7 +273,7 @@ def test_pools_exhausted_raises(world):
     two = eps[:2]  # same video, one candidate each
     pool = NegativePool(two)
     with pytest.raises(ConfigError):
-        sample_negatives(pool, two[0], 3, 0.0, np.random.default_rng(0))
+        sample_negatives(pool, [0], 3, 0.0, np.random.default_rng(0))
 
 
 def test_empty_pool_rejected():
@@ -282,50 +281,68 @@ def test_empty_pool_rejected():
         NegativePool([])
 
 
-def _scan_sample_negatives(pool, episode, count, p_same_video, rng):
-    """The list-scan definition of the sampler: for every slot both candidate
-    lists are rebuilt from the whole pool, in pool order."""
-    picked = set()
+def _scan_sample_negatives(entries, positions, count, p_same_video, rng):
+    """The scalar list-scan definition of one minibatch's draw over a pool of
+    (question id, video id) entries: the same flags and the uniforms of the
+    whole minibatch, then per episode and slot a tentative pick that stands
+    unless it conflicts, and a conflict redrawn from the candidates, each
+    list rebuilt from the whole pool in pool order. Returns the positions
+    and the number of same-video slots that fell back."""
+    b = len(positions)
+    same = [[rng.random() < p_same_video for _ in range(count)] for _ in range(b)]
+    u = [[rng.random() for _ in range(count)] for _ in range(b)]
     out = []
-    same_all = [(qid, q) for qid, vid, q in pool.entries if vid == episode.video_id]
     warned = False
-    for _ in range(count):
-        same = [e for e in same_all if e[0] != episode.question_id and e[0] not in picked]
-        cross = [e for e in pool.entries
-                 if e[1] != episode.video_id and e[0] not in picked]
-        want_same = rng.random() < p_same_video
-        if want_same and not same and not warned:
-            warnings.warn("same-video negatives exhausted; drawing cross-video",
-                          InsufficientPool)
-            warned = True
-        if want_same and same:
-            qid, q = same[int(rng.integers(len(same)))]
-        elif cross:
-            qid, _, q = cross[int(rng.integers(len(cross)))]
-        elif same:
-            qid, q = same[int(rng.integers(len(same)))]
-        else:
-            raise ConfigError("negative pools exhausted; need more episodes")
-        picked.add(qid)
-        out.append(q)
-    return out
+    fallbacks = 0
+    for e, p0 in enumerate(positions):
+        qid, vid = entries[p0]
+        others = [p for p, (_, v) in enumerate(entries) if v == vid and p != p0]
+        picked = [qid]
+        row = []
+        for j in range(count):
+            if same[e][j]:
+                pick = others[int(u[e][j] * len(others))] if others else None
+            else:
+                pick = int(u[e][j] * len(entries))
+                if entries[pick][1] == vid:
+                    pick = None
+            if pick is None or entries[pick][0] in picked:
+                same_c = [p for p, (q, v) in enumerate(entries) if v == vid and q not in picked]
+                cross_c = [p for p, (q, v) in enumerate(entries) if v != vid and q not in picked]
+                if same[e][j] and not same_c:
+                    if not warned:
+                        warnings.warn("same-video negatives exhausted; drawing cross-video",
+                                      InsufficientPool)
+                        warned = True
+                    fallbacks += bool(cross_c)
+                if same[e][j] and same_c:
+                    cands = same_c
+                elif cross_c:
+                    cands = cross_c
+                elif same_c:
+                    cands = same_c
+                else:
+                    raise ConfigError("negative pools exhausted; need more episodes")
+                pick = cands[int(rng.random() * len(cands))]
+            picked.append(entries[pick][0])
+            row.append(pick)
+        out.append(row)
+    return np.array(out, dtype=int).reshape(b, count), fallbacks
 
 
 def _sampler_case(world, case):
-    """(pool, episodes to draw for) for one pool layout."""
+    """The pool's episodes for one pool layout."""
     eps, train_eps, val_eps = world
     if case == "plain":
-        return NegativePool(train_eps), list(train_eps) + list(val_eps[:4])
+        return list(train_eps)
     if case == "shuffled":
         # a video's entries are not contiguous in the pool
         order = np.random.default_rng(5).permutation(len(train_eps))
-        shuffled = [train_eps[i] for i in order]
-        return NegativePool(shuffled), shuffled
+        return [train_eps[i] for i in order]
     if case == "descriptive":
         # a pool that leaves questions out (as descriptive ones would be):
-        # whole and partial sibling groups, and episodes still drawn for
-        kept = [ep for i, ep in enumerate(train_eps) if i % 3]
-        return NegativePool(kept), list(train_eps)
+        # whole and partial sibling groups, down to videos with one entry
+        return [ep for i, ep in enumerate(train_eps) if i % 3]
     if case == "duplicate_ids":
         # one id shared across two videos, another shared within a video
         first = train_eps[0]
@@ -333,8 +350,7 @@ def _sampler_case(world, case):
         sibling = next(ep for ep in train_eps[1:] if ep.video_id == first.video_id)
         twins = [dataclasses.replace(other, question_id=first.question_id),
                  dataclasses.replace(sibling, question_id=train_eps[5].question_id)]
-        pool_eps = list(train_eps) + twins
-        return NegativePool(pool_eps), pool_eps
+        return list(train_eps) + twins
     raise AssertionError(case)
 
 
@@ -342,23 +358,36 @@ def _sampler_case(world, case):
 @pytest.mark.parametrize("p_same", [0.0, 0.3, 1.0])
 @pytest.mark.parametrize("count", [2, 5])
 def test_sampler_matches_list_scan_stream(world, case, p_same, count):
-    """Same draws, same warnings and the same generator state afterwards as
-    the list-scan definition; count 5 exhausts the 3 siblings of a video."""
-    pool, draw_for = _sampler_case(world, case)
+    """Same positions, warnings and fallbacks, and the same generator state
+    afterwards, as the scalar list-scan definition of the per-minibatch
+    draw, over one permuted epoch in minibatches of 8; count 5 exhausts the
+    3 siblings of a video."""
+    pool_eps = _sampler_case(world, case)
+    entries = [(ep.question_id, ep.video_id) for ep in pool_eps]
+    pool = NegativePool(pool_eps)
     fast_rng = np.random.default_rng(11)
     scan_rng = np.random.default_rng(11)
-    for ep in draw_for:
+    order = np.random.default_rng(3).permutation(len(pool_eps))
+    scan_fallbacks = 0
+    for lo in range(0, len(order), 8):
+        index = order[lo:lo + 8]
         with warnings.catch_warnings(record=True) as fast_w:
             warnings.simplefilter("always")
-            fast = sample_negatives(pool, ep, count, p_same, fast_rng)
+            fast = sample_negatives(pool, index, count, p_same, fast_rng)
         with warnings.catch_warnings(record=True) as scan_w:
             warnings.simplefilter("always")
-            scan = _scan_sample_negatives(pool, ep, count, p_same, scan_rng)
-        assert np.array_equal(np.stack(fast), np.stack(scan))
+            scan, fell = _scan_sample_negatives(entries, index, count, p_same, scan_rng)
+        scan_fallbacks += fell
+        assert np.array_equal(fast, scan)
         assert [w.category for w in fast_w] == [w.category for w in scan_w]
         if count == 5 and p_same == 1.0:
             assert [w.category for w in fast_w] == [InsufficientPool]
     assert fast_rng.bit_generator.state == scan_rng.bit_generator.state
+    assert pool.fallbacks == scan_fallbacks
+    if p_same == 0.0:
+        assert scan_fallbacks == 0
+    if count == 5 and p_same == 1.0:
+        assert scan_fallbacks > 0
 
 
 # --- training loop ---------------------------------------------------------------
@@ -555,9 +584,10 @@ def test_one_engine_call_per_minibatch(world, monkeypatch):
 
 
 def test_ngplus_draw_order_matches_per_episode_loop(world, monkeypatch):
-    """The negatives and positive swaps of one ng+ epoch, recorded at the
-    engine call, equal a replay of the per-episode loop: for each episode of
-    each minibatch, its negatives, then its swap draw."""
+    """The negatives and positive questions of one ng+ epoch, recorded at
+    the engine call, equal a replay of the draws: per minibatch, one sampler
+    call for its episodes' negatives, then every episode's swap flag, then
+    every episode's variant pick."""
     _, train_eps, val_eps = world
     cfg = TrainConfig(objective="ng+", epochs=1, batch=8, seed=4, p_pos_swap=0.5)
     calls = []
@@ -569,9 +599,9 @@ def test_ngplus_draw_order_matches_per_episode_loop(world, monkeypatch):
                       kwargs["neg_questions"]))
         return real_loss(params, batch, **kwargs)
 
-    def recording_sample(pool, ep, *args):
-        sampled.append(ep.question_id)
-        return real_sample(pool, ep, *args)
+    def recording_sample(pool, positions, *args):
+        sampled.append(list(positions))
+        return real_sample(pool, positions, *args)
 
     monkeypatch.setattr(trainer_module, "loss_and_gradients", recording_loss)
     monkeypatch.setattr(trainer_module, "sample_negatives", recording_sample)
@@ -582,27 +612,29 @@ def test_ngplus_draw_order_matches_per_episode_loop(world, monkeypatch):
     need = train_eps[0].n_answers - 1
     order = rng.permutation(len(train_eps))
     expected = []
+    swapped = 0
     for lo in range(0, len(order), cfg.batch):
-        batch = [train_eps[i] for i in order[lo:lo + cfg.batch]]
-        negs, pos = [], []
-        for ep in batch:
-            negs.append(real_sample(pool, ep, need, cfg.p_same_video, rng))
-            swap = None
-            if ep.pos_variants and rng.random() < cfg.p_pos_swap:
-                swap = ep.pos_variants[int(rng.integers(len(ep.pos_variants)))]
-            pos.append(swap)
-        expected.append(([ep.question_id for ep in batch], pos, negs))
+        index = order[lo:lo + cfg.batch]
+        batch = [train_eps[i] for i in index]
+        picks = real_sample(pool, index, need, cfg.p_same_video, rng)
+        negs = [[train_eps[p].question for p in row] for row in picks]
+        swap = [rng.random() < cfg.p_pos_swap for _ in batch]
+        w = [rng.random() for _ in batch]
+        pos = [ep.pos_variants[int(wi * len(ep.pos_variants))] if s and ep.pos_variants
+               else ep.question for ep, s, wi in zip(batch, swap, w)]
+        swapped += sum(s and bool(ep.pos_variants) for ep, s in zip(batch, swap))
+        expected.append(([ep.question_id for ep in batch], pos, negs, index))
 
-    assert sampled == [qid for ids, _, _ in expected for qid in ids]
+    assert sampled == [list(index) for _, _, _, index in expected]
     assert len(calls) == len(expected)
-    assert any(p is not None for _, pos, _ in expected for p in pos)
-    for (ids, pos, negs), (e_ids, e_pos, e_negs) in zip(calls, expected):
+    assert swapped > 0
+    for (ids, pos, negs), (e_ids, e_pos, e_negs, _) in zip(calls, expected):
         assert ids == e_ids
-        assert [p is None for p in pos] == [p is None for p in e_pos]
+        assert len(pos) == len(negs) == len(ids)
         for p, e in zip(pos, e_pos):
-            assert p is None or np.array_equal(p, e)
+            assert np.array_equal(p, e)
         for n, e in zip(negs, e_negs):
-            assert np.array_equal(np.stack(n), np.stack(e))
+            assert np.array_equal(n, np.stack(e))
 
 
 def test_validation_is_metrics_evaluate(world):
@@ -659,6 +691,21 @@ def test_history_csv_roundtrip(tmp_path, world):
         assert float(got[3]) == pytest.approx(row["acc_qa"], abs=1e-6)
         # the column early stopping selects on
         assert float(got[4]) == pytest.approx(row["acc_gqa"], abs=1e-6)
+        # ng draws no negatives
+        assert int(got[7]) == row["fallbacks"] == 0
+
+
+def test_history_counts_sampler_fallbacks():
+    # 5 answers need 4 negatives; with every slot same-video, an episode with
+    # s siblings falls back in 4 - s slots, every epoch
+    eps = generate(dataclasses.replace(SCFG, n_answers=5))
+    train_eps, val_eps = split_by_video(eps, 0.2, seed=0)
+    siblings = [sum(o.video_id == ep.video_id for o in train_eps) - 1 for ep in train_eps]
+    cfg = TrainConfig(objective="ng+", stages=2, epochs=2, p_same_video=1.0, seed=0)
+    with pytest.warns(InsufficientPool):
+        _, hist = train(fresh_params(), train_eps, cfg, val_episodes=val_eps)
+    assert [row["stage"] for row in hist] == ["ground", "ng+"]
+    assert [row["fallbacks"] for row in hist] == [sum(4 - s for s in siblings)] * 2
 
 
 # --- answer counts ---------------------------------------------------------------
