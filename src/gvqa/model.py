@@ -274,10 +274,25 @@ def load_checkpoint(path: str | Path) -> ModelParams:
 # ever multiplied by vectors: no (n, width) product S V is formed, forward or
 # backward. The values Vm = [F 1] Mv, with Mv = [W_v; b_v] W_val the map's
 # first width columns, are read only through vectors too, as [F 1] (Mv x) and
-# Mv^T ([F 1]^T s), so no (n, width) array is formed at all: the ones column
-# carries Mv's bias row inside each product. The backward's dS is one rank-4
-# product and Mv's gradient one product of the four (d_v + 1)-vectors
-# [F 1]^T s with the four width-vectors x.
+# Mv^T ([F 1]^T v), so no (n, width) array is formed at all: the ones column
+# carries Mv's bias row inside each product. Mv's gradient is one product of
+# the four (d_v + 1)-vectors [F 1]^T v with the four width-vectors x.
+#
+# S is never normalized either. The engine holds E = exp(P F^T) and its row
+# sums s, so S = E / s, and each of the eight vector reads divides at the
+# (b, n) level: S v = (E v) / s and S^T v = E^T (v / s). The backward's
+# softmax Jacobian S * (dS - rowsum(dS * S)), with dS the rank-4 product of
+# the reads' row and column vectors, is E times one rank-5 product: the rows
+# divided by s, and minus the row term rowsum(dS * S), divided by s, as a
+# fifth row against a column of ones. That row term needs no (n, n) pass, since rowsum(dS * S)
+# sums each row vector times S applied to its column vector, the reads
+# S v already made (their E v are kept before the division). So a training
+# chunk makes 14 (n, n) passes: P F^T, exp, row sum and four reads forward;
+# four reads, the rank-5 product, the product with E and dZ F backward.
+# An episode with a row sum outside [EXP_SUM_MIN, EXP_SUM_MAX] (or not finite)
+# gets the row-max shifted softmax instead, held as E = S with s = 1; the
+# choice is made per episode, so a chunk-mate's arithmetic never depends on
+# another episode.
 #
 # Every chunk-sized array lives in a _Workspace: buffers preallocated per
 # chunk shape that the stages write with out= or in place, reused across the
@@ -293,6 +308,10 @@ def load_checkpoint(path: str | Path) -> ModelParams:
 # sweeps in CHANGES.md). Another size also reorders the gradient sums.
 CHUNK_FRAMES = 1024
 
+# the range of exp-row sums kept unshifted: a row summing outside it (an
+# overflowing or underflowing exp) sends its episode to the row-max shift
+EXP_SUM_MIN, EXP_SUM_MAX = 1e-200, 1e200
+
 
 class ZeroNorm(ValueError):
     """A cosine operand has zero norm, so its score is undefined."""
@@ -300,7 +319,8 @@ class ZeroNorm(ValueError):
 
 class _Workspace:
     """The chunk-sized buffers of one chunk shape (b episodes, n frames, A
-    answers) of a model with the given dimensions."""
+    answers) of a model with the given dimensions. The attention E and the
+    logit gradient dZ are its only (n, n) arrays."""
 
     def __init__(self, b: int, n: int, A: int, d_v: int, d_t: int, w: int) -> None:
         # packed inputs: the frames with their ones column, [F 1], where
@@ -315,16 +335,19 @@ class _Workspace:
         self.Qc = np.empty((b, A, d_t))
         self.B = np.empty((b, A, w))
         self.R = np.empty((b, A, w))
-        # forward cache: the attention queries P and the self-attention
+        # forward cache: the attention queries P, the unnormalized
+        # self-attention E = exp(P F^T) and its row sums s
         self.P = np.empty((b, n, d_v))
-        self.S = np.empty((b, n, n))
-        # backward: the attention and P gradients, the two rank-4 operands
-        # of dS, and one (n, n) scratch product
-        self.dS = np.empty((b, n, n))
-        self.dS_rows = np.empty((b, n, 4))
-        self.dS_cols = np.empty((b, 4, n))
+        self.E = np.empty((b, n, n))
+        self.s = np.empty((b, n))
+        # backward: the logit gradient dZ, the two rank-5 operands whose
+        # product it scales, with the column operand's last row ones, and
+        # the P gradient
+        self.dZ = np.empty((b, n, n))
+        self.dZ_rows = np.empty((b, n, 5))
+        self.dZ_cols = np.empty((b, 5, n))
+        self.dZ_cols[:, 4] = 1.0
         self.dP = np.empty((b, n, d_v))
-        self.nn = np.empty((b, n, n))
 
 
 @functools.lru_cache(maxsize=4)
@@ -457,8 +480,9 @@ def _frame_map_grads(params: ModelParams, Qm: np.ndarray, Km: np.ndarray,
 
 def _softmax(z: np.ndarray) -> np.ndarray:
     """Softmax over the last axis, computed in z's own buffer (callers pass a
-    temporary): the (b, n, n) attention stays one allocation."""
-    # ufunc reductions skip ndarray.max's and .sum's Python wrappers: three
+    temporary, or the attention's slot of an episode the range guard sends
+    here)."""
+    # ufunc reductions skip ndarray.max's and .sum's Python wrappers: two
     # softmaxes run per lone-episode forward. fmax gives maximum's output for
     # every row (a NaN row comes out all NaN either way) and reduces faster
     z -= np.fmax.reduce(z, axis=-1, keepdims=True)
@@ -481,17 +505,31 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def _encode_frames(params: ModelParams, F: np.ndarray, M: np.ndarray, ws: _Workspace) -> dict:
-    """The frames' attention queries P = [F 1] [A; r] and the row-softmax
-    self-attention weights S = softmax(P F^T), equal to
-    softmax(Q K^T / sqrt(width)), from the packed frames F = [F 1] and
-    _frame_map's M. The values Vm = [F 1] Mv are left to the stages, which
-    read them through Mv = M[:, :width]."""
+    """The frames' attention queries P = [F 1] [A; r] and the self-attention
+    weights S = softmax(P F^T), equal to softmax(Q K^T / sqrt(width)), held
+    as E = exp(P F^T) and its row sums s, S = E / s, from the packed frames
+    F = [F 1] and _frame_map's M. An episode with a row sum outside
+    [EXP_SUM_MIN, EXP_SUM_MAX] is held as E = softmax(P F^T), shifted by
+    its row maxima before the exp, and s = 1. The values Vm = [F 1] Mv are
+    left to the stages, which read them through Mv = M[:, :width]."""
     b, n, d1 = F.shape
     w = params.config.width
-    P = ws.P
+    P, E, s = ws.P, ws.E, ws.s
+    frames_t = ws.frames.transpose(0, 2, 1)
     np.matmul(F.reshape(b * n, d1), M[:, w:], out=P.reshape(b * n, d1 - 1))
-    S = _softmax(np.matmul(P, ws.frames.transpose(0, 2, 1), out=ws.S))
-    return {"F": F, "Mv": M[:, :w], "S": S}
+    np.matmul(P, frames_t, out=E)
+    with np.errstate(over="ignore"):  # an overflow is caught by its row sum
+        np.exp(E, out=E)
+    np.add.reduce(E, axis=-1, out=s)
+    # min and max propagate NaN, which fails both tests
+    if not (EXP_SUM_MIN <= np.minimum.reduce(s, axis=None)
+            and np.maximum.reduce(s, axis=None) <= EXP_SUM_MAX):
+        in_range = (s >= EXP_SUM_MIN) & (s <= EXP_SUM_MAX)
+        for j in np.flatnonzero(~in_range.all(axis=1)):
+            # the row-max shifted softmax is S itself: E = S with s = 1
+            _softmax(np.matmul(P[j], frames_t[j], out=E[j]))
+            s[j] = 1.0
+    return {"F": F, "Mv": M[:, :w], "E": E, "s": s}
 
 
 def _mv(M: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -510,15 +548,17 @@ def _ground(params: ModelParams, enc: dict, q: np.ndarray) -> dict:
     sigma in [SIGMA_MIN, 1].
 
     H0 and Vm are read only through vectors: the logits H0 (W_g qv) are
-    S ([F 1] (Mv g)) and the readout H0^T alpha is Mv^T ([F 1]^T (S^T alpha))."""
+    S ([F 1] (Mv g)) and the readout H0^T alpha is Mv^T ([F 1]^T (S^T alpha)),
+    with S = E / s."""
     P = params.arrays
-    S, F, Mv = enc["S"], enc["F"], enc["Mv"]
-    n = S.shape[1]
+    E, s, F, Mv = enc["E"], enc["s"], enc["F"], enc["Mv"]
+    n = E.shape[1]
     qv = q @ P["W_t"] + P["b_t"]
     g = qv @ P["W_g"].T
     Vg = _mv(F, g @ Mv.T)
-    alpha = _softmax(_mv(S, Vg))
-    za = _vm(_vm(alpha, S), F)
+    EVg = _mv(E, Vg)  # the backward's row term reads it too
+    alpha = _softmax(EVg / s)
+    za = _vm(_vm(alpha / s, E), F)
     c = za @ Mv
     x = _positions(n)
     m1 = alpha @ x
@@ -528,8 +568,8 @@ def _ground(params: ModelParams, enc: dict, q: np.ndarray) -> dict:
     mu = _sigmoid(c @ P["w_mu"] + P["a_mu"] * m1 + P["b_mu"])
     sg_inner = _sigmoid(c @ P["w_sg"] + P["a_sg"] * m2 + P["b_sg"])
     sigma = SIGMA_MIN + (1.0 - SIGMA_MIN) * sg_inner
-    return {"qv": qv, "g": g, "Vg": Vg, "alpha": alpha, "za": za, "c": c, "x": x, "dx": dx,
-            "dx2": dx2, "m1": m1, "m2": m2, "mu": mu, "sg_inner": sg_inner, "sigma": sigma}
+    return {"qv": qv, "g": g, "Vg": Vg, "EVg": EVg, "alpha": alpha, "za": za, "c": c, "x": x,
+            "dx": dx, "dx2": dx2, "m1": m1, "m2": m2, "mu": mu, "sg_inner": sg_inner, "sigma": sigma}
 
 
 def _pool(params: ModelParams, enc: dict, G: np.ndarray) -> dict:
@@ -540,13 +580,16 @@ def _pool(params: ModelParams, enc: dict, G: np.ndarray) -> dict:
 
     H1 and Vm are read only through vectors: the pooling logits H1 u are
     S (G * [F 1] (Mv u)) and the pooled vector H1^T trace is
-    Mv^T ([F 1]^T (G * S^T trace))."""
-    S, F, Mv = enc["S"], enc["F"], enc["Mv"]
+    Mv^T ([F 1]^T (G * S^T trace)), with S = E / s."""
+    E, s, F, Mv = enc["E"], enc["s"], enc["F"], enc["Mv"]
     Vu = F @ (Mv @ params.arrays["u"])
-    trace = _softmax(_mv(S, G * Vu))
-    St = _vm(trace, S)
+    GVu = G * Vu
+    EGVu = _mv(E, GVu)  # the backward's row term reads it too
+    trace = _softmax(EGVu / s)
+    St = _vm(trace / s, E)
     zt = _vm(G * St, F)
-    return {"G": G, "Vu": Vu, "trace": trace, "St": St, "zt": zt, "v_t": zt @ Mv}
+    return {"G": G, "Vu": Vu, "GVu": GVu, "EGVu": EGVu, "trace": trace, "St": St, "zt": zt,
+            "v_t": zt @ Mv}
 
 
 def _cosine_scores(rows: np.ndarray, vec: np.ndarray, temperature: float,
@@ -678,14 +721,14 @@ def _backward(params: ModelParams, chunk: _Chunk, cache: dict, d_vt: np.ndarray,
     question qv into grads; grads["frame_map"] collects those of the frame
     map M (_frame_map).
 
-    The forward reads S and Vm = [F 1] Mv only through vectors (H0 = S Vm,
-    H1 = (S * G) Vm and Vm itself are never formed), so dS is one product
-    over a length-4 axis, and Mv's gradient one product of the four
-    (d_v + 1)-vectors z = [F 1]^T s that the reads Vm^T s formed with the
-    four width-vectors x they met."""
+    The forward reads S = E / s and Vm = [F 1] Mv only through vectors
+    (H0 = S Vm, H1 = (S * G) Vm and Vm itself are never formed), so the
+    logit gradient is E times one product over a length-5 axis, and Mv's
+    gradient one product of the four (d_v + 1)-vectors z = [F 1]^T v that
+    the reads Vm^T v formed with the four width-vectors x they met."""
     P = params.arrays
     ws = chunk.ws
-    S, G, F, Mv = cache["S"], cache["G"], chunk.F, cache["Mv"]
+    E, s, G, F, Mv = cache["E"], cache["s"], cache["G"], chunk.F, cache["Mv"]
     alpha, trace = cache["alpha"], cache["trace"]
     Vu, St = cache["Vu"], cache["St"]
     b, n, d1 = F.shape
@@ -693,8 +736,9 @@ def _backward(params: ModelParams, chunk: _Chunk, cache: dict, d_vt: np.ndarray,
     # pooling: v_t = Vm^T (G * S^T trace), trace = softmax(p), p = S (G * Vm u)
     Vd = _mv(F, d_vt @ Mv.T)
     GVd = G * Vd
-    dp = _softmax_backward(trace, _mv(S, GVd))
-    Sdp = _vm(dp, S)
+    EGVd = _mv(E, GVd)
+    dp = _softmax_backward(trace, EGVd / s)
+    Sdp = _vm(dp / s, E)
     zp = _vm(G * Sdp, F)
     grads["u"] += zp.sum(axis=0) @ Mv
     dG = St * Vd + Sdp * Vu
@@ -724,19 +768,14 @@ def _backward(params: ModelParams, chunk: _Chunk, cache: dict, d_vt: np.ndarray,
 
     # c = Vm^T (S^T alpha); alpha = softmax(e), e = S (Vm g), g = W_g qv
     Vdc = _mv(F, dc @ Mv.T)
-    d_alpha += _mv(S, Vdc)
+    EVdc = _mv(E, Vdc)
+    d_alpha += EVdc / s
     de = _softmax_backward(alpha, d_alpha)
-    ze = _vm(_vm(de, S), F)
+    ze = _vm(_vm(de / s, E), F)
     dg = ze @ Mv
     grads["W_g"] += dg.T @ cache["qv"]
     d_qv += dg @ P["W_g"]
 
-    # dS = trace (x) G Vm d_vt + dp (x) G Vm u + alpha (x) Vm dc + de (x) Vm g
-    rows, cols = ws.dS_rows, ws.dS_cols
-    rows[..., 0], rows[..., 1], rows[..., 2], rows[..., 3] = trace, dp, alpha, de
-    cols[:, 0], cols[:, 2], cols[:, 3] = GVd, Vdc, cache["Vg"]
-    np.multiply(G, Vu, out=cols[:, 1])
-    dS = np.matmul(rows, cols, out=ws.dS)
     # dVm = G S^T trace (x) d_vt + G S^T dp (x) u + S^T alpha (x) dc + S^T de (x) g,
     # so dMv = [F 1]^T dVm sums z (x) x over the batch rows of the four pairs
     d_map = grads["frame_map"]
@@ -745,10 +784,24 @@ def _backward(params: ModelParams, chunk: _Chunk, cache: dict, d_vt: np.ndarray,
                      @ np.concatenate((d_vt, np.broadcast_to(P["u"], d_vt.shape), dc,
                                        cache["g"])))
 
-    # S = softmax(P F^T, rows); F is data, so only dP = dZ F
-    dS -= np.multiply(dS, S, out=ws.nn).sum(axis=-1, keepdims=True)
-    dZ = dS
-    dZ *= S
+    # S = softmax(P F^T, rows), so dZ = S * (dS - rho) with
+    # dS = trace (x) G Vm d_vt + dp (x) G Vm u + alpha (x) Vm dc + de (x) Vm g
+    # and rho = rowsum(dS * S), which pairs each row vector with the read of
+    # S on its column vector: rho = (trace * E GVd + dp * E GVu + alpha * E Vdc
+    # + de * E Vg) / s. Then dZ = E * ([rows, -rho] / s @ [cols; 1]).
+    rows, cols = ws.dZ_rows, ws.dZ_cols
+    rows[..., 0], rows[..., 1], rows[..., 2], rows[..., 3] = trace, dp, alpha, de
+    rho = trace * EGVd
+    rho += dp * cache["EGVu"]
+    rho += alpha * EVdc
+    rho += de * cache["EVg"]
+    rho /= s
+    np.negative(rho, out=rows[..., 4])
+    rows /= s[..., None]
+    cols[:, 0], cols[:, 1], cols[:, 2], cols[:, 3] = GVd, cache["GVu"], Vdc, cache["Vg"]
+    dZ = np.matmul(rows, cols, out=ws.dZ)
+    dZ *= E
+    # F is data, so only dP = dZ F
     dP = np.matmul(dZ, ws.frames, out=ws.dP)
 
     # P = [F 1] M[:, width:]

@@ -22,7 +22,7 @@ from gvqa.metrics import (
     write_report_json,
 )
 from gvqa.synth import SynthConfig, episodes_to_labels, generate
-from gvqa.trainer import TrainConfig
+from gvqa.trainer import InsufficientPool, TrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -138,7 +138,9 @@ def test_train_synth_end_to_end(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     _write_cfg(cfg)
     out = tmp_path / "run"
-    rc = main(TRAIN_ARGS + ["--config", str(cfg), "-o", str(out)])
+    # the 40-episode world runs out of same-video negatives
+    with pytest.warns(InsufficientPool):
+        rc = main(TRAIN_ARGS + ["--config", str(cfg), "-o", str(out)])
     assert rc == 0
     for name in ("checkpoint.npz", "history.csv", "predictions.json",
                  "labels.csv", "report.json", "report.csv"):
@@ -162,7 +164,8 @@ def test_train_synth_seed_determinism(tmp_path):
     outs = []
     for name in ("r1", "r2"):
         out = tmp_path / name
-        assert main(TRAIN_ARGS + ["--config", str(cfg), "-o", str(out)]) == 0
+        with pytest.warns(InsufficientPool):
+            assert main(TRAIN_ARGS + ["--config", str(cfg), "-o", str(out)]) == 0
         outs.append(out)
     assert (outs[0] / "predictions.json").read_bytes() == (outs[1] / "predictions.json").read_bytes()
     assert (outs[0] / "report.json").read_bytes() == (outs[1] / "report.json").read_bytes()
@@ -176,12 +179,14 @@ def test_train_synth_flag_overrides_config_seed(tmp_path):
     _write_cfg(cfg, "seed = 1\n")
     flag = tmp_path / "flag"
     plain = tmp_path / "plain"
-    assert main(["train-synth", "--config", str(cfg), "--seed", "5", "--epochs", "1",
-                 "-o", str(flag)]) == 0
+    with pytest.warns(InsufficientPool):
+        assert main(["train-synth", "--config", str(cfg), "--seed", "5", "--epochs", "1",
+                     "-o", str(flag)]) == 0
     cfg2 = tmp_path / "run2.cfg"
     _write_cfg(cfg2, "seed = 5\n")
-    assert main(["train-synth", "--config", str(cfg2), "--epochs", "1",
-                 "-o", str(plain)]) == 0
+    with pytest.warns(InsufficientPool):
+        assert main(["train-synth", "--config", str(cfg2), "--epochs", "1",
+                     "-o", str(plain)]) == 0
     assert (flag / "labels.csv").read_bytes() == (plain / "labels.csv").read_bytes()
 
 
@@ -254,8 +259,9 @@ def test_gamma_narrows_windows(tmp_path):
         return float(np.mean([v["end"] - v["start"] for v in blob.values()]))
 
     wide, narrow = tmp_path / "g10", tmp_path / "g08"
-    assert main(TRAIN_ARGS + ["--config", str(cfg), "--gamma", "1.0", "-o", str(wide)]) == 0
-    assert main(TRAIN_ARGS + ["--config", str(cfg), "--gamma", "0.8", "-o", str(narrow)]) == 0
+    for gamma, out in (("1.0", wide), ("0.8", narrow)):
+        with pytest.warns(InsufficientPool):
+            assert main(TRAIN_ARGS + ["--config", str(cfg), "--gamma", gamma, "-o", str(out)]) == 0
     assert mean_width(narrow) < mean_width(wide)
 
 

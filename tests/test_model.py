@@ -4,6 +4,7 @@ import json
 import math
 import re
 import threading
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -1126,7 +1127,8 @@ class TestDenseReference:
         P["b_v"] += rng.normal(size=w)
         M = model._frame_map(params)[0]
         for chunk in model._chunks(params, mixed_batch(rng)):
-            S = model._encode_frames(params, chunk.F, M, chunk.ws)["S"]
+            enc = model._encode_frames(params, chunk.F, M, chunk.ws)
+            S = enc["E"] / enc["s"][..., None]
             for j, ep in enumerate(chunk.episodes):
                 X = ep.frames @ P["W_v"] + P["b_v"]
                 Q, K = X @ P["W_q"], X @ P["W_k"]
@@ -1136,6 +1138,65 @@ class TestDenseReference:
                 no_r = np.stack([_softmax(z) for z in (Q - P["b_v"] @ P["W_q"]) @ K.T
                                  / math.sqrt(w)])
                 assert np.max(np.abs(no_r - dense)) > 1e-3
+
+    @staticmethod
+    def _guard_batch(case):
+        """Params, and three 6-frame episodes whose middle one's attention
+        logits P F^T overflow exp (a logit above 710) or underflow it over a
+        whole row (every logit of a row below -750), plus a benign stand-in
+        for that middle episode. The odd frames lie along the eigenvector of
+        [A; r]'s bilinear part with the largest or smallest eigenvalue."""
+        rng = np.random.default_rng(73)
+        params = init_params(SMALL, seed=73)
+        for arr in params.arrays.values():
+            arr += 0.1 * rng.normal(size=arr.shape)
+        w = SMALL.width
+        Ar = model._frame_map(params)[0][:, w:]
+        lam, vecs = np.linalg.eigh(Ar[:-1] + Ar[:-1].T)
+        k = -1 if case == "overflow" else 0
+        scale = math.sqrt(2.0 * 1000.0 / abs(lam[k]))
+        eps = [dataclasses.replace(make_episode(rng, n=6), question_id=f"q{i}")
+               for i in range(4)]
+        frames = scale * vecs[:, k] + 0.3 * rng.normal(size=(6, SMALL.d_v))
+        eps[1] = dataclasses.replace(eps[1], frames=frames)
+        logits = (frames @ Ar[:-1] + Ar[-1]) @ frames.T
+        if case == "overflow":
+            assert logits.max() > 710.0
+        else:
+            assert lam[k] < 0 and logits.max(axis=1).min() < -750.0
+        return params, eps[:3], eps[3]
+
+    @pytest.mark.parametrize("case", ["overflow", "underflow"])
+    @pytest.mark.parametrize("objective,alpha", OBJECTIVES)
+    def test_out_of_range_exp_rows_take_the_row_max_shift(self, case, objective, alpha):
+        # the unshifted exp would give the odd episode an inf or zero row
+        # sum; its shifted (E, s) still gives S to rounding, with no warning
+        params, eps, _ = self._guard_batch(case)
+        refs = [dense_reference(params, ep, objective, alpha) for ep in eps]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            loss, grads = loss_and_gradients(params, eps, objective=objective, alpha=alpha)
+            preds = model.predict_episodes(params, eps)
+        assert_close_to(loss, sum(r["loss"] for r in refs), "loss")
+        for name in grads:
+            assert_close_to(grads[name], sum(r["grads"][name] for r in refs), name)
+        for pred, ref in zip(preds, refs):
+            for key in ("mu", "sigma"):
+                assert_close_to(getattr(pred.mask, key), ref[key], key)
+            assert_close_to(pred.trace, ref["trace"], "trace")
+            assert_close_to(pred.scores, ref["scores"], "scores")
+
+    @pytest.mark.parametrize("case", ["overflow", "underflow"])
+    def test_the_shift_never_changes_a_chunk_mates_bits(self, case):
+        # the shift is chosen per episode: beside the odd episode or beside a
+        # benign one in its place, the chunk-mates' predictions are the same
+        params, eps, benign = self._guard_batch(case)
+        odd = model.predict_episodes(params, eps)
+        plain = model.predict_episodes(params, [eps[0], benign, eps[2]])
+        for j in (0, 2):
+            for key in ("trace", "scores"):
+                assert np.array_equal(getattr(odd[j], key), getattr(plain[j], key))
+            assert odd[j].mask == plain[j].mask
 
 
 def engine_outputs(params, eps, objective, alpha):
