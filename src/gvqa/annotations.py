@@ -12,12 +12,12 @@ import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .metrics import GroundingLabel, LabelTable, ordered_sum
+from .metrics import GroundingLabel, LabelTable, csv_text, ordered_sum, rewrite_text
 from .svgplot import bar_chart, pie_chart
 from .temporal import TemporalSegment, VideoExtent
 
@@ -271,16 +271,14 @@ def save_labels(path: str | Path, labels: Mapping[str, GroundingLabel]) -> None:
              "segments": [[a, b] for a, b in zip(starts[lo:hi], ends[lo:hi])]}
             for (qid, vid, duration, answer), lo, hi in zip(base, bounds, bounds[1:])
         ]
-        path.write_text(json.dumps(rows, indent=2) + "\n", encoding="utf-8")
+        rewrite_text(path, json.dumps(rows, indent=2) + "\n")
     elif path.suffix.lower() == ".csv":
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_COLUMNS)
-            writer.writerows(
-                (qid, vid, duration, answer,
-                 ";".join(f"{a!r}:{b!r}" for a, b in zip(starts[lo:hi], ends[lo:hi])))
-                for (qid, vid, duration, answer), lo, hi in zip(base, bounds, bounds[1:])
-            )
+        rows = (
+            (qid, vid, duration, answer,
+             ";".join(f"{a!r}:{b!r}" for a, b in zip(starts[lo:hi], ends[lo:hi])))
+            for (qid, vid, duration, answer), lo, hi in zip(base, bounds, bounds[1:])
+        )
+        rewrite_text(path, csv_text(chain([CSV_COLUMNS], rows)))
     else:
         raise ParseError(f"{path}: unsupported extension (want .csv or .json)")
 
@@ -378,9 +376,7 @@ def stats_to_dict(stats: DatasetStats) -> dict:
 
 
 def write_stats_json(path: str | Path, stats: DatasetStats) -> None:
-    Path(path).write_text(
-        json.dumps(stats_to_dict(stats), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    rewrite_text(path, json.dumps(stats_to_dict(stats), indent=2, sort_keys=True) + "\n")
 
 
 def write_stats_svgs(out_dir: str | Path, stats: DatasetStats) -> list[Path]:
@@ -409,6 +405,6 @@ def write_stats_svgs(out_dir: str | Path, stats: DatasetStats) -> list[Path]:
     )
     for name, svg in panels:
         p = out / name
-        p.write_text(svg, encoding="utf-8")
+        rewrite_text(p, svg)
         files.append(p)
     return files

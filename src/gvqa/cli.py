@@ -205,7 +205,7 @@ def cmd_train_synth(args: argparse.Namespace) -> int:
         ]
         svg = svgplot.timeline(ep.extent.duration, bands,
                                title=ep.question_id, trace=list(p.trace))
-        (tl_dir / f"{ep.question_id}.svg").write_text(svg, encoding="utf-8")
+        metrics.rewrite_text(tl_dir / f"{ep.question_id}.svg", svg)
 
     row = metrics.report_row(report)
     summary = "  ".join(f"{c} {row[c]}" for c in metrics.REPORT_COLUMNS)

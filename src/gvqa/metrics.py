@@ -11,7 +11,9 @@ operations over all segments at once.
 from __future__ import annotations
 
 import csv
+import io
 import json
+import os
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from operator import itemgetter
@@ -431,12 +433,31 @@ def _read_prediction_entries(path: str | Path, raw: dict) -> list[Prediction]:
     return preds
 
 
+def rewrite_text(path: str | Path, text: str) -> None:
+    """Write text to path as UTF-8, over any file there: the old file is
+    overwritten in place and then cut to the new length, never truncated
+    to empty first. Some filesystems flush a file that is truncated to empty,
+    which made rewriting an existing report take tens of milliseconds
+    instead of microseconds. Every text writer of the package goes through
+    here."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(text.encode("utf-8"))
+        fh.truncate()
+
+
+def csv_text(rows: Iterable[Sequence]) -> str:
+    """The rows as csv.writer writes them, "\r\n" after each."""
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
 def save_predictions(path: str | Path, preds: Iterable[Prediction]) -> None:
     payload = {
         p.question_id: {"answer": p.answer_index, "start": p.window.start, "end": p.window.end}
         for p in preds
     }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    rewrite_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 REPORT_COLUMNS = (
@@ -459,9 +480,7 @@ def report_to_dict(report: MetricReport) -> dict:
 
 
 def write_report_json(path: str | Path, report: MetricReport) -> None:
-    Path(path).write_text(
-        json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    rewrite_text(path, json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n")
 
 
 def report_row(report: MetricReport) -> dict[str, float]:
@@ -482,7 +501,5 @@ def report_row(report: MetricReport) -> dict[str, float]:
 def write_report_csv(path: str | Path, report: MetricReport) -> None:
     """One-row CSV in the standard leaderboard column order."""
     row = report_row(report)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(REPORT_COLUMNS) + ["n"])
-        writer.writerow([f"{row[c]:.1f}" for c in REPORT_COLUMNS] + [report.n_questions])
+    rewrite_text(path, csv_text([list(REPORT_COLUMNS) + ["n"],
+                                 [f"{row[c]:.1f}" for c in REPORT_COLUMNS] + [report.n_questions]]))

@@ -77,9 +77,15 @@ class Episode:
             raise ShapeMismatch(f"{where}answers must be (A>=2, d_t), got {self.answers.shape}")
         if self.answers.shape[1] != self.question.shape[0]:
             raise ShapeMismatch(f"{where}answers and question disagree on text dim")
-        for name in ("frames", "question", "answers"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise ValueError(f"{where}non-finite value in {name}")
+        vectors = [*self.neg_questions, *self.pos_variants]
+        if any(np.shape(v) != self.question.shape for v in vectors):
+            raise ShapeMismatch(f"{where}negative/variant question dim mismatch")
+        # one finiteness pass over every array; the field is looked up on failure
+        arrays = [self.frames.ravel(), self.question, self.answers.ravel(), *vectors]
+        if not np.isfinite(np.concatenate(arrays)).all():
+            fields = ("frames", "question", "answers", "neg_questions", "pos_variants")
+            name = next(f for f in fields if not np.isfinite(getattr(self, f)).all())
+            raise ValueError(f"{where}non-finite value in {name}")
         try:
             operator.index(self.correct)
         except TypeError:
@@ -87,9 +93,6 @@ class Episode:
         if not 0 <= self.correct < self.answers.shape[0]:
             raise ValueError(f"{where}correct index {self.correct} outside "
                              f"[0, {self.answers.shape[0]})")
-        for v in list(self.neg_questions) + list(self.pos_variants):
-            if np.asarray(v).shape != self.question.shape:
-                raise ShapeMismatch(f"{where}negative/variant question dim mismatch")
         if not self.extent.duration / self.frames.shape[0] > 0:
             # a zero frame bin leaves post-hoc windows no length
             raise ValueError(f"{where}duration {self.extent.duration} s "
@@ -382,15 +385,19 @@ def _where(episode: Episode, i: int) -> str:
 
 def _chunks(params: ModelParams, episodes: Sequence[Episode]) -> Iterator[_Chunk]:
     """The episodes' chunks, each packed only when it is reached, into its
-    shape's workspace."""
+    shape's workspace; the dimensions are checked at the call."""
     c = params.config
-    d_v, d_t = c.d_v, c.d_t
     for ep in episodes:
-        if ep.frames.shape[1] != d_v or ep.question.shape[0] != d_t:
+        if ep.frames.shape[1] != c.d_v or ep.question.shape[0] != c.d_t:
             raise ShapeMismatch(
                 f"episode {ep.question_id!r} has frames dim {ep.frames.shape[1]} and "
-                f"question dim {ep.question.shape[0]}, the model needs {d_v} and {d_t}"
+                f"question dim {ep.question.shape[0]}, the model needs {c.d_v} and {c.d_t}"
             )
+    return _packed(c, episodes)
+
+
+def _packed(c: ModelConfig, episodes: Sequence[Episode]) -> Iterator[_Chunk]:
+    d_v, d_t = c.d_v, c.d_t
     thread = threading.get_ident()
     if len(episodes) == 1:
         # a lone episode's frames are copied next to the ones column; its
@@ -645,39 +652,43 @@ def _ce_from_scores(scores: np.ndarray, target: np.ndarray) -> tuple[np.ndarray,
 
 
 def _candidates(
-    d_t: int,
-    episodes: Sequence[Episode],
-    pos_question: Sequence[np.ndarray | None] | None,
-    neg_questions: Sequence[Sequence[np.ndarray] | None] | None,
+    d_t: int, episodes: Sequence[Episode], candidates: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(rows, start): every episode's candidate questions as rows of one
-    matrix. Episode i's positive (its own question or the given variant) and
-    its A_i - 1 negatives (its own or the given ones) are rows
-    start[i]:start[i] + A_i. Raises ShapeMismatch for a wrong dimension and
-    NegativeCountMismatch for a wrong count, naming the episode."""
-    A = np.array([ep.n_answers for ep in episodes])
+    matrix, episode i's positive then its A_i - 1 negatives at rows
+    start[i]:start[i] + A_i.
+
+    None takes each episode's own question and neg_questions. A caller's
+    (B, A, d_t) matrix is used as it is after whole-array checks: another
+    shape raises ShapeMismatch. NegativeCountMismatch (a count other than
+    A_i - 1) and ValueError (a non-finite entry) name the first such
+    episode."""
+    A = np.array([ep.n_answers for ep in episodes], dtype=np.intp)
     start = np.cumsum(A) - A
-    rows = []
-    for i, (ep, a) in enumerate(zip(episodes, A.tolist())):
-        pos = ep.question if pos_question is None or pos_question[i] is None else pos_question[i]
-        pos = np.asarray(pos, dtype=float)
-        if pos.shape != (d_t,):
-            raise ShapeMismatch(f"positive question of shape {pos.shape} for "
-                                f"{_where(ep, i)}, need ({d_t},)")
-        negs = ep.neg_questions if neg_questions is None or neg_questions[i] is None \
-            else neg_questions[i]
-        try:
-            negs = np.asarray(negs, dtype=float)
-        except (TypeError, ValueError):
-            raise ShapeMismatch(f"ragged negative questions for {_where(ep, i)}") from None
-        if negs.shape != (a - 1, d_t):
-            if negs.ndim and negs.shape[0] != a - 1:
-                raise NegativeCountMismatch(f"need {a - 1} negative questions, got "
-                                            f"{negs.shape[0]} for {_where(ep, i)}")
-            raise ShapeMismatch(f"negative questions of shape {negs.shape} for "
-                                f"{_where(ep, i)}, need ({a - 1}, {d_t})")
-        rows += [pos[None], negs]
-    return np.concatenate(rows), start
+    if candidates is None:
+        rows = np.empty((A.sum(), d_t))
+        for i, (ep, lo) in enumerate(zip(episodes, start.tolist())):
+            if len(ep.neg_questions) != ep.n_answers - 1:
+                raise NegativeCountMismatch(f"need {ep.n_answers - 1} negative questions, got "
+                                            f"{len(ep.neg_questions)} for {_where(ep, i)}")
+            rows[lo] = ep.question
+            rows[lo + 1:lo + ep.n_answers] = ep.neg_questions
+        return rows, start
+    candidates = np.asarray(candidates, dtype=float)
+    b = len(episodes)
+    if candidates.ndim != 3 or (candidates.shape[0], candidates.shape[2]) != (b, d_t):
+        raise ShapeMismatch(f"candidate matrix of shape {candidates.shape} for {b} "
+                            f"episodes, need ({b}, A, {d_t})")
+    counted = A == candidates.shape[1]
+    if not counted.all():
+        i = int(np.argmin(counted))
+        raise NegativeCountMismatch(f"need {A[i] - 1} negative questions, got "
+                                    f"{candidates.shape[1] - 1} for {_where(episodes[i], i)}")
+    finite = np.isfinite(candidates).all(axis=(1, 2))
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"non-finite candidate question for {_where(episodes[i], i)}")
+    return candidates.reshape(-1, d_t), start
 
 
 def _candidate_questions(chunk: _Chunk, rows: np.ndarray, start: np.ndarray) -> np.ndarray:
@@ -869,8 +880,7 @@ def _objective(
     episodes: Sequence[Episode],
     objective: str,
     alpha: float,
-    pos_question: Sequence[np.ndarray | None] | None,
-    neg_questions: Sequence[Sequence[np.ndarray] | None] | None,
+    candidates: np.ndarray | None,
     backward: bool,
 ) -> tuple[float, dict[str, np.ndarray] | None]:
     """Summed loss over the episodes and, when backward, summed gradients."""
@@ -879,17 +889,16 @@ def _objective(
     P = params.arrays
     answer_term = objective in ("ng", "ng+")
     scale = {"ng": 0.0, "ground": 1.0, "ng+": alpha}[objective]
-    candidates = None
-    if scale != 0.0:
-        candidates = _candidates(params.config.d_t, episodes, pos_question, neg_questions)
+    chunks = _chunks(params, episodes)
+    rows = _candidates(params.config.d_t, episodes, candidates) if scale != 0.0 else None
     M, Qm, Km = _frame_map(params)
     grads = None
     if backward:
         grads = {name: np.zeros_like(arr) for name, arr in P.items()}
         grads["frame_map"] = np.zeros_like(M)
     total = 0.0
-    for chunk in _chunks(params, episodes):
-        loss = _chunk_objective(params, chunk, M, answer_term, scale, candidates, grads)
+    for chunk in chunks:
+        loss = _chunk_objective(params, chunk, M, answer_term, scale, rows, grads)
         if loss is None:
             # NaN head output: the loss and every gradient are NaN
             return math.nan, ({name: np.full_like(arr, np.nan) for name, arr in P.items()}
@@ -929,18 +938,18 @@ def fuse_windows(gauss_win: TemporalSegment, attn_win: TemporalSegment) -> Tempo
 
 def ng_loss(params: ModelParams, episode: Episode) -> float:
     """Answer cross-entropy under the predicted Gaussian mask."""
-    return _objective(params, [episode], "ng", 0.0, None, None, backward=False)[0]
+    return _objective(params, [episode], "ng", 0.0, None, backward=False)[0]
 
 
 def grounding_loss(params: ModelParams, episode: Episode) -> float:
     """Cross-entropy classifying the episode's question against its own
     negatives, using the masked video vector."""
-    return _objective(params, [episode], "ground", 1.0, None, None, backward=False)[0]
+    return _objective(params, [episode], "ground", 1.0, None, backward=False)[0]
 
 
 def ngplus_loss(params: ModelParams, episode: Episode, alpha: float = 1.0) -> float:
     """ng_loss + alpha * grounding_loss (alpha=0 collapses to ng_loss)."""
-    return _objective(params, [episode], "ng+", alpha, None, None, backward=False)[0]
+    return _objective(params, [episode], "ng+", alpha, None, backward=False)[0]
 
 
 def loss_and_gradients(
@@ -948,8 +957,7 @@ def loss_and_gradients(
     episodes: Episode | Sequence[Episode],
     objective: str = "ng",
     alpha: float = 1.0,
-    pos_question: Sequence[np.ndarray | None] | None = None,
-    neg_questions: Sequence[Sequence[np.ndarray] | None] | None = None,
+    candidates: np.ndarray | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Loss and full parameter gradients, summed over the episodes; a lone
     Episode is a batch of one.
@@ -957,20 +965,13 @@ def loss_and_gradients(
     objective: "ng" (answer CE), "ground" (grounding CE only, the stage-1
     pretraining term), or "ng+" (answer CE + alpha * grounding CE).
 
-    pos_question and neg_questions are per-episode sequences: each episode's
-    positive question variant and its negatives, None for its own. None for
-    the whole argument means every episode's own. Arrays are such sequences:
-    a (B, d_t) positive array, a (B, A - 1, d_t) negative array.
+    candidates are the grounding term's questions, a (B, A, d_t) array:
+    row 0 is each episode's positive question and rows 1..A-1 its negatives.
+    None means each episode's own question and neg_questions. See
+    _candidates for the errors.
     """
     episodes = [episodes] if isinstance(episodes, Episode) else list(episodes)
-    n_pos = len(episodes) if pos_question is None else len(pos_question)
-    n_neg = len(episodes) if neg_questions is None else len(neg_questions)
-    if not n_pos == n_neg == len(episodes):
-        raise ValueError(
-            f"{len(episodes)} episodes, {n_pos} positive questions, {n_neg} negative lists"
-        )
-    return _objective(params, episodes, objective, alpha, pos_question, neg_questions,
-                      backward=True)
+    return _objective(params, episodes, objective, alpha, candidates, backward=True)
 
 
 # --- inference -------------------------------------------------------------------

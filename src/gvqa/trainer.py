@@ -9,7 +9,6 @@ snapshot.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -18,7 +17,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .metrics import LabelTable, evaluate
+from .metrics import LabelTable, csv_text, evaluate, rewrite_text
 from .model import Episode, ModelParams, loss_and_gradients, predict_episodes
 from .synth import ConfigError, check_integers, episodes_to_labels
 
@@ -346,22 +345,22 @@ def train(
                 batch = [episodes[i] for i in index]
                 # one draw per minibatch, before the engine call: the
                 # negatives, then swap[e] = rng.random() < p_pos_swap and
-                # w[e] = rng.random() for every episode; an episode with m > 0
-                # variants and swap takes variant int(w * m) as its positive
-                negs = pos = None
+                # w[e] = rng.random() for every episode; row 0 of episode e's
+                # candidates, its own question, becomes variant int(w * m)
+                # when it has m > 0 variants and swap
+                candidates = None
                 if objective in ("ground", "ng+"):
-                    negs = pool.questions[sample_negatives(pool, index, need,
-                                                           config.p_same_video, rng)]
+                    negs = sample_negatives(pool, index, need, config.p_same_video, rng)
+                    candidates = pool.questions[np.column_stack((index, negs))]
                     swap = rng.random(len(index)) < config.p_pos_swap
                     w = rng.random(len(index))
-                    pos = pool.questions[index]
                     for j in np.flatnonzero(swap).tolist():
                         variants = batch[j].pos_variants
                         if variants:
-                            pos[j] = variants[int(w[j] * len(variants))]
+                            candidates[j, 0] = variants[int(w[j] * len(variants))]
                 batch_loss, grads = loss_and_gradients(
                     params, batch, objective=objective, alpha=config.alpha,
-                    pos_question=pos, neg_questions=negs,
+                    candidates=candidates,
                 )
                 where = f"epoch {epoch}, batch starting {lo}, stage {objective}"
                 if not math.isfinite(batch_loss):
@@ -400,10 +399,6 @@ def write_history_csv(path: str | Path, history: Sequence[dict]) -> None:
     the column early stopping selects on; stage names the epoch's objective;
     fallbacks counts the epoch's same-video negative slots that were drawn
     from other videos."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(HISTORY_COLUMNS)
-        for row in history:
-            writer.writerow([row["epoch"], row["stage"]]
-                            + [f"{row[k]:.6f}" for k in HISTORY_COLUMNS[2:-1]]
-                            + [row["fallbacks"]])
+    rows = [[row["epoch"], row["stage"], *(f"{row[k]:.6f}" for k in HISTORY_COLUMNS[2:-1]),
+             row["fallbacks"]] for row in history]
+    rewrite_text(path, csv_text([HISTORY_COLUMNS] + rows))

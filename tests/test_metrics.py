@@ -23,6 +23,7 @@ from gvqa.metrics import (
     load_predictions,
     random_baseline,
     report_to_dict,
+    rewrite_text,
     round_percent,
     save_predictions,
     write_report_csv,
@@ -352,6 +353,29 @@ def test_report_csv_column_order(tmp_path, fixture_labels, fixture_preds):
     lines = p.read_text().strip().splitlines()
     assert lines[0] == "Acc@QA,Acc@GQA,mIoP,IoP@0.3,IoP@0.5,mIoU,IoU@0.3,IoU@0.5,n"
     assert lines[1] == "75.0,50.0,58.8,75.0,75.0,48.8,50.0,50.0,4"
+
+
+def test_rewrite_text_over_a_longer_file_leaves_exactly_the_new_bytes(tmp_path):
+    p = tmp_path / "out.txt"
+    rewrite_text(p, "a longer first text\n" * 50)
+    rewrite_text(p, "short, \u00b5s\r\n")
+    assert p.read_bytes() == "short, \u00b5s\r\n".encode("utf-8")
+    rewrite_text(p, "")
+    assert p.read_bytes() == b""
+
+
+@pytest.mark.parametrize("writer", ["predictions", "report_json", "report_csv"])
+def test_writers_over_a_longer_file_give_a_fresh_file_bytes(tmp_path, fixture_labels,
+                                                            fixture_preds, writer):
+    report = evaluate(fixture_preds, fixture_labels)
+    write = {"predictions": lambda p: save_predictions(p, fixture_preds),
+             "report_json": lambda p: write_report_json(p, report),
+             "report_csv": lambda p: write_report_csv(p, report)}[writer]
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    write(fresh)
+    reused.write_bytes(b"x" * (3 * fresh.stat().st_size))
+    write(reused)
+    assert reused.read_bytes() == fresh.read_bytes()
 
 
 def test_prediction_file_round_trip(tmp_path, fixture_preds):

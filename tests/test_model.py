@@ -143,13 +143,17 @@ class TestEpisode:
             Episode(**{**ep, **fields})
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("field", ["frames", "question", "answers"])
+    @pytest.mark.parametrize("field", ["frames", "question", "answers", "neg_questions",
+                                       "pos_variants"])
     def test_non_finite_array_names_the_episode_and_field(self, field, value):
         rng = np.random.default_rng(0)
         ep = dict(frames=rng.normal(size=(4, 5)), question=rng.normal(size=6),
                   answers=rng.normal(size=(3, 6)), correct=0, extent=VideoExtent(10.0),
+                  neg_questions=list(rng.normal(size=(2, 6))), pos_variants=[rng.normal(size=6)],
                   question_id="q")
-        ep[field].flat[-1] = value
+        # the question lists' last vector, or the array itself
+        arr = ep[field][-1] if isinstance(ep[field], list) else ep[field]
+        arr.flat[-1] = value
         with pytest.raises(ValueError, match=f"^episode 'q': non-finite value in {field}$"):
             Episode(**ep)
 
@@ -318,31 +322,37 @@ class TestLosses:
         params = init_params(SMALL, seed=13)
         ep = make_episode(rng, A=3)
         with pytest.raises(NegativeCountMismatch):
-            loss_and_gradients(params, ep, objective="ground", neg_questions=[[rng.normal(size=6)]])
+            loss_and_gradients(params, ep, objective="ground",
+                               candidates=np.stack([ep.question, rng.normal(size=6)])[None])
+        # the episode's own negatives, taken when candidates is None
+        with pytest.raises(NegativeCountMismatch, match="need 2 negative questions, got 1"):
+            grounding_loss(params, dataclasses.replace(ep, neg_questions=ep.neg_questions[:1]))
 
     def test_scalar_negatives_do_not_broadcast(self):
-        # four scalars for A = 5 at d_t = 4 are four negatives of the wrong
-        # shape, not rows to broadcast across the candidate matrix
+        # one scalar per candidate for A = 5 at d_t = 4 is a matrix of the
+        # wrong shape, not rows to broadcast across the text dimension
         rng = np.random.default_rng(17)
         params = init_params(ModelConfig(d_v=5, d_t=4, width=8), seed=15)
         ep = dataclasses.replace(make_episode(rng, d_t=4, A=5), question_id="q7")
-        with pytest.raises(ShapeMismatch, match=r"episode 'q7' \(position 0 of the batch\)"):
+        with pytest.raises(ShapeMismatch, match=r"candidate matrix of shape \(1, 5, 1\) "
+                                                r"for 1 episodes, need \(1, A, 4\)"):
             loss_and_gradients(params, [ep], objective="ground",
-                               neg_questions=[[1.0, 2.0, 3.0, 4.0]])
+                               candidates=np.arange(5.0).reshape(1, 5, 1))
 
     def test_negatives_of_the_wrong_dimension_name_the_episode(self):
         rng = np.random.default_rng(18)
         params = init_params(ModelConfig(d_v=5, d_t=4, width=8), seed=16)
         eps = [dataclasses.replace(make_episode(rng, d_t=4, A=5), question_id=f"q{i}")
                for i in range(2)]
-        wide = [None, [rng.normal(size=5) for _ in range(4)]]
-        with pytest.raises(ShapeMismatch, match=r"episode 'q1' \(position 1 of the batch\)"):
-            loss_and_gradients(params, eps, objective="ground", neg_questions=wide)
-        # the same negatives as one array
-        with pytest.raises(ShapeMismatch, match=r"episode 'q0' \(position 0 of the batch\)"):
-            loss_and_gradients(params, eps, objective="ng+",
-                               pos_question=np.stack([ep.question for ep in eps]),
-                               neg_questions=rng.normal(size=(2, 4, 5)))
+        # a matrix of another text dimension is wrong for every episode at once
+        with pytest.raises(ShapeMismatch, match=r"candidate matrix of shape \(2, 5, 5\)"):
+            loss_and_gradients(params, eps, objective="ng+", candidates=rng.normal(size=(2, 5, 5)))
+        # an episode whose own questions have another dimension is named
+        # before its candidate rows are gathered
+        eps[1] = dataclasses.replace(make_episode(rng, d_t=5, A=5), question_id="q1")
+        with pytest.raises(ShapeMismatch, match=r"episode 'q1' has frames dim 5 and question "
+                                                r"dim 5, the model needs 5 and 4"):
+            loss_and_gradients(params, eps, objective="ground")
 
     def test_negative_array_of_the_wrong_count_names_the_episode(self):
         rng = np.random.default_rng(19)
@@ -353,8 +363,7 @@ class TestLosses:
                            match=r"need 3 negative questions, got 2 for episode 'q1' "
                                  r"\(position 1 of the batch\)"):
             loss_and_gradients(params, eps, objective="ground",
-                               pos_question=np.stack([ep.question for ep in eps]),
-                               neg_questions=rng.normal(size=(2, 2, 6)))
+                               candidates=rng.normal(size=(2, 3, 6)))
 
     def test_pos_variant_substitution_changes_loss(self):
         rng = np.random.default_rng(16)
@@ -362,8 +371,30 @@ class TestLosses:
         ep = make_episode(rng)
         variant = ep.question + 0.5 * rng.normal(size=6)
         a = grounding_loss(params, ep)
-        b, _ = loss_and_gradients(params, ep, objective="ground", pos_question=[variant])
+        b, _ = loss_and_gradients(params, ep, objective="ground",
+                                  candidates=np.stack([variant, *ep.neg_questions])[None])
         assert a != b
+
+    @pytest.mark.parametrize("objective", ["ng", "ground", "ng+"])
+    def test_empty_batch_gives_zero(self, objective):
+        params = init_params(SMALL, seed=18)
+        loss, grads = loss_and_gradients(params, [], objective=objective)
+        assert loss == 0.0
+        assert list(grads) == list(PARAM_NAMES)
+        for name, g in grads.items():
+            assert g.shape == params.arrays[name].shape and not g.any(), name
+
+    def test_non_finite_candidate_names_the_episode_before_any_chunk_runs(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        params = init_params(SMALL, seed=19)
+        eps = [dataclasses.replace(make_episode(rng), question_id=f"q{i}") for i in range(3)]
+        candidates = own_candidates(eps)
+        candidates[1, 2, 3] = np.inf
+        candidates[2, 0, 0] = np.nan
+        monkeypatch.setattr(model, "_chunk_objective", None)
+        with pytest.raises(ValueError, match=r"^non-finite candidate question for episode "
+                                             r"'q1' \(position 1 of the batch\)$"):
+            loss_and_gradients(params, eps, objective="ng+", candidates=candidates)
 
 
 def numeric_gradient(loss_fn, params, eps=1e-5):
@@ -439,12 +470,14 @@ class TestGradients:
         ep = make_episode(rng)
         variant = ep.question + 0.3 * rng.normal(size=6)
 
+        candidates = np.stack([variant, *ep.neg_questions])[None]
+
         def loss_fn():
             return loss_and_gradients(params, ep, objective="ng+", alpha=1.0,
-                                      pos_question=[variant])[0]
+                                      candidates=candidates)[0]
 
         _, analytic = loss_and_gradients(params, ep, objective="ng+", alpha=1.0,
-                                         pos_question=[variant])
+                                         candidates=candidates)
         numeric = numeric_gradient(loss_fn, params)
         assert_grads_match(analytic, numeric)
 
@@ -694,14 +727,18 @@ def mixed_batch(rng, frames=(4, 6, 4, 4, 6, 4, 4), answers=(3, 3, 4, 3, 3, 4, 3)
             for i, (n, A) in enumerate(zip(frames, answers))]
 
 
-def summed_singles(params, episodes, objective, alpha, pos=None, negs=None):
+def own_candidates(episodes):
+    """The (B, A, d_t) matrix of each episode's own question and negatives."""
+    return np.stack([np.stack([ep.question, *ep.neg_questions]) for ep in episodes])
+
+
+def summed_singles(params, episodes, objective, alpha, candidates=None):
     """Loss and gradients summed over one-episode loss_and_gradients calls."""
     total, grads = 0.0, {k: np.zeros_like(v) for k, v in params.arrays.items()}
     for i, ep in enumerate(episodes):
         loss, g = loss_and_gradients(
             params, ep, objective=objective, alpha=alpha,
-            pos_question=None if pos is None else [pos[i]],
-            neg_questions=None if negs is None else [negs[i]],
+            candidates=None if candidates is None else candidates[i:i + 1],
         )
         total += loss
         for k in grads:
@@ -756,47 +793,39 @@ class TestSoftmax:
 class TestEngine:
     @pytest.mark.parametrize("objective,alpha", OBJECTIVES)
     def test_batched_matches_one_at_a_time(self, monkeypatch, objective, alpha):
-        # 7 episodes in three (frames, answers) buckets; 8 frames per chunk
-        # puts two 4-frame episodes in a chunk, so buckets span chunks
+        # 7 episodes in three (frames, answers) buckets, with their own
+        # questions; then the five 3-answer ones with a matrix that swaps one
+        # positive and one episode's negatives. 8 frames per chunk puts two
+        # 4-frame episodes in a chunk, so buckets span chunks
         rng = np.random.default_rng(40)
         params = init_params(SMALL, seed=40)
         eps = mixed_batch(rng)
-        pos = [None, eps[1].question + 0.2 * rng.normal(size=6)] + [None] * 5
-        negs = [None] * 6 + [[rng.normal(size=6) for _ in range(2)]]
-        singles = summed_singles(params, eps, objective, alpha, pos, negs)
-        assert_same_sums(loss_and_gradients(params, eps, objective=objective, alpha=alpha,
-                                            pos_question=pos, neg_questions=negs), singles)
-        monkeypatch.setattr(model, "CHUNK_FRAMES", 8)
-        assert_same_sums(loss_and_gradients(params, eps, objective=objective, alpha=alpha,
-                                            pos_question=pos, neg_questions=negs), singles)
+        three = [ep for ep in eps if ep.n_answers == 3]
+        candidates = own_candidates(three)
+        candidates[1, 0] = three[1].question + 0.2 * rng.normal(size=6)
+        candidates[4, 1:] = rng.normal(size=(2, 6))
+        cases = [(eps, None), (three, candidates)]
+        singles = [summed_singles(params, batch, objective, alpha, cand) for batch, cand in cases]
+        for chunk_frames in (model.CHUNK_FRAMES, 8):
+            monkeypatch.setattr(model, "CHUNK_FRAMES", chunk_frames)
+            for (batch, cand), want in zip(cases, singles):
+                assert_same_sums(loss_and_gradients(params, batch, objective=objective,
+                                                    alpha=alpha, candidates=cand), want)
 
     @pytest.mark.parametrize("objective,alpha", OBJECTIVES[1:])
     def test_lists_and_arrays_give_the_same_bits(self, objective, alpha):
-        # per-episode lists with None entries (the episode's own questions)
-        # and the equivalent (B, d_t) and (B, A - 1, d_t) arrays
+        # candidates=None, each episode's own question and neg_questions list,
+        # and the equivalent (B, A, d_t) array
         rng = np.random.default_rng(47)
         params = init_params(SMALL, seed=47)
         eps = mixed_batch(rng, frames=(4, 6, 4, 4, 6), answers=(3,) * 5)
-        pos = [None, eps[1].question + 0.2 * rng.normal(size=6), None, None,
-               eps[4].question + 0.1 * rng.normal(size=6)]
-        negs = [None, [rng.normal(size=6) for _ in range(2)], None,
-                list(rng.normal(size=(2, 6))), None]
-        pos_arr = np.stack([ep.question if p is None else p for ep, p in zip(eps, pos)])
-        neg_arr = np.stack([np.stack(ep.neg_questions if n is None else n)
-                            for ep, n in zip(eps, negs)])
-        own_pos = np.stack([ep.question for ep in eps])
-        own_neg = np.stack([np.stack(ep.neg_questions) for ep in eps])
-        for lists, arrays in (((pos, negs), (pos_arr, neg_arr)),
-                              ((None, None), (own_pos, own_neg)),
-                              (([None] * 5, [None] * 5), (own_pos, own_neg))):
-            want = loss_and_gradients(params, eps, objective=objective, alpha=alpha,
-                                      pos_question=lists[0], neg_questions=lists[1])
-            got = loss_and_gradients(params, eps, objective=objective, alpha=alpha,
-                                     pos_question=arrays[0], neg_questions=arrays[1])
-            assert got[0] == want[0]
-            assert list(got[1]) == list(want[1])
-            for name in want[1]:
-                assert np.array_equal(got[1][name], want[1][name]), name
+        want = loss_and_gradients(params, eps, objective=objective, alpha=alpha)
+        got = loss_and_gradients(params, eps, objective=objective, alpha=alpha,
+                                 candidates=own_candidates(eps))
+        assert got[0] == want[0]
+        assert list(got[1]) == list(want[1])
+        for name in want[1]:
+            assert np.array_equal(got[1][name], want[1][name]), name
 
     def test_chunks_bucket_by_shape_in_first_appearance_order(self, monkeypatch):
         rng = np.random.default_rng(41)
@@ -932,8 +961,8 @@ class TestEngine:
         rng = np.random.default_rng(46)
         params = init_params(SMALL, seed=46)
         eps = mixed_batch(rng, frames=(4, 4), answers=(3, 3))
-        with pytest.raises(ValueError, match="2 episodes"):
-            loss_and_gradients(params, eps, objective="ng+", neg_questions=[None])
+        with pytest.raises(ShapeMismatch, match=r"for 2 episodes, need \(2, A, 6\)"):
+            loss_and_gradients(params, eps, objective="ng+", candidates=own_candidates(eps[:1]))
 
 
 def _softmax(z):
@@ -1357,9 +1386,10 @@ class TestZeroNorm:
         rng = np.random.default_rng(49)
         params = init_params(SMALL, seed=49)
         eps = mixed_batch(rng, frames=(4,) * 3, answers=(3,) * 3)
-        negs = [None, [np.zeros(6), rng.normal(size=6)], None]
+        candidates = own_candidates(eps)
+        candidates[1, 1] = 0.0
         with pytest.raises(model.ZeroNorm, match=r"candidate question 1 in episode 'q1' "):
-            loss_and_gradients(params, eps, objective="ground", neg_questions=negs)
+            loss_and_gradients(params, eps, objective="ground", candidates=candidates)
 
 
 @pytest.mark.parametrize("temperature", [0.0, -0.07, math.nan, math.inf])

@@ -595,8 +595,7 @@ def test_ngplus_draw_order_matches_per_episode_loop(world, monkeypatch):
     real_loss, real_sample = trainer_module.loss_and_gradients, trainer_module.sample_negatives
 
     def recording_loss(params, batch, **kwargs):
-        calls.append(([ep.question_id for ep in batch], kwargs["pos_question"],
-                      kwargs["neg_questions"]))
+        calls.append(([ep.question_id for ep in batch], kwargs["candidates"]))
         return real_loss(params, batch, **kwargs)
 
     def recording_sample(pool, positions, *args):
@@ -628,12 +627,12 @@ def test_ngplus_draw_order_matches_per_episode_loop(world, monkeypatch):
     assert sampled == [list(index) for _, _, _, index in expected]
     assert len(calls) == len(expected)
     assert swapped > 0
-    for (ids, pos, negs), (e_ids, e_pos, e_negs, _) in zip(calls, expected):
+    for (ids, candidates), (e_ids, e_pos, e_negs, _) in zip(calls, expected):
         assert ids == e_ids
-        assert len(pos) == len(negs) == len(ids)
-        for p, e in zip(pos, e_pos):
+        assert candidates.shape == (len(ids), need + 1, train_eps[0].question.size)
+        for p, e in zip(candidates[:, 0], e_pos):
             assert np.array_equal(p, e)
-        for n, e in zip(negs, e_negs):
+        for n, e in zip(candidates[:, 1:], e_negs):
             assert np.array_equal(n, np.stack(e))
 
 
