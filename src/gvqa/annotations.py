@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 from itertools import chain, repeat
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -108,7 +108,7 @@ def _build_label(row: Mapping[str, object], where: str) -> GroundingLabel:
         answer = int(row["answer_index"])  # type: ignore[arg-type]
     except KeyError as exc:
         raise ParseError(f"{where}: missing column {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
         raise ParseError(f"{where}: {exc}") from exc
     pairs = _parse_segments(row["segments"], where)
     try:
@@ -127,12 +127,13 @@ def _build_label(row: Mapping[str, object], where: str) -> GroundingLabel:
 def load_labels(path: str | Path) -> LabelTable:
     """Load labels from a .csv or .json file into a table keyed by question id.
 
-    The whole file is parsed and checked at once. If any row fails, the rows
-    are read again one by one through the GroundingLabel checks, so the first
-    bad row in file order raises: ParseError for an unreadable value,
-    ValidationError for a row that parses but violates a label constraint
-    (segment outside the video, start >= end, negative start, repeated
-    question id). Both name the file and line (CSV) or row (JSON).
+    JSON rows are read one by one through the GroundingLabel checks. A CSV
+    file is parsed and checked at once; if any row fails, its rows are read
+    again the same one-by-one way. So the first bad row in file order raises:
+    ParseError for an unreadable value, ValidationError for a row that parses
+    but violates a label constraint (segment outside the video, start >= end,
+    negative start, repeated question id). Both name the file and line (CSV)
+    or row (JSON).
     """
     path = Path(path)
     if path.suffix.lower() == ".json":
@@ -146,18 +147,9 @@ def load_labels(path: str | Path) -> LabelTable:
     return table
 
 
-# any of these from the bulk path sends the file through the row-by-row
+# any of these from the bulk CSV path sends the file through the row-by-row
 # reader, which raises the first bad row's error with its location
 _BULK_ERRORS = (ValueError, TypeError, KeyError, OverflowError, csv.Error)
-
-
-def _bulk_table(qids: Iterable, vids: Iterable, durations: Iterable, answers: Iterable,
-                segments: tuple[list, list, object]) -> LabelTable:
-    """One table from raw column values, converted by the builtins that
-    _build_label uses, and the (start, end, owner) segment columns; raises
-    one of _BULK_ERRORS if any row is bad."""
-    return LabelTable(list(map(str, qids)), list(map(str, vids)),
-                      list(map(float, durations)), list(map(int, answers)), *segments)
 
 
 def _csv_segments(cells: Sequence[str]) -> tuple[list, list, np.ndarray]:
@@ -172,19 +164,6 @@ def _csv_segments(cells: Sequence[str]) -> tuple[list, list, np.ndarray]:
     values = list(map(float, ":".join(chunks).split(":")))
     per_row = np.array(list(map(str.count, cells, repeat(";")))) + 1
     return values[0::2], values[1::2], np.repeat(np.arange(len(cells)), per_row)
-
-
-def _json_segments(cells: Sequence[object]) -> tuple[list, list, list]:
-    """The segment columns of JSON cells, parsed cell by cell."""
-    seg_start: list[float] = []
-    seg_end: list[float] = []
-    seg_owner: list[int] = []
-    for row, cell in enumerate(cells):
-        for a, b in _parse_segments(cell, ""):
-            seg_start.append(a)
-            seg_end.append(b)
-            seg_owner.append(row)
-    return seg_start, seg_end, seg_owner
 
 
 def _add_label(labels: dict[str, GroundingLabel], label: GroundingLabel, where: str) -> None:
@@ -211,8 +190,11 @@ def _load_csv(path: Path) -> LabelTable:
             # a repeated column name reads its last column, as in csv.DictReader
             column = {name: i for i, name in enumerate(header)}
             columns = list(zip(*rows))
-            *values, cells = (columns[column[c]] for c in CSV_COLUMNS)
-            return _bulk_table(*values, _csv_segments(cells))
+            qids, vids, durations, answers, cells = (columns[column[c]] for c in CSV_COLUMNS)
+            # the builtins that _build_label converts with
+            return LabelTable(list(map(str, qids)), list(map(str, vids)),
+                              list(map(float, durations)), list(map(int, answers)),
+                              *_csv_segments(cells))
         except _BULK_ERRORS:
             pass
     return LabelTable.of(_read_csv_rows(path))
@@ -236,11 +218,6 @@ def _load_json(path: Path) -> LabelTable:
         raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(raw, list):
         raise ParseError(f"{path}: expected a JSON array of rows")
-    try:
-        *values, cells = ([row[c] for row in raw] for c in CSV_COLUMNS)
-        return _bulk_table(*values, _json_segments(cells))
-    except _BULK_ERRORS:
-        pass
     return LabelTable.of(_read_json_rows(path, raw))
 
 

@@ -10,6 +10,7 @@ scaling post-softmax weights per key position.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -46,9 +47,13 @@ class GaussianMask:
         object.__setattr__(self, "sigma", sigma)
 
 
+@functools.lru_cache(maxsize=64)
 def frame_positions(n_frames: int) -> np.ndarray:
-    """Normalized frame centers x_i = (i + 0.5) / n in (0, 1)."""
-    return (np.arange(n_frames) + 0.5) / n_frames
+    """Normalized frame centers x_i = (i + 0.5) / n in (0, 1), computed once
+    per frame count and shared, so read-only."""
+    x = (np.arange(n_frames) + 0.5) / n_frames
+    x.flags.writeable = False
+    return x
 
 
 def frame_times(n_frames: int, duration: float) -> np.ndarray:

@@ -428,21 +428,25 @@ def _read_prediction_entries(path: str | Path, raw: dict) -> list[Prediction]:
                     window=TemporalSegment(float(entry["start"]), float(entry["end"])),
                 )
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
             raise ValueError(f"{path}: bad prediction for question {qid!r}: {exc}") from exc
     return preds
 
 
-def rewrite_text(path: str | Path, text: str) -> None:
-    """Write text to path as UTF-8, over any file there: the old file is
-    overwritten in place and then cut to the new length, never truncated
-    to empty first. Some filesystems flush a file that is truncated to empty,
-    which made rewriting an existing report take tens of milliseconds
-    instead of microseconds. Every text writer of the package goes through
-    here."""
+def rewrite_bytes(path: str | Path, data: bytes) -> None:
+    """Write data to path, over any file there: the old file is overwritten
+    in place and then cut to the new length, never truncated to empty first.
+    Some filesystems flush a file that is truncated to empty, which made
+    rewriting an existing report take tens of milliseconds instead of
+    microseconds. Every file writer of the package goes through here."""
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
-        fh.write(text.encode("utf-8"))
+        fh.write(data)
         fh.truncate()
+
+
+def rewrite_text(path: str | Path, text: str) -> None:
+    """Write text to path as UTF-8 through rewrite_bytes."""
+    rewrite_bytes(path, text.encode("utf-8"))
 
 
 def csv_text(rows: Iterable[Sequence]) -> str:

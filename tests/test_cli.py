@@ -3,6 +3,7 @@
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from gvqa import cli
-from gvqa.annotations import load_labels, save_labels
+from gvqa.annotations import ParseError, load_labels, save_labels
 from gvqa.cli import main, parse_config_file
 from gvqa.metrics import (
     Prediction,
@@ -400,6 +401,30 @@ def test_eval_bad_window_names_question_exit_2(data, tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"bad prediction for question {qid!r}: segment needs start < end" in err
     assert not (tmp_path / "report.json").exists()
+
+
+INFINITE_NUMBER_FILES = {
+    "eval": ("preds.json", '{"q1": {"answer": 1e400, "start": 0.0, "end": 1.0}}',
+             load_predictions, ValueError, "bad prediction for question 'q1': "),
+    "stats": ("labels.json", '[{"question_id": "q1", "video_id": "v", "duration_s": 30.0, '
+              '"answer_index": 1e400, "segments": [[1.0, 2.0]]}]',
+              load_labels, ParseError, "labels.json:row 0: "),
+}
+
+
+@pytest.mark.parametrize("command", sorted(INFINITE_NUMBER_FILES))
+def test_infinite_json_number_is_a_bad_input_exit_2(data, tmp_path, capsys, command):
+    # JSON reads 1e400 as inf, and int(inf) raises OverflowError
+    name, text, reader, error, where = INFINITE_NUMBER_FILES[command]
+    bad = tmp_path / name
+    bad.write_text(text)
+    message = where + "cannot convert float infinity to integer"
+    with pytest.raises(error, match=re.escape(message)):
+        reader(bad)
+    inputs = [str(bad), str(data / "labels.csv")] if command == "eval" else [str(bad)]
+    rc = main([command, *inputs, "-o", str(tmp_path / "out")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
 
 
 def test_parser_built_once_and_commands_looked_up_per_call(data, tmp_path, monkeypatch):

@@ -45,6 +45,12 @@ class TestFrameTimes:
         assert t[0] == pytest.approx(0.5 / 32 * 39.5)
         assert t[0] == pytest.approx(0.617, abs=1e-3)
 
+    def test_positions_are_one_shared_read_only_grid(self):
+        x = frame_positions(4)
+        assert x.tolist() == [0.125, 0.375, 0.625, 0.875]
+        assert frame_positions(4) is x and not x.flags.writeable
+        assert frame_times(4, 40.0).flags.writeable
+
 
 class TestMaskParams:
     def test_mu_box(self):

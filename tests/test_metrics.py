@@ -483,7 +483,7 @@ def reference_load_predictions(path):
                     window=TemporalSegment(float(entry["start"]), float(entry["end"])),
                 )
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{path}: bad prediction for question {qid!r}: {exc}") from exc
     return preds
 

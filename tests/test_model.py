@@ -560,6 +560,24 @@ class TestCheckpoint:
         for name, arr in params.arrays.items():
             assert np.array_equal(back.arrays[name], arr)
 
+    def test_save_over_a_longer_checkpoint(self, tmp_path):
+        # the archive's zip timestamps vary between saves, so sizes are compared
+        params = init_params(SMALL, seed=19)
+        fresh, p = tmp_path / "fresh.npz", tmp_path / "model.npz"
+        save_checkpoint(fresh, params)
+        save_checkpoint(p, init_params(ModelConfig(SMALL.d_v, SMALL.d_t, 64), seed=19))
+        assert p.stat().st_size > fresh.stat().st_size
+        save_checkpoint(p, params)
+        assert p.stat().st_size == fresh.stat().st_size
+        back = load_checkpoint(p)
+        assert back.config == params.config
+        for name, arr in params.arrays.items():
+            assert np.array_equal(back.arrays[name], arr)
+
+    def test_npz_suffix_added_as_numpy_adds_it(self, tmp_path):
+        save_checkpoint(tmp_path / "model", init_params(SMALL, seed=19))
+        assert load_checkpoint(tmp_path / "model.npz").config == SMALL
+
     @staticmethod
     def _tampered(tmp_path, edit):
         p = tmp_path / "model.npz"
@@ -1397,6 +1415,17 @@ def test_temperature_must_be_positive_and_finite(temperature):
     # an infinite temperature would make every cosine score 0
     with pytest.raises(ValueError, match="temperature must be positive and finite"):
         ModelConfig(5, 6, 8, temperature=temperature)
+
+
+@pytest.mark.parametrize("field", ["d_v", "d_t", "width"])
+@pytest.mark.parametrize("value, error, message", [
+    (2.5, TypeError, "must be an integer, got 2.5"),
+    ("8", TypeError, "must be an integer, got '8'"),
+    (0, ValueError, "must be positive, got 0"),
+])
+def test_bad_dimension_error_names_the_field(field, value, error, message):
+    with pytest.raises(error, match=f"^{field} {re.escape(message)}$"):
+        ModelConfig(**{"d_v": 5, "d_t": 6, "width": 8, field: value})
 
 
 class TestModelParams:
