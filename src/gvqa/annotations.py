@@ -13,11 +13,12 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 from itertools import chain, repeat
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .metrics import GroundingLabel, LabelTable, csv_text, ordered_sum, rewrite_text
+from .metrics import (GroundingLabel, LabelTable, ParseError, csv_text, open_text,
+                      ordered_sum, read_json, rewrite_text)
 from .svgplot import bar_chart, pie_chart
 from .temporal import TemporalSegment, VideoExtent
 
@@ -26,10 +27,6 @@ CSV_COLUMNS = ("question_id", "video_id", "duration_s", "answer_index", "segment
 POSITION_BINS = ("left", "middle", "right")
 
 DEDUP_IOU = 0.5
-
-
-class ParseError(ValueError):
-    """File is structurally unreadable (bad header, bad JSON, bad number)."""
 
 
 class ValidationError(ValueError):
@@ -133,7 +130,8 @@ def load_labels(path: str | Path) -> LabelTable:
     ParseError for an unreadable value, ValidationError for a row that parses
     but violates a label constraint (segment outside the video, start >= end,
     negative start, repeated question id). Both name the file and line (CSV)
-    or row (JSON).
+    or row (JSON). A file that is not UTF-8, or not valid JSON, raises
+    ParseError naming the file.
     """
     path = Path(path)
     if path.suffix.lower() == ".json":
@@ -166,14 +164,22 @@ def _csv_segments(cells: Sequence[str]) -> tuple[list, list, np.ndarray]:
     return values[0::2], values[1::2], np.repeat(np.arange(len(cells)), per_row)
 
 
-def _add_label(labels: dict[str, GroundingLabel], label: GroundingLabel, where: str) -> None:
-    if label.question_id in labels:
-        raise ValidationError(f"{where}: duplicate question_id {label.question_id!r}")
-    labels[label.question_id] = label
+def _read_rows(rows: Iterable[tuple[str, object]]) -> LabelTable:
+    """Row-by-row reading of (where, row) pairs in file order; raises at the
+    first bad row, naming where it is."""
+    labels: dict[str, GroundingLabel] = {}
+    for where, row in rows:
+        if not isinstance(row, dict):
+            raise ParseError(f"{where}: not an object")
+        label = _build_label(row, where)
+        if label.question_id in labels:
+            raise ValidationError(f"{where}: duplicate question_id {label.question_id!r}")
+        labels[label.question_id] = label
+    return LabelTable.of(labels)
 
 
 def _load_csv(path: Path) -> LabelTable:
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -197,39 +203,16 @@ def _load_csv(path: Path) -> LabelTable:
                               *_csv_segments(cells))
         except _BULK_ERRORS:
             pass
-    return LabelTable.of(_read_csv_rows(path))
-
-
-def _read_csv_rows(path: Path) -> dict[str, GroundingLabel]:
-    """Row-by-row reading; raises at the first bad row, naming its line."""
-    labels: dict[str, GroundingLabel] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+        fh.seek(0)
         reader = csv.DictReader(fh)
-        for row in reader:
-            where = f"{path.name}:{reader.line_num}"
-            _add_label(labels, _build_label(row, where), where)
-    return labels
+        return _read_rows((f"{path.name}:{reader.line_num}", row) for row in reader)
 
 
 def _load_json(path: Path) -> LabelTable:
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    raw = read_json(path)
     if not isinstance(raw, list):
         raise ParseError(f"{path}: expected a JSON array of rows")
-    return LabelTable.of(_read_json_rows(path, raw))
-
-
-def _read_json_rows(path: Path, raw: list) -> dict[str, GroundingLabel]:
-    """Row-by-row reading; raises at the first bad row, naming its index."""
-    labels: dict[str, GroundingLabel] = {}
-    for i, row in enumerate(raw):
-        where = f"{path.name}:row {i}"
-        if not isinstance(row, dict):
-            raise ParseError(f"{where}: not an object")
-        _add_label(labels, _build_label(row, where), where)
-    return labels
+    return _read_rows((f"{path.name}:row {i}", row) for i, row in enumerate(raw))
 
 
 def save_labels(path: str | Path, labels: Mapping[str, GroundingLabel]) -> None:

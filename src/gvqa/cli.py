@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import os
 import sys
 from pathlib import Path
@@ -91,7 +90,9 @@ FLAG_KEYS = ("seed", "objective", "alpha", "gamma", "n_frames", "epochs")
 def parse_config_file(path: Path) -> dict[str, str]:
     """key=value lines; blank lines and #-comments ignored."""
     values: dict[str, str] = {}
-    for i, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    with metrics.open_text(path) as fh:
+        lines = fh.read().splitlines()
+    for i, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -254,10 +255,6 @@ def main(argv: list[str] | None = None) -> int:
     command = {"eval": cmd_eval, "stats": cmd_stats, "train-synth": cmd_train_synth}
     try:
         return command[args.command](args)
-    except json.JSONDecodeError as exc:
-        offset = len(exc.doc[: exc.pos].encode("utf-8")) if exc.doc else exc.pos
-        print(f"error: invalid JSON at byte offset {offset}: {exc.msg}", file=sys.stderr)
-        return 2
     except (ValueError, OSError, metrics.UnknownQuestionId) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,10 +13,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
-from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -40,6 +41,10 @@ class UnknownQuestionId(KeyError):
 
 class DuplicatePrediction(ValueError):
     """Two predictions share a question id."""
+
+
+class ParseError(ValueError):
+    """File is structurally unreadable (not UTF-8, bad JSON, bad header, bad number)."""
 
 
 @dataclass(frozen=True)
@@ -390,47 +395,56 @@ def random_baseline(labels: Mapping[str, GroundingLabel], answer_id: int) -> Pre
 
 # --- file formats ---------------------------------------------------------
 
-# any of these from the bulk path sends the file through the entry-by-entry
-# reader, which raises the first bad entry's error with its question id
-_BULK_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
+@contextmanager
+def open_text(path: str | Path) -> Iterator[io.TextIOWrapper]:
+    """The file at path, open for reading as UTF-8 with its line endings
+    kept, so a character offset maps to a byte offset. Every text input of
+    the package is opened here. A byte that is not UTF-8 raises ParseError
+    naming the file; the codec's position is left out, because for a file
+    read in chunks it counts from the start of the chunk."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text: byte "
+                             f"0x{exc.object[exc.start]:02x}: {exc.reason}") from exc
+
+
+def read_json(path: str | Path) -> object:
+    """The JSON value in a UTF-8 file. A syntax error raises ParseError
+    naming the file and the error's UTF-8 byte offset."""
+    with open_text(path) as fh:
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        offset = len(text[:exc.pos].encode("utf-8"))
+        raise ParseError(f"{path}: invalid JSON at byte offset {offset}: {exc.msg}") from exc
 
 
 def load_predictions(path: str | Path) -> PredictionTable:
     """Read a prediction file: JSON map question_id -> {answer, start, end}.
 
-    Each column is converted in one pass by the builtins the entry-by-entry
-    reader uses; if any entry is bad, the file's entries are read again one
-    by one, so the error names the first bad question.
+    One pass in file order converts each entry with int and float; the
+    first bad entry raises ValueError naming its question.
     """
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    raw = read_json(path)
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: prediction file must be a JSON object")
-    entries = list(raw.values())
+    answer, start, end = [], [], []
     try:
-        return PredictionTable(list(map(str, raw)),
-                               list(map(int, map(itemgetter("answer"), entries))),
-                               list(map(float, map(itemgetter("start"), entries))),
-                               list(map(float, map(itemgetter("end"), entries))))
-    except _BULK_ERRORS:
-        pass
-    return PredictionTable.of(_read_prediction_entries(path, raw))
-
-
-def _read_prediction_entries(path: str | Path, raw: dict) -> list[Prediction]:
-    """Entry-by-entry reading; raises at the first bad entry, naming its question."""
-    preds = []
-    for qid, entry in raw.items():
-        try:
-            preds.append(
-                Prediction(
-                    question_id=str(qid),
-                    answer_index=int(entry["answer"]),
-                    window=TemporalSegment(float(entry["start"]), float(entry["end"])),
-                )
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
-            raise ValueError(f"{path}: bad prediction for question {qid!r}: {exc}") from exc
-    return preds
+        for qid, entry in raw.items():
+            a, s, e = int(entry["answer"]), float(entry["start"]), float(entry["end"])
+            # TemporalSegment's rules in one comparison; a window that breaks
+            # one goes through TemporalSegment, which raises that rule's message
+            if not 0.0 <= s < e < math.inf:
+                TemporalSegment(s, e)
+            answer.append(a)
+            start.append(s)
+            end.append(e)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
+        raise ValueError(f"{path}: bad prediction for question {qid!r}: {exc}") from exc
+    return PredictionTable(list(raw), answer, start, end)
 
 
 def rewrite_bytes(path: str | Path, data: bytes) -> None:
@@ -457,10 +471,14 @@ def csv_text(rows: Iterable[Sequence]) -> str:
 
 
 def save_predictions(path: str | Path, preds: Iterable[Prediction]) -> None:
-    payload = {
-        p.question_id: {"answer": p.answer_index, "start": p.window.start, "end": p.window.end}
-        for p in preds
-    }
+    """Write predictions in the format load_predictions reads; a repeated
+    question id raises DuplicatePrediction for its first repeat."""
+    payload: dict[str, dict] = {}
+    for p in preds:
+        if p.question_id in payload:
+            raise DuplicatePrediction(p.question_id)
+        payload[p.question_id] = {"answer": p.answer_index, "start": p.window.start,
+                                  "end": p.window.end}
     rewrite_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 

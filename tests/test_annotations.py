@@ -23,7 +23,7 @@ from gvqa.annotations import (
     write_stats_json,
     write_stats_svgs,
 )
-from gvqa.metrics import GroundingLabel, LabelTable
+from gvqa.metrics import GroundingLabel, LabelTable, open_text
 from gvqa.temporal import TemporalSegment, VideoExtent, iou
 
 
@@ -412,7 +412,10 @@ def test_segment_cells_read_alike_in_bulk_and_row_by_row(tmp_path, monkeypatch, 
                                  ["q3", "w", "30", "2", "5:6"]])
 
     def rows(p):
-        return _table_columns(LabelTable.of(annotations._read_csv_rows(p)))
+        with open_text(p) as fh:
+            reader = csv.DictReader(fh)
+            return _table_columns(annotations._read_rows(
+                (f"{p.name}:{reader.line_num}", row) for row in reader))
 
     want = outcome(rows, path)
     assert outcome(lambda p: _table_columns(load_labels(p)), path) == want

@@ -427,6 +427,59 @@ def test_infinite_json_number_is_a_bad_input_exit_2(data, tmp_path, capsys, comm
     assert message in capsys.readouterr().err
 
 
+CSV_HEAD = b"question_id,video_id,duration_s,answer_index,segments\r\n"
+# each input file with a Latin-1 byte: its reader, and the command that reads it
+LATIN1_INPUTS = {
+    "labels.csv": (CSV_HEAD + b"q1,caf\xe9,30,0,1:2\r\n", load_labels, ["stats"]),
+    # the bad byte past the first 8 KiB, which the CSV reader decodes in a later chunk
+    "long.csv": (CSV_HEAD + b"".join(b"q%d,v,30,0,1:2\r\n" % i for i in range(600))
+                 + b"q600,caf\xe9,30,0,1:2\r\n", load_labels, ["stats"]),
+    "labels.json": (b'[{"question_id": "q1", "video_id": "caf\xe9", "duration_s": 30, '
+                    b'"answer_index": 0, "segments": "1:2"}]', load_labels, ["stats"]),
+    "preds.json": (b'{"caf\xe9": {"answer": 0, "start": 0.0, "end": 1.0}}',
+                   load_predictions, ["eval"]),
+    "tiny.cfg": (b"# caf\xe9\nn_episodes = 40\n", parse_config_file, ["train-synth", "--config"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LATIN1_INPUTS))
+def test_input_that_is_not_utf8_names_the_file_exit_2(data, tmp_path, capsys, name):
+    text, reader, command = LATIN1_INPUTS[name]
+    bad = tmp_path / name
+    bad.write_bytes(text)
+    if name == "long.csv":
+        assert text.index(b"\xe9") > 8192
+    # no codec position: for a file read in chunks it counts from the chunk
+    message = f"{bad}: not UTF-8 text: byte 0xe9: invalid continuation byte"
+    with pytest.raises(ParseError) as exc:
+        reader(bad)
+    assert str(exc.value) == message
+    labels = [str(data / "labels.csv")] if command == ["eval"] else []
+    assert main([*command, str(bad), *labels, "-o", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("name, text, msg", [
+    ("preds.json", '{"q\u00e9": {"answer": 0, "start": 0.0, "end": 1.0}, oops}',
+     "Expecting property name enclosed in double quotes"),
+    ("labels.json", '[{"question_id": "q\u00e9"},\r\n oops]', "Expecting value"),
+])
+def test_invalid_json_names_file_and_byte_offset_exit_2(data, tmp_path, capsys,
+                                                        name, text, msg):
+    bad = tmp_path / name
+    bad.write_bytes(text.encode("utf-8"))
+    offset = text.encode("utf-8").index(b"oops")
+    assert offset == text.index("oops") + 1  # the accented e is two bytes in UTF-8
+    message = f"{bad}: invalid JSON at byte offset {offset}: {msg}"
+    reader, argv = ((load_predictions, ["eval", str(bad), str(data / "labels.csv")])
+                    if name == "preds.json" else (load_labels, ["stats", str(bad)]))
+    with pytest.raises(ParseError) as exc:
+        reader(bad)
+    assert str(exc.value) == message
+    assert main([*argv, "-o", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_parser_built_once_and_commands_looked_up_per_call(data, tmp_path, monkeypatch):
     assert cli.build_parser() is cli.build_parser()
     seen = []

@@ -402,6 +402,33 @@ def test_prediction_file_not_object(tmp_path):
         load_predictions(p)
 
 
+def test_save_predictions_rejects_a_repeated_question(tmp_path, fixture_preds):
+    p = tmp_path / "preds.json"
+    repeated = [*fixture_preds, pred("q2", 1, 0, 1), pred("q1", 0, 0, 1)]
+    with pytest.raises(DuplicatePrediction) as exc:
+        save_predictions(p, repeated)
+    assert exc.value.args == ("q2",)
+    assert not p.exists()
+
+
+EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1.0, 1e308, math.inf, -math.inf, math.nan]
+
+
+@pytest.mark.parametrize("end", EDGE_VALUES)
+@pytest.mark.parametrize("start", EDGE_VALUES)
+def test_window_check_agrees_with_temporal_segment(tmp_path, start, end):
+    p = tmp_path / "preds.json"
+    p.write_text(json.dumps({"q": {"answer": 0, "start": start, "end": end}}))
+    try:
+        want = TemporalSegment(start, end)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            load_predictions(p)
+        assert str(got.value) == f"{p}: bad prediction for question 'q': {exc}"
+    else:
+        assert list(load_predictions(p)) == [Prediction("q", 0, want)]
+
+
 # --- columnar prediction table ------------------------------------------------
 
 def test_prediction_table_is_a_read_only_sequence(fixture_preds):
