@@ -103,11 +103,12 @@ def _build_label(row: Mapping[str, object], where: str) -> GroundingLabel:
         vid = str(row["video_id"])
         duration = float(row["duration_s"])  # type: ignore[arg-type]
         answer = int(row["answer_index"])  # type: ignore[arg-type]
+        cell = row["segments"]
     except KeyError as exc:
         raise ParseError(f"{where}: missing column {exc.args[0]!r}") from exc
     except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
         raise ParseError(f"{where}: {exc}") from exc
-    pairs = _parse_segments(row["segments"], where)
+    pairs = _parse_segments(cell, where)
     try:
         segments = tuple(TemporalSegment(a, b) for a, b in pairs)
         return GroundingLabel(
@@ -181,31 +182,38 @@ def _read_rows(rows: Iterable[tuple[str, object]]) -> LabelTable:
 def _load_csv(path: Path) -> LabelTable:
     with open_text(path) as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError(f"{path}: empty file")
-        missing = set(CSV_COLUMNS) - set(header)
-        if missing:
-            raise ParseError(f"{path}: header missing columns {sorted(missing)}")
         try:
-            rows = [row for row in reader if row]
-            # short and long rows take csv.DictReader's padding rules, and a
-            # file without rows its message: row by row
-            if set(map(len, rows)) != {len(header)}:
-                raise ValueError("ragged or no rows")
-            # a repeated column name reads its last column, as in csv.DictReader
-            column = {name: i for i, name in enumerate(header)}
-            columns = list(zip(*rows))
-            qids, vids, durations, answers, cells = (columns[column[c]] for c in CSV_COLUMNS)
-            # the builtins that _build_label converts with
-            return LabelTable(list(map(str, qids)), list(map(str, vids)),
-                              list(map(float, durations)), list(map(int, answers)),
-                              *_csv_segments(cells))
-        except _BULK_ERRORS:
-            pass
-        fh.seek(0)
-        reader = csv.DictReader(fh)
-        return _read_rows((f"{path.name}:{reader.line_num}", row) for row in reader)
+            header = next(reader, None)
+            if header is None:
+                raise ParseError(f"{path}: empty file")
+            missing = set(CSV_COLUMNS) - set(header)
+            if missing:
+                raise ParseError(f"{path}: header missing columns {sorted(missing)}")
+            try:
+                rows = [row for row in reader if row]
+                # short and long rows take csv.DictReader's padding rules, and a
+                # file without rows its message: row by row
+                if set(map(len, rows)) != {len(header)}:
+                    raise ValueError("ragged or no rows")
+                # a repeated column name reads its last column, as in csv.DictReader
+                column = {name: i for i, name in enumerate(header)}
+                columns = list(zip(*rows))
+                qids, vids, durations, answers, cells = (columns[column[c]] for c in CSV_COLUMNS)
+                # the builtins that _build_label converts with
+                return LabelTable(list(map(str, qids)), list(map(str, vids)),
+                                  list(map(float, durations)), list(map(int, answers)),
+                                  *_csv_segments(cells))
+            except _BULK_ERRORS:
+                pass
+            fh.seek(0)
+            labels = csv.DictReader(fh)
+            reader = labels.reader
+            return _read_rows((f"{path.name}:{reader.line_num}", row) for row in labels)
+        except csv.Error as exc:
+            # a line the csv module cannot split, such as one with a cell
+            # longer than csv.field_size_limit(): the header, or the first
+            # such row of the row-by-row read
+            raise ParseError(f"{path.name}:{reader.line_num}: {exc}") from exc
 
 
 def _load_json(path: Path) -> LabelTable:

@@ -157,7 +157,7 @@ def cmd_train_synth(args: argparse.Namespace) -> int:
     # the training stack loads here, so eval and stats never import it
     from .model import ModelConfig, init_params, predict_episodes, save_checkpoint
     from .synth import SynthConfig, episodes_to_labels, generate, split_by_video
-    from .trainer import NonFiniteLoss, TrainConfig, train, write_history_csv
+    from .trainer import TrainConfig, train, write_history_csv
 
     file_values = parse_config_file(_resolve_input(args.config)) if args.config else {}
     synth_kw, train_kw, extra = _split_config(file_values, args, SynthConfig, TrainConfig)
@@ -178,12 +178,7 @@ def cmd_train_synth(args: argparse.Namespace) -> int:
               f"loss {row['loss']:.4f} acc {row['acc_qa']:.3f} "
               f"gqa {row['acc_gqa']:.3f} iop {row['m_iop']:.3f} iou {row['m_iou']:.3f}")
 
-    try:
-        best, history = train(params, train_eps, train_cfg,
-                              val_episodes=val_eps, on_epoch=on_epoch)
-    except NonFiniteLoss as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    best, history = train(params, train_eps, train_cfg, val_episodes=val_eps, on_epoch=on_epoch)
 
     save_checkpoint(out / "checkpoint.npz", best)
     write_history_csv(out / "history.csv", history)

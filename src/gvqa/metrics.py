@@ -412,7 +412,9 @@ def open_text(path: str | Path) -> Iterator[io.TextIOWrapper]:
 
 def read_json(path: str | Path) -> object:
     """The JSON value in a UTF-8 file. A syntax error raises ParseError
-    naming the file and the error's UTF-8 byte offset."""
+    naming the file and the error's UTF-8 byte offset; a value the decoder
+    cannot build (an integer past the interpreter's digit limit, arrays
+    nested past the recursion limit) raises ParseError naming the file."""
     with open_text(path) as fh:
         text = fh.read()
     try:
@@ -420,6 +422,8 @@ def read_json(path: str | Path) -> object:
     except json.JSONDecodeError as exc:
         offset = len(text[:exc.pos].encode("utf-8"))
         raise ParseError(f"{path}: invalid JSON at byte offset {offset}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"{path}: unreadable JSON: {exc}") from exc
 
 
 def load_predictions(path: str | Path) -> PredictionTable:

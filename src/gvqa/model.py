@@ -657,52 +657,37 @@ def _ce_from_scores(scores: np.ndarray, target: np.ndarray) -> tuple[np.ndarray,
 
 def _candidates(
     d_t: int, episodes: Sequence[Episode], candidates: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, start): every episode's candidate questions as rows of one
-    matrix, episode i's positive then its A_i - 1 negatives at rows
-    start[i]:start[i] + A_i.
-
-    None takes each episode's own question and neg_questions. A caller's
-    (B, A, d_t) matrix is used as it is after whole-array checks: another
-    shape raises ShapeMismatch. NegativeCountMismatch (a count other than
-    A_i - 1) and ValueError (a non-finite entry) name the first such
+) -> Sequence[Sequence[np.ndarray]]:
+    """Each episode's candidate questions, its positive then its A_i - 1
+    negatives: (question, *neg_questions) for None, else its row of the
+    caller's (B, A, d_t) matrix, which is used as it is. A matrix of another
+    shape raises ShapeMismatch; ValueError (a non-finite entry) and
+    NegativeCountMismatch (a count other than A_i - 1) name the first such
     episode."""
-    A = np.array([ep.n_answers for ep in episodes], dtype=np.intp)
-    start = np.cumsum(A) - A
     if candidates is None:
-        rows = np.empty((A.sum(), d_t))
-        for i, (ep, lo) in enumerate(zip(episodes, start.tolist())):
-            if len(ep.neg_questions) != ep.n_answers - 1:
-                raise NegativeCountMismatch(f"need {ep.n_answers - 1} negative questions, got "
-                                            f"{len(ep.neg_questions)} for {_where(ep, i)}")
-            rows[lo] = ep.question
-            rows[lo + 1:lo + ep.n_answers] = ep.neg_questions
-        return rows, start
-    candidates = np.asarray(candidates, dtype=float)
-    b = len(episodes)
-    if candidates.ndim != 3 or (candidates.shape[0], candidates.shape[2]) != (b, d_t):
-        raise ShapeMismatch(f"candidate matrix of shape {candidates.shape} for {b} "
-                            f"episodes, need ({b}, A, {d_t})")
-    counted = A == candidates.shape[1]
-    if not counted.all():
-        i = int(np.argmin(counted))
-        raise NegativeCountMismatch(f"need {A[i] - 1} negative questions, got "
-                                    f"{candidates.shape[1] - 1} for {_where(episodes[i], i)}")
-    finite = np.isfinite(candidates).all(axis=(1, 2))
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise ValueError(f"non-finite candidate question for {_where(episodes[i], i)}")
-    return candidates.reshape(-1, d_t), start
+        candidates = [(ep.question, *ep.neg_questions) for ep in episodes]
+    else:
+        candidates = np.asarray(candidates, dtype=float)
+        b = len(episodes)
+        if candidates.ndim != 3 or (candidates.shape[0], candidates.shape[2]) != (b, d_t):
+            raise ShapeMismatch(f"candidate matrix of shape {candidates.shape} for {b} "
+                                f"episodes, need ({b}, A, {d_t})")
+        finite = np.isfinite(candidates).all(axis=(1, 2))
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise ValueError(f"non-finite candidate question for {_where(episodes[i], i)}")
+    for i, (ep, questions) in enumerate(zip(episodes, candidates)):
+        if len(questions) != ep.n_answers:
+            raise NegativeCountMismatch(f"need {ep.n_answers - 1} negative questions, got "
+                                        f"{len(questions) - 1} for {_where(ep, i)}")
+    return candidates
 
 
-def _candidate_questions(chunk: _Chunk, rows: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """(b, A, d_t): per episode, its positive then its A - 1 negatives,
-    taken from _candidates' rows into the chunk's workspace by one take."""
+def _candidate_questions(chunk: _Chunk, candidates: Sequence[Sequence[np.ndarray]]) -> np.ndarray:
+    """(b, A, d_t): each episode's _candidates, copied into the chunk's workspace."""
     Qc = chunk.ws.Qc
-    b, A, d_t = Qc.shape
-    index = (start[chunk.index][:, None] + np.arange(A)).ravel()
-    # every index is in range; "clip" lets take write into out unbuffered
-    np.take(rows, index, axis=0, out=Qc.reshape(b * A, d_t), mode="clip")
+    for j, i in enumerate(chunk.index):
+        Qc[j] = candidates[i]
     return Qc
 
 
@@ -833,12 +818,12 @@ def _chunk_objective(
     M: np.ndarray,
     answer_term: bool,
     scale: float,
-    candidates: tuple[np.ndarray, np.ndarray] | None,
+    candidates: Sequence[Sequence[np.ndarray]] | None,
     grads: dict[str, np.ndarray] | None,
 ) -> float | None:
     """The chunk's summed loss: the answer term if answer_term, plus scale
-    times the grounding term over _candidates' rows. Adds the gradients into
-    grads unless it is None. Returns None for a non-finite head output."""
+    times the grounding term over _candidates' questions. Adds the gradients
+    into grads unless it is None. Returns None for a non-finite head output."""
     P = params.arrays
     T = params.temperature
     cache = _forward(params, chunk, M)
@@ -852,7 +837,7 @@ def _chunk_objective(
         loss_a, dscore = _ce_from_scores(cache["answer"]["scores"], correct)
         loss = loss_a
     if scale != 0.0:
-        Qc = _candidate_questions(chunk, *candidates)
+        Qc = _candidate_questions(chunk, candidates)
         R = chunk.ws.R
         np.matmul(Qc.reshape(b * A, d_t), P["W_t"], out=R.reshape(b * A, w))
         R += P["b_t"]
@@ -894,7 +879,7 @@ def _objective(
     answer_term = objective in ("ng", "ng+")
     scale = {"ng": 0.0, "ground": 1.0, "ng+": alpha}[objective]
     chunks = _chunks(params, episodes)
-    rows = _candidates(params.config.d_t, episodes, candidates) if scale != 0.0 else None
+    candidates = _candidates(params.config.d_t, episodes, candidates) if scale != 0.0 else None
     M, Qm, Km = _frame_map(params)
     grads = None
     if backward:
@@ -902,7 +887,7 @@ def _objective(
         grads["frame_map"] = np.zeros_like(M)
     total = 0.0
     for chunk in chunks:
-        loss = _chunk_objective(params, chunk, M, answer_term, scale, rows, grads)
+        loss = _chunk_objective(params, chunk, M, answer_term, scale, candidates, grads)
         if loss is None:
             # NaN head output: the loss and every gradient are NaN
             return math.nan, ({name: np.full_like(arr, np.nan) for name, arr in P.items()}

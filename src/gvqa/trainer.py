@@ -22,7 +22,7 @@ from .model import Episode, ModelParams, loss_and_gradients, predict_episodes
 from .synth import ConfigError, check_integers, episodes_to_labels
 
 
-class NonFiniteLoss(RuntimeError):
+class NonFiniteLoss(ArithmeticError):
     """A batch's loss or gradients were NaN or infinite; training aborted
     before the update."""
 

@@ -333,7 +333,7 @@ def test_non_finite_loss_exit_3(tmp_path, monkeypatch, capsys):
     _write_cfg(cfg)
     rc = main(TRAIN_ARGS + ["--config", str(cfg), "-o", str(tmp_path / "o")])
     assert rc == 3
-    assert "blow-up" in capsys.readouterr().err
+    assert capsys.readouterr().err == "numerical error: synthetic blow-up\n"
 
 
 def test_console_script_installed(data, tmp_path):
@@ -477,6 +477,70 @@ def test_invalid_json_names_file_and_byte_offset_exit_2(data, tmp_path, capsys,
         reader(bad)
     assert str(exc.value) == message
     assert main([*argv, "-o", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# a cell one past the csv module's default field size limit of 131072
+LONG_CELL = b"1:2;" * 40000
+LONG_CELL_FILES = {
+    "header": (CSV_HEAD.rstrip() + b"," + LONG_CELL + b"\r\n", 1),
+    "row": (CSV_HEAD + b"q0,v,30,0,1:2\r\nq1,v,30,0," + LONG_CELL + b"\r\n", 3),
+}
+
+
+@pytest.mark.parametrize("where", sorted(LONG_CELL_FILES))
+def test_csv_cell_past_the_field_limit_names_file_and_line_exit_2(tmp_path, capsys, where):
+    text, line = LONG_CELL_FILES[where]
+    bad = tmp_path / "long.csv"
+    bad.write_bytes(text)
+    message = f"long.csv:{line}: field larger than field limit (131072)"
+    with pytest.raises(ParseError) as exc:
+        load_labels(bad)
+    assert str(exc.value) == message
+    assert main(["stats", str(bad), "-o", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# JSON the decoder parses but cannot build: per case, the prediction file
+# and the label file, and the start of the decoder's message
+UNREADABLE_JSON = {
+    "long integer": ('{"q1": {"answer": %s, "start": 0.0, "end": 1.0}}' % ("1" * 5000),
+                     '[{"question_id": "q1", "video_id": "v", "duration_s": 30, '
+                     '"answer_index": %s, "segments": "1:2"}]' % ("1" * 5000),
+                     "Exceeds the limit (4300 digits) for integer string conversion"),
+    "deep nesting": ('{"q1": %s}' % ("[" * 100000 + "]" * 100000),
+                     "[" * 100000 + "]" * 100000,
+                     "maximum recursion depth exceeded"),
+}
+
+
+@pytest.mark.parametrize("command", ["eval", "stats"])
+@pytest.mark.parametrize("case", sorted(UNREADABLE_JSON))
+def test_unreadable_json_names_the_file_exit_2(data, tmp_path, capsys, case, command):
+    preds, labels, msg = UNREADABLE_JSON[case]
+    if command == "eval":
+        bad, reader, inputs = tmp_path / "preds.json", load_predictions, [str(data / "labels.csv")]
+        bad.write_text(preds)
+    else:
+        bad, reader, inputs = tmp_path / "labels.json", load_labels, []
+        bad.write_text(labels)
+    message = f"{bad}: unreadable JSON: {msg}"
+    with pytest.raises(ParseError) as exc:
+        reader(bad)
+    assert str(exc.value).startswith(message)
+    assert main([command, str(bad), *inputs, "-o", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+def test_json_label_row_without_segments_names_the_column_exit_2(tmp_path, capsys):
+    bad = tmp_path / "labels.json"
+    bad.write_text('[{"question_id": "q1", "video_id": "v", "duration_s": 30, '
+                   '"answer_index": 0}]')
+    message = "labels.json:row 0: missing column 'segments'"
+    with pytest.raises(ParseError) as exc:
+        load_labels(bad)
+    assert str(exc.value) == message
+    assert main(["stats", str(bad), "-o", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
