@@ -156,13 +156,16 @@ def _csv_segments(cells: Sequence[str]) -> tuple[list, list, np.ndarray]:
     between semicolons must hold exactly one colon; any other cell (an
     empty or blank chunk, a stray colon) raises ValueError, and the
     row-by-row reader reads the file instead."""
-    chunks = ";".join(cells).split(";")
+    joined = ";".join(cells)
+    chunks = joined.split(";")
     if set(map(str.count, chunks, repeat(":"))) != {1}:
         raise ValueError("a segment is not 'start:end'")
     # float() ignores the whitespace that _parse_segments strips
-    values = list(map(float, ":".join(chunks).split(":")))
-    per_row = np.array(list(map(str.count, cells, repeat(";")))) + 1
-    return values[0::2], values[1::2], np.repeat(np.arange(len(cells)), per_row)
+    values = list(map(float, joined.replace(";", ":").split(":")))
+    owner = np.arange(len(cells))
+    if len(chunks) > len(cells):  # some row holds more than one segment
+        owner = np.repeat(owner, np.array(list(map(str.count, cells, repeat(";")))) + 1)
+    return values[0::2], values[1::2], owner
 
 
 def _read_rows(rows: Iterable[tuple[str, object]]) -> LabelTable:
@@ -199,10 +202,11 @@ def _load_csv(path: Path) -> LabelTable:
                 column = {name: i for i, name in enumerate(header)}
                 columns = list(zip(*rows))
                 qids, vids, durations, answers, cells = (columns[column[c]] for c in CSV_COLUMNS)
-                # the builtins that _build_label converts with
-                return LabelTable(list(map(str, qids)), list(map(str, vids)),
-                                  list(map(float, durations)), list(map(int, answers)),
-                                  *_csv_segments(cells))
+                # the builtins that _build_label converts with (the ids are str
+                # already); a video's questions repeat its duration text
+                seconds = {text: float(text) for text in set(durations)}
+                return LabelTable(qids, vids, list(map(seconds.__getitem__, durations)),
+                                  list(map(int, answers)), *_csv_segments(cells))
             except _BULK_ERRORS:
                 pass
             fh.seek(0)

@@ -23,9 +23,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .gaussian import frame_times
+from .gaussian import ShapeMismatch, frame_times
 from .metrics import LabelTable
-from .model import Episode, _softmax
+from .model import Episode
 from .temporal import TemporalSegment, VideoExtent
 
 SIBLINGS_PER_VIDEO = 4
@@ -241,22 +241,46 @@ def moment_frame_mask(episode: Episode) -> np.ndarray:
     return _frames_inside(centers, oracle_grounding(episode))
 
 
+def _check_fit_input(episodes: Sequence[Episode]) -> None:
+    """ValueError for no episodes; ShapeMismatch naming the first episode whose
+    answer count, question dim or frames dim differs from episode 0's (a
+    probe fit stacks them all)."""
+    if not episodes:
+        raise ValueError("no episodes to fit the probes on")
+    first = episodes[0]
+    want = (first.n_answers, first.question.shape[0], first.frames.shape[1])
+    for i, ep in enumerate(episodes):
+        got = (ep.n_answers, ep.question.shape[0], ep.frames.shape[1])
+        if got != want:
+            raise ShapeMismatch(
+                f"episode {ep.question_id!r} (position {i}) has {got[0]} answers, question "
+                f"dim {got[1]} and frames dim {got[2]}; episode 0 has {want[0]}, {want[1]} "
+                f"and {want[2]}")
+
+
 def _fit_probe(blocks: list[np.ndarray], episodes: Sequence[Episode]) -> list[np.ndarray]:
     """Full-batch gradient descent from zero weights of the answer
     cross-entropy of a probe scoring answer a of episode e as
     sum_k (X_k[e] @ W_k) . a; returns one W_k per feature block X_k."""
-    A = np.stack([ep.answers for ep in episodes])
-    onehot = np.zeros((len(episodes), A.shape[1]))
-    onehot[np.arange(len(episodes)), [ep.correct for ep in episodes]] = 1.0
+    # answer-major (A, E, d_t): the softmax reduces over A rows of E scores,
+    # about 6x faster than over the A-long last axis of (E, A)
+    A = np.stack([ep.answers for ep in episodes], axis=1)
+    onehot = np.zeros(A.shape[:2])
+    onehot[[ep.correct for ep in episodes], np.arange(len(episodes))] = 1.0
     weights = [np.zeros((X.shape[1], A.shape[2])) for X in blocks]
     for _ in range(PROBE_EPOCHS):
         # one product per block: a single GEMM over the stacked blocks is slower
         proj = blocks[0] @ weights[0]
         for X, W in zip(blocks[1:], weights[1:]):
             proj = proj + X @ W
-        delta = _softmax(np.einsum("ef,eaf->ea", proj, A)) - onehot
+        # the answer softmax in place, less the one-hot
+        delta = np.einsum("ef,aef->ae", proj, A)
+        delta -= np.fmax.reduce(delta, axis=0)
+        np.exp(delta, out=delta)
+        delta /= np.add.reduce(delta, axis=0)
+        delta -= onehot
         # the answer-weighted error, shared by every block's update
-        delta_A = np.einsum("ea,eaf->ef", delta, A)
+        delta_A = np.einsum("ae,aef->ef", delta, A)
         for X, W in zip(blocks, weights):
             W -= PROBE_LR * (X.T @ delta_A) / len(episodes)
     return weights
@@ -269,11 +293,16 @@ class QuestionOnlyScorer:
     W: np.ndarray | None = None
 
     def fit(self, episodes: Sequence[Episode]) -> None:
+        _check_fit_input(episodes)
         (self.W,) = _fit_probe([np.stack([ep.question for ep in episodes])], episodes)
 
     def scores(self, episode: Episode) -> np.ndarray:
         if self.W is None:
             raise ValueError("scorer not fitted")
+        if episode.question.shape[0] != self.W.shape[0]:
+            raise ShapeMismatch(f"episode {episode.question_id!r} has question dim "
+                                f"{episode.question.shape[0]}, the probe was fitted on "
+                                f"{self.W.shape[0]}")
         return (episode.question @ self.W) @ episode.answers.T
 
     def predict(self, episode: Episode) -> int:
@@ -302,9 +331,11 @@ class FramesQuestionScorer:
         rows = episode.frames[mask if self.frame_subset == "moment" else ~mask]
         if rows.shape[0] == 0:
             return np.zeros(episode.frames.shape[1])
-        return rows.mean(axis=0)
+        # rows.mean(axis=0) without its Python wrapper: this runs per episode
+        return np.add.reduce(rows, axis=0) / rows.shape[0]
 
     def fit(self, episodes: Sequence[Episode]) -> None:
+        _check_fit_input(episodes)
         V = np.stack([self._pool(ep) for ep in episodes])
         Q = np.stack([ep.question for ep in episodes])
         self.U, self.W = _fit_probe([V, Q], episodes)
@@ -312,6 +343,11 @@ class FramesQuestionScorer:
     def scores(self, episode: Episode) -> np.ndarray:
         if self.U is None or self.W is None:
             raise ValueError("scorer not fitted")
+        dims = (episode.frames.shape[1], episode.question.shape[0])
+        if dims != (self.U.shape[0], self.W.shape[0]):
+            raise ShapeMismatch(f"episode {episode.question_id!r} has frames dim {dims[0]} and "
+                                f"question dim {dims[1]}, the probe was fitted on "
+                                f"{self.U.shape[0]} and {self.W.shape[0]}")
         return (self._pool(episode) @ self.U + episode.question @ self.W) @ episode.answers.T
 
     def predict(self, episode: Episode) -> int:

@@ -6,6 +6,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from gvqa.gaussian import ShapeMismatch
 from gvqa.metrics import LabelTable, evaluate, random_baseline
 from gvqa.model import Episode, ModelConfig, init_params
 from gvqa.synth import (
@@ -318,8 +319,10 @@ def _einsum_fit_frames(episodes, frame_subset, epochs=150, lr=0.5):
     return U, W
 
 
-def test_probe_fits_match_three_operand_einsums():
-    train, val = split_by_video(generate(SynthConfig(n_episodes=160, seed=21)), 0.15, seed=0)
+@pytest.mark.parametrize("n_answers", [2, 5])
+def test_probe_fits_match_three_operand_einsums(n_answers):
+    config = SynthConfig(n_episodes=160, n_answers=n_answers, seed=21)
+    train, val = split_by_video(generate(config), 0.15, seed=0)
     blind, pos, neg = fit_diagnostics(train)
 
     ref_blind = QuestionOnlyScorer(W=_einsum_fit_blind(train))
@@ -335,3 +338,45 @@ def test_probe_fits_match_three_operand_einsums():
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     assert split_diagnostic(val, blind, pos, neg) == split_diagnostic(val, ref_blind, *ref_probes)
+
+
+def _other_world(**dims):
+    return generate(SynthConfig(n_episodes=8, seed=4, **dims))
+
+
+@pytest.mark.parametrize("bad,error,message", [
+    ([], ValueError, "no episodes to fit the probes on"),
+    (_other_world(n_answers=3)[:1], ShapeMismatch,
+     r"episode 'v00000_q0' \(position 12\) has 3 answers, question dim 16 and frames dim 24; "
+     r"episode 0 has 5, 16 and 24"),
+    (_other_world(d_t=8)[:1], ShapeMismatch,
+     r"episode 'v00000_q0' \(position 12\) has 5 answers, question dim 8 and frames dim 24; "
+     r"episode 0 has 5, 16 and 24"),
+    (_other_world(d_v=12)[:1], ShapeMismatch,
+     r"episode 'v00000_q0' \(position 12\) has 5 answers, question dim 16 and frames dim 12"),
+], ids=["empty", "ragged answers", "ragged question dim", "ragged frames dim"])
+def test_probe_fit_names_its_bad_input(eps, bad, error, message):
+    episodes = [*eps[:12], *bad, *eps[12:20]] if bad else []
+    for fit in (fit_diagnostics, QuestionOnlyScorer().fit, FramesQuestionScorer("moment").fit):
+        with pytest.raises(error, match=message):
+            fit(episodes)
+
+
+@pytest.mark.parametrize("dims,blind_message,frames_message", [
+    ({"d_t": 8}, "has question dim 8, the probe was fitted on 16",
+     "has frames dim 24 and question dim 8, the probe was fitted on 24 and 16"),
+    # the blind probe sees no frames
+    ({"d_v": 12}, None,
+     "has frames dim 12 and question dim 16, the probe was fitted on 24 and 16"),
+], ids=["question dim", "frames dim"])
+def test_probe_scores_name_an_episode_of_other_dims(diag, dims, blind_message, frames_message):
+    _, _, blind, pos, neg = diag
+    ep = _other_world(**dims)[0]
+    if blind_message is None:
+        blind.scores(ep)
+    else:
+        with pytest.raises(ShapeMismatch, match=f"episode 'v00000_q0' {blind_message}"):
+            blind.predict(ep)
+    for probe in (pos, neg):
+        with pytest.raises(ShapeMismatch, match=f"episode 'v00000_q0' {frames_message}"):
+            probe.predict(ep)
