@@ -24,7 +24,7 @@ import operator
 import os
 import threading
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -271,16 +271,20 @@ def load_checkpoint(path: str | Path) -> ModelParams:
 # runs the stages _encode_frames (bilinear frame self-attention), _ground
 # (grounding head -> mask parameters), _pool (mask-scaled attention and
 # attention pooling) and _cosine_scores, all through _forward; _backward
-# reverses them. A lone episode is a chunk of one.
+# reverses them. A lone episode runs the same stages without the batch axis:
+# its chunk holds [F 1] as (n, d_v + 1), its question, its answers and slot 0
+# of its workspace, and every stage indexes with `...`, so one body serves
+# (n, .) and (b, n, .) arrays. The backward stays batched: a lone loss call
+# runs its chunk as a batch of one.
 #
 # The attention logits Q K^T / sqrt(width) are scored in the frames' own
 # d_v dimensions: with A = (W_v W_q)(W_v W_k)^T / sqrt(width) and
 # r = (b_v W_q)(W_v W_k)^T / sqrt(width) they are (F A + r) F^T plus terms
 # constant along each row, which cancel in the row softmax. So frames map to
 # P = [F 1] [A; r] and the logits are P F^T; Q and K are never formed.
-# _frame_map builds the map and keeps the last one under a key of its source
-# arrays' bytes, so calls with unchanged weights (lone predicts) reuse it and
-# a call after any edit rebuilds it.
+# _frame_map builds the map and keeps the last one with a copy of its source
+# arrays' bytes, compared in place, so calls with unchanged weights (lone
+# predicts) reuse it and a call after any edit rebuilds it.
 #
 # The mask scales post-softmax attention per key frame, and the grounding
 # head and the pooling each read the attended values through one query
@@ -334,7 +338,8 @@ class ZeroNorm(ValueError):
 class _Workspace:
     """The chunk-sized buffers of one chunk shape (b episodes, n frames, A
     answers) of a model with the given dimensions. The attention E and the
-    logit gradient dZ are its only (n, n) arrays."""
+    logit gradient dZ are its only (n, n) arrays. A lone episode's forward
+    writes slot 0 of each buffer."""
 
     def __init__(self, b: int, n: int, A: int, d_v: int, d_t: int, w: int) -> None:
         # packed inputs: the frames with their ones column, [F 1], where
@@ -377,7 +382,8 @@ def _workspace(thread: int, b: int, n: int, A: int, d_v: int, d_t: int, w: int) 
 
 @dataclass
 class _Chunk:
-    """Packed episodes of one (n_frames, n_answers) bucket."""
+    """Packed episodes of one (n_frames, n_answers) bucket; a lone episode's
+    arrays have no batch axis."""
 
     index: list[int]          # positions in the caller's sequence
     episodes: list[Episode]
@@ -411,13 +417,13 @@ def _packed(c: ModelConfig, episodes: Sequence[Episode]) -> Iterator[_Chunk]:
     d_v, d_t = c.d_v, c.d_t
     thread = threading.get_ident()
     if len(episodes) == 1:
-        # a lone episode's frames are copied next to the ones column; its
-        # question and answers are packed as views (kept apart: through the
-        # bucket loop, lone-episode predicts measured about 2.6 % slower)
+        # a lone episode runs without the batch axis: its frames are copied
+        # next to the ones column of slot 0, and its question and answers are
+        # used as they are
         ep = episodes[0]
         ws = _workspace(thread, 1, ep.n_frames, ep.n_answers, d_v, d_t, c.width)
         ws.frames[0] = ep.frames
-        yield _Chunk([0], [ep], ws.F, ep.question[None], ep.answers[None], ws)
+        yield _Chunk([0], [ep], ws.F[0], ep.question, ep.answers, ws)
         return
     buckets: dict[tuple[int, int], list[int]] = {}
     for i, ep in enumerate(episodes):
@@ -435,8 +441,26 @@ def _packed(c: ModelConfig, episodes: Sequence[Episode]) -> Iterator[_Chunk]:
             yield _Chunk(part, eps, ws.F, ws.q, ws.answers, ws)
 
 
-# _frame_map's one memo entry, (key, M, Qm, Km), replaced whole on a miss
+# _frame_map's one memo entry, (width, sources, M, Qm, Km), replaced whole on
+# a miss; sources holds each source array's shape, dtype and a copy of its
+# bytes
 _map_memo: tuple | None = None
+_MAP_SOURCES = ("W_v", "b_v", "W_q", "W_k", "W_val")
+
+
+def _memo_holds(memo: tuple | None, w: int, arrays: list[np.ndarray]) -> bool:
+    """Whether the memo was built at width w from arrays of the same shapes,
+    dtypes and bytes. A bytearray compares with a C-contiguous array's buffer
+    by one memcmp, without a copy; another layout is compared through a
+    C-order copy of its bytes."""
+    if memo is None or memo[0] != w:
+        return False
+    for arr, (shape, dtype, blob) in zip(arrays, memo[1]):
+        if arr.shape != shape or arr.dtype != dtype:
+            return False
+        if not blob == (arr if arr.flags.c_contiguous else arr.tobytes()):
+            return False
+    return True
 
 
 def _frame_map(params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -451,20 +475,17 @@ def _frame_map(params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     24 < 64 in the synthetic world, 5 < 8 in the tests. Wider features stay
     exact, only slower.
 
-    The last map is kept under a key of the width and each source array's
-    shape, dtype and bytes, so a call whose arrays hold the same bytes reuses
+    The last map is kept with the width and each source array's shape, dtype
+    and a copy of its bytes, so a call whose arrays hold the same bytes reuses
     it, and an edit in place or a replaced array misses and rebuilds."""
     global _map_memo
     P = params.arrays
     d_v, w = params.config.d_v, params.config.width
-    key = [w]
-    for name in ("W_v", "b_v", "W_q", "W_k", "W_val"):
-        arr = P[name]
-        key += (arr.shape, arr.dtype.str, arr.tobytes())
-    key = tuple(key)
+    arrays = [P[name] for name in _MAP_SOURCES]
     memo = _map_memo
-    if memo is not None and memo[0] == key:
-        return memo[1:]
+    if _memo_holds(memo, w, arrays):
+        return memo[2:]
+    sources = tuple((arr.shape, arr.dtype, bytearray(arr)) for arr in arrays)
     Vb = np.concatenate((P["W_v"], P["b_v"][None]))
     M = np.empty((d_v + 1, w + d_v))
     np.matmul(Vb, P["W_val"], out=M[:, :w])
@@ -473,7 +494,7 @@ def _frame_map(params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     np.matmul(Qm, Km.T * (1.0 / math.sqrt(w)), out=M[:, w:])
     for arr in (M, Qm, Km):
         arr.flags.writeable = False
-    _map_memo = (key, M, Qm, Km)
+    _map_memo = (w, sources, M, Qm, Km)
     return M, Qm, Km
 
 
@@ -522,12 +543,17 @@ def _encode_frames(params: ModelParams, F: np.ndarray, M: np.ndarray, ws: _Works
     F = [F 1] and _frame_map's M. An episode with a row sum outside
     [EXP_SUM_MIN, EXP_SUM_MAX] is held as E = softmax(P F^T), shifted by
     its row maxima before the exp, and s = 1. The values Vm = [F 1] Mv are
-    left to the stages, which read them through Mv = M[:, :width]."""
-    b, n, d1 = F.shape
+    left to the stages, which read them through Mv = M[:, :width].
+
+    F is (b, n, d_v + 1), or (n, d_v + 1) for a lone episode, which writes
+    slot 0 of the workspace."""
+    d1 = F.shape[-1]
     w = params.config.width
-    P, E, s = ws.P, ws.E, ws.s
-    frames_t = ws.frames.transpose(0, 2, 1)
-    np.matmul(F.reshape(b * n, d1), M[:, w:], out=P.reshape(b * n, d1 - 1))
+    P, E, s, frames = ws.P, ws.E, ws.s, ws.frames
+    if F.ndim == 2:
+        P, E, s, frames = P[0], E[0], s[0], frames[0]
+    frames_t = frames.swapaxes(-1, -2)
+    np.matmul(F.reshape(-1, d1), M[:, w:], out=P.reshape(-1, d1 - 1))
     np.matmul(P, frames_t, out=E)
     with np.errstate(over="ignore"):  # an overflow is caught by its row sum
         np.exp(E, out=E)
@@ -536,7 +562,8 @@ def _encode_frames(params: ModelParams, F: np.ndarray, M: np.ndarray, ws: _Works
     if not (EXP_SUM_MIN <= np.minimum.reduce(s, axis=None)
             and np.maximum.reduce(s, axis=None) <= EXP_SUM_MAX):
         in_range = (s >= EXP_SUM_MIN) & (s <= EXP_SUM_MAX)
-        for j in np.flatnonzero(~in_range.all(axis=1)):
+        # one index tuple per odd episode: (j,) in a batch, () for a lone one
+        for j in map(tuple, np.argwhere(~in_range.all(axis=-1))):
             # the row-max shifted softmax is S itself: E = S with s = 1
             _softmax(np.matmul(P[j], frames_t[j], out=E[j]))
             s[j] = 1.0
@@ -544,13 +571,15 @@ def _encode_frames(params: ModelParams, F: np.ndarray, M: np.ndarray, ws: _Works
 
 
 def _mv(M: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """M v per batch row: (b, n, m) and (b, m) -> (b, n)."""
-    return (M @ v[:, :, None])[..., 0]
+    """M v per batch row: (b, n, m) and (b, m) -> (b, n), or, for a lone
+    episode, (n, m) and (m,) -> (n,)."""
+    return (M @ v[..., None])[..., 0]
 
 
 def _vm(v: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """M^T v per batch row: (b, n) and (b, n, m) -> (b, m)."""
-    return (v[:, None, :] @ M)[:, 0]
+    """M^T v per batch row: (b, n) and (b, n, m) -> (b, m), or, for a lone
+    episode, (n,) and (n, m) -> (m,)."""
+    return (v[..., None, :] @ M)[..., 0, :]
 
 
 def _ground(params: ModelParams, enc: dict, q: np.ndarray) -> dict:
@@ -563,7 +592,7 @@ def _ground(params: ModelParams, enc: dict, q: np.ndarray) -> dict:
     with S = E / s."""
     P = params.arrays
     E, s, F, Mv = enc["E"], enc["s"], enc["F"], enc["Mv"]
-    n = E.shape[1]
+    n = E.shape[-1]
     qv = q @ P["W_t"] + P["b_t"]
     g = qv @ P["W_g"].T
     Vg = _mv(F, g @ Mv.T)
@@ -573,9 +602,9 @@ def _ground(params: ModelParams, enc: dict, q: np.ndarray) -> dict:
     c = za @ Mv
     x = frame_positions(n)
     m1 = alpha @ x
-    dx = x - m1[:, None]
+    dx = x - m1[..., None]
     dx2 = dx**2  # the backward pass reads it too
-    m2 = (alpha * dx2).sum(axis=1)
+    m2 = (alpha * dx2).sum(axis=-1)
     mu = _sigmoid(c @ P["w_mu"] + P["a_mu"] * m1 + P["b_mu"])
     sg_inner = _sigmoid(c @ P["w_sg"] + P["a_sg"] * m2 + P["b_sg"])
     sigma = SIGMA_MIN + (1.0 - SIGMA_MIN) * sg_inner
@@ -608,13 +637,14 @@ def _cosine_scores(rows: np.ndarray, vec: np.ndarray, temperature: float,
     """score_jk = cos(rows_jk, vec_j) / T, with the norms the backward pass
     needs. A zero-norm operand raises ZeroNorm naming it and its episode."""
     row_norms = np.sqrt((rows * rows).sum(axis=-1))
-    vec_norm = np.sqrt((vec[:, None, :] @ vec[:, :, None])[:, 0, 0])
-    denom = row_norms * vec_norm[:, None]
+    vec_norm = np.sqrt((vec[..., None, :] @ vec[..., :, None])[..., 0, 0])
+    denom = row_norms * vec_norm[..., None]
     if np.count_nonzero(denom) < denom.size:
-        j, k = np.argwhere(denom == 0)[0]
-        what = f"{vec_name}" if vec_norm[j] == 0 else f"{rows_name} {k}"
+        # a lone episode's (A,) row is found as row 0 of a batch of one
+        j, k = np.argwhere(denom.reshape(-1, denom.shape[-1]) == 0)[0]
+        what = f"{vec_name}" if vec_norm.reshape(-1)[j] == 0 else f"{rows_name} {k}"
         raise ZeroNorm(f"zero-norm {what} in {chunk.where(int(j))}")
-    cos = (rows @ vec[:, :, None])[..., 0] / denom
+    cos = (rows @ vec[..., None])[..., 0] / denom
     return {"row_norms": row_norms, "vec_norm": vec_norm, "cos": cos,
             "scores": cos / temperature}
 
@@ -623,22 +653,22 @@ def _forward(params: ModelParams, chunk: _Chunk, M: np.ndarray,
              G: np.ndarray | None = None) -> dict:
     """Full forward pass of a chunk; returns every intermediate of backprop.
 
-    The pooling runs under the frame weights G, (b, n), when the caller gives
-    them, and under the head's Gaussian weights otherwise; the head runs
-    either way. A NaN head output (non-finite parameters) gives NaN frame
-    weights, so the failure reaches the loss, where the trainer reports it,
-    instead of raising in GaussianMask.
+    The pooling runs under the frame weights G, (b, n) or a lone episode's
+    (n,), when the caller gives them, and under the head's Gaussian weights
+    otherwise; the head runs either way. A NaN head output (non-finite
+    parameters) gives NaN frame weights, so the failure reaches the loss,
+    where the trainer reports it, instead of raising in GaussianMask.
     """
     P = params.arrays
     cache = _encode_frames(params, chunk.F, M, chunk.ws)
     cache.update(_ground(params, cache, chunk.q))
     if G is None:
-        G = gaussian_weights(cache["x"], cache["mu"][:, None], cache["sigma"][:, None])
+        G = gaussian_weights(cache["x"], cache["mu"][..., None], cache["sigma"][..., None])
     cache.update(_pool(params, cache, G))
     f = cache["v_t"] + cache["qv"]
-    b, A, d_t = chunk.answers.shape
-    B = chunk.ws.B
-    np.matmul(chunk.answers.reshape(b * A, d_t), P["W_a"], out=B.reshape(b * A, -1))
+    d_t = chunk.answers.shape[-1]
+    B = chunk.ws.B if chunk.answers.ndim == 3 else chunk.ws.B[0]
+    np.matmul(chunk.answers.reshape(-1, d_t), P["W_a"], out=B.reshape(-1, B.shape[-1]))
     B += P["b_a"]
     cache.update(f=f, B=B, answer=_cosine_scores(B, f, params.temperature, chunk,
                                                  "answer row", "fused vector"))
@@ -826,6 +856,9 @@ def _chunk_objective(
     into grads unless it is None. Returns None for a non-finite head output."""
     P = params.arrays
     T = params.temperature
+    if chunk.F.ndim == 2:
+        # the backward is batched: a lone episode runs as a batch of one
+        chunk = replace(chunk, F=chunk.F[None], q=chunk.q[None], answers=chunk.answers[None])
     cache = _forward(params, chunk, M)
     if not math.isfinite(cache["mu"].sum() + cache["sigma"].sum()):
         return None
@@ -906,9 +939,9 @@ def encode_video(
     """Pooled video vector and pooling attention trace under an optional mask."""
     (chunk,) = _chunks(params, [episode])
     n = episode.n_frames
-    G = np.ones((1, n)) if mask is None else mask_weights(mask, n)[None]
+    G = np.ones(n) if mask is None else mask_weights(mask, n)
     cache = _forward(params, chunk, _frame_map(params)[0], G)
-    return cache["v_t"][0], cache["trace"][0]
+    return cache["v_t"], cache["trace"]
 
 
 def predict_gaussian(params: ModelParams, episode: Episode) -> GaussianMask:
@@ -997,11 +1030,18 @@ def predict_episodes(
     out: list[EpisodePrediction | None] = [None] * len(episodes)
     for chunk in _chunks(params, episodes):
         cache = _forward(params, chunk, M)
-        scores_all = cache["answer"]["scores"]
-        # one read per chunk: the per-episode tail works on Python scalars
-        mus, sigmas = cache["mu"].tolist(), cache["sigma"].tolist()
-        answers = scores_all.argmax(axis=1).tolist()
-        traces = cache["trace"]
+        mu, sigma, trace, scores = (cache["mu"], cache["sigma"], cache["trace"],
+                                    cache["answer"]["scores"])
+        if scores.ndim == 1:
+            # a lone episode: its scalars as they are, and its trace and
+            # scores, fresh arrays that no workspace holds, without a copy
+            mus, sigmas, answers = [mu], [sigma], [int(scores.argmax())]
+            traces, rows = [trace], [scores]
+        else:
+            # one read per chunk: the per-episode tail works on Python scalars
+            mus, sigmas = mu.tolist(), sigma.tolist()
+            answers = scores.argmax(axis=1).tolist()
+            traces, rows = [t.copy() for t in trace], [r.copy() for r in scores]
         for j, (i, ep) in enumerate(zip(chunk.index, chunk.episodes)):
             try:
                 mask = GaussianMask(mus[j], sigmas[j])
@@ -1015,8 +1055,8 @@ def predict_episodes(
                 window = fuse_windows(confidence_interval(mask, ep.extent, gamma),
                                       extract_window_raw(traces[j], ep.extent.duration))
             out[i] = EpisodePrediction(question_id=ep.question_id, answer_index=answers[j],
-                                       window=window, mask=mask, trace=traces[j].copy(),
-                                       scores=scores_all[j].copy())
+                                       window=window, mask=mask, trace=traces[j],
+                                       scores=rows[j])
     return out
 
 

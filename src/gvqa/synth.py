@@ -326,21 +326,31 @@ class FramesQuestionScorer:
         if self.frame_subset not in ("moment", "outside"):
             raise ValueError(f"unknown frame_subset {self.frame_subset!r}")
 
-    def _pool(self, episode: Episode) -> np.ndarray:
-        mask = moment_frame_mask(episode)
+    def _pool(self, episode: Episode, mask: np.ndarray) -> np.ndarray:
+        """The mean of the episode's frames in this probe's pool, given its
+        moment_frame_mask (zeros for an empty pool)."""
         rows = episode.frames[mask if self.frame_subset == "moment" else ~mask]
         if rows.shape[0] == 0:
             return np.zeros(episode.frames.shape[1])
         # rows.mean(axis=0) without its Python wrapper: this runs per episode
         return np.add.reduce(rows, axis=0) / rows.shape[0]
 
-    def fit(self, episodes: Sequence[Episode]) -> None:
+    def fit(self, episodes: Sequence[Episode],
+            masks: Sequence[np.ndarray] | None = None) -> None:
+        """Fit on the episodes. masks are their moment_frame_masks, built here
+        unless the caller has them (fit_diagnostics builds them once for both
+        frames probes)."""
         _check_fit_input(episodes)
-        V = np.stack([self._pool(ep) for ep in episodes])
+        if masks is None:
+            masks = [moment_frame_mask(ep) for ep in episodes]
+        V = np.stack([self._pool(ep, mask) for ep, mask in zip(episodes, masks, strict=True)])
         Q = np.stack([ep.question for ep in episodes])
         self.U, self.W = _fit_probe([V, Q], episodes)
 
-    def scores(self, episode: Episode) -> np.ndarray:
+    def scores(self, episode: Episode, mask: np.ndarray | None = None) -> np.ndarray:
+        """The answer scores. mask is the episode's moment_frame_mask, built
+        here unless the caller has it (split_diagnostic builds it once for
+        both frames probes)."""
         if self.U is None or self.W is None:
             raise ValueError("scorer not fitted")
         dims = (episode.frames.shape[1], episode.question.shape[0])
@@ -348,7 +358,9 @@ class FramesQuestionScorer:
             raise ShapeMismatch(f"episode {episode.question_id!r} has frames dim {dims[0]} and "
                                 f"question dim {dims[1]}, the probe was fitted on "
                                 f"{self.U.shape[0]} and {self.W.shape[0]}")
-        return (self._pool(episode) @ self.U + episode.question @ self.W) @ episode.answers.T
+        if mask is None:
+            mask = moment_frame_mask(episode)
+        return (self._pool(episode, mask) @ self.U + episode.question @ self.W) @ episode.answers.T
 
     def predict(self, episode: Episode) -> int:
         return int(np.argmax(self.scores(episode)))
@@ -368,10 +380,12 @@ def fit_diagnostics(
     """Train the three subset probes: blind, moment-only, outside-moment."""
     blind = QuestionOnlyScorer()
     blind.fit(train_episodes)
+    # one moment mask per episode serves both frames probes
+    masks = [moment_frame_mask(ep) for ep in train_episodes]
     pos = FramesQuestionScorer("moment")
-    pos.fit(train_episodes)
+    pos.fit(train_episodes, masks)
     neg = FramesQuestionScorer("outside")
-    neg.fit(train_episodes)
+    neg.fit(train_episodes, masks)
     return blind, pos, neg
 
 
@@ -389,8 +403,10 @@ def split_diagnostic(
         if blind.predict(ep) == ep.correct:
             continue
         vqa.add(ep.question_id)
-        neg_right = neg.predict(ep) == ep.correct
-        pos_right = pos.predict(ep) == ep.correct
+        # one moment mask serves both frames probes
+        mask = moment_frame_mask(ep)
+        neg_right = int(np.argmax(neg.scores(ep, mask))) == ep.correct
+        pos_right = int(np.argmax(pos.scores(ep, mask))) == ep.correct
         if pos_right and not neg_right:
             gdqa.add(ep.question_id)
     return DiagnosticSplit(vqa=frozenset(vqa), gdqa=frozenset(gdqa))

@@ -936,6 +936,25 @@ class TestEngine:
             assert np.allclose(got.trace, one.trace, rtol=0, atol=1e-12)
             assert np.allclose(got.scores, one.scores, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("source", ["gauss", "attn", "fused"])
+    def test_a_lone_predict_is_a_batch_of_one_bit_for_bit(self, monkeypatch, source):
+        # one frame per chunk cuts a batched call into (1, n, .) batches of
+        # one; a lone episode runs without the batch axis, through the same
+        # BLAS calls, so its bits match
+        rng = np.random.default_rng(48)
+        params = init_params(SMALL, seed=48)
+        for arr in params.arrays.values():
+            arr += 0.3 * rng.normal(size=arr.shape)
+        eps = mixed_batch(rng, frames=(16, 12, 16, 32), answers=(3, 3, 4, 3))
+        monkeypatch.setattr(model, "CHUNK_FRAMES", 1)
+        batched = model.predict_episodes(params, eps, gamma=0.8, window_source=source)
+        for ep, got in zip(eps, batched):
+            one = predict_episode(params, ep, gamma=0.8, window_source=source)
+            assert (one.answer_index, one.window, one.mask) == (got.answer_index, got.window,
+                                                                got.mask)
+            assert one.trace.tobytes() == got.trace.tobytes()
+            assert one.scores.tobytes() == got.scores.tobytes()
+
     def test_predictions_are_metrics_predictions_in_input_order(self, monkeypatch):
         rng = np.random.default_rng(45)
         params = init_params(SMALL, seed=45)
@@ -1146,9 +1165,10 @@ class TestDenseReference:
         ep = make_episode(rng, n=7)
         if supplied == "positive":
             G = rng.uniform(0.05, 2.0, size=ep.n_frames)
+            # a lone episode's chunk has no batch axis, nor do its weights
             (chunk,) = model._chunks(params, [ep])
-            cache = model._forward(params, chunk, model._frame_map(params)[0], G[None])
-            v_t, trace = cache["v_t"][0], cache["trace"][0]
+            cache = model._forward(params, chunk, model._frame_map(params)[0], G)
+            v_t, trace = cache["v_t"], cache["trace"]
         elif supplied == "mask":
             mask = GaussianMask(0.3, 0.2)
             G = mask_weights(mask, ep.n_frames)
@@ -1232,6 +1252,21 @@ class TestDenseReference:
                 assert_close_to(getattr(pred.mask, key), ref[key], key)
             assert_close_to(pred.trace, ref["trace"], "trace")
             assert_close_to(pred.scores, ref["scores"], "scores")
+
+    @pytest.mark.parametrize("case", ["overflow", "underflow"])
+    def test_a_lone_odd_episode_takes_the_row_max_shift(self, case):
+        # the guard on a lone episode's rank-2 arrays: its exp rows overflow
+        # or underflow, and it still gives dense_reference's prediction to
+        # rounding, with no warning
+        params, eps, _ = self._guard_batch(case)
+        ref = dense_reference(params, eps[1], "ng", 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            pred = predict_episode(params, eps[1])
+        for key in ("mu", "sigma"):
+            assert_close_to(getattr(pred.mask, key), ref[key], key)
+        assert_close_to(pred.trace, ref["trace"], "trace")
+        assert_close_to(pred.scores, ref["scores"], "scores")
 
     @pytest.mark.parametrize("case", ["overflow", "underflow"])
     def test_the_shift_never_changes_a_chunk_mates_bits(self, case):
@@ -1386,7 +1421,10 @@ class TestZeroNorm:
         params = init_params(SMALL, seed=47)
         ep = dataclasses.replace(make_episode(rng, A=4), question_id="vid3_q1")
         ep.answers[2] = 0.0
-        with pytest.raises(model.ZeroNorm, match=r"answer row 2 in episode 'vid3_q1' \(position 0"):
+        # a lone episode runs without the batch axis, and is still named as
+        # position 0 of a batch
+        with pytest.raises(model.ZeroNorm,
+                           match=r"answer row 2 in episode 'vid3_q1' \(position 0 of the batch\)$"):
             predict_episode(params, ep)
 
     def test_zero_answer_row_in_third_episode_of_a_minibatch(self):
@@ -1514,16 +1552,51 @@ class TestFrameMapMemo:
         with pytest.raises(ValueError):
             model._frame_map(params)
 
+    def test_the_same_bytes_as_another_dtype_build_a_new_map(self):
+        # b_v starts at +0.0, whose bytes are those of the int64 0
+        params = init_params(SMALL, seed=55)
+        old = model._frame_map(params)
+        params.arrays["b_v"] = params.arrays["b_v"].view(np.int64)
+        new = model._frame_map(params)
+        assert new[0] is not old[0]
+        assert np.array_equal(new[0], old[0])
+
     def test_the_map_is_read_only(self):
         for arr in model._frame_map(init_params(SMALL, seed=56)):
             assert not arr.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 arr[0, 0] = 1.0
 
+    def test_a_fortran_ordered_source_gives_the_cold_maps_bits(self):
+        # a W_q that is not C-contiguous is compared by its C-order bytes: it
+        # shares the map of its C-ordered twin, a cold build from it has the
+        # same bits, and a one-ulp edit in place builds a new map
+        rng = np.random.default_rng(59)
+        params = init_params(SMALL, seed=59)
+        for arr in params.arrays.values():
+            arr += rng.normal(size=arr.shape)
+        twin = cold_map(params)
+        params.arrays["W_q"] = np.asfortranarray(params.arrays["W_q"])
+        assert not params.arrays["W_q"].flags.c_contiguous
+        assert all(a is b for a, b in zip(model._frame_map(params), twin))
+        old = cold_map(params)
+        assert [a.tobytes() for a in old] == [a.tobytes() for a in twin]
+        W_q = params.arrays["W_q"]
+        W_q[1, 2] = np.nextafter(W_q[1, 2], np.inf)
+        new = model._frame_map(params)
+        assert all(a is not b for a, b in zip(old, new))
+        assert [a.tobytes() for a in new] == [a.tobytes() for a in cold_map(params)]
+        assert not np.array_equal(new[0], old[0])
+
     def test_the_memo_holds_no_caller_array(self):
+        # neither the map nor the copies of the source bytes it compares
         params = init_params(SMALL, seed=57)
+        params.arrays["W_q"] = np.asfortranarray(params.arrays["W_q"])
         model._frame_map(params)
-        for part in model._map_memo[1:]:
+        _, sources, *parts = model._map_memo
+        parts += [blob for _, _, blob in sources]
+        assert len(parts) == 3 + len(MAP_SOURCES)
+        for part in parts:
             assert not any(np.shares_memory(part, arr) for arr in params.arrays.values())
 
     def test_threads_with_their_own_params_get_their_own_answers(self):

@@ -303,7 +303,8 @@ def _einsum_fit_blind(episodes, epochs=150, lr=0.5):
 
 def _einsum_fit_frames(episodes, frame_subset, epochs=150, lr=0.5):
     """FramesQuestionScorer.fit written with three-operand einsums."""
-    V = np.stack([FramesQuestionScorer(frame_subset)._pool(ep) for ep in episodes])
+    probe = FramesQuestionScorer(frame_subset)
+    V = np.stack([probe._pool(ep, moment_frame_mask(ep)) for ep in episodes])
     Q = np.stack([ep.question for ep in episodes])
     A = np.stack([ep.answers for ep in episodes])
     onehot = np.eye(A.shape[1])[[ep.correct for ep in episodes]]
@@ -338,6 +339,19 @@ def test_probe_fits_match_three_operand_einsums(n_answers):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     assert split_diagnostic(val, blind, pos, neg) == split_diagnostic(val, ref_blind, *ref_probes)
+
+
+def test_frames_probes_fitted_alone_equal_the_shared_mask_fits():
+    # fit_diagnostics builds each moment mask once for both frames probes;
+    # each probe building its own gives the same bits
+    train, _ = split_by_video(generate(SynthConfig(n_episodes=80, seed=22)), 0.15, seed=0)
+    _, pos, neg = fit_diagnostics(train)
+    for probe in (pos, neg):
+        alone = FramesQuestionScorer(probe.frame_subset)
+        alone.fit(train)
+        assert alone.U.tobytes() == probe.U.tobytes() and alone.W.tobytes() == probe.W.tobytes()
+    with pytest.raises(ValueError):
+        FramesQuestionScorer("moment").fit(train, [moment_frame_mask(ep) for ep in train[1:]])
 
 
 def _other_world(**dims):
