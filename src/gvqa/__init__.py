@@ -20,6 +20,7 @@ _TRAINING_NAMES = {
     "init_params": "model",
     "load_checkpoint": "model",
     "predict_episode": "model",
+    "predict_episodes": "model",
     "save_checkpoint": "model",
     "SynthConfig": "synth",
     "generate": "synth",
@@ -36,26 +37,7 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-__all__ = [
-    "Episode",
-    "GroundingLabel",
-    "LabelTable",
-    "MetricReport",
-    "ModelConfig",
-    "Prediction",
-    "PredictionTable",
-    "SynthConfig",
-    "TemporalSegment",
-    "TrainConfig",
-    "VideoExtent",
-    "evaluate",
-    "generate",
-    "init_params",
-    "load_checkpoint",
-    "predict_episode",
-    "save_checkpoint",
-    "split_by_video",
-    "train",
-]
+__all__ = sorted(["GroundingLabel", "LabelTable", "MetricReport", "Prediction", "PredictionTable",
+                  "TemporalSegment", "VideoExtent", "evaluate", *_TRAINING_NAMES])
 
 __version__ = "0.1.0"

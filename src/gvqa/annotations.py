@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .metrics import (GroundingLabel, LabelTable, ParseError, csv_text, open_text,
-                      ordered_sum, read_json, rewrite_text)
+                      ordered_sum, read_answer_index, read_json, rewrite_text)
 from .svgplot import bar_chart, pie_chart
 from .temporal import TemporalSegment, VideoExtent
 
@@ -102,7 +102,7 @@ def _build_label(row: Mapping[str, object], where: str) -> GroundingLabel:
         qid = str(row["question_id"])
         vid = str(row["video_id"])
         duration = float(row["duration_s"])  # type: ignore[arg-type]
-        answer = int(row["answer_index"])  # type: ignore[arg-type]
+        answer = read_answer_index(row["answer_index"])
         cell = row["segments"]
     except KeyError as exc:
         raise ParseError(f"{where}: missing column {exc.args[0]!r}") from exc

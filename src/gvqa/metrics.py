@@ -426,11 +426,21 @@ def read_json(path: str | Path) -> object:
         raise ParseError(f"{path}: unreadable JSON: {exc}") from exc
 
 
+def read_answer_index(value: object) -> int:
+    """An answer index as a file holds it: an integer, or a string of one.
+    A value that int() rejects raises as int() does; a float (2.0 too) or a
+    bool, which int() would truncate, raises TypeError."""
+    index = int(value)
+    if type(value) is not int and not isinstance(value, str):
+        raise TypeError(f"answer index {value!r} is not an integer")
+    return index
+
+
 def load_predictions(path: str | Path) -> PredictionTable:
     """Read a prediction file: JSON map question_id -> {answer, start, end}.
 
-    One pass in file order converts each entry with int and float; the
-    first bad entry raises ValueError naming its question.
+    One pass in file order converts each entry with read_answer_index and float;
+    the first bad entry raises ValueError naming its question.
     """
     raw = read_json(path)
     if not isinstance(raw, dict):
@@ -438,7 +448,10 @@ def load_predictions(path: str | Path) -> PredictionTable:
     answer, start, end = [], [], []
     try:
         for qid, entry in raw.items():
-            a, s, e = int(entry["answer"]), float(entry["start"]), float(entry["end"])
+            a = entry["answer"]
+            if type(a) is not int:  # JSON integers skip the call
+                a = read_answer_index(a)
+            s, e = float(entry["start"]), float(entry["end"])
             # TemporalSegment's rules in one comparison; a window that breaks
             # one goes through TemporalSegment, which raises that rule's message
             if not 0.0 <= s < e < math.inf:

@@ -44,7 +44,10 @@ from .metrics import Prediction, rewrite_bytes
 from .posthoc import extract_window_raw
 from .temporal import END_SLACK, TemporalSegment, VideoExtent
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+
+# the softmax temperature of every cosine score
+TEMPERATURE = 0.07
 
 
 class NegativeCountMismatch(ValueError):
@@ -116,7 +119,6 @@ class ModelConfig:
     d_v: int
     d_t: int
     width: int = 64
-    temperature: float = 0.07
 
     def __post_init__(self) -> None:
         for name in ("d_v", "d_t", "width"):
@@ -127,8 +129,6 @@ class ModelConfig:
                 raise TypeError(f"{name} must be an integer, got {dim!r}") from None
             if dim < 1:
                 raise ValueError(f"{name} must be positive, got {dim}")
-        if not 0 < self.temperature < math.inf:  # NaN too
-            raise ValueError(f"temperature must be positive and finite, got {self.temperature}")
 
 
 # trainable array names in a fixed order (checkpoint layout, Adam slots)
@@ -144,14 +144,10 @@ PARAM_NAMES = (
 
 @dataclass
 class ModelParams:
-    """Named parameter arrays plus the fixed softmax temperature."""
+    """Named parameter arrays and the config that shapes them."""
 
     arrays: dict[str, np.ndarray]
     config: ModelConfig
-
-    @property
-    def temperature(self) -> float:
-        return self.config.temperature
 
     def copy(self) -> "ModelParams":
         return ModelParams(
@@ -201,9 +197,7 @@ def save_checkpoint(path: str | Path, params: ModelParams) -> None:
             "d_v": params.config.d_v,
             "d_t": params.config.d_t,
             "width": params.config.width,
-            "temperature": params.config.temperature,
         },
-        "names": list(PARAM_NAMES),
     }
     buf = io.BytesIO()
     np.savez_compressed(
@@ -632,10 +626,10 @@ def _pool(params: ModelParams, enc: dict, G: np.ndarray) -> dict:
             "v_t": zt @ Mv}
 
 
-def _cosine_scores(rows: np.ndarray, vec: np.ndarray, temperature: float,
-                   chunk: _Chunk, rows_name: str, vec_name: str) -> dict:
-    """score_jk = cos(rows_jk, vec_j) / T, with the norms the backward pass
-    needs. A zero-norm operand raises ZeroNorm naming it and its episode."""
+def _cosine_scores(rows: np.ndarray, vec: np.ndarray, chunk: _Chunk,
+                   rows_name: str, vec_name: str) -> dict:
+    """score_jk = cos(rows_jk, vec_j) / TEMPERATURE, with the norms the backward
+    pass needs. A zero-norm operand raises ZeroNorm naming it and its episode."""
     row_norms = np.sqrt((rows * rows).sum(axis=-1))
     vec_norm = np.sqrt((vec[..., None, :] @ vec[..., :, None])[..., 0, 0])
     denom = row_norms * vec_norm[..., None]
@@ -646,7 +640,7 @@ def _cosine_scores(rows: np.ndarray, vec: np.ndarray, temperature: float,
         raise ZeroNorm(f"zero-norm {what} in {chunk.where(int(j))}")
     cos = (rows @ vec[..., None])[..., 0] / denom
     return {"row_norms": row_norms, "vec_norm": vec_norm, "cos": cos,
-            "scores": cos / temperature}
+            "scores": cos / TEMPERATURE}
 
 
 def _forward(params: ModelParams, chunk: _Chunk, M: np.ndarray,
@@ -670,8 +664,7 @@ def _forward(params: ModelParams, chunk: _Chunk, M: np.ndarray,
     B = chunk.ws.B if chunk.answers.ndim == 3 else chunk.ws.B[0]
     np.matmul(chunk.answers.reshape(-1, d_t), P["W_a"], out=B.reshape(-1, B.shape[-1]))
     B += P["b_a"]
-    cache.update(f=f, B=B, answer=_cosine_scores(B, f, params.temperature, chunk,
-                                                 "answer row", "fused vector"))
+    cache.update(f=f, B=B, answer=_cosine_scores(B, f, chunk, "answer row", "fused vector"))
     return cache
 
 
@@ -727,13 +720,13 @@ def _softmax_backward(y: np.ndarray, dy: np.ndarray) -> np.ndarray:
 
 
 def _cosine_backward(
-    dscore: np.ndarray, rows: np.ndarray, vec: np.ndarray, fwd: dict, temperature: float,
+    dscore: np.ndarray, rows: np.ndarray, vec: np.ndarray, fwd: dict,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Backward through fwd = _cosine_scores(rows, vec): returns (dvec, drows)."""
     vec_norm, row_norms, cos = fwd["vec_norm"], fwd["row_norms"], fwd["cos"]
     u_vec = vec / vec_norm[:, None]
     u_rows = rows / row_norms[..., None]
-    coef = dscore / temperature
+    coef = dscore / TEMPERATURE
     dvec = ((coef[:, None, :] @ u_rows)[:, 0]
             - (coef * cos).sum(axis=1)[:, None] * u_vec) / vec_norm[:, None]
     # coef (u_vec - cos u_rows) / row_norms, written into u_rows: (b, A, width)
@@ -850,18 +843,16 @@ def _chunk_objective(
     scale: float,
     candidates: Sequence[Sequence[np.ndarray]] | None,
     grads: dict[str, np.ndarray] | None,
-) -> float | None:
+) -> float:
     """The chunk's summed loss: the answer term if answer_term, plus scale
     times the grounding term over _candidates' questions. Adds the gradients
-    into grads unless it is None. Returns None for a non-finite head output."""
+    into grads unless it is None. A non-finite head output flows through the
+    forward and backward to a NaN loss and NaN gradients."""
     P = params.arrays
-    T = params.temperature
     if chunk.F.ndim == 2:
         # the backward is batched: a lone episode runs as a batch of one
         chunk = replace(chunk, F=chunk.F[None], q=chunk.q[None], answers=chunk.answers[None])
     cache = _forward(params, chunk, M)
-    if not math.isfinite(cache["mu"].sum() + cache["sigma"].sum()):
-        return None
     b, A, d_t = chunk.answers.shape
     w = params.config.width
     loss = 0.0
@@ -874,7 +865,7 @@ def _chunk_objective(
         R = chunk.ws.R
         np.matmul(Qc.reshape(b * A, d_t), P["W_t"], out=R.reshape(b * A, w))
         R += P["b_t"]
-        g = _cosine_scores(R, cache["v_t"], T, chunk, "candidate question", "pooled vector")
+        g = _cosine_scores(R, cache["v_t"], chunk, "candidate question", "pooled vector")
         loss_g, dgscore = _ce_from_scores(g["scores"], np.zeros(b, dtype=int))
         loss = loss + scale * loss_g
     if grads is None:
@@ -883,13 +874,13 @@ def _chunk_objective(
     d_vt = np.zeros((b, w))
     d_qv = np.zeros((b, w))
     if answer_term:
-        df, dB = _cosine_backward(dscore, cache["B"], cache["f"], cache["answer"], T)
+        df, dB = _cosine_backward(dscore, cache["B"], cache["f"], cache["answer"])
         grads["W_a"] += chunk.answers.reshape(b * A, d_t).T @ dB.reshape(b * A, w)
         grads["b_a"] += dB.sum(axis=(0, 1))
         d_vt += df
         d_qv += df
     if scale != 0.0:
-        dv, dR = _cosine_backward(dgscore * scale, R, cache["v_t"], g, T)
+        dv, dR = _cosine_backward(dgscore * scale, R, cache["v_t"], g)
         d_vt += dv
         grads["W_t"] += Qc.reshape(b * A, d_t).T @ dR.reshape(b * A, w)
         grads["b_t"] += dR.sum(axis=(0, 1))
@@ -908,7 +899,6 @@ def _objective(
     """Summed loss over the episodes and, when backward, summed gradients."""
     if objective not in ("ng", "ground", "ng+"):
         raise ValueError(f"unknown objective {objective!r}")
-    P = params.arrays
     answer_term = objective in ("ng", "ng+")
     scale = {"ng": 0.0, "ground": 1.0, "ng+": alpha}[objective]
     chunks = _chunks(params, episodes)
@@ -916,16 +906,11 @@ def _objective(
     M, Qm, Km = _frame_map(params)
     grads = None
     if backward:
-        grads = {name: np.zeros_like(arr) for name, arr in P.items()}
+        grads = {name: np.zeros_like(arr) for name, arr in params.arrays.items()}
         grads["frame_map"] = np.zeros_like(M)
     total = 0.0
     for chunk in chunks:
-        loss = _chunk_objective(params, chunk, M, answer_term, scale, candidates, grads)
-        if loss is None:
-            # NaN head output: the loss and every gradient are NaN
-            return math.nan, ({name: np.full_like(arr, np.nan) for name, arr in P.items()}
-                              if backward else None)
-        total += loss
+        total += _chunk_objective(params, chunk, M, answer_term, scale, candidates, grads)
     if backward:
         grads.update(_frame_map_grads(params, Qm, Km, grads.pop("frame_map")))
     return total, grads

@@ -296,17 +296,15 @@ class QuestionOnlyScorer:
         _check_fit_input(episodes)
         (self.W,) = _fit_probe([np.stack([ep.question for ep in episodes])], episodes)
 
-    def scores(self, episode: Episode) -> np.ndarray:
+    def predict(self, episode: Episode) -> int:
+        """The index of the best-scoring answer."""
         if self.W is None:
             raise ValueError("scorer not fitted")
         if episode.question.shape[0] != self.W.shape[0]:
             raise ShapeMismatch(f"episode {episode.question_id!r} has question dim "
                                 f"{episode.question.shape[0]}, the probe was fitted on "
                                 f"{self.W.shape[0]}")
-        return (episode.question @ self.W) @ episode.answers.T
-
-    def predict(self, episode: Episode) -> int:
-        return int(np.argmax(self.scores(episode)))
+        return int(np.argmax((episode.question @ self.W) @ episode.answers.T))
 
 
 @dataclass
@@ -335,22 +333,16 @@ class FramesQuestionScorer:
         # rows.mean(axis=0) without its Python wrapper: this runs per episode
         return np.add.reduce(rows, axis=0) / rows.shape[0]
 
-    def fit(self, episodes: Sequence[Episode],
-            masks: Sequence[np.ndarray] | None = None) -> None:
-        """Fit on the episodes. masks are their moment_frame_masks, built here
-        unless the caller has them (fit_diagnostics builds them once for both
-        frames probes)."""
+    def fit(self, episodes: Sequence[Episode], masks: Sequence[np.ndarray]) -> None:
+        """Fit on the episodes, given their moment_frame_masks."""
         _check_fit_input(episodes)
-        if masks is None:
-            masks = [moment_frame_mask(ep) for ep in episodes]
         V = np.stack([self._pool(ep, mask) for ep, mask in zip(episodes, masks, strict=True)])
         Q = np.stack([ep.question for ep in episodes])
         self.U, self.W = _fit_probe([V, Q], episodes)
 
-    def scores(self, episode: Episode, mask: np.ndarray | None = None) -> np.ndarray:
-        """The answer scores. mask is the episode's moment_frame_mask, built
-        here unless the caller has it (split_diagnostic builds it once for
-        both frames probes)."""
+    def predict(self, episode: Episode, mask: np.ndarray) -> int:
+        """The index of the best-scoring answer, given the episode's
+        moment_frame_mask."""
         if self.U is None or self.W is None:
             raise ValueError("scorer not fitted")
         dims = (episode.frames.shape[1], episode.question.shape[0])
@@ -358,12 +350,8 @@ class FramesQuestionScorer:
             raise ShapeMismatch(f"episode {episode.question_id!r} has frames dim {dims[0]} and "
                                 f"question dim {dims[1]}, the probe was fitted on "
                                 f"{self.U.shape[0]} and {self.W.shape[0]}")
-        if mask is None:
-            mask = moment_frame_mask(episode)
-        return (self._pool(episode, mask) @ self.U + episode.question @ self.W) @ episode.answers.T
-
-    def predict(self, episode: Episode) -> int:
-        return int(np.argmax(self.scores(episode)))
+        pooled = self._pool(episode, mask)
+        return int(np.argmax((pooled @ self.U + episode.question @ self.W) @ episode.answers.T))
 
 
 @dataclass(frozen=True)
@@ -405,8 +393,7 @@ def split_diagnostic(
         vqa.add(ep.question_id)
         # one moment mask serves both frames probes
         mask = moment_frame_mask(ep)
-        neg_right = int(np.argmax(neg.scores(ep, mask))) == ep.correct
-        pos_right = int(np.argmax(pos.scores(ep, mask))) == ep.correct
-        if pos_right and not neg_right:
+        neg_right = neg.predict(ep, mask) == ep.correct
+        if pos.predict(ep, mask) == ep.correct and not neg_right:
             gdqa.add(ep.question_id)
     return DiagnosticSplit(vqa=frozenset(vqa), gdqa=frozenset(gdqa))

@@ -69,6 +69,13 @@ class TestLoadCsv:
         with pytest.raises(ParseError):
             load_labels(p)
 
+    def test_empty_file(self, tmp_path):
+        p = tmp_path / "labels.csv"
+        p.write_text("")
+        with pytest.raises(ParseError) as exc:
+            load_labels(p)
+        assert str(exc.value) == f"{p}: empty file"
+
     def test_malformed_segment_cell(self, tmp_path):
         p = write_csv(tmp_path, "q1,v1,42.0,0,1-4\n")
         with pytest.raises(ParseError):
@@ -109,6 +116,18 @@ class TestLoadJson:
              "answer_index": 1, "segments": "2:8"},
         ]))
         assert load_labels(p)["q1"].segments[0].end == 8.0
+
+    def test_non_numeric_segment_pair_names_its_row(self, tmp_path):
+        p = tmp_path / "labels.json"
+        p.write_text(json.dumps([
+            {"question_id": "q1", "video_id": "v1", "duration_s": 30.0,
+             "answer_index": 1, "segments": [[2.0, 8.0]]},
+            {"question_id": "q2", "video_id": "v1", "duration_s": 30.0,
+             "answer_index": 1, "segments": [["a", 2]]},
+        ]))
+        with pytest.raises(ParseError,
+                           match=r"^labels.json:row 1: non-numeric segment \['a', 2\]$"):
+            load_labels(p)
 
     def test_json_not_array(self, tmp_path):
         p = tmp_path / "labels.json"
@@ -227,6 +246,14 @@ def test_round_trip_stats_identical(tmp_path, corpus):
         save_labels(tmp_path / name, corpus)
         back = load_labels(tmp_path / name)
         assert stats_to_dict(compute_stats(back)) == stats_to_dict(compute_stats(corpus))
+
+
+def test_save_labels_refuses_an_unknown_suffix(tmp_path, corpus):
+    p = tmp_path / "out.yaml"
+    with pytest.raises(ParseError) as exc:
+        save_labels(p, corpus)
+    assert str(exc.value) == f"{p}: unsupported extension (want .csv or .json)"
+    assert not p.exists()
 
 
 @st.composite
@@ -404,6 +431,7 @@ def _table_columns(table):
     ("1:2;", False),               # an empty chunk
     ("1:2; ;3:4", False),          # a blank chunk
     ("1:2:3", False),              # a stray colon: ParseError at its line
+    ("a:2", False),                # a non-numeric bound: ParseError at its line
     ("", False),                   # no segment: ParseError at its line
 ])
 def test_segment_cells_read_alike_in_bulk_and_row_by_row(tmp_path, monkeypatch, cell, bulk):

@@ -22,7 +22,8 @@ from gvqa.metrics import (
     write_report_csv,
     write_report_json,
 )
-from gvqa.synth import SynthConfig, episodes_to_labels, generate
+from gvqa.model import load_checkpoint, predict_episodes
+from gvqa.synth import SynthConfig, episodes_to_labels, generate, split_by_video
 from gvqa.trainer import InsufficientPool, TrainConfig
 
 
@@ -84,6 +85,19 @@ def test_eval_unknown_question_exit_2(data, tmp_path, capsys):
     # not the bare KeyError repr "error: 'ghost'"
     assert capsys.readouterr().err == (
         "error: prediction for question 'ghost', which is not in the labels\n")
+
+
+def test_eval_warns_on_stderr_of_a_missing_prediction(data, tmp_path, capsys):
+    perfect = json.loads((data / "perfect.json").read_text())
+    del perfect[sorted(perfect)[0]]
+    preds = tmp_path / "short.json"
+    preds.write_text(json.dumps(perfect))
+    rc = main(["eval", str(preds), str(data / "labels.csv"), "-o", str(tmp_path)])
+    assert rc == 0
+    captured = capsys.readouterr()
+    warning = "warning: 1 labeled questions had no prediction and were scored zero\n"
+    assert captured.err == warning
+    assert "warning" not in captured.out
 
 
 def test_stats_outputs(data, tmp_path, capsys):
@@ -251,6 +265,27 @@ def test_ng_objective_with_explicit_two_stages_exit_2(tmp_path, capsys, route):
     assert "no grounding pretrain stage" in capsys.readouterr().err
 
 
+def test_config_value_that_does_not_parse_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    _write_cfg(cfg, "epochs = two\n")
+    rc = main(["train-synth", "--config", str(cfg), "-o", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: config key epochs: cannot parse 'two' as int\n"
+
+
+def test_checkpoint_reproduces_the_run_predictions(tmp_path):
+    # the checkpoint train-synth wrote, run on the same world and split at
+    # the default gamma, gives the run's predictions.json byte for byte
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("n_episodes = 40\n")
+    out = tmp_path / "run"
+    assert main(["train-synth", "--config", str(cfg), "--epochs", "1", "-o", str(out)]) == 0
+    params = load_checkpoint(out / "checkpoint.npz")
+    _, val = split_by_video(generate(SynthConfig(n_episodes=40)), seed=0)
+    save_predictions(tmp_path / "again.json", predict_episodes(params, val, gamma=1.0))
+    assert (tmp_path / "again.json").read_bytes() == (out / "predictions.json").read_bytes()
+
+
 def test_gamma_narrows_windows(tmp_path):
     cfg = tmp_path / "run.cfg"
     _write_cfg(cfg)
@@ -403,21 +438,22 @@ def test_eval_bad_window_names_question_exit_2(data, tmp_path, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
-INFINITE_NUMBER_FILES = {
-    "eval": ("preds.json", '{"q1": {"answer": 1e400, "start": 0.0, "end": 1.0}}',
+# a one-question file of each reader, with %s for the answer index
+ANSWER_FILES = {
+    "eval": ("preds.json", '{"q1": {"answer": %s, "start": 0.0, "end": 1.0}}',
              load_predictions, ValueError, "bad prediction for question 'q1': "),
     "stats": ("labels.json", '[{"question_id": "q1", "video_id": "v", "duration_s": 30.0, '
-              '"answer_index": 1e400, "segments": [[1.0, 2.0]]}]',
+              '"answer_index": %s, "segments": [[1.0, 2.0]]}]',
               load_labels, ParseError, "labels.json:row 0: "),
 }
 
 
-@pytest.mark.parametrize("command", sorted(INFINITE_NUMBER_FILES))
+@pytest.mark.parametrize("command", sorted(ANSWER_FILES))
 def test_infinite_json_number_is_a_bad_input_exit_2(data, tmp_path, capsys, command):
     # JSON reads 1e400 as inf, and int(inf) raises OverflowError
-    name, text, reader, error, where = INFINITE_NUMBER_FILES[command]
+    name, text, reader, error, where = ANSWER_FILES[command]
     bad = tmp_path / name
-    bad.write_text(text)
+    bad.write_text(text % "1e400")
     message = where + "cannot convert float infinity to integer"
     with pytest.raises(error, match=re.escape(message)):
         reader(bad)
@@ -425,6 +461,27 @@ def test_infinite_json_number_is_a_bad_input_exit_2(data, tmp_path, capsys, comm
     rc = main([command, *inputs, "-o", str(tmp_path / "out")])
     assert rc == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("answer", ["2.7", "2.0", "true", "false"])
+@pytest.mark.parametrize("command", sorted(ANSWER_FILES))
+def test_non_integer_answer_index_is_a_bad_input_exit_2(data, tmp_path, capsys, command,
+                                                        answer):
+    # int() would read 2.7 and 2.0 as answer 2, and true and false as 1 and 0
+    name, text, reader, error, where = ANSWER_FILES[command]
+    bad = tmp_path / name
+    bad.write_text(text % answer)
+    message = where + f"answer index {json.loads(answer)!r} is not an integer"
+    with pytest.raises(error, match=re.escape(message)):
+        reader(bad)
+    inputs = [str(bad), str(data / "labels.csv")] if command == "eval" else [str(bad)]
+    rc = main([command, *inputs, "-o", str(tmp_path / "out")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    # a string of digits, as a CSV-to-JSON conversion writes it, is an index
+    good = tmp_path / f"good_{name}"
+    good.write_text(text % '"2"')
+    assert reader(good).answer.tolist() == [2]
 
 
 CSV_HEAD = b"question_id,video_id,duration_s,answer_index,segments\r\n"

@@ -174,6 +174,7 @@ TWO_ROWS = {"question_ids": ["a", "b"], "video_ids": ["v", "v"], "duration": [10
     ({"seg_start": [-1.0, 1.0]}, "start"),
     ({"seg_end": [2.0, float("inf")]}, "finite"),
     ({"seg_end": [2.0, 10.0 + 2e-9]}, "outside"),
+    ({"seg_end": [2.0]}, "segment columns differ in length"),
 ])
 def test_label_table_checks_every_rule(change, rule):
     LabelTable(**TWO_ROWS)
@@ -495,6 +496,15 @@ def test_no_prediction_at_all(fixture_labels):
 
 # --- bulk prediction loader against the entry-by-entry loop -------------------
 
+def reference_answer(value):
+    """An answer index: a JSON integer or a string that int() reads. A float
+    or a bool is refused, after int() has raised for inf and NaN."""
+    if isinstance(value, (bool, float)):
+        int(value)
+        raise TypeError(f"answer index {value!r} is not an integer")
+    return int(value)
+
+
 def reference_load_predictions(path):
     """load_predictions as an entry-by-entry loop."""
     raw = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -506,7 +516,7 @@ def reference_load_predictions(path):
             preds.append(
                 Prediction(
                     question_id=str(qid),
-                    answer_index=int(entry["answer"]),
+                    answer_index=reference_answer(entry["answer"]),
                     window=TemporalSegment(float(entry["start"]), float(entry["end"])),
                 )
             )
@@ -517,7 +527,7 @@ def reference_load_predictions(path):
 
 def _bad_entry(draw, entry):
     """One entry broken in one of the ways a prediction file can be, or a
-    value that only looks wrong (a numeric string, a bool answer, a huge answer)."""
+    value that only looks wrong (a numeric string, a huge answer)."""
     kind = draw(st.sampled_from([
         "missing", "not_dict", "string", "non_finite", "negative_start",
         "start_ge_end", "bool_answer", "huge_answer",

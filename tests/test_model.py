@@ -223,7 +223,7 @@ class TestScoreAnswers:
                       correct=1, extent=VideoExtent(10.0))
         scores = predict_episode(params, ep2).scores
         assert int(np.argmax(scores)) == 1
-        assert scores[1] == pytest.approx(1.0 / params.temperature, abs=1e-9)
+        assert scores[1] == pytest.approx(1.0 / model.TEMPERATURE, abs=1e-9)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(5)
@@ -574,6 +574,24 @@ class TestCheckpoint:
         for name, arr in params.arrays.items():
             assert np.array_equal(back.arrays[name], arr)
 
+    def test_meta_holds_the_version_and_the_dims(self, tmp_path):
+        p = tmp_path / "model.npz"
+        save_checkpoint(p, init_params(SMALL, seed=19))
+        with np.load(p) as blob:
+            meta = json.loads(bytes(blob["__meta__"]))
+        assert meta == {"version": 2, "config": {"d_v": SMALL.d_v, "d_t": SMALL.d_t,
+                                                 "width": SMALL.width}}
+
+    def test_version_1_checkpoint_is_unsupported(self, tmp_path):
+        # version 1 stored a temperature and the parameter names as well
+        meta = {"version": 1, "config": {"d_v": 5, "d_t": 6, "width": 8, "temperature": 0.07},
+                "names": list(PARAM_NAMES)}
+        raw = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        p = self._tampered(tmp_path, lambda a: a.update(__meta__=raw))
+        with pytest.raises(ValueError, match="bad __meta__: ValueError: unsupported checkpoint "
+                                             "version 1"):
+            load_checkpoint(p)
+
     def test_npz_suffix_added_as_numpy_adds_it(self, tmp_path):
         save_checkpoint(tmp_path / "model", init_params(SMALL, seed=19))
         assert load_checkpoint(tmp_path / "model.npz").config == SMALL
@@ -607,18 +625,19 @@ class TestCheckpoint:
         None,
         b"not json",
         [1],
-        {"config": {"d_v": 5, "d_t": 6, "width": 8, "temperature": 0.07}},
-        {"version": 1},
-        {"version": 1, "config": {"d_v": 5, "d_t": 6, "width": 8, "depth": 2}},
-        {"version": 1, "config": {"d_v": 5, "d_t": 6, "width": "8"}},
-        {"version": 1, "config": {"d_v": 5, "d_t": 6, "width": 8.0}},
-        {"version": 1, "config": {"d_v": 5, "d_t": 6, "width": 0}},
-        {"version": 1, "config": {"d_v": 5, "d_t": 6, "width": 8, "temperature": math.nan}},
-        {"version": 1, "config": {"d_v": 5, "d_t": 6, "width": 8, "temperature": math.inf}},
-        {"version": 2, "config": {"d_v": 5, "d_t": 6, "width": 8}},
+        {"config": {"d_v": 5, "d_t": 6, "width": 8}},
+        {"version": 2},
+        {"version": 2, "config": {"d_v": 5, "d_t": 6, "width": 8, "depth": 2}},
+        {"version": 2, "config": {"d_v": 5, "d_t": 6, "width": "8"}},
+        {"version": 2, "config": {"d_v": 5, "d_t": 6, "width": 8.0}},
+        {"version": 2, "config": {"d_v": 5, "d_t": 6, "width": 0}},
+        # the temperature is the constant model.TEMPERATURE, not a config key
+        {"version": 2, "config": {"d_v": 5, "d_t": 6, "width": 8, "temperature": math.nan}},
+        {"version": 2, "config": {"d_v": 5, "d_t": 6, "width": 8, "temperature": math.inf}},
+        {"version": 3, "config": {"d_v": 5, "d_t": 6, "width": 8}},
     ], ids=["missing", "not-json", "list", "no-version", "no-config", "unknown-key",
             "string-width", "float-width", "zero-width", "nan-temperature", "inf-temperature",
-            "version-2"])
+            "version-3"])
     def test_bad_meta_names_the_file(self, tmp_path, meta):
         def edit(arrays):
             if meta is None:
@@ -730,7 +749,7 @@ class TestPredictEpisode:
         P = params.arrays
         f = v_t + ep.question @ P["W_t"] + P["b_t"]
         B = ep.answers @ P["W_a"] + P["b_a"]
-        scores = (B @ f) / (np.linalg.norm(B, axis=1) * np.linalg.norm(f)) / params.temperature
+        scores = (B @ f) / (np.linalg.norm(B, axis=1) * np.linalg.norm(f)) / model.TEMPERATURE
         assert pred.mask == mask
         assert np.array_equal(pred.trace, trace)
         assert np.array_equal(pred.scores, scores)
@@ -1037,7 +1056,7 @@ def dense_reference(params, ep, objective, alpha):
     H0 = S V and H1 = S (G * V), and rank-2 outer products for dH0 and dH1.
     The engine reads S only through vectors and scores the frames through
     the d_v x d_v bilinear form, never forming X, Q or K."""
-    P, w, T = params.arrays, params.config.width, params.temperature
+    P, w, T = params.arrays, params.config.width, model.TEMPERATURE
     F, n = ep.frames, ep.n_frames
     X = F @ P["W_v"] + P["b_v"]
     Q, K, V = X @ P["W_q"], X @ P["W_k"], X @ P["W_val"]
@@ -1446,13 +1465,6 @@ class TestZeroNorm:
         candidates[1, 1] = 0.0
         with pytest.raises(model.ZeroNorm, match=r"candidate question 1 in episode 'q1' "):
             loss_and_gradients(params, eps, objective="ground", candidates=candidates)
-
-
-@pytest.mark.parametrize("temperature", [0.0, -0.07, math.nan, math.inf])
-def test_temperature_must_be_positive_and_finite(temperature):
-    # an infinite temperature would make every cosine score 0
-    with pytest.raises(ValueError, match="temperature must be positive and finite"):
-        ModelConfig(5, 6, 8, temperature=temperature)
 
 
 @pytest.mark.parametrize("field", ["d_v", "d_t", "width"])

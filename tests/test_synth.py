@@ -24,7 +24,7 @@ from gvqa.synth import (
     split_by_video,
     split_diagnostic,
 )
-from gvqa.temporal import VideoExtent
+from gvqa.temporal import TemporalSegment, VideoExtent
 from gvqa.trainer import TrainConfig, train
 
 
@@ -251,8 +251,9 @@ def diag():
 
 def test_moment_probe_beats_outside_probe(diag):
     _, val, _, pos, neg = diag
-    pos_acc = np.mean([pos.predict(ep) == ep.correct for ep in val])
-    neg_acc = np.mean([neg.predict(ep) == ep.correct for ep in val])
+    masks = [moment_frame_mask(ep) for ep in val]
+    pos_acc = np.mean([pos.predict(ep, m) == ep.correct for ep, m in zip(val, masks)])
+    neg_acc = np.mean([neg.predict(ep, m) == ep.correct for ep, m in zip(val, masks)])
     assert pos_acc >= 0.9
     assert neg_acc <= pos_acc - 0.2
 
@@ -343,15 +344,35 @@ def test_probe_fits_match_three_operand_einsums(n_answers):
 
 def test_frames_probes_fitted_alone_equal_the_shared_mask_fits():
     # fit_diagnostics builds each moment mask once for both frames probes;
-    # each probe building its own gives the same bits
+    # each probe fitted alone on its own copy of the masks gives the same bits
     train, _ = split_by_video(generate(SynthConfig(n_episodes=80, seed=22)), 0.15, seed=0)
     _, pos, neg = fit_diagnostics(train)
     for probe in (pos, neg):
         alone = FramesQuestionScorer(probe.frame_subset)
-        alone.fit(train)
+        alone.fit(train, [moment_frame_mask(ep) for ep in train])
         assert alone.U.tobytes() == probe.U.tobytes() and alone.W.tobytes() == probe.W.tobytes()
     with pytest.raises(ValueError):
         FramesQuestionScorer("moment").fit(train, [moment_frame_mask(ep) for ep in train[1:]])
+
+
+def test_a_moment_over_every_frame_leaves_the_outside_probe_no_frames(diag):
+    # every frame center lies inside the moment: the outside pool is empty and
+    # pools to zeros, so the outside probe scores with its question term alone
+    _, val, _, _, neg = diag
+    ep = dataclasses.replace(val[0], gt_moment=TemporalSegment(0.0, val[0].extent.duration))
+    mask = moment_frame_mask(ep)
+    assert mask.all()
+    assert np.array_equal(neg._pool(ep, mask), np.zeros(ep.frames.shape[1]))
+    assert neg.predict(ep, mask) == int(np.argmax((ep.question @ neg.W) @ ep.answers.T))
+
+
+def test_an_unfitted_probe_does_not_predict(eps):
+    ep = eps[0]
+    with pytest.raises(ValueError, match="scorer not fitted"):
+        QuestionOnlyScorer().predict(ep)
+    for subset in ("moment", "outside"):
+        with pytest.raises(ValueError, match="scorer not fitted"):
+            FramesQuestionScorer(subset).predict(ep, moment_frame_mask(ep))
 
 
 def _other_world(**dims):
@@ -371,7 +392,9 @@ def _other_world(**dims):
 ], ids=["empty", "ragged answers", "ragged question dim", "ragged frames dim"])
 def test_probe_fit_names_its_bad_input(eps, bad, error, message):
     episodes = [*eps[:12], *bad, *eps[12:20]] if bad else []
-    for fit in (fit_diagnostics, QuestionOnlyScorer().fit, FramesQuestionScorer("moment").fit):
+    masks = [moment_frame_mask(ep) for ep in episodes]
+    for fit in (fit_diagnostics, QuestionOnlyScorer().fit,
+                lambda episodes: FramesQuestionScorer("moment").fit(episodes, masks)):
         with pytest.raises(error, match=message):
             fit(episodes)
 
@@ -387,10 +410,10 @@ def test_probe_scores_name_an_episode_of_other_dims(diag, dims, blind_message, f
     _, _, blind, pos, neg = diag
     ep = _other_world(**dims)[0]
     if blind_message is None:
-        blind.scores(ep)
+        blind.predict(ep)
     else:
         with pytest.raises(ShapeMismatch, match=f"episode 'v00000_q0' {blind_message}"):
             blind.predict(ep)
     for probe in (pos, neg):
         with pytest.raises(ShapeMismatch, match=f"episode 'v00000_q0' {frames_message}"):
-            probe.predict(ep)
+            probe.predict(ep, moment_frame_mask(ep))
