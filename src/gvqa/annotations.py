@@ -13,12 +13,13 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 from itertools import chain, repeat
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .metrics import (GroundingLabel, LabelTable, ParseError, csv_text, open_text,
-                      ordered_sum, read_answer_index, read_json, rewrite_text)
+from .metrics import (GroundingLabel, LabelTable, ParseError, csv_text, number_text,
+                      open_text, ordered_sum, read_answer_index, read_json, read_seconds,
+                      rewrite_text)
 from .svgplot import bar_chart, pie_chart
 from .temporal import TemporalSegment, VideoExtent
 
@@ -68,30 +69,24 @@ class DatasetStats:
 # --- loading ----------------------------------------------------------------
 
 def _parse_segments(cell: str | list, where: str) -> list[tuple[float, float]]:
-    """Accepts 's:e;s:e' strings or [[s, e], ...] lists."""
-    pairs: list[tuple[float, float]] = []
+    """Segments as 's:e;s:e' text, read as the bulk CSV pass reads a cell, or
+    as a [[s, e], ...] list."""
     if isinstance(cell, str):
-        for chunk in cell.split(";"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            bits = chunk.split(":")
-            if len(bits) != 2:
-                raise ParseError(f"{where}: segment {chunk!r} is not 'start:end'")
-            try:
-                pairs.append((float(bits[0]), float(bits[1])))
-            except ValueError as exc:
-                raise ParseError(f"{where}: non-numeric segment {chunk!r}") from exc
-    elif isinstance(cell, list):
-        for item in cell:
-            if not (isinstance(item, (list, tuple)) and len(item) == 2):
-                raise ParseError(f"{where}: segment entry {item!r} is not a [start, end] pair")
-            try:
-                pairs.append((float(item[0]), float(item[1])))
-            except (TypeError, ValueError) as exc:
-                raise ParseError(f"{where}: non-numeric segment {item!r}") from exc
-    else:
+        try:
+            starts, ends, _ = _csv_segments([cell])
+        except ValueError as exc:
+            raise ParseError(f"{where}: segments {cell!r}: {exc}") from exc
+        return list(zip(starts, ends))
+    if not isinstance(cell, list):
         raise ParseError(f"{where}: segments must be a string or list, got {type(cell).__name__}")
+    pairs: list[tuple[float, float]] = []
+    for item in cell:
+        if not (isinstance(item, (list, tuple)) and len(item) == 2):
+            raise ParseError(f"{where}: segment entry {item!r} is not a [start, end] pair")
+        try:
+            pairs.append((read_seconds(item[0]), read_seconds(item[1])))
+        except (TypeError, ValueError, OverflowError) as exc:  # a bound past float's range
+            raise ParseError(f"{where}: non-numeric segment {item!r}") from exc
     if not pairs:
         raise ParseError(f"{where}: no segments")
     return pairs
@@ -101,7 +96,7 @@ def _build_label(row: Mapping[str, object], where: str) -> GroundingLabel:
     try:
         qid = str(row["question_id"])
         vid = str(row["video_id"])
-        duration = float(row["duration_s"])  # type: ignore[arg-type]
+        duration = read_seconds(row["duration_s"])
         answer = read_answer_index(row["answer_index"])
         cell = row["segments"]
     except KeyError as exc:
@@ -125,14 +120,16 @@ def _build_label(row: Mapping[str, object], where: str) -> GroundingLabel:
 def load_labels(path: str | Path) -> LabelTable:
     """Load labels from a .csv or .json file into a table keyed by question id.
 
-    JSON rows are read one by one through the GroundingLabel checks. A CSV
-    file is parsed and checked at once; if any row fails, its rows are read
-    again the same one-by-one way. So the first bad row in file order raises:
-    ParseError for an unreadable value, ValidationError for a row that parses
-    but violates a label constraint (segment outside the video, start >= end,
-    negative start, repeated question id). Both name the file and line (CSV)
-    or row (JSON). A file that is not UTF-8, or not valid JSON, raises
-    ParseError naming the file.
+    Both formats read one grammar: numbers as metrics.number_text allows,
+    segment text as _csv_segments reads it, CSV rows of the header's cell
+    count. JSON rows are read one by one through the GroundingLabel checks.
+    A CSV file is parsed and checked at once; if that fails, a row pass
+    reads it with the same grammar only to name the first bad line. The
+    first bad row in file order raises: ParseError for an unreadable value,
+    ValidationError for a row that parses but violates a label constraint
+    (segment outside the video, start >= end, negative start, repeated
+    question id). Both name the file and line (CSV) or row (JSON). A file
+    that is not UTF-8, or not valid JSON, raises ParseError naming the file.
     """
     path = Path(path)
     if path.suffix.lower() == ".json":
@@ -152,20 +149,29 @@ _BULK_ERRORS = (ValueError, TypeError, KeyError, OverflowError, csv.Error)
 
 
 def _csv_segments(cells: Sequence[str]) -> tuple[list, list, np.ndarray]:
-    """The segment columns of CSV cells, parsed all at once. Every chunk
-    between semicolons must hold exactly one colon; any other cell (an
-    empty or blank chunk, a stray colon) raises ValueError, and the
-    row-by-row reader reads the file instead."""
-    joined = ";".join(cells)
+    """The segment columns of 's:e;s:e' cells, parsed all at once. Every
+    chunk between semicolons must hold exactly one colon, and every bound be
+    number_text that float() reads; any other cell (an empty or blank chunk,
+    a stray colon, a bound such as '1_0') raises ValueError."""
+    joined = number_text(";".join(cells))
     chunks = joined.split(";")
     if set(map(str.count, chunks, repeat(":"))) != {1}:
         raise ValueError("a segment is not 'start:end'")
-    # float() ignores the whitespace that _parse_segments strips
     values = list(map(float, joined.replace(";", ":").split(":")))
     owner = np.arange(len(cells))
     if len(chunks) > len(cells):  # some row holds more than one segment
         owner = np.repeat(owner, np.array(list(map(str.count, cells, repeat(";")))) + 1)
     return values[0::2], values[1::2], owner
+
+
+def _csv_rows(reader, header: list[str], name: str) -> Iterator[tuple[str, dict]]:
+    """(where, row) for each nonblank CSV line, keyed by the header as
+    csv.DictReader keys it; a line of another cell count raises ParseError."""
+    for cells in filter(None, reader):
+        where = f"{name}:{reader.line_num}"
+        if len(cells) != len(header):
+            raise ParseError(f"{where}: {len(cells)} cells, the header has {len(header)}")
+        yield where, dict(zip(header, cells))
 
 
 def _read_rows(rows: Iterable[tuple[str, object]]) -> LabelTable:
@@ -194,25 +200,25 @@ def _load_csv(path: Path) -> LabelTable:
                 raise ParseError(f"{path}: header missing columns {sorted(missing)}")
             try:
                 rows = [row for row in reader if row]
-                # short and long rows take csv.DictReader's padding rules, and a
-                # file without rows its message: row by row
+                # a short or long row, and a file without rows, take the row
+                # pass's message
                 if set(map(len, rows)) != {len(header)}:
                     raise ValueError("ragged or no rows")
                 # a repeated column name reads its last column, as in csv.DictReader
                 column = {name: i for i, name in enumerate(header)}
                 columns = list(zip(*rows))
                 qids, vids, durations, answers, cells = (columns[column[c]] for c in CSV_COLUMNS)
-                # the builtins that _build_label converts with (the ids are str
-                # already); a video's questions repeat its duration text
-                seconds = {text: float(text) for text in set(durations)}
+                # _build_label's conversions (the ids are str already), each
+                # distinct text once: a video's questions repeat its duration
+                seconds = {text: float(number_text(text)) for text in set(durations)}
+                index = {text: int(number_text(text)) for text in set(answers)}
                 return LabelTable(qids, vids, list(map(seconds.__getitem__, durations)),
-                                  list(map(int, answers)), *_csv_segments(cells))
+                                  list(map(index.__getitem__, answers)), *_csv_segments(cells))
             except _BULK_ERRORS:
                 pass
             fh.seek(0)
-            labels = csv.DictReader(fh)
-            reader = labels.reader
-            return _read_rows((f"{path.name}:{reader.line_num}", row) for row in labels)
+            reader = csv.reader(fh)
+            return _read_rows(_csv_rows(reader, next(reader), path.name))
         except csv.Error as exc:
             # a line the csv module cannot split, such as one with a cell
             # longer than csv.field_size_limit(): the header, or the first

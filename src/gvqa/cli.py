@@ -109,6 +109,8 @@ _PARSERS = {"int": int, "float": float, "str": str}
 
 def _coerce(key: str, value: str, typ: str) -> object:
     try:
+        if typ != "str":
+            metrics.number_text(value)
         return _PARSERS[typ](value)
     except ValueError:
         raise annotations.ValidationError(f"config key {key}: cannot parse {value!r} as {typ}")

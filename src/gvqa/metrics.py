@@ -62,7 +62,7 @@ class GroundingLabel:
         if not segments:
             raise ValueError(f"label {self.question_id} has no segments")
         for seg in segments:
-            if seg.start < 0 or seg.end > self.extent.duration + END_SLACK:
+            if seg.end > self.extent.duration + END_SLACK:
                 raise ValueError(
                     f"label {self.question_id}: segment [{seg.start}, {seg.end}] "
                     f"outside video of duration {self.extent.duration}"
@@ -426,11 +426,32 @@ def read_json(path: str | Path) -> object:
         raise ParseError(f"{path}: unreadable JSON: {exc}") from exc
 
 
+def number_text(text: str) -> str:
+    """text, if it is a number as the input files write one: text that int()
+    or float() reads, in ASCII and without the digit-group underscores of
+    Python's literal syntax ("1_0"). Whitespace around it is allowed.
+    Other text raises ValueError."""
+    if text.isascii() and "_" not in text:
+        return text
+    raise ValueError(f"numbers must be ASCII without '_', got {text!r}")
+
+
+def read_seconds(value: object) -> float:
+    """A time in seconds as a file holds it: a JSON number, or number_text
+    that float() reads. A bool, which float() would read as 0 or 1, raises
+    TypeError; an integer too large for a float raises OverflowError."""
+    if isinstance(value, str):
+        return float(number_text(value))
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not a number of seconds")
+    return float(value)
+
+
 def read_answer_index(value: object) -> int:
-    """An answer index as a file holds it: an integer, or a string of one.
+    """An answer index as a file holds it: an integer, or number_text of one.
     A value that int() rejects raises as int() does; a float (2.0 too) or a
     bool, which int() would truncate, raises TypeError."""
-    index = int(value)
+    index = int(number_text(value) if isinstance(value, str) else value)
     if type(value) is not int and not isinstance(value, str):
         raise TypeError(f"answer index {value!r} is not an integer")
     return index
@@ -439,8 +460,8 @@ def read_answer_index(value: object) -> int:
 def load_predictions(path: str | Path) -> PredictionTable:
     """Read a prediction file: JSON map question_id -> {answer, start, end}.
 
-    One pass in file order converts each entry with read_answer_index and float;
-    the first bad entry raises ValueError naming its question.
+    One pass in file order converts each entry with read_answer_index and
+    read_seconds; the first bad entry raises ValueError naming its question.
     """
     raw = read_json(path)
     if not isinstance(raw, dict):
@@ -451,7 +472,9 @@ def load_predictions(path: str | Path) -> PredictionTable:
             a = entry["answer"]
             if type(a) is not int:  # JSON integers skip the call
                 a = read_answer_index(a)
-            s, e = float(entry["start"]), float(entry["end"])
+            s, e = entry["start"], entry["end"]
+            if type(s) is not float or type(e) is not float:  # JSON floats skip the call
+                s, e = read_seconds(s), read_seconds(e)
             # TemporalSegment's rules in one comparison; a window that breaks
             # one goes through TemporalSegment, which raises that rule's message
             if not 0.0 <= s < e < math.inf:

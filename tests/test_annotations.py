@@ -3,6 +3,7 @@ import json
 import tempfile
 from collections.abc import Mapping
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -312,7 +313,8 @@ def test_stats_json_and_svgs(tmp_path, corpus):
 # table: one _build_label per row in file order, then the duplicate check.
 # load_labels must accept exactly the files it accepts, with the same labels
 # in the same order, and raise the same exception with the same message
-# (file:line or row i) for the first bad row.
+# (file:line or row i) for the first bad row. A CSV file it accepts must
+# also load in bulk alone: the row pass only names the first bad line.
 
 def reference_load(path):
     labels = {}
@@ -325,14 +327,23 @@ def reference_load(path):
 
     if path.suffix == ".csv":
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
                 raise ParseError(f"{path}: empty file")
-            missing = set(CSV_COLUMNS) - set(reader.fieldnames)
+            missing = set(CSV_COLUMNS) - set(header)
             if missing:
                 raise ParseError(f"{path}: header missing columns {sorted(missing)}")
-            for row in reader:
-                add(row, f"{path.name}:{reader.line_num}")
+            for cells in reader:
+                where = f"{path.name}:{reader.line_num}"
+                if not cells:
+                    continue
+                # every row has the header's cell count; a repeated column
+                # name reads its last cell
+                if len(cells) != len(header):
+                    raise ParseError(f"{where}: {len(cells)} cells, "
+                                     f"the header has {len(header)}")
+                add(dict(zip(header, cells)), where)
     else:
         raw = json.loads(path.read_text(encoding="utf-8"))
         for i, row in enumerate(raw):
@@ -357,6 +368,10 @@ def assert_loads_like_reference(path):
     assert got == outcome(reference_load, path)
     if got[0] == "ok":
         assert isinstance(load_labels(path), LabelTable)
+        if path.suffix == ".csv":
+            # the same table from the bulk pass alone
+            with mock.patch.object(annotations, "_build_label", None):
+                assert outcome(load_labels, path) == got
     return got
 
 
@@ -373,11 +388,16 @@ ABOVE_EDGE = float(np.nextafter(EDGE, np.inf))
 
 
 @pytest.mark.parametrize("rows, want", [
-    # accepted: the end may reach duration + 1e-9, and int/float read "1_0" and " 2"
+    # accepted: the end may reach duration + 1e-9, and numbers may have
+    # whitespace around them
     ([["q1", "v", "30.0", "0", f"0:{EDGE!r}"]], "ok"),
-    ([["q1", "v", "1_0", "1_0", " 1 : 2 ;3:4;"]], "ok"),
+    # "1_0" is Python's literal syntax, not a number of the file format
+    ([["q1", "v", "1_0", "1_0", " 1 : 2 ;3:4;"]],
+     (ParseError, "labels.csv:2: numbers must be ASCII")),
     ([["q1", "v", " 2", " 2", "0:1"]], "ok"),
-    ([["q1", "v", "30", "0", "1:2", "extra"]], "ok"),
+    # a row has the header's cell count
+    ([["q1", "v", "30", "0", "1:2", "extra"]],
+     (ParseError, "labels.csv:2: 6 cells, the header has 5")),
     # rejected at the row that breaks a rule
     ([["q1", "v", "30.0", "0", f"0:{ABOVE_EDGE!r}"]], (ValidationError, "labels.csv:2")),
     ([["q1", "v", "30", "2.0", "1:2"]], (ParseError, "labels.csv:2")),
@@ -393,6 +413,12 @@ ABOVE_EDGE = float(np.nextafter(EDGE, np.inf))
       ["q3", "v", "30", "0", "1:2"], ["q4", "v", "30", "0", "1:2"],
       ["q5", "v", "thirty", "0", "1:2"]], (ValidationError, "labels.csv:3")),
     ([["q1", "v", "30", str(2**63), "1:2"]], (ValidationError, "labels.csv:2")),
+    # an empty segment chunk, as the bulk pass refuses it
+    ([["q1", "v", "30", "0", "1:2;3:4;"]],
+     (ParseError, "labels.csv:2: segments '1:2;3:4;': a segment is not 'start:end'")),
+    # an Arabic-Indic digit, which float() would read as 1
+    ([["q1", "v", "\u0661", "0", "0:1"]], (ParseError, "labels.csv:2: numbers must be ASCII")),
+    ([["q1", "v", "2e1", "0", " 0 : 1e1 "]], "ok"),
 ])
 def test_csv_edge_rows_load_like_reference(tmp_path, rows, want):
     got = assert_loads_like_reference(write_rows(tmp_path, rows))
@@ -407,6 +433,19 @@ def test_csv_repeated_column_and_blank_lines_load_like_reference(tmp_path):
     path = write_rows(tmp_path, [["q1", "v", "bad", "0", "1:2", "30"], [],
                                  ["q2", "v", "bad", "1", "3:4", "30"]], header)
     assert assert_loads_like_reference(path)[0] == "ok"
+
+
+@pytest.mark.parametrize("header, cells", [
+    # a column the reader does not use, left off the row
+    ("question_id,video_id,duration_s,answer_index,segments,notes", ["q1", "v", "30", "0", "1:2"]),
+    # question_id last and left off: padded with None, it would read as
+    # question 'None'
+    ("segments,answer_index,duration_s,video_id,question_id", ["1:2", "0", "30", "v"]),
+])
+def test_csv_short_row_is_refused_at_its_line(tmp_path, header, cells):
+    path = write_rows(tmp_path, [cells], header)
+    got = assert_loads_like_reference(path)
+    assert got == (ParseError, f"labels.csv:2: {len(cells)} cells, the header has {len(cells) + 1}")
 
 
 def test_valid_file_is_read_in_bulk(tmp_path, monkeypatch, corpus):
@@ -426,12 +465,14 @@ def _table_columns(table):
 
 @pytest.mark.parametrize("cell, bulk", [
     ("1:2;3:4;10:12.5", True),     # several segments
-    (" 1 : 2 ", True),             # float() ignores what the row reader strips
+    (" 1 : 2 ", True),             # whitespace around a bound
     ("1:2;\n3:4", True),           # a quoted cell across two lines
-    ("1:2;", False),               # an empty chunk
-    ("1:2; ;3:4", False),          # a blank chunk
+    ("0:2e1", True),               # an exponent
+    ("1:2;", False),               # an empty chunk: ParseError at its line
+    ("1:2; ;3:4", False),          # a blank chunk: ParseError at its line
     ("1:2:3", False),              # a stray colon: ParseError at its line
     ("a:2", False),                # a non-numeric bound: ParseError at its line
+    ("1_0:20", False),             # a digit-group underscore: ParseError at its line
     ("", False),                   # no segment: ParseError at its line
 ])
 def test_segment_cells_read_alike_in_bulk_and_row_by_row(tmp_path, monkeypatch, cell, bulk):
@@ -441,22 +482,23 @@ def test_segment_cells_read_alike_in_bulk_and_row_by_row(tmp_path, monkeypatch, 
 
     def rows(p):
         with open_text(p) as fh:
-            reader = csv.DictReader(fh)
+            reader = csv.reader(fh)
             return _table_columns(annotations._read_rows(
-                (f"{p.name}:{reader.line_num}", row) for row in reader))
+                annotations._csv_rows(reader, next(reader), p.name)))
 
     want = outcome(rows, path)
     assert outcome(lambda p: _table_columns(load_labels(p)), path) == want
     if bulk:
         monkeypatch.setattr(annotations, "_build_label", None)
         assert _table_columns(load_labels(path)) == want[1]
-    elif want[0] != "ok":
+    else:  # refused by both passes: named at its line
         assert want[0] is ParseError and want[1].startswith("labels.csv:3: ")
 
 
-CSV_DURATIONS = ["30.0", "30.0", "12.5", "7", "1_0", " 2", "2.0", "nan", "inf", "-inf",
-                 "0", "-3", "1e309", "forty", ""]
-CSV_ANSWERS = ["0", "0", "3", "1_0", " 2", "2.0", "-1", "x", "", str(2**63), str(2**63 - 1)]
+CSV_DURATIONS = ["30.0", "30.0", "12.5", "7", "1_0", " 2", "2e1", "\u0661", "2.0", "nan",
+                 "inf", "-inf", "0", "-3", "1e309", "forty", ""]
+CSV_ANSWERS = ["0", "0", "3", "1_0", " 2", "\u0661", "2.0", "-1", "x", "", str(2**63),
+               str(2**63 - 1)]
 
 
 def _duration_value(text):
@@ -476,7 +518,7 @@ def segment_cells(draw, text_duration):
         f"{a!r}:{b!r}", f"{a!r}:{b!r}", f"{a!r}:{b!r};{b!r}:{d!r}",
         f"0:{d + 1e-9!r}", f"0:{float(np.nextafter(d + 1e-9, np.inf))!r}",
         f"{b!r}:{a!r}", f"{-a - 1.0!r}:{b!r}", "nan:1", "0:inf", "1:2;", " 1 : 2 ",
-        "1-4", "", ";", "a:b", "1:2:3",
+        "1-4", "", ";", "a:b", "1:2:3", "0:1_0", "\u0661:2",
     ]))
 
 
@@ -502,9 +544,9 @@ def test_csv_loads_like_reference(rows):
         assert_loads_like_reference(write_rows(tmp, rows))
 
 
-JSON_DURATIONS = [30.0, 30.0, 12.5, 7, "30.0", " 2", "1_0", float("nan"), float("inf"),
-                  0, -3, None, True, "forty", [1]]
-JSON_ANSWERS = [0, 0, 3, "2", " 2", "1_0", "2.0", 2.7, -1, None, True, 2**63,
+JSON_DURATIONS = [30.0, 30.0, 12.5, 7, "30.0", " 2", "1_0", "\u0661", float("nan"),
+                  float("inf"), 0, -3, None, True, False, 10**400, "forty", [1]]
+JSON_ANSWERS = [0, 0, 3, "2", " 2", "1_0", "\u0661", "2.0", 2.7, -1, None, True, 2**63,
                 float("inf"), float("nan")]
 
 
@@ -521,7 +563,8 @@ def json_rows(draw):
         segments = draw(st.sampled_from([
             [[a, b]], [[a, b]], [[a, b], [0.0, d]], f"{a!r}:{b!r}", [[0.0, d + 1e-9]],
             [[0.0, float(np.nextafter(d + 1e-9, np.inf))]], [[b, a]], [[str(a), str(b)]],
-            [[None, b]], [[a]], [[a, b, d]], ["12"], [], 5,
+            [[None, b]], [[False, True]], [[0, 10**400]], [["1_0", d]], "1:2;", [[a]],
+            [[a, b, d]], ["12"], [], 5,
         ]))
         row = {"question_id": qid, "video_id": "v", "duration_s": duration,
                "answer_index": draw(st.sampled_from(JSON_ANSWERS)), "segments": segments}

@@ -1,5 +1,7 @@
 """Command line behavior: exit codes, outputs, determinism."""
 
+import argparse
+import csv
 import importlib
 import json
 import os
@@ -11,11 +13,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gvqa import cli
-from gvqa.annotations import ParseError, load_labels, save_labels
+from gvqa import annotations, cli, metrics
+from gvqa.annotations import CSV_COLUMNS, ParseError, load_labels, save_labels
 from gvqa.cli import main, parse_config_file
 from gvqa.metrics import (
     Prediction,
+    csv_text,
     evaluate,
     load_predictions,
     save_predictions,
@@ -626,3 +629,144 @@ def test_eval_report_files_from_rounded_report(data, tmp_path):
     write_report_csv(tmp_path / "direct.csv", report)
     assert (tmp_path / "cli" / "report.json").read_bytes() == (tmp_path / "direct.json").read_bytes()
     assert (tmp_path / "cli" / "report.csv").read_bytes() == (tmp_path / "direct.csv").read_bytes()
+
+
+# --- one rule for the numbers of every input file ---------------------------------
+#
+# A number is text that int() or float() reads, in ASCII and without Python's
+# digit-group "_"; whitespace around it is allowed. Per case, the text and the
+# value it reads as, or None where every reader refuses it.
+SECONDS_TEXTS = [("1_0", None), ("١", None), ("２", None), (" 2", 2.0), ("2e1", 20.0)]
+ANSWER_TEXTS = [("1_0", None), ("١", None), ("２", None), (" 2", 2)]
+LABEL_TEXTS = ([(field, text, value) for field in ("duration_s", "start", "end")
+                for text, value in SECONDS_TEXTS]
+               + [("answer_index", text, value) for text, value in ANSWER_TEXTS])
+DIGITS_400 = "1" + "0" * 399
+
+
+def _label_row(field, value):
+    """A valid one-segment label row with field set to value; a segment
+    bound is start or end."""
+    row = {"question_id": "q1", "video_id": "v", "duration_s": 30, "answer_index": 0,
+           "segments": [[0, 25]]}
+    if field == "start":
+        row["segments"] = [[value, 25]]
+    elif field == "end":
+        row["segments"] = [[0, value]]
+    else:
+        row[field] = value
+        if field == "duration_s":
+            row["segments"] = [[0, 1]]
+    return row
+
+
+def _label_csv(tmp_path, field, text):
+    row = _label_row(field, text)
+    (start, end), = row.pop("segments")
+    path = tmp_path / "labels.csv"
+    path.write_text(csv_text([CSV_COLUMNS, [*map(str, row.values()), f"{start}:{end}"]]),
+                    encoding="utf-8")
+    return path
+
+
+def _read_back(table, field):
+    column = {"duration_s": table.duration, "answer_index": table.answer,
+              "start": table.seg_start, "end": table.seg_end}[field]
+    return column.tolist()[0]
+
+
+def _exits_2(argv, capsys, where):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {where}")
+
+
+@pytest.mark.parametrize("field, text, value", LABEL_TEXTS)
+def test_number_text_in_the_csv_bulk_pass(tmp_path, monkeypatch, field, text, value):
+    path = _label_csv(tmp_path, field, text)
+    monkeypatch.setattr(annotations, "_build_label", None)  # no row pass
+    if value is None:
+        with pytest.raises(TypeError, match="not callable"):  # the bulk pass refused it
+            load_labels(path)
+    else:
+        assert _read_back(load_labels(path), field) == value
+
+
+@pytest.mark.parametrize("field, text, value", LABEL_TEXTS)
+def test_number_text_in_the_csv_row_pass(tmp_path, capsys, field, text, value):
+    path = _label_csv(tmp_path, field, text)
+
+    def row_pass():
+        with metrics.open_text(path) as fh:
+            reader = csv.reader(fh)
+            return annotations._read_rows(annotations._csv_rows(reader, next(reader), path.name))
+
+    if value is None:
+        message = f"^labels.csv:2: .*numbers must be ASCII without '_', got '.*{text}.*'$"
+        for read in (row_pass, lambda: load_labels(path)):
+            with pytest.raises(ParseError, match=message):
+                read()
+        _exits_2(["stats", str(path), "-o", str(tmp_path / "out")], capsys, "labels.csv:2: ")
+    else:
+        assert _read_back(row_pass(), field) == value
+
+
+@pytest.mark.parametrize("field, source, value", [
+    *((field, json.dumps(text), value) for field, text, value in LABEL_TEXTS),
+    # JSON booleans and a 400-digit integer, in every number field
+    *((field, source, None) for field in ("duration_s", "answer_index", "start", "end")
+      for source in ("true", "false", DIGITS_400)),
+], ids=lambda v: "400 digits" if v == DIGITS_400 else None)
+def test_number_in_a_json_label_row(tmp_path, capsys, field, source, value):
+    path = tmp_path / "labels.json"
+    path.write_text(json.dumps([_label_row(field, "@")]).replace('"@"', source))
+    if value is None:
+        # a 400-digit answer index is read, and refused as outside int64
+        with pytest.raises(ValueError, match="^labels.json:row 0: "):
+            load_labels(path)
+        _exits_2(["stats", str(path), "-o", str(tmp_path / "out")], capsys, "labels.json:row 0: ")
+    else:
+        assert _read_back(load_labels(path), field) == value
+
+
+@pytest.mark.parametrize("field, source, value", [
+    *((field, json.dumps(text), value) for field in ("start", "end")
+      for text, value in SECONDS_TEXTS),
+    *(("answer", json.dumps(text), value) for text, value in ANSWER_TEXTS),
+    *((field, source, None) for field in ("answer", "start", "end") for source in ("true", "false")),
+    # a 400-digit answer is kept exactly, and scores wrong
+    *((field, DIGITS_400, None) for field in ("start", "end")),
+], ids=lambda v: "400 digits" if v == DIGITS_400 else None)
+def test_number_in_a_prediction_file(tmp_path, capsys, field, source, value):
+    entry = {"answer": 0, "start": 0, "end": 25}
+    entry[field] = "@"
+    path = tmp_path / "preds.json"
+    path.write_text(json.dumps({"q1": entry}).replace('"@"', source))
+    if value is None:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: bad prediction for "
+                                             "question 'q1': "):
+            load_predictions(path)
+        labels = _label_csv(tmp_path, "answer_index", "0")
+        _exits_2(["eval", str(path), str(labels), "-o", str(tmp_path / "out")], capsys,
+                 f"{path}: bad prediction for question 'q1': ")
+    else:
+        table = load_predictions(path)
+        assert {"answer": table.answer, "start": table.start,
+                "end": table.end}[field].tolist() == [value]
+
+
+@pytest.mark.parametrize("key, text, value", [
+    *(("epochs", text, value) for text, value in ANSWER_TEXTS),
+    *(("lr", text, value) for text, value in SECONDS_TEXTS),
+])
+def test_number_text_in_a_train_synth_config(tmp_path, capsys, key, text, value):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} ={text}\n", encoding="utf-8")
+    if value is None:
+        typ = "int" if key == "epochs" else "float"
+        assert main(["train-synth", "--config", str(cfg), "-o", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (f"error: config key {key}: cannot parse "
+                                           f"{text!r} as {typ}\n")
+    else:
+        flags = argparse.Namespace(**dict.fromkeys(cli.FLAG_KEYS))
+        _, train_kw, _ = cli._split_config(parse_config_file(cfg), flags, SynthConfig, TrainConfig)
+        assert train_kw[key] == value

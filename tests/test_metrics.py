@@ -496,13 +496,29 @@ def test_no_prediction_at_all(fixture_labels):
 
 # --- bulk prediction loader against the entry-by-entry loop -------------------
 
+def reference_text(value):
+    """A string as a number of the file formats reads it: ASCII, without
+    Python's digit-group underscores."""
+    if isinstance(value, str) and not (value.isascii() and "_" not in value):
+        raise ValueError(f"numbers must be ASCII without '_', got {value!r}")
+    return value
+
+
 def reference_answer(value):
     """An answer index: a JSON integer or a string that int() reads. A float
     or a bool is refused, after int() has raised for inf and NaN."""
     if isinstance(value, (bool, float)):
         int(value)
         raise TypeError(f"answer index {value!r} is not an integer")
-    return int(value)
+    return int(reference_text(value))
+
+
+def reference_seconds(value):
+    """A window bound: a JSON number or a string that float() reads; a bool
+    is refused."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not a number of seconds")
+    return float(reference_text(value))
 
 
 def reference_load_predictions(path):
@@ -513,11 +529,13 @@ def reference_load_predictions(path):
     preds = []
     for qid, entry in raw.items():
         try:
+            answer = reference_answer(entry["answer"])
+            start, end = entry["start"], entry["end"]
             preds.append(
                 Prediction(
                     question_id=str(qid),
-                    answer_index=reference_answer(entry["answer"]),
-                    window=TemporalSegment(float(entry["start"]), float(entry["end"])),
+                    answer_index=answer,
+                    window=TemporalSegment(reference_seconds(start), reference_seconds(end)),
                 )
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -527,10 +545,10 @@ def reference_load_predictions(path):
 
 def _bad_entry(draw, entry):
     """One entry broken in one of the ways a prediction file can be, or a
-    value that only looks wrong (a numeric string, a huge answer)."""
+    value that only looks wrong (a numeric string, a huge number)."""
     kind = draw(st.sampled_from([
         "missing", "not_dict", "string", "non_finite", "negative_start",
-        "start_ge_end", "bool_answer", "huge_answer",
+        "start_ge_end", "bool", "huge",
     ]))
     key = draw(st.sampled_from(["answer", "start", "end"]))
     if kind == "missing":
@@ -538,17 +556,18 @@ def _bad_entry(draw, entry):
     elif kind == "not_dict":
         return draw(st.sampled_from([[1, 2.0, 3.0], "q", 7, None, True]))
     elif kind == "string":
-        entry[key] = draw(st.sampled_from([str(entry[key]), "1.5", "x", ""]))
+        entry[key] = draw(st.sampled_from([str(entry[key]), "1.5", " 2", "x", "", "1_0",
+                                           "\u0661"]))
     elif kind == "non_finite":
         entry[key] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
     elif kind == "negative_start":
         entry["start"] = draw(st.sampled_from([-1e-300, -0.5, -0.0]))
     elif kind == "start_ge_end":
         entry["end"] = entry["start"] - draw(st.sampled_from([0.0, 1.0]))
-    elif kind == "bool_answer":
-        entry["answer"] = draw(st.booleans())
+    elif kind == "bool":
+        entry[key] = draw(st.booleans())
     else:
-        entry["answer"] = draw(st.sampled_from([2**63 - 1, 2**63, 2**70, -2**64, 10**400]))
+        entry[key] = draw(st.sampled_from([2**63 - 1, 2**63, 2**70, -2**64, 10**400]))
     return entry
 
 
