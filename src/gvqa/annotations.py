@@ -92,10 +92,19 @@ def _parse_segments(cell: str | list, where: str) -> list[tuple[float, float]]:
     return pairs
 
 
+def _read_id(row: Mapping[str, object], column: str) -> str:
+    """The id in a row's column: text, or a JSON integer as its digits. Any
+    other value (null, a bool, a float, an array) raises TypeError."""
+    value = row[column]
+    if isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)):
+        return str(value)
+    raise TypeError(f"{column} {json.dumps(value)} is not a string or an integer")
+
+
 def _build_label(row: Mapping[str, object], where: str) -> GroundingLabel:
     try:
-        qid = str(row["question_id"])
-        vid = str(row["video_id"])
+        qid = _read_id(row, "question_id")
+        vid = _read_id(row, "video_id")
         duration = read_seconds(row["duration_s"])
         answer = read_answer_index(row["answer_index"])
         cell = row["segments"]

@@ -119,16 +119,14 @@ def _coerce(key: str, value: str, typ: str) -> object:
 def _split_config(file_values: dict[str, str], args: argparse.Namespace,
                   synth_cls: type, train_cls: type) -> tuple[dict, dict, dict]:
     """Merge config file and flags into synth/train/extra keyword dicts for
-    the two config dataclasses. Each set flag is read as its config key after
-    the file's keys, so a flag wins; str of a float flag is its repr, which
-    parses back to the same float."""
+    the two config dataclasses. Each set flag's text is read as its config
+    key, by the file's number rule, after the file's keys, so a flag wins."""
     synth_fields = {f.name: f.type for f in dataclasses.fields(synth_cls)}
     train_fields = {f.name: f.type for f in dataclasses.fields(train_cls)}
     synth: dict = {}
     train_kw: dict = {}
     extra = dict(EXTRA_DEFAULTS)
-    flags = [(key, str(getattr(args, key))) for key in FLAG_KEYS
-             if getattr(args, key) is not None]
+    flags = [(key, getattr(args, key)) for key in FLAG_KEYS if getattr(args, key) is not None]
     for key, value in [*file_values.items(), *flags]:
         scope, _, name = key.partition(".")
         if key == "seed":
@@ -236,11 +234,12 @@ def build_parser() -> argparse.ArgumentParser:
                              help="train and evaluate on planted-moment episodes")
     p_train.add_argument("--config", help="key=value config file")
     p_train.add_argument("--objective", choices=("ng", "ng+"))
-    p_train.add_argument("--seed", type=int)
-    p_train.add_argument("--epochs", type=int)
-    p_train.add_argument("--alpha", type=float)
-    p_train.add_argument("--gamma", type=float)
-    p_train.add_argument("--frames", dest="n_frames", type=int)
+    # the number flags stay text: _split_config reads them as config keys
+    p_train.add_argument("--seed")
+    p_train.add_argument("--epochs")
+    p_train.add_argument("--alpha")
+    p_train.add_argument("--gamma")
+    p_train.add_argument("--frames", dest="n_frames")
     p_train.add_argument("-o", "--out", default="gvqa_out")
     return parser
 

@@ -23,12 +23,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .gaussian import ShapeMismatch, frame_times
+from .gaussian import ShapeMismatch, frame_positions, frame_times
 from .metrics import LabelTable
 from .model import Episode
 from .temporal import TemporalSegment, VideoExtent
 
 SIBLINGS_PER_VIDEO = 4
+# float64 elements of frames per block of generate's array phase
+_BLOCK_FLOATS = 1 << 14
 
 
 class ConfigError(ValueError):
@@ -94,25 +96,58 @@ class SynthConfig:
             raise ConfigError("need 0 < duration_lo <= duration_hi < inf")
 
 
-# _unit and _unit_rows divide by np.linalg.norm's own arithmetic, so the bits
-# are the same, without the per-call cost of its Python wrapper
-def _unit(v: np.ndarray) -> np.ndarray:
-    return v / math.sqrt(v.dot(v))
-
-
+# row-wise norms with the per-question reference's arithmetic (in the tests):
+# np.add.reduce of the squares for drawn rows, and for every other vector its
+# v.dot(v) as a stacked matmul, the same BLAS dot per row on every kernel
 def _unit_rows(m: np.ndarray) -> np.ndarray:
-    return m / np.sqrt(np.add.reduce(m * m, axis=1, keepdims=True))
+    m /= np.sqrt(np.add.reduce(m * m, axis=-1, keepdims=True))
+    return m
 
 
-def _frames_inside(centers: np.ndarray, moment: TemporalSegment) -> np.ndarray:
-    """Boolean per-frame mask of the frame centers (seconds) inside a moment.
+def _unit_dots(v: np.ndarray) -> np.ndarray:
+    v /= np.sqrt(v[..., None, :] @ v[..., :, None])[..., 0]
+    return v
+
+
+def _frames_inside(centers: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """Boolean per-frame mask of row i of the frame centers (n, F) (seconds)
+    inside moment i, from start[i] to end[i] ((n, 1) columns).
 
     Tiny moments can slip between frame centers; they snap to the nearest one.
     """
-    inside = (centers >= moment.start) & (centers <= moment.end)
-    if not inside.any():
-        inside[int(np.argmin(np.abs(centers - (moment.start + moment.end) / 2)))] = True
+    inside = (centers >= start) & (centers <= end)
+    empty = np.flatnonzero(~inside.any(axis=1))
+    if empty.size:
+        mid = (start[empty] + end[empty]) / 2
+        inside[empty, np.argmin(np.abs(centers[empty] - mid), axis=1)] = True
     return inside
+
+
+def _plant(config: SynthConfig, M_q: np.ndarray, M_a: np.ndarray, frames: np.ndarray,
+           qa: np.ndarray, variants: np.ndarray, draws: np.ndarray) -> None:
+    """generate's array phase, in place, on a block of whole videos. draws
+    holds per episode its video's duration, the correct index, the shortcut
+    flag, the moment's start and end and the wrong-answer draw."""
+    duration, start, end = draws[:, 0], draws[:, 3:4], draws[:, 4:5]
+    correct, wrong = draws[:, 1].astype(np.intp), draws[:, 5].astype(np.intp)
+    questions, answers = qa[:, 0], qa[:, 1:]
+    _unit_dots(questions)
+    _unit_rows(answers)
+    rows = np.arange(len(qa))
+    right = answers[rows, correct]
+    hit = np.flatnonzero(draws[:, 2])
+    questions[hit] = _unit_dots(questions[hit] + config.shortcut_gain * right[hit])
+    _unit_dots(np.add(questions[:, None], config.variant_noise * variants, out=variants))
+    signal = config.signal_gain * _unit_dots(questions[:, None] @ M_q + right[:, None] @ M_a)
+    wrong += wrong >= correct
+    distractor = config.out_gain * _unit_dots(answers[rows, wrong][:, None] @ M_a)
+    # each video's background as unit rows, on each of its episodes
+    background = config.noise_std * _unit_rows(frames[::SIBLINGS_PER_VIDEO])
+    for j in range(SIBLINGS_PER_VIDEO):
+        frames[j::SIBLINGS_PER_VIDEO] = background[:len(frames[j::SIBLINGS_PER_VIDEO])]
+    inside = _frames_inside(frame_positions(frames.shape[1]) * duration[:, None], start, end)
+    np.add(frames, signal, out=frames, where=inside[..., None])
+    np.add(frames, distractor, out=frames, where=~inside[..., None])
 
 
 def generate(config: SynthConfig) -> list[Episode]:
@@ -122,67 +157,58 @@ def generate(config: SynthConfig) -> list[Episode]:
     id. neg_questions stays empty: the trainer's sampler draws the hard
     negatives for every batch.
     """
-    n_videos = math.ceil(config.n_episodes / SIBLINGS_PER_VIDEO)
-    ss = np.random.SeedSequence(config.seed)
+    n, A = config.n_episodes, config.n_answers
+    n_videos = math.ceil(n / SIBLINGS_PER_VIDEO)
     # the second child is unused; spawning it keeps every video's seed in place
-    world_seed, _, *video_seeds = ss.spawn(2 + n_videos)
+    world_seed, _, *video_seeds = np.random.SeedSequence(config.seed).spawn(2 + n_videos)
 
     world_rng = np.random.default_rng(world_seed)
     # world maps carry text-space vectors into video feature space
     M_q = world_rng.normal(size=(config.d_t, config.d_v))
     M_a = world_rng.normal(size=(config.d_t, config.d_v))
 
-    episodes: list[Episode] = []
-    for vi in range(n_videos):
-        rng = np.random.default_rng(video_seeds[vi])
-        vid = f"v{vi:05d}"
+    # the draws define the world: each video's generator draws its duration
+    # and background normals (onto its first episode's frames), then per
+    # question the question and answer normals, the correct index, the
+    # shortcut draw, the moment start, the wrong-answer draw and the variants
+    frames = np.empty((n, config.n_frames, config.d_v))
+    qa = np.empty((n, 1 + A, config.d_t))  # the question row, then the answers
+    variants = np.empty((n, config.n_pos_variants, config.d_t))
+    durations, correct, shortcut, starts, ends, wrong = [], [], [], [], [], []
+    for vi, seed in enumerate(video_seeds):
+        rng = np.random.default_rng(seed)
         duration = float(rng.uniform(config.duration_lo, config.duration_hi))
-        extent = VideoExtent(duration)
-        background = config.noise_std * _unit_rows(
-            rng.normal(size=(config.n_frames, config.d_v))
-        )
-        centers = frame_times(config.n_frames, duration)
+        m_len = config.moment_ratio * duration
+        rng.standard_normal(out=frames[vi * SIBLINGS_PER_VIDEO])
+        for e in range(vi * SIBLINGS_PER_VIDEO, min((vi + 1) * SIBLINGS_PER_VIDEO, n)):
+            rng.standard_normal(out=qa[e])
+            correct.append(int(rng.integers(A)))
+            shortcut.append(rng.random() < config.shortcut_rate)
+            starts.append(rng.uniform(0.0, duration - m_len))
+            ends.append(starts[-1] + m_len)
+            wrong.append(int(rng.integers(A - 1)))
+            rng.standard_normal(out=variants[e])
+            durations.append(duration)
 
-        n_here = min(SIBLINGS_PER_VIDEO, config.n_episodes - len(episodes))
-        for j in range(n_here):
-            question = _unit(rng.normal(size=config.d_t))
-            answers = _unit_rows(rng.normal(size=(config.n_answers, config.d_t)))
-            correct = int(rng.integers(config.n_answers))
-            shortcut = bool(rng.random() < config.shortcut_rate)
-            if shortcut:
-                question = _unit(question + config.shortcut_gain * answers[correct])
+    # whole-world passes, a block of videos at a time so temporaries stay small
+    table = np.array([durations, correct, shortcut, starts, ends, wrong]).T
+    step = SIBLINGS_PER_VIDEO * max(1, _BLOCK_FLOATS // max(frames[0].size, 1))
+    for b in range(0, n, step):
+        _plant(config, M_q, M_a, frames[b:b + step], qa[b:b + step], variants[b:b + step],
+               table[b:b + step])
 
-            m_len = config.moment_ratio * duration
-            m_start = float(rng.uniform(0.0, duration - m_len))
-            moment = TemporalSegment(m_start, m_start + m_len)
-            inside = _frames_inside(centers, moment)
-
-            signal = config.signal_gain * _unit(question @ M_q + answers[correct] @ M_a)
-            others = [a for a in range(config.n_answers) if a != correct]
-            wrong = others[int(rng.integers(len(others)))]
-            distractor = config.out_gain * _unit(answers[wrong] @ M_a)
-
-            frames = background.copy()
-            frames[inside] += signal
-            frames[~inside] += distractor
-
-            variants = [
-                _unit(question + config.variant_noise * rng.normal(size=config.d_t))
-                for _ in range(config.n_pos_variants)
-            ]
-            episodes.append(
-                Episode(
-                    frames=frames,
-                    question=question,
-                    answers=answers,
-                    correct=correct,
-                    extent=extent,
-                    pos_variants=variants,
-                    gt_moment=moment,
-                    question_id=f"{vid}_q{j}",
-                    video_id=vid,
-                )
-            )
+    # the episodes: views of the world arrays
+    episodes: list[Episode] = []
+    for e in range(n):
+        vi, j = divmod(e, SIBLINGS_PER_VIDEO)
+        vid = f"v{vi:05d}"
+        if j == 0:
+            extent = VideoExtent(durations[e])
+        episodes.append(Episode(
+            frames=frames[e], question=qa[e, 0], answers=qa[e, 1:], correct=correct[e],
+            extent=extent, pos_variants=list(variants[e]),
+            gt_moment=TemporalSegment(starts[e], ends[e]),
+            question_id=f"{vid}_q{j}", video_id=vid))
     return episodes
 
 
@@ -238,7 +264,8 @@ PROBE_LR = 0.5
 def moment_frame_mask(episode: Episode) -> np.ndarray:
     """Boolean per-frame mask of the frames the generator planted the signal on."""
     centers = frame_times(episode.n_frames, episode.extent.duration)
-    return _frames_inside(centers, oracle_grounding(episode))
+    moment = oracle_grounding(episode)
+    return _frames_inside(centers[None], np.array([[moment.start]]), np.array([[moment.end]]))[0]
 
 
 def _check_fit_input(episodes: Sequence[Episode]) -> None:

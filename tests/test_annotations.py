@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import tempfile
 from collections.abc import Mapping
 from pathlib import Path
@@ -141,6 +142,28 @@ class TestLoadJson:
         p.write_text("{not json")
         with pytest.raises(ParseError):
             load_labels(p)
+
+    @pytest.mark.parametrize("column", ["question_id", "video_id"])
+    @pytest.mark.parametrize("value, text", [
+        ("q7", "q7"), (7, "7"), (None, "null"), (True, "true"), (False, "false"),
+        (7.0, "7.0"), ([7], "[7]"), ({"id": 7}, '{"id": 7}'),
+    ])
+    def test_json_id_is_a_string_or_an_integer(self, tmp_path, column, value, text):
+        # a JSON integer id reads as its digits; null, a bool, a float or a
+        # container is refused at its row and column, not read through str()
+        row = {"question_id": "q1", "video_id": "v1", "duration_s": 30.0,
+               "answer_index": 0, "segments": [[2.0, 8.0]]}
+        p = tmp_path / "labels.json"
+        p.write_text(json.dumps([row, {**row, "question_id": "q2", column: value}]))
+        if isinstance(value, str) or type(value) is int:
+            table = load_labels(p)
+            ids = table.question_ids if column == "question_id" else table.video_ids
+            assert ids[1] == text
+        else:
+            with pytest.raises(ParseError, match=rf"^labels.json:row 1: {column} "
+                                                 rf"{re.escape(text)} is not a string or "
+                                                 rf"an integer$"):
+                load_labels(p)
 
     def test_json_row_validation_names_row(self, tmp_path):
         p = tmp_path / "labels.json"
@@ -554,7 +577,7 @@ JSON_ANSWERS = [0, 0, 3, "2", " 2", "1_0", "\u0661", "2.0", 2.7, -1, None, True,
 def json_rows(draw):
     rows = []
     for i in range(draw(st.integers(1, 8))):
-        qid = draw(st.sampled_from([f"q{i}", f"q{i}", f"q{i}", i, "q0"]))
+        qid = draw(st.sampled_from([f"q{i}", f"q{i}", f"q{i}", i, "q0", None, True]))
         duration = draw(st.sampled_from(JSON_DURATIONS))
         d = duration if isinstance(duration, (int, float)) else 30.0
         d = _duration_value(str(d))

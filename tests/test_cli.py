@@ -770,3 +770,25 @@ def test_number_text_in_a_train_synth_config(tmp_path, capsys, key, text, value)
         flags = argparse.Namespace(**dict.fromkeys(cli.FLAG_KEYS))
         _, train_kw, _ = cli._split_config(parse_config_file(cfg), flags, SynthConfig, TrainConfig)
         assert train_kw[key] == value
+
+
+NUMBER_FLAGS = [("--seed", "seed", "int"), ("--epochs", "epochs", "int"),
+                ("--frames", "n_frames", "int"), ("--alpha", "alpha", "float"),
+                ("--gamma", "gamma", "float")]
+
+
+@pytest.mark.parametrize("flag, key, typ, text, value", [
+    (flag, key, typ, text, value) for flag, key, typ in NUMBER_FLAGS
+    for text, value in (ANSWER_TEXTS if typ == "int" else SECONDS_TEXTS)
+])
+def test_number_text_in_a_train_synth_flag(tmp_path, capsys, flag, key, typ, text, value):
+    # a number flag's text is read by the config file's rule, not by
+    # argparse's int() or float(), which take "1_0" and non-ASCII digits
+    if value is None:
+        assert main(["train-synth", flag, text, "-o", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (f"error: config key {key}: cannot parse "
+                                           f"{text!r} as {typ}\n")
+    else:
+        args = cli.build_parser().parse_args(["train-synth", flag, text])
+        synth_kw, train_kw, _ = cli._split_config({}, args, SynthConfig, TrainConfig)
+        assert {**synth_kw, **train_kw}[key] == value

@@ -2,11 +2,13 @@
 
 import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
-from gvqa.gaussian import ShapeMismatch
+from gvqa import synth
+from gvqa.gaussian import ShapeMismatch, frame_times
 from gvqa.metrics import LabelTable, evaluate, random_baseline
 from gvqa.model import Episode, ModelConfig, init_params
 from gvqa.synth import (
@@ -165,6 +167,88 @@ def test_distractor_draw_stream_pinned(n_answers, digest):
     rng.choice over the list of wrong answers."""
     config = SynthConfig(n_episodes=12, n_answers=n_answers, seed=5)
     assert _stream_digest(generate(config)) == digest
+
+
+# --- the generator against its per-question reference ---------------------------
+#
+# generate as one loop over the questions of each video, drawing and computing
+# every episode in turn with per-vector numpy calls: the definition the
+# whole-world passes of generate must reproduce byte for byte.
+
+def _reference_unit(v):
+    return v / math.sqrt(v.dot(v))
+
+
+def _reference_unit_rows(m):
+    return m / np.sqrt(np.add.reduce(m * m, axis=1, keepdims=True))
+
+
+def _reference_inside(centers, moment):
+    inside = (centers >= moment.start) & (centers <= moment.end)
+    if not inside.any():
+        inside[int(np.argmin(np.abs(centers - (moment.start + moment.end) / 2)))] = True
+    return inside
+
+
+def reference_generate(config):
+    n_videos = math.ceil(config.n_episodes / SIBLINGS_PER_VIDEO)
+    world_seed, _, *video_seeds = np.random.SeedSequence(config.seed).spawn(2 + n_videos)
+    world_rng = np.random.default_rng(world_seed)
+    M_q = world_rng.normal(size=(config.d_t, config.d_v))
+    M_a = world_rng.normal(size=(config.d_t, config.d_v))
+    episodes = []
+    for vi in range(n_videos):
+        rng = np.random.default_rng(video_seeds[vi])
+        vid = f"v{vi:05d}"
+        duration = float(rng.uniform(config.duration_lo, config.duration_hi))
+        extent = VideoExtent(duration)
+        background = config.noise_std * _reference_unit_rows(
+            rng.normal(size=(config.n_frames, config.d_v)))
+        centers = frame_times(config.n_frames, duration)
+        for j in range(min(SIBLINGS_PER_VIDEO, config.n_episodes - len(episodes))):
+            question = _reference_unit(rng.normal(size=config.d_t))
+            answers = _reference_unit_rows(rng.normal(size=(config.n_answers, config.d_t)))
+            correct = int(rng.integers(config.n_answers))
+            if rng.random() < config.shortcut_rate:
+                question = _reference_unit(question + config.shortcut_gain * answers[correct])
+            m_len = config.moment_ratio * duration
+            m_start = float(rng.uniform(0.0, duration - m_len))
+            moment = TemporalSegment(m_start, m_start + m_len)
+            inside = _reference_inside(centers, moment)
+            signal = config.signal_gain * _reference_unit(question @ M_q + answers[correct] @ M_a)
+            others = [a for a in range(config.n_answers) if a != correct]
+            wrong = others[int(rng.integers(len(others)))]
+            distractor = config.out_gain * _reference_unit(answers[wrong] @ M_a)
+            frames = background.copy()
+            frames[inside] += signal
+            frames[~inside] += distractor
+            variants = [
+                _reference_unit(question + config.variant_noise * rng.normal(size=config.d_t))
+                for _ in range(config.n_pos_variants)
+            ]
+            episodes.append(Episode(
+                frames=frames, question=question, answers=answers, correct=correct,
+                extent=extent, pos_variants=variants, gt_moment=moment,
+                question_id=f"{vid}_q{j}", video_id=vid))
+    return episodes
+
+
+@pytest.mark.parametrize("shortcut_rate", [0.0, 1.0])
+@pytest.mark.parametrize("n_pos_variants", [0, 3])
+@pytest.mark.parametrize("n_answers", [2, 5, 7])
+@pytest.mark.parametrize("n_frames", [3, 32, 128])
+def test_generate_equals_per_question_reference(monkeypatch, n_frames, n_answers,
+                                                n_pos_variants, shortcut_rate):
+    """Every byte of every episode field, on 37 episodes (a short last video)
+    whose tiny moments snap to a frame; also with array-phase blocks of one
+    or two videos, so that blocks end mid-world and on the short video."""
+    config = SynthConfig(n_episodes=37, n_frames=n_frames, n_answers=n_answers,
+                         n_pos_variants=n_pos_variants, shortcut_rate=shortcut_rate,
+                         moment_ratio=0.01, seed=7)
+    reference = reference_generate(config)
+    assert _stream_digest(generate(config)) == _stream_digest(reference)
+    monkeypatch.setattr(synth, "_BLOCK_FLOATS", 200)
+    assert _stream_digest(generate(config)) == _stream_digest(reference)
 
 
 def test_oracle_grounding(eps):
